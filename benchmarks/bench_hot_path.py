@@ -22,30 +22,17 @@ The record also carries ``fig10_speedup_vs_prev_committed`` — the fig10
 time committed by the previous perf PR divided by the current time —
 which is the per-PR claim CI's ``repro-run compare`` gate watches.
 
-``--kernel {auto,vector,scalar}`` selects the batch front-end for the
-fig10 point: the whole-chunk kernel (``vector``), the per-access scalar
-loop (``scalar``), or the per-chunk heuristic (``auto``, the default and
-what the committed record uses).  Both paths are bit-identical; keeping
-both benchmarked pins the kernel's win and catches a regression in
-either.  The fig10 reference point is *miss-dominated* (the scaled L1s
-hit only ~21% of accesses), so its time is governed by the miss drain;
-the ``drain_heavy_50k`` metric isolates that further with a ~0% hit-rate
-stream, and the ``drain_vector_speedup`` leg times the same stream with
-the vectorized drain pipeline forced off (``DEFAULT_DRAIN_PIPELINE =
-"scalar"``, the pre-pipeline protocol loop) — alternated run-for-run
-in the same process, so bursty host load lands on both sides of the
-ratio and the drain win is gated independently of hit retirement and
-of machine drift.  A second alternated leg times the fig10 point
-itself with the scalar drain (``fig10_drain_pipeline_speedup``): the
-end-to-end claim with both sides measured seconds apart instead of
-against a cross-session pin.
+The fig10 reference point is *miss-dominated* (the scaled L1s hit only
+~21% of accesses), so its time is governed by the miss drain; the
+``drain_heavy_50k`` metric isolates that further with a ~0% hit-rate
+stream.  Both run on the system's one fast path (the whole-chunk hit
+kernel plus the vectorized drain), which is what every cuckoo point of
+the paper uses.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_hot_path.py            # full
     PYTHONPATH=src python benchmarks/bench_hot_path.py --quick    # 1 repeat
-    PYTHONPATH=src python benchmarks/bench_hot_path.py --kernel scalar
-    PYTHONPATH=src python benchmarks/bench_hot_path.py --fail-drain-below 1.3
     PYTHONPATH=src python benchmarks/bench_hot_path.py --output out.json
 
 Unlike the figure benchmarks, this script bypasses the engine's result
@@ -86,9 +73,8 @@ PRE_PR_BASELINE: Dict[str, float] = {
     "skewing_indices_50k_seconds": 0.24681,
     "trace_100k_seconds": 0.17169,
     # The drain-heavy stream predates no rewrite (the metric was added
-    # with the vectorized drain pipeline), so its "before" is the scalar
-    # drain on the same tree: best of 3 with DEFAULT_DRAIN_PIPELINE
-    # forced to "scalar" — the pre-pipeline protocol loop, unchanged.
+    # with the vectorized drain pipeline), so its "before" is the
+    # pre-pipeline scalar drain on the same tree, best of 3.
     "drain_heavy_50k_seconds": 0.3268,
 }
 
@@ -211,30 +197,6 @@ METRICS: Dict[str, Callable[[], None]] = {
 }
 
 
-def _alternated_pair(fn, repeats, system_module):
-    """Best-of-``repeats`` for ``fn`` under both drain pipelines.
-
-    The two sides alternate run-for-run (vector, scalar, vector, ...)
-    so bursty host load lands on both legs equally instead of on
-    whichever leg happened to run later; each side's minimum then comes
-    from the same quiet moments.  Returns ``(vector_min, scalar_min)``.
-    """
-    vector_times = []
-    scalar_times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        vector_times.append(time.perf_counter() - start)
-        system_module.DEFAULT_DRAIN_PIPELINE = "scalar"
-        try:
-            start = time.perf_counter()
-            fn()
-            scalar_times.append(time.perf_counter() - start)
-        finally:
-            system_module.DEFAULT_DRAIN_PIPELINE = "auto"
-    return min(vector_times), min(scalar_times)
-
-
 def run_benchmarks(repeats: int) -> Dict[str, float]:
     current: Dict[str, float] = {}
     for name, bench in METRICS.items():
@@ -269,69 +231,11 @@ def main(argv=None) -> int:
         metavar="RATIO",
         help="exit non-zero if the fig10 end-to-end speedup is below RATIO",
     )
-    parser.add_argument(
-        "--fail-drain-below",
-        type=float,
-        default=None,
-        metavar="RATIO",
-        help="exit non-zero if drain_vector_speedup (vectorized drain "
-        "pipeline vs scalar drain on the drain-heavy stream, measured "
-        "interleaved) is below RATIO",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=("auto", "vector", "scalar"),
-        default="auto",
-        help="batch-kernel selection for the fig10 point: 'vector' forces "
-        "the whole-chunk kernel, 'scalar' forces the per-access loop, "
-        "'auto' (default, what the committed record uses) lets the system "
-        "choose per chunk — keeps both paths benchmarked",
-    )
     args = parser.parse_args(argv)
-
-    # The toggle works through the module default read at system
-    # construction, so every system the benchmarks build below obeys it.
-    import repro.coherence.system as _system_module
-
-    _system_module.DEFAULT_BATCH_KERNEL = args.kernel
 
     repeats = args.repeats if args.repeats else (1 if args.quick else 3)
     print(f"hot-path benchmark ({repeats} repeat(s) per metric)", file=sys.stderr)
     current = run_benchmarks(repeats)
-
-    # The drain leg: the same drain-heavy stream with the vectorized
-    # drain pipeline forced off, alternated run-for-run in the same
-    # process so the ratio is host-independent.  The scalar drain is
-    # the pre-pipeline protocol loop, so this gates the drain win on
-    # its own — fig10 and trace_100k mix in hit retirement and trace
-    # production.
-    drain_vector, drain_scalar = _alternated_pair(
-        _bench_drain_heavy, repeats, _system_module
-    )
-    drain_vector_speedup = (
-        drain_scalar / drain_vector if drain_vector > 0 else float("inf")
-    )
-    print(
-        f"  {'drain_heavy_50k (scalar drain)':32s} {drain_scalar:9.4f}s",
-        file=sys.stderr,
-    )
-
-    # End-to-end drain-pipeline ratio on the reference point, measured
-    # the same way: fig10 with the vectorized drain vs fig10 with
-    # DEFAULT_DRAIN_PIPELINE forced to "scalar", alternated.  This is
-    # the comparison behind fig10_speedup_vs_prev_committed but with
-    # both sides measured seconds apart on the same host instead of
-    # against a pin from another session's load phase.
-    fig10_vector, fig10_scalar_drain = _alternated_pair(
-        _bench_fig10_point, repeats, _system_module
-    )
-    fig10_pipeline_speedup = (
-        fig10_scalar_drain / fig10_vector if fig10_vector > 0 else float("inf")
-    )
-    print(
-        f"  {'fig10_point (scalar drain)':32s} {fig10_scalar_drain:9.4f}s",
-        file=sys.stderr,
-    )
 
     speedups = {
         name: PRE_PR_BASELINE[name] / current[name]
@@ -346,16 +250,9 @@ def main(argv=None) -> int:
     record = {
         "reference_point": FIG10_REFERENCE.to_dict(),
         "quick": args.quick,
-        "kernel": args.kernel,
         "baseline_pre_pr_seconds": PRE_PR_BASELINE,
         "prev_committed_fig10_seconds": PREV_COMMITTED_FIG10_SECONDS,
         "current_seconds": current,
-        "drain_heavy_vector_seconds": drain_vector,
-        "drain_heavy_scalar_seconds": drain_scalar,
-        "drain_vector_speedup": drain_vector_speedup,
-        "fig10_vector_drain_seconds": fig10_vector,
-        "fig10_scalar_drain_seconds": fig10_scalar_drain,
-        "fig10_drain_pipeline_speedup": fig10_pipeline_speedup,
         "speedup_vs_baseline": speedups,
         "fig10_speedup_vs_prev_committed": fig10_vs_prev,
         "unix_time": time.time(),
@@ -373,30 +270,12 @@ def main(argv=None) -> int:
         f"\nfig10 vs previously committed ({PREV_COMMITTED_FIG10_SECONDS:.4f}s): "
         f"{fig10_vs_prev:.2f}x"
     )
-    print(
-        f"drain pipeline vs scalar drain ({drain_scalar:.4f}s): "
-        f"{drain_vector_speedup:.2f}x"
-    )
-    print(
-        f"fig10 vs scalar drain, alternated ({fig10_scalar_drain:.4f}s): "
-        f"{fig10_pipeline_speedup:.2f}x"
-    )
     print(f"recorded to {output}")
 
     fig10_speedup = speedups.get("fig10_point_seconds", 0.0)
     if args.fail_below is not None and fig10_speedup < args.fail_below:
         print(
             f"FAIL: fig10 speedup {fig10_speedup:.2f}x below {args.fail_below:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
-    if (
-        args.fail_drain_below is not None
-        and drain_vector_speedup < args.fail_drain_below
-    ):
-        print(
-            f"FAIL: drain speedup {drain_vector_speedup:.2f}x below "
-            f"{args.fail_drain_below:.2f}x",
             file=sys.stderr,
         )
         return 1

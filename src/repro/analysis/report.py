@@ -363,10 +363,12 @@ def _detect_kind(path: Path) -> str:
     the tolerance of :class:`~repro.engine.store.ResultStore` loads.
     A path whose sibling ``<name>.segments/`` directory holds a manifest is
     also a store, even when its WAL is empty or absent (sealed/compacted
-    stores keep most records in binary segments).  Anything else that
-    parses as one JSON document is a benchmark record.
+    stores keep most records in binary segments), and so is an existing
+    store with no main WAL at all (pool workers write only per-writer
+    WALs).  Anything else that parses as one JSON document is a benchmark
+    record.
     """
-    if _sealed_store(path):
+    if not path.is_file() or _sealed_store(path):
         return "store"
     probed = 0
     with path.open("r", encoding="utf-8") as handle:
@@ -462,9 +464,11 @@ def compare_files(
     improvement; a zero baseline going non-zero in the regressing
     direction always counts.
     """
+    from repro.engine.store import store_exists
+
     baseline_path, candidate_path = Path(baseline), Path(candidate)
     for path in (baseline_path, candidate_path):
-        if not path.exists() and not _sealed_store(path):
+        if not store_exists(path):
             raise FileNotFoundError(f"no such file: {path}")
     if threshold < 0:
         raise ValueError("threshold must be non-negative")

@@ -30,9 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.cache.replacement import LruPolicy, ReplacementPolicy
 from repro.config import CacheConfig
@@ -352,99 +350,43 @@ class SetAssociativeCache:
             self._policy.on_access(index // self._num_ways, way)
         return self._states[index]
 
-    def touch_repeats(self, address: int, count: int) -> None:
-        """Fold ``count`` repeated hits to a resident block into one update.
-
-        The caller guarantees every folded access is an unconditional hit
-        that changes neither state nor dirtiness (a read in any valid
-        state, or a write while already MODIFIED — M implies dirty).  The
-        effect on statistics and recency is exactly that of ``count``
-        consecutive :meth:`touch` calls: counters advance by ``count`` and
-        the frame ends up stamped with the final clock value.
-        """
-        index = self._location[address]
-        self._stats.hits += count
-        if self._lru_inline:
-            self._clock += count
-            self._stamps[index] = self._clock
-        else:
-            set_index = index // self._num_ways
-            way = index % self._num_ways
-            for _ in range(count):
-                self._policy.on_access(set_index, way)
-
-    # -- batched primitives (whole-chunk kernel support) ---------------------
+    # -- batched primitives (fast-path support) ------------------------------
     #
-    # The batch front-end in ``repro.coherence.system`` resolves a whole
-    # trace chunk against the flat arrays at once.  These primitives are the
-    # cache-side half of that contract: a side-effect-free vectorised probe
-    # (`lookup_batch`), a bulk hit retirement with *explicit* LRU stamps
-    # (`touch_batch`), and an explicit clock advance (`advance_clock`).
-    # Explicit stamps work because every access — hit or miss — advances the
-    # inline-LRU clock by exactly one, so the stamp any access would have
-    # written is ``clock_at_chunk_start + its rank among this cache's chunk
-    # accesses``, computable for the whole chunk up front.  The front-end
-    # also reads the flat arrays (`_tags``/``_states``/``_dirty``/
-    # ``_stamps``/``_set_counts``/``_location``) directly on its scalar
-    # drain; keep the storage layout and these primitives in sync.
-
-    @property
-    def lru_inline(self) -> bool:
-        """True when recency lives in the flat stamp array (plain LRU).
-
-        The batched kernel requires inline stamps; any custom replacement
-        policy drops the front-end back to the scalar path.
-        """
-        return self._lru_inline
-
-    @property
-    def clock(self) -> int:
-        """Current LRU clock (meaningful only when :attr:`lru_inline`)."""
-        return self._clock
+    # The fast path in ``repro.coherence.system`` resolves a whole trace
+    # chunk against the flat arrays at once and retires hits with
+    # *explicit* LRU stamps (`touch_batch`), then settles the clock once
+    # (`advance_clock`).  Explicit stamps work because every access — hit
+    # or miss — advances the inline-LRU clock by exactly one, so the stamp
+    # any access would have written is ``clock_at_chunk_start + its rank
+    # among this cache's chunk accesses``, computable for the whole chunk
+    # up front.  The fast path also reads the flat arrays (``_tags``/
+    # ``_states``/``_dirty``/``_stamps``/``_set_counts``/``_location``/
+    # ``_clock``) directly in its vectorized drain; keep the storage layout
+    # and these primitives in sync.  It relies on inline LRU, which is the
+    # only policy ``TiledCMP`` builds.
 
     def advance_clock(self, count: int) -> None:
         """Advance the LRU clock by ``count`` accesses retired out-of-band.
 
-        The batch front-end writes precomputed stamps directly (via
-        :meth:`touch_batch` and its inlined drain) and settles the clock
+        The fast path writes precomputed stamps directly (via
+        :meth:`touch_batch` and its vectorized drain) and settles the clock
         once per chunk instead of once per access.
         """
         self._clock += count
 
-    def lookup_batch(self, addresses: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised, side-effect-free probe of many block addresses.
-
-        Returns ``(frames, states)``: the flat frame index holding each
-        address (-1 where absent) and its state code (``STATE_INVALID``
-        where absent).  No statistics, recency or residency change; this is
-        the chunk-kernel's classification read, the batched sibling of
-        :meth:`probe`.
-        """
-        address_array = np.asarray(addresses, dtype=np.int64)
-        tags = np.asarray(self._tags, dtype=np.int64)
-        states = np.asarray(self._states, dtype=np.int64)
-        base = (address_array % self._num_sets) * self._num_ways
-        frames = np.full(address_array.shape, -1, dtype=np.int64)
-        for way in range(self._num_ways):
-            candidate = base + way
-            np.copyto(frames, candidate, where=(tags[candidate] == address_array))
-        found = frames >= 0
-        state_codes = np.where(found, states[np.where(found, frames, 0)], STATE_INVALID)
-        return frames, state_codes
-
     def touch_batch(self, frames: Sequence[int], stamps: Sequence[int]) -> List[int]:
         """Retire a batch of hits with explicit stamps; returns prior stamps.
 
-        ``frames`` are flat frame indices the caller already resolved (via
-        :meth:`lookup_batch`), in trace order; ``stamps`` carries the exact
+        ``frames`` are flat frame indices the caller already resolved
+        against the tag array, in trace order; ``stamps`` carries the exact
         stamp value each access would have written had it run through
-        :meth:`touch_code` in sequence.  Like :meth:`touch_repeats`, the
-        caller guarantees every access is a hit that changes neither state
-        nor dirtiness (a read in any valid state, or a write while already
-        MODIFIED).  The clock is *not* advanced here — the caller settles
-        it with :meth:`advance_clock` once the whole chunk is retired.
-        The returned prior-stamp list lets the caller undo individual
-        retirements (forced-invalidation hazards) exactly.
+        :meth:`touch_code` in sequence.  The caller guarantees every access
+        is a hit that changes neither state nor dirtiness (a read in any
+        valid state, or a write while already MODIFIED).  The clock is
+        *not* advanced here — the caller settles it with
+        :meth:`advance_clock` once the whole chunk is retired.  The returned
+        prior-stamp list lets the caller undo individual retirements
+        (forced-invalidation hazards) exactly.
         """
         stamp_array = self._stamps
         old = [0] * len(frames)

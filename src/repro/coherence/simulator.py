@@ -43,8 +43,9 @@ __all__ = ["SimulationResult", "TraceSimulator", "TraceChunk"]
 
 # Phase spans are opened per chunk / per sample point — never per access
 # (DESIGN.md "Observability").  ``trace_production`` times the workload
-# generator (or replay mmap) producing the next chunk; ``translate`` and
-# ``batch_kernel`` are opened inside ``TiledCMP.access_batch``;
+# generator (or replay mmap) producing the next chunk; ``translate``,
+# ``hit_kernel``, ``drain_vector`` and ``drain_scalar`` (the handler loop)
+# are opened inside ``TiledCMP.access_batch``;
 # ``occupancy_sampling`` times the directory occupancy probes.
 _WARMUP_ACCESSES = _obs_counter(
     "sim.run.warmup_accesses", help="accesses executed during warm-up"
@@ -198,11 +199,11 @@ class TraceSimulator:
         sub-slices that end exactly at the warm-up boundary, at every
         occupancy-sample point, at every timeline-sample point and at the
         measurement end, so warm-up and sampling behave per-access even
-        though execution is batched.  Because the timeline only ever
-        observes the system at these sub-slice boundaries — where the
-        scalar and vector chunk kernels are bit-identical — enabling it
-        cannot change any measured statistic, and both kernels produce
-        byte-identical timelines.
+        though execution is batched.  The timeline only ever observes the
+        system at these sub-slice boundaries, and ``access_batch`` is
+        bit-identical to the per-access handlers at any chunk boundary
+        whichever path it takes, so enabling it cannot change any measured
+        statistic and the timeline equals the per-access one.
         """
         system = self._system
         access_batch = system.access_batch

@@ -24,18 +24,20 @@ Cuckoo organizations.
 
 Execution paths
 ---------------
-Three entry points execute the same protocol and produce bit-identical
-statistics:
+The protocol has one definition: the handlers (:meth:`TiledCMP._access_block`
+and the ``_handle_*`` methods).  :meth:`TiledCMP.access` and
+:meth:`TiledCMP.access_scalar` run them for one access;
+:meth:`TiledCMP.access_batch` runs a slice of a trace chunk with all
+per-access address math (page translation, block/home/local derivation,
+tracked-cache selection) numpy-precomputed and the core-range check hoisted
+to one chunk-level validation.  It then takes one of two paths, chosen from
+what it can observe and bit-identical in every statistic:
 
-* :meth:`TiledCMP.access` — one :class:`MemoryAccess` object (general API);
-* :meth:`TiledCMP.access_scalar` — one access as plain scalars;
-* :meth:`TiledCMP.access_batch` — a slice of a trace chunk.  All per-access
-  address math (page translation, block/home/local derivation, tracked-cache
-  selection) is numpy-precomputed for the whole slice, the core-range check
-  is hoisted to one chunk-level validation, and consecutive accesses by the
-  same cache to the same block collapse into a single probe plus counter
-  bumps (the run-length fast path — common in instruction and streaming
-  traces).
+* the **fast path** — the whole-chunk hit kernel plus the vectorized miss
+  drain — when every directory slice is a plain Cuckoo directory with a
+  full bit vector (it exposes ``drain_handles()``) and the chunk is long
+  enough to pay for the tag-array snapshot (``_AUTO_SNAPSHOT_RATIO``);
+* the **handler loop** — each access through the handlers — otherwise.
 
 Internally the protocol operates on integer MESI codes
 (:data:`repro.cache.cache.STATE_TO_CODE`); the :class:`~repro.cache.cache.
@@ -44,7 +46,7 @@ CoherenceState` enum appears only at the public cache API boundary.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import insort
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -81,36 +83,29 @@ _BATCH_CHUNKS = _obs_counter(
 _BATCH_ACCESSES = _obs_counter(
     "sim.batch.accesses", help="accesses executed through access_batch"
 )
-_BATCH_FOLDED = _obs_counter(
-    "sim.batch.folded_accesses",
-    help="accesses folded by the run-length fast path",
-)
-_BATCH_SCALAR = _obs_counter(
-    "sim.batch.scalar_fallbacks",
-    help="accesses that took the scalar coherence-protocol path",
-)
 _BATCH_KERNEL_HITS = _obs_counter(
     "sim.batch.kernel_hits",
     help="hits retired vectorised by the whole-chunk kernel",
 )
 _BATCH_DRAINED = _obs_counter(
     "sim.batch.drained",
-    help="accesses drained through the scalar protocol path by the kernel",
+    help="accesses the whole-chunk kernel left to the vectorized drain",
 )
 _BATCH_ROLLBACKS = _obs_counter(
     "sim.batch.rollbacks",
     help="kernel-retired hits rolled back and re-injected (hazards)",
 )
-# Drain-pipeline telemetry (DESIGN.md "The batched miss drain"): the
-# vector/scalar split plus the per-class retirement counts, all bumped
-# once per chunk from the drain's chunk-local accumulators.
+# Drain telemetry (DESIGN.md "The vectorized drain pipeline"): the
+# fast-path / handler-loop split plus the vector drain's per-class
+# retirement counts, all bumped once per chunk from chunk-local
+# accumulators.
 _DRAIN_VECTOR = _obs_counter(
     "sim.drain.vector_resolved",
     help="drained accesses resolved by the vectorized drain pipeline",
 )
 _DRAIN_SCALAR = _obs_counter(
     "sim.drain.scalar_fallback",
-    help="drained accesses resolved by the scalar fallback drain",
+    help="accesses executed by the handler loop instead of the fast path",
 )
 _DRAIN_CLS_HITS = _obs_counter(
     "sim.drain.class_hits",
@@ -141,38 +136,15 @@ _DRAIN_REINJECTED = _obs_counter(
     help="rolled-back kernel hits replayed through the drain",
 )
 
-#: Minimum drained-access count for the vectorized drain pipeline: below
-#: this the pre-pass (batch hashing, hop gathers, list materialisation)
-#: costs more than the scalar fallback's per-access overhead.
-_DRAIN_VECTOR_MIN = 16
-
-#: Default chunk-kernel selection for new :class:`TiledCMP` instances.
-#: ``auto`` engages the vectorised whole-chunk kernel whenever the flat
-#: tag-array snapshot is small enough to amortise over the chunk (see
-#: ``_AUTO_SNAPSHOT_RATIO``); ``vector``/``scalar`` force one path — used
-#: by the property suites (pin the kernel) and ``bench_hot_path.py
-#: --kernel`` (benchmark both).  Module-level so benchmarks can flip the
-#: default without threading a parameter through every experiment helper.
-DEFAULT_BATCH_KERNEL = "auto"
-
-#: Default drain-pipeline selection, the drain-side analogue of
-#: ``DEFAULT_BATCH_KERNEL``: ``auto`` engages the vectorized drain
-#: pipeline whenever the directories support it (``_drain_vector_config``)
-#: and the chunk drains at least ``_DRAIN_VECTOR_MIN`` accesses;
-#: ``scalar`` forces the scalar fallback everywhere.  Read when the
-#: support decision is first resolved (one cached check per system), so
-#: flip it before the first drained chunk — ``bench_hot_path.py`` uses it
-#: to time the scalar drain against the pipeline on the same build.
-DEFAULT_DRAIN_PIPELINE = "auto"
-
-#: ``auto`` uses the vector kernel when ``total tracked frames <= ratio *
+#: The fast path runs a chunk only when ``total tracked frames <= ratio *
 #: chunk length``: the kernel's per-chunk snapshot of every tracked tag
 #: array is O(frames), so tiny chunks over huge caches (the Private-L2
-#: sweeps) would pay more building the snapshot than the scalar loop costs.
-#: The snapshot is a handful of numpy conversions (~35ns/frame) while the
-#: scalar loop costs several microseconds per access, so the break-even
-#: sits near two orders of magnitude; 64 keeps a safety margin for small
-#: chunks (the warm-up ramp) without letting sweep-sized caches through.
+#: sweeps) would pay more building the snapshot than the handler loop
+#: costs.  The snapshot is a handful of numpy conversions (~35ns/frame)
+#: while the handlers cost several microseconds per access, so the
+#: break-even sits near two orders of magnitude; 64 keeps a safety margin
+#: for small chunks (the warm-up ramp) without letting sweep-sized caches
+#: through.
 _AUTO_SNAPSHOT_RATIO = 64
 
 # Hot-path message constants: hoisted enum members and their byte costs so
@@ -224,7 +196,6 @@ class TiledCMP:
         track_traffic: bool = True,
         page_mapper: Optional[PageMapper] = None,
         page_mapper_seed: int = 0,
-        batch_kernel: Optional[str] = None,
     ) -> None:
         self._config = config
         self._track_traffic = track_traffic
@@ -280,23 +251,11 @@ class TiledCMP:
             self.core_of_cache(cache_id) for cache_id in range(num_tracked)
         ]
         self._hop_matrix = np.asarray(self._hop_table, dtype=np.int64)
-        # Vectorized-drain support decision, resolved lazily on the first
-        # drained chunk (see _drain_vector_config): None = unresolved,
-        # False = unsupported, else the shared-or-per-slice hash family
-        # marker tuple.
+        # Fast-path support decision, resolved lazily on the first chunk
+        # (see _drain_vector_config): None = unresolved, False =
+        # unsupported, else the shared-or-per-slice hash family marker
+        # tuple.
         self._drain_vector_support: object = None
-        # Whole-chunk kernel selection (see DEFAULT_BATCH_KERNEL).  The
-        # vector kernel needs inline-LRU recency in every cache it stamps;
-        # a custom replacement policy silently drops back to the scalar
-        # loop, which goes through the policy's per-access hooks.
-        kernel = batch_kernel if batch_kernel is not None else DEFAULT_BATCH_KERNEL
-        if kernel not in ("auto", "vector", "scalar"):
-            raise ValueError(f"unknown batch kernel {kernel!r}")
-        self._batch_kernel = kernel
-        self._kernel_lru_ok = all(cache.lru_inline for cache in self._tracked) and (
-            self._l2_banks is None
-            or all(bank.lru_inline for bank in self._l2_banks)
-        )
         self._snapshot_frames = num_tracked * self._tracked[0].num_frames
 
     # -- geometry / accessors ------------------------------------------------
@@ -335,9 +294,10 @@ class TiledCMP:
     def home_slice(self, block: int) -> int:
         """Home tile of a block (static address interleaving).
 
-        NOTE: ``access_scalar``, ``access_batch`` and ``_evict_notify``
+        NOTE: ``access_scalar``, ``_evict_notify``, ``_drain_batch_vector``
+        and ``PageMapper.translate_blocks`` (behind ``access_batch``)
         compute this rule (and :meth:`slice_local_address`) directly
-        against ``self._num_slices``; change the interleaving everywhere
+        against the slice count; change the interleaving everywhere
         together.
         """
         return block % self._num_slices
@@ -492,19 +452,19 @@ class TiledCMP:
         ``0 <= core < num_cores`` check runs once per slice instead of per
         access.  Equivalent to calling :meth:`access_scalar` per element.
 
-        Execution then goes through one of two kernels (see
-        ``DEFAULT_BATCH_KERNEL`` and DESIGN.md "The hot path"):
+        Execution then takes one of two paths (module docstring, and
+        DESIGN.md "Hot-path data layout"), bit-identical in every statistic
+        and in all directory/cache state:
 
-        * **vector** — the whole-chunk kernel: every tracked-cache lookup
-          in the slice is resolved at once against the flat tag arrays,
-          conflict-free hits are retired with vectorised stamp writes and
-          bulk counter updates, and only the sparse remainder (misses,
-          upgrades, and accesses dragged into their conflict groups) drains
-          through the scalar MESI protocol in trace order.
-        * **scalar** — the per-access loop with the run-length fold.
-
-        Both kernels are bit-identical in every statistic and in all
-        directory/cache state.
+        * **fast path** — the whole-chunk kernel: every tracked-cache
+          lookup in the slice is resolved at once against the flat tag
+          arrays, conflict-free hits are retired with vectorised stamp
+          writes and bulk counter updates, and only the sparse remainder
+          (misses, upgrades, and accesses dragged into their conflict
+          groups) goes through the vectorized drain in trace order.  Taken
+          when every slice exposes ``drain_handles()`` and the chunk pays
+          for the tag-array snapshot.
+        * **handler loop** — every access through :meth:`_access_block`.
         """
         cores = np.asarray(cores)
         if stop is None:
@@ -536,106 +496,26 @@ class TiledCMP:
         self._accesses += count
         _BATCH_CHUNKS.inc()
         _BATCH_ACCESSES.add(count)
-        kernel = self._batch_kernel
-        if kernel != "scalar" and self._kernel_lru_ok and (
-            kernel == "vector"
-            or self._snapshot_frames <= _AUTO_SNAPSHOT_RATIO * count
+        vector_config = self._drain_vector_config()
+        if (
+            vector_config is not None
+            and self._snapshot_frames <= _AUTO_SNAPSHOT_RATIO * count
         ):
             self._access_batch_vector(
                 block_array, locals_array, homes_array,
-                cache_id_array, write_array, count,
+                cache_id_array, write_array, count, vector_config,
             )
         else:
-            self._access_batch_scalar(
-                block_array.tolist(), locals_array.tolist(),
-                homes_array.tolist(), cache_id_array.tolist(),
-                write_array.tolist(), count,
-            )
+            access_block = self._access_block
+            with _TRACER.span("drain_scalar"):
+                for args in zip(
+                    block_array.tolist(), locals_array.tolist(),
+                    homes_array.tolist(), cache_id_array.tolist(),
+                    write_array.tolist(),
+                ):
+                    access_block(*args)
+            _DRAIN_SCALAR.add(count)
         return count
-
-    def _access_batch_scalar(
-        self,
-        blocks: List[int],
-        locals_: List[int],
-        homes: List[int],
-        cache_ids: List[int],
-        write_flags: List[bool],
-        count: int,
-    ) -> None:
-        """The per-access chunk loop with the run-length fold.
-
-        Used when the vector kernel is disabled, when a custom replacement
-        policy needs its per-access hooks, or when the chunk is too small
-        to amortise the kernel's tag-array snapshot (``auto`` mode).
-        """
-        tracked = self._tracked
-        banks = self._l2_banks
-        directories = self._directories
-        # Pre-bound per-cache touch methods: one bind per cache per batch
-        # instead of one attribute bind per access.
-        touch_code_of = [cache.touch_code for cache in tracked]
-        folded = 0
-        with _TRACER.span("batch_kernel"):
-            i = 0
-            while i < count:
-                block = blocks[i]
-                cache_id = cache_ids[i]
-                is_write = write_flags[i]
-                state = touch_code_of[cache_id](block, is_write)
-                if state >= 0:
-                    if is_write and state != STATE_MODIFIED:
-                        self._write_hit_upgrade(
-                            block, locals_[i], homes[i], cache_id,
-                            tracked[cache_id], state
-                        )
-                else:
-                    home = homes[i]
-                    if banks is not None:
-                        # Inlined touch_or_fill: one call on a bank hit, two on
-                        # a bank miss.
-                        bank = banks[home]
-                        if bank.touch_code(block, is_write) < 0:
-                            bank.fill_miss_code(block)
-                    if is_write:
-                        self._handle_write_miss(
-                            block, locals_[i], home, cache_id, tracked[cache_id],
-                            directories[home],
-                        )
-                    else:
-                        self._handle_read_miss(
-                            block, locals_[i], home, cache_id, tracked[cache_id],
-                            directories[home],
-                        )
-                i += 1
-                if i < count and blocks[i] == block and cache_ids[i] == cache_id:
-                    # Run-length fast path: the next access targets the same
-                    # block from the same cache.  Repeats that cannot change
-                    # any state — reads while resident, or any access while
-                    # MODIFIED (M implies dirty) — fold into counter bumps.
-                    cache = tracked[cache_id]
-                    state = cache.state_code_of(block)
-                    j = i
-                    if state == STATE_MODIFIED:
-                        while (
-                            j < count
-                            and blocks[j] == block
-                            and cache_ids[j] == cache_id
-                        ):
-                            j += 1
-                    elif state > 0:
-                        while (
-                            j < count
-                            and blocks[j] == block
-                            and cache_ids[j] == cache_id
-                            and not write_flags[j]
-                        ):
-                            j += 1
-                    if j > i:
-                        cache.touch_repeats(block, j - i)
-                        folded += j - i
-                        i = j
-        _BATCH_FOLDED.add(folded)
-        _BATCH_SCALAR.add(count - folded)
 
     def _access_batch_vector(
         self,
@@ -645,12 +525,13 @@ class TiledCMP:
         caches_a: np.ndarray,
         writes_a: np.ndarray,
         count: int,
+        vector_config: tuple,
     ) -> None:
-        """Whole-chunk kernel: vectorised hit retirement + scalar miss drain.
+        """Whole-chunk kernel: vectorised hit retirement + vectorized drain.
 
         Three phases, bit-identical to running :meth:`access_scalar` per
-        element (the property suites in tests/coherence assert this on
-        adversarial chunks):
+        element (``tests/coherence/test_access_paths.py`` asserts this at
+        every chunk shape, under tight tables too):
 
         1. **Classify.**  Every access is resolved against a snapshot of
            the flat tag/state arrays taken at chunk entry: vectorised
@@ -671,8 +552,8 @@ class TiledCMP:
            *exact* precomputed stamps — every access advances its cache's
            clock by exactly one, so stamp(i) = clock-at-entry + rank of i
            among that cache's chunk accesses, independent of interleaving.
-           The remainder drains through the scalar MESI protocol in trace
-           order (:meth:`_drain_batch`).  Forced invalidations are the one
+           The remainder drains through the MESI protocol in trace order
+           (:meth:`_drain_batch_vector`).  Forced invalidations are the one
            event the partition cannot predict (cut-off cuckoo walks victimise
            arbitrary blocks); the drain detects retired-but-now-stale kernel
            hits, rolls them back exactly and re-injects them as scalar
@@ -769,31 +650,11 @@ class TiledCMP:
         drained = int(drain_idx.size)
         _BATCH_DRAINED.add(drained)
         if drained:
-            # Drain pipeline selection: the vectorized drain needs the
-            # inlined-directory fast path (every slice a plain Cuckoo
-            # directory with full-bit-vector sharers) and enough drained
-            # accesses to amortise its pre-pass; anything else — sparse /
-            # stash / rich-sharer organizations, tiny drains — takes the
-            # scalar fallback.  Both emit their own span so --profile
-            # shows where drain time goes.
-            vector_config = (
-                self._drain_vector_config()
-                if drained >= _DRAIN_VECTOR_MIN
-                else None
-            )
-            if vector_config is not None:
-                with _TRACER.span("drain_vector"):
-                    self._drain_batch_vector(
-                        drain_idx, blocks_a, locals_a, homes_a, caches_a,
-                        writes_a, sets_a, stamps_a, kernel_state,
-                        vector_config,
-                    )
-            else:
-                with _TRACER.span("drain_scalar"):
-                    self._drain_batch(
-                        drain_idx, blocks_a, locals_a, homes_a, caches_a,
-                        writes_a, sets_a, stamps_a, kernel_state,
-                    )
+            with _TRACER.span("drain_vector"):
+                self._drain_batch_vector(
+                    drain_idx, blocks_a, locals_a, homes_a, caches_a,
+                    writes_a, sets_a, stamps_a, kernel_state, vector_config,
+                )
         # Settle the per-cache clocks once for the whole chunk (stamps were
         # written as precomputed values, never via clock increments).
         counts_list = cache_counts.tolist()
@@ -802,11 +663,10 @@ class TiledCMP:
                 tracked[cache_id].advance_clock(counts_list[cache_id])
 
     def _drain_vector_config(self) -> Optional[tuple]:
-        """Support decision for the vectorized drain, resolved once.
+        """Support decision for the fast path, resolved once.
 
-        Returns ``None`` when ``DEFAULT_DRAIN_PIPELINE`` is ``"scalar"``
-        or any slice lacks the inlined-directory drain handles
-        (non-cuckoo organizations, stash variants, rich sharer
+        Returns ``None`` when any slice lacks the inlined-directory drain
+        handles (non-cuckoo organizations, stash variants, rich sharer
         encodings), else a one-element tuple holding the hash family
         shared by every slice — or ``None`` inside the tuple when the
         slices hash differently and the pre-pass must group by home.
@@ -817,13 +677,10 @@ class TiledCMP:
         support = self._drain_vector_support
         if support is None:
             support = False
-            supported = DEFAULT_DRAIN_PIPELINE != "scalar"
-            for directory in self._directories:
-                getter = getattr(directory, "drain_handles", None)
-                if getter is None or getter() is None:
-                    supported = False
-                    break
-            if supported:
+            if all(
+                getattr(directory, "drain_handles", lambda: None)() is not None
+                for directory in self._directories
+            ):
                 families = [
                     directory.table.hash_family
                     for directory in self._directories
@@ -839,713 +696,6 @@ class TiledCMP:
             self._drain_vector_support = support
         return support or None
 
-    def _drain_batch(
-        self,
-        drain_idx: np.ndarray,
-        blocks_a: np.ndarray,
-        locals_a: np.ndarray,
-        homes_a: np.ndarray,
-        caches_a: np.ndarray,
-        writes_a: np.ndarray,
-        sets_a: np.ndarray,
-        stamps_a: np.ndarray,
-        kernel_state: Optional[Tuple[np.ndarray, ...]],
-    ) -> None:
-        """Replay the chunk's conflicted accesses through the MESI protocol.
-
-        This is the scalar half of the whole-chunk kernel: the protocol
-        of :meth:`_access_block` and its handlers, inlined over the
-        caches' flat arrays with the chunk's precomputed stamps (clock
-        bumps happen once per chunk in the caller).  Statistics accumulate
-        in chunk-local counters and flush once at the end.
-
-        Two hazards connect the drain back to the already-retired kernel
-        hits, both rare and both handled by *rollback + re-injection*
-        (undo the retired stamp/counter exactly, then splice the access
-        into the worklist at its trace position for scalar replay):
-
-        * a **forced invalidation** (cut-off directory insertion walk)
-          victimises an arbitrary block, possibly one with retired kernel
-          hits at later trace positions;
-        * a **re-injected access that fills** lands in a set the kernel
-          already stamped "ahead of time" — its victim selection must see
-          recency as of its own trace position, so later retired hits in
-          that (cache, set) are rolled back (and re-injected) first.
-
-        Every other interaction is excluded by the conflict-group
-        partition (see :meth:`_access_batch_vector`).
-        """
-        # One worklist entry per drained access, ordered by trace position
-        # (the unique first element, so re-injection can bisect on it):
-        # (pos, block, local, home, cache, write, set, stamp, reinjected).
-        count = len(drain_idx)
-        _DRAIN_SCALAR.add(count)
-        work = list(
-            zip(
-                drain_idx.tolist(),
-                blocks_a[drain_idx].tolist(),
-                locals_a[drain_idx].tolist(),
-                homes_a[drain_idx].tolist(),
-                caches_a[drain_idx].tolist(),
-                writes_a[drain_idx].tolist(),
-                sets_a[drain_idx].tolist(),
-                stamps_a[drain_idx].tolist(),
-                (False,) * count,
-            )
-        )
-
-        tracked = self._tracked
-        num_tracked = len(tracked)
-        num_ways = tracked[0].num_ways
-        num_slices = self._num_slices
-        directories = self._directories
-        core_of = self._core_of
-        hop_table = self._hop_table
-        track = self._track_traffic
-        traffic = self._traffic
-        messages = traffic.messages
-        hops_acc = 0
-        bytes_acc = 0
-        locations = [cache._location for cache in tracked]
-        tags_of = [cache._tags for cache in tracked]
-        states_of = [cache._states for cache in tracked]
-        dirty_of = [cache._dirty for cache in tracked]
-        stamps_of = [cache._stamps for cache in tracked]
-        counts_of = [cache._set_counts for cache in tracked]
-        # One-subscript bundle per cache for the per-access unpack.
-        cache_arrs = list(
-            zip(locations, tags_of, states_of, dirty_of, stamps_of, counts_of)
-        )
-        hit_delta = [0] * num_tracked
-        miss_delta = [0] * num_tracked
-        evict_delta = [0] * num_tracked
-        dirty_evict_delta = [0] * num_tracked
-
-        banks = self._l2_banks
-        if banks is not None:
-            num_banks = len(banks)
-            bank_sets = banks[0].num_sets
-            bank_ways = banks[0].num_ways
-            bank_location = [bank._location for bank in banks]
-            bank_tags = [bank._tags for bank in banks]
-            bank_states = [bank._states for bank in banks]
-            bank_dirty = [bank._dirty for bank in banks]
-            bank_stamps = [bank._stamps for bank in banks]
-            bank_counts = [bank._set_counts for bank in banks]
-            bank_arrs = list(
-                zip(
-                    bank_location, bank_tags, bank_states,
-                    bank_dirty, bank_stamps, bank_counts,
-                )
-            )
-            bank_clock = [bank.clock for bank in banks]
-            bank_hit_delta = [0] * num_banks
-            bank_miss_delta = [0] * num_banks
-            bank_evict_delta = [0] * num_banks
-            bank_dirty_evict_delta = [0] * num_banks
-
-        # Inlined-directory fast path: when every slice is a plain Cuckoo
-        # directory with full-bit-vector sharers, the drain manipulates the
-        # cuckoo tables' locator/way arrays and the sharer masks directly
-        # (see CuckooDirectory.drain_handles) and flushes statistics once
-        # per chunk.  Any other organization keeps the method-call path.
-        num_homes = len(directories)
-        bundles: Optional[list] = []
-        for directory in directories:
-            getter = getattr(directory, "drain_handles", None)
-            bundle = getter() if getter is not None else None
-            if bundle is None:
-                bundles = None
-                break
-            bundles.append(bundle)
-        fast = bundles is not None
-        if fast:
-            first_dir = directories[0]
-            dir_lookup_bits = first_dir._lookup_tag_bits
-            dir_payload_bits = first_dir._payload_bits
-            dir_entry_bits = first_dir._entry_bits
-            dir_caches = first_dir._num_caches
-            d_table = [b[0] for b in bundles]
-            d_loc = [b[1] for b in bundles]
-            d_keys = [b[2] for b in bundles]
-            d_val = [b[3] for b in bundles]
-            d_wo = [b[4] for b in bundles]
-            d_pool = [b[5] for b in bundles]
-            d_stats = [b[6] for b in bundles]
-            d_ic = [table._indices_cache for table in d_table]
-            # Chunk-local directory counters, one per slice, flushed at the
-            # end: lookups / hits, single-attempt insertions, sharer
-            # additions / removals, entry removals, invalidate-all
-            # operations, and table-size delta.  Misses and the bit
-            # read/write totals are linear in these (misses = lookups −
-            # hits; every lookup reads the way tags, every hit reads and
-            # every sharer add/remove writes one payload, every
-            # single-attempt insertion writes one entry), so they are
-            # derived at flush instead of accumulated per operation; only
-            # a displacement walk writes its entry bits directly.
-            a_lk = [0] * num_homes
-            a_lh = [0] * num_homes
-            a_i1 = [0] * num_homes
-            a_sa = [0] * num_homes
-            a_sr = [0] * num_homes
-            a_er = [0] * num_homes
-            a_io = [0] * num_homes
-            a_sz = [0] * num_homes
-        # Chunk-local message counters (flushed into traffic.messages once).
-        n_getS = n_getM = n_data = n_inv = n_ack = 0
-        n_putM = n_putS = n_fwd = 0
-
-        if kernel_state is not None:
-            (
-                kern_pos, kern_cache, kern_frame, kern_block, kern_set,
-                kern_write, kern_stamp, kern_old, kern_alive,
-            ) = kernel_state
-        else:
-            kern_alive = None
-        index = 0
-        pos = 0
-        rollback_total = 0
-
-        def rollback(mask: np.ndarray) -> None:
-            # Undo retired kernel hits made stale by an unpredictable event
-            # and re-inject them into the worklist for in-order replay.
-            nonlocal rollback_total
-            for j in np.flatnonzero(mask).tolist():
-                rollback_total += 1
-                kern_alive[j] = False
-                r_cache = int(kern_cache[j])
-                r_frame = int(kern_frame[j])
-                r_block = int(kern_block[j])
-                r_pos = int(kern_pos[j])
-                hit_delta[r_cache] -= 1
-                # Restore the frame's stamp to its value as of the current
-                # drain position: the newest still-retired stamp, or the
-                # pre-chunk stamp captured at retirement.
-                siblings = (
-                    kern_alive & (kern_cache == r_cache) & (kern_frame == r_frame)
-                )
-                if siblings.any():
-                    stamps_of[r_cache][r_frame] = int(kern_stamp[siblings].max())
-                else:
-                    family = np.flatnonzero(
-                        (kern_cache == r_cache) & (kern_frame == r_frame)
-                    )
-                    earliest = family[np.argmin(kern_pos[family])]
-                    stamps_of[r_cache][r_frame] = int(kern_old[earliest])
-                insert_at = bisect_right(work, (r_pos,), index + 1)
-                work.insert(
-                    insert_at,
-                    (
-                        r_pos,
-                        r_block,
-                        r_block // num_slices,
-                        r_block % num_slices,
-                        r_cache,
-                        bool(kern_write[j]),
-                        int(kern_set[j]),
-                        int(kern_stamp[j]),
-                        True,
-                    ),
-                )
-
-        record = self._record
-
-        def apply_forced(
-            invalidations: Sequence[Invalidation], victim_home: int
-        ) -> None:
-            # Same semantics as _apply_forced_invalidations, plus the
-            # kernel-hit rollback scan per victimised (cache, block).
-            for invalidation in invalidations:
-                victim_block = invalidation.address * num_slices + victim_home
-                for sharer in invalidation.caches:
-                    record(_INVALIDATE, victim_home, core_of[sharer])
-                    if kern_alive is not None:
-                        mask = (
-                            kern_alive
-                            & (kern_cache == sharer)
-                            & (kern_block == victim_block)
-                            & (kern_pos > pos)
-                        )
-                        if mask.any():
-                            rollback(mask)
-                    tracked[sharer].invalidate(victim_block)
-                    record(_INV_ACK, core_of[sharer], victim_home)
-
-        def insert_new(home: int, local_addr: int, mask: int) -> None:
-            # Inlined CuckooDirectory._insert_new_entry: pooled sharer set,
-            # vacant-candidate placement without the insert_absent call.
-            # The displacement walk (and its forced-invalidation tail)
-            # stays a call — it is the rare case by construction.
-            pool = d_pool[home]
-            if pool:
-                sharer_set = pool.pop()
-            else:
-                sharer_set = FullBitVector(dir_caches)
-            sharer_set._mask = mask
-            table = d_table[home]
-            indices = d_ic[home].get(local_addr)
-            if indices is None:
-                indices = table._indices_of(local_addr)
-            keys_h = d_keys[home]
-            for way in d_wo[home][table._start_way]:
-                idx = indices[way]
-                if keys_h[way][idx] == -1:
-                    keys_h[way][idx] = local_addr
-                    d_val[home][way][idx] = sharer_set
-                    d_loc[home][local_addr] = (way, idx)
-                    table._start_way = way
-                    a_sz[home] += 1
-                    a_i1[home] += 1
-                    return
-            insert_walk(home, table, local_addr, sharer_set, indices)
-
-        def insert_walk(
-            home: int, table, local_addr: int, sharer_set, indices
-        ) -> None:
-            # Displacement walk (no vacant candidate): insert_absent plus
-            # direct stats — multi-attempt insertions are too rare for the
-            # chunk-local accumulators to matter, and the forced-
-            # invalidation tail must see the stats up to date anyway.
-            result = table.insert_absent(local_addr, sharer_set, indices)
-            stats = d_stats[home]
-            attempts = result.attempts
-            stats.insertions += 1
-            stats.insertion_attempts += attempts
-            stats.attempt_histogram[attempts] += 1
-            stats.bits_written += attempts * dir_entry_bits
-            if result.evicted:
-                invalidation = Invalidation(
-                    address=result.evicted_key,
-                    caches=result.evicted_value.sharers(),
-                )
-                stats.forced_invalidations += 1
-                stats.forced_invalidation_messages += invalidation.num_messages
-                apply_forced((invalidation,), home)
-
-        def acquire_excl(
-            local_addr: int, home: int, block: int, cache_id: int,
-            reinjected: bool,
-        ) -> None:
-            # Inlined CuckooDirectory.acquire_exclusive plus the drain's
-            # per-invalidated-sharer traffic/rollback handling.
-            nonlocal hops_acc, bytes_acc, n_inv, n_ack
-            a_lk[home] += 1
-            wbit = 1 << cache_id
-            loc = d_loc[home].get(local_addr)
-            if loc is None:
-                insert_new(home, local_addr, wbit)
-                return
-            a_lh[home] += 1
-            way, idx = loc
-            sharer_set = d_val[home][way][idx]
-            prior = sharer_set._mask
-            a_sa[home] += 1
-            others = prior & ~wbit
-            if not others:
-                sharer_set._mask = prior | wbit
-                return
-            sharer_set._mask = wbit
-            a_io[home] += 1
-            a_sr[home] += bin(others).count("1")
-            while others:
-                low = others & -others
-                others -= low
-                sharer = low.bit_length() - 1
-                if track:
-                    sharer_core = core_of[sharer]
-                    n_inv += 1
-                    hops_acc += hop_table[home][sharer_core]
-                    bytes_acc += _INVALIDATE_BYTES
-                    n_ack += 1
-                    hops_acc += hop_table[sharer_core][home]
-                    bytes_acc += _INV_ACK_BYTES
-                if reinjected and kern_alive is not None:
-                    stale = (
-                        kern_alive
-                        & (kern_cache == sharer)
-                        & (kern_block == block)
-                        & (kern_pos > pos)
-                    )
-                    if stale.any():
-                        rollback(stale)
-                tracked[sharer].invalidate(block)
-
-        while index < len(work):
-            (
-                pos, block, local_addr, home, cache_id,
-                is_write, set_index, stamp, reinjected,
-            ) = work[index]
-            location, tags, states, dirty, stamps, counts = cache_arrs[cache_id]
-            frame = location.get(block)
-            if frame is not None:
-                # Hit: stamp recency, then any write-upgrade protocol.
-                hit_delta[cache_id] += 1
-                stamps[frame] = stamp
-                if is_write:
-                    dirty[frame] = True
-                    state = states[frame]
-                    if state != STATE_MODIFIED:
-                        if state == STATE_EXCLUSIVE:
-                            # Silent E -> M upgrade; no directory traffic.
-                            states[frame] = STATE_MODIFIED
-                        else:
-                            # S -> M: the home invalidates the other sharers.
-                            core = core_of[cache_id]
-                            if track:
-                                n_getM += 1
-                                hops_acc += hop_table[core][home]
-                                bytes_acc += _GET_MODIFIED_BYTES
-                            if fast:
-                                acquire_excl(
-                                    local_addr, home, block, cache_id,
-                                    reinjected,
-                                )
-                            else:
-                                result = directories[home].acquire_exclusive(
-                                    local_addr, cache_id
-                                )
-                                for sharer in result.coherence_invalidations:
-                                    if sharer == cache_id:
-                                        continue
-                                    sharer_core = core_of[sharer]
-                                    if track:
-                                        n_inv += 1
-                                        hops_acc += hop_table[home][sharer_core]
-                                        bytes_acc += _INVALIDATE_BYTES
-                                        n_ack += 1
-                                        hops_acc += hop_table[sharer_core][home]
-                                        bytes_acc += _INV_ACK_BYTES
-                                    if reinjected and kern_alive is not None:
-                                        mask = (
-                                            kern_alive
-                                            & (kern_cache == sharer)
-                                            & (kern_block == block)
-                                            & (kern_pos > pos)
-                                        )
-                                        if mask.any():
-                                            rollback(mask)
-                                    tracked[sharer].invalidate(block)
-                                if result.invalidations:
-                                    apply_forced(result.invalidations, home)
-                            states[frame] = STATE_MODIFIED
-                index += 1
-                continue
-
-            # Miss: bank model, directory protocol, inline fill.
-            miss_delta[cache_id] += 1
-            if banks is not None:
-                (
-                    b_location, b_tags, b_states,
-                    b_dirty, b_stamps, b_counts,
-                ) = bank_arrs[home]
-                b_clock = bank_clock[home] + 1
-                bank_clock[home] = b_clock
-                b_frame = b_location.get(block)
-                if b_frame is not None:
-                    bank_hit_delta[home] += 1
-                    b_stamps[b_frame] = b_clock
-                    if is_write:
-                        b_dirty[b_frame] = True
-                else:
-                    bank_miss_delta[home] += 1
-                    b_set = block % bank_sets
-                    b_base = b_set * bank_ways
-                    if b_counts[b_set] < bank_ways:
-                        b_frame = b_tags.index(-1, b_base, b_base + bank_ways)
-                        b_counts[b_set] += 1
-                    else:
-                        b_row = b_stamps[b_base : b_base + bank_ways]
-                        b_frame = b_base + b_row.index(min(b_row))
-                        bank_evict_delta[home] += 1
-                        if b_dirty[b_frame]:
-                            bank_dirty_evict_delta[home] += 1
-                        del b_location[b_tags[b_frame]]
-                    b_tags[b_frame] = block
-                    b_states[b_frame] = STATE_SHARED
-                    b_dirty[b_frame] = False
-                    b_stamps[b_frame] = b_clock
-                    b_location[block] = b_frame
-            core = core_of[cache_id]
-            hop_row = hop_table[core]
-            if is_write:
-                if track:
-                    n_getM += 1
-                    hops_acc += hop_row[home]
-                    bytes_acc += _GET_MODIFIED_BYTES
-                if fast:
-                    acquire_excl(
-                        local_addr, home, block, cache_id, reinjected
-                    )
-                else:
-                    result = directories[home].acquire_exclusive(
-                        local_addr, cache_id
-                    )
-                    for sharer in result.coherence_invalidations:
-                        if sharer == cache_id:
-                            continue
-                        sharer_core = core_of[sharer]
-                        if track:
-                            n_inv += 1
-                            hops_acc += hop_table[home][sharer_core]
-                            bytes_acc += _INVALIDATE_BYTES
-                            n_ack += 1
-                            hops_acc += hop_table[sharer_core][home]
-                            bytes_acc += _INV_ACK_BYTES
-                        if reinjected and kern_alive is not None:
-                            mask = (
-                                kern_alive
-                                & (kern_cache == sharer)
-                                & (kern_block == block)
-                                & (kern_pos > pos)
-                            )
-                            if mask.any():
-                                rollback(mask)
-                        tracked[sharer].invalidate(block)
-                    if result.invalidations:
-                        apply_forced(result.invalidations, home)
-                new_state = STATE_MODIFIED
-                fill_dirty = True
-            else:
-                if track:
-                    n_getS += 1
-                    hops_acc += hop_row[home]
-                    bytes_acc += _GET_SHARED_BYTES
-                if fast:
-                    # Inlined CuckooDirectory.lookup_add plus the drain's
-                    # M/E-owner downgrade scan over the prior-sharer mask.
-                    a_lk[home] += 1
-                    loc = d_loc[home].get(local_addr)
-                    if loc is not None:
-                        a_lh[home] += 1
-                        way, idx = loc
-                        sharer_set = d_val[home][way][idx]
-                        prior = sharer_set._mask
-                        wbit = 1 << cache_id
-                        sharer_set._mask = prior | wbit
-                        a_sa[home] += 1
-                        remaining = prior & ~wbit
-                        while remaining:
-                            low = remaining & -remaining
-                            remaining -= low
-                            sharer = low.bit_length() - 1
-                            owner_frame = locations[sharer].get(block)
-                            if owner_frame is None:
-                                continue
-                            owner_states = states_of[sharer]
-                            owner_state = owner_states[owner_frame]
-                            if owner_state >= STATE_EXCLUSIVE:
-                                if track:
-                                    sharer_core = core_of[sharer]
-                                    n_fwd += 1
-                                    hops_acc += hop_table[home][sharer_core]
-                                    bytes_acc += _FWD_GET_BYTES
-                                    if owner_state == STATE_MODIFIED:
-                                        n_putM += 1
-                                        hops_acc += hop_table[sharer_core][home]
-                                        bytes_acc += _PUT_MODIFIED_BYTES
-                                owner_states[owner_frame] = STATE_SHARED
-                        new_state = STATE_SHARED
-                    else:
-                        # Directory miss on a read: allocate the entry with
-                        # this cache as the sole (Exclusive) sharer — the
-                        # vacant-candidate placement of insert_new, inlined
-                        # at the hottest insertion site.
-                        pool = d_pool[home]
-                        if pool:
-                            sharer_set = pool.pop()
-                        else:
-                            sharer_set = FullBitVector(dir_caches)
-                        sharer_set._mask = 1 << cache_id
-                        table = d_table[home]
-                        indices = d_ic[home].get(local_addr)
-                        if indices is None:
-                            indices = table._indices_of(local_addr)
-                        keys_h = d_keys[home]
-                        for way in d_wo[home][table._start_way]:
-                            idx = indices[way]
-                            if keys_h[way][idx] == -1:
-                                keys_h[way][idx] = local_addr
-                                d_val[home][way][idx] = sharer_set
-                                d_loc[home][local_addr] = (way, idx)
-                                table._start_way = way
-                                a_sz[home] += 1
-                                a_i1[home] += 1
-                                break
-                        else:
-                            insert_walk(
-                                home, table, local_addr, sharer_set, indices
-                            )
-                        new_state = STATE_EXCLUSIVE
-                else:
-                    entry_found, prior_sharers, result = directories[
-                        home
-                    ].lookup_add(local_addr, cache_id)
-                    if entry_found:
-                        # Downgrade an M/E owner among the prior sharers.
-                        for sharer in prior_sharers:
-                            if sharer == cache_id:
-                                continue
-                            owner_frame = locations[sharer].get(block)
-                            if owner_frame is None:
-                                continue
-                            owner_states = states_of[sharer]
-                            owner_state = owner_states[owner_frame]
-                            if owner_state >= STATE_EXCLUSIVE:
-                                if track:
-                                    sharer_core = core_of[sharer]
-                                    n_fwd += 1
-                                    hops_acc += hop_table[home][sharer_core]
-                                    bytes_acc += _FWD_GET_BYTES
-                                    if owner_state == STATE_MODIFIED:
-                                        n_putM += 1
-                                        hops_acc += hop_table[sharer_core][home]
-                                        bytes_acc += _PUT_MODIFIED_BYTES
-                                owner_states[owner_frame] = STATE_SHARED
-                        new_state = STATE_SHARED
-                    else:
-                        new_state = STATE_EXCLUSIVE
-                    if result.invalidations:
-                        apply_forced(result.invalidations, home)
-                fill_dirty = False
-            if track:
-                n_data += 1
-                hops_acc += hop_table[home][core]
-                bytes_acc += _DATA_BYTES
-
-            # Inline fill: the exact-stamp twin of fill_miss_code.
-            if reinjected and kern_alive is not None:
-                mask = (
-                    kern_alive
-                    & (kern_cache == cache_id)
-                    & (kern_set == set_index)
-                    & (kern_pos > pos)
-                )
-                if mask.any():
-                    rollback(mask)
-            base = set_index * num_ways
-            if counts[set_index] < num_ways:
-                frame = tags.index(-1, base, base + num_ways)
-                counts[set_index] += 1
-            else:
-                if num_ways == 2:
-                    frame = (
-                        base
-                        if stamps[base] <= stamps[base + 1]
-                        else base + 1
-                    )
-                else:
-                    row = stamps[base : base + num_ways]
-                    frame = base + row.index(min(row))
-                victim = tags[frame]
-                victim_dirty = dirty[frame]
-                evict_delta[cache_id] += 1
-                if victim_dirty:
-                    dirty_evict_delta[cache_id] += 1
-                del location[victim]
-                victim_home = victim % num_slices
-                if track:
-                    hops_acc += hop_row[victim_home]
-                    if victim_dirty:
-                        n_putM += 1
-                        bytes_acc += _PUT_MODIFIED_BYTES
-                    else:
-                        n_putS += 1
-                        bytes_acc += _PUT_SHARED_BYTES
-                if fast:
-                    # Inlined CuckooDirectory.remove_sharer (evict notify).
-                    victim_local = victim // num_slices
-                    loc = d_loc[victim_home].get(victim_local)
-                    if loc is not None:
-                        way, idx = loc
-                        sharer_set = d_val[victim_home][way][idx]
-                        remaining = sharer_set._mask & ~(1 << cache_id)
-                        sharer_set._mask = remaining
-                        a_sr[victim_home] += 1
-                        if not remaining:
-                            del d_loc[victim_home][victim_local]
-                            d_keys[victim_home][way][idx] = -1
-                            d_val[victim_home][way][idx] = None
-                            a_sz[victim_home] -= 1
-                            a_er[victim_home] += 1
-                            d_pool[victim_home].append(sharer_set)
-                else:
-                    directories[victim_home].remove_sharer(
-                        victim // num_slices, cache_id
-                    )
-            tags[frame] = block
-            states[frame] = new_state
-            dirty[frame] = fill_dirty
-            stamps[frame] = stamp
-            location[block] = frame
-            index += 1
-
-        # Flush the chunk-local counters.
-        for cache_id in range(num_tracked):
-            if hit_delta[cache_id] or miss_delta[cache_id] or evict_delta[cache_id]:
-                stats = tracked[cache_id]._stats
-                stats.hits += hit_delta[cache_id]
-                stats.misses += miss_delta[cache_id]
-                stats.evictions += evict_delta[cache_id]
-                stats.dirty_evictions += dirty_evict_delta[cache_id]
-        if banks is not None:
-            for bank_id in range(num_banks):
-                bank = banks[bank_id]
-                bank._clock = bank_clock[bank_id]
-                stats = bank._stats
-                stats.hits += bank_hit_delta[bank_id]
-                stats.misses += bank_miss_delta[bank_id]
-                stats.evictions += bank_evict_delta[bank_id]
-                stats.dirty_evictions += bank_dirty_evict_delta[bank_id]
-        if fast:
-            for home in range(num_homes):
-                lk = a_lk[home]
-                sr = a_sr[home]
-                if lk or sr:
-                    lh = a_lh[home]
-                    sa = a_sa[home]
-                    i1 = a_i1[home]
-                    stats = d_stats[home]
-                    stats.lookups += lk
-                    stats.lookup_hits += lh
-                    stats.lookup_misses += lk - lh
-                    stats.sharer_additions += sa
-                    stats.sharer_removals += sr
-                    stats.entry_removals += a_er[home]
-                    stats.invalidate_all_operations += a_io[home]
-                    stats.bits_read += (
-                        lk * dir_lookup_bits + lh * dir_payload_bits
-                    )
-                    stats.bits_written += (
-                        (sa + sr) * dir_payload_bits + i1 * dir_entry_bits
-                    )
-                    if i1:
-                        stats.insertions += i1
-                        stats.insertion_attempts += i1
-                        stats.attempt_histogram[1] += i1
-                    if a_sz[home]:
-                        d_table[home]._size += a_sz[home]
-        if track:
-            if n_getS:
-                messages[_GET_SHARED] += n_getS
-            if n_getM:
-                messages[_GET_MODIFIED] += n_getM
-            if n_data:
-                messages[_DATA] += n_data
-            if n_inv:
-                messages[_INVALIDATE] += n_inv
-            if n_ack:
-                messages[_INV_ACK] += n_ack
-            if n_putM:
-                messages[_PUT_MODIFIED] += n_putM
-            if n_putS:
-                messages[_PUT_SHARED] += n_putS
-            if n_fwd:
-                messages[_FWD_GET] += n_fwd
-            traffic.hops += hops_acc
-            traffic.bytes_transferred += bytes_acc
-        if rollback_total:
-            _BATCH_ROLLBACKS.add(rollback_total)
-
     def _drain_batch_vector(
         self,
         drain_idx: np.ndarray,
@@ -1559,12 +709,12 @@ class TiledCMP:
         kernel_state: Optional[Tuple[np.ndarray, ...]],
         vector_config: tuple,
     ) -> None:
-        """Vectorized drain pipeline (DESIGN.md "The batched miss drain").
+        """Vectorized drain pipeline (DESIGN.md "The vectorized drain pipeline").
 
-        Bit-identical to :meth:`_drain_batch`, restructured around a
-        numpy pre-pass so the per-access protocol loop touches no hash
-        function, no hop table, no bank model and almost no traffic or
-        statistics bookkeeping:
+        Bit-identical to running the handlers (:meth:`_access_block`) per
+        drained access, restructured around a numpy pre-pass so the
+        per-access protocol loop touches no hash function, no hop table,
+        no bank model and almost no traffic or statistics bookkeeping:
 
         * **Batch hashing.**  Every drained block's slice-local address is
           hashed across all directory ways in one vectorized call
@@ -1587,10 +737,9 @@ class TiledCMP:
         Trace order is preserved throughout — conflicting accesses
         (same block, same (cache, set), same directory slot) simply
         execute in their original relative order, which makes the
-        reordering-safety argument trivial — and the rollback +
-        re-injection machinery for forced invalidations carries over
-        unchanged: re-injected accesses are rare by construction and
-        replay through the scalar ``process_one`` closure (full live
+        reordering-safety argument trivial.  Kernel hits rolled back by
+        forced invalidations are rare by construction and replay
+        through the scalar ``process_one`` closure (full live
         accounting, live hashing and hop lookups) at their exact trace
         position.  Displacement walks, forced invalidations and write
         upgrades with remote sharers stay on the scalar helper paths by
@@ -1916,7 +1065,7 @@ class TiledCMP:
         def process_one(entry: tuple) -> None:
             # Scalar replay of one re-injected access (full live
             # accounting — re-injections are outside the all-miss
-            # baselines), the exact protocol of _drain_batch.
+            # baselines), the exact protocol of the handlers.
             nonlocal pos, hops_acc, bytes_acc, n_getS, n_getM, n_data
             nonlocal n_fwd, n_putM, n_putS
             nonlocal n_rdh, n_reinj, p1_hit, p1_up, p1_rm, p1_wm
@@ -2426,6 +1575,7 @@ class TiledCMP:
         _DRAIN_CLS_WALKS.add(n_walk)
         if n_reinj:
             _DRAIN_REINJECTED.add(n_reinj)
+
     def _access_block(
         self, block: int, local: int, home: int, cache_id: int, is_write: bool
     ) -> None:
@@ -2613,28 +1763,61 @@ class TiledCMP:
             victim // num_slices, cache_id
         )
 
-    # -- consistency checking (used by integration tests) --------------------------
+    # -- consistency checking (used by the tests) ---------------------------------
     def check_inclusion(self) -> List[str]:
         """Verify directory/cache consistency; returns a list of violations.
 
-        Two invariants are checked:
+        Three invariants are checked for every block resident in a
+        tracked cache:
 
-        * every block resident in a tracked cache is reported as shared by
-          that cache in its home directory slice (no silently untracked
-          blocks);
-        * every *exact* directory organization reports only true sharers
-          (inexact encodings legitimately report supersets and are skipped).
+        * **inclusion** — its home directory slice reports every cache
+          that holds it (no silently untracked copies);
+        * **exact sharers** — an organization that reports exact sharer
+          sets (:attr:`Directory.reports_exact_sharers`) names exactly the
+          caches holding it; inexact encodings may report supersets;
+        * **SWMR** — at most one cache holds it in M or E, and an M/E copy
+          excludes every other copy.
+
+        The check is observation-only: its directory lookups count into
+        scratch statistics that are discarded.
         """
         violations: List[str] = []
+        holders: dict = {}
         for cache_id, cache in enumerate(self._tracked):
             for block in cache.resident_addresses():
+                holders.setdefault(block, {})[cache_id] = cache.state_code_of(block)
+        saved_stats = [directory.stats for directory in self._directories]
+        try:
+            for directory in self._directories:
+                directory.reset_stats()
+            for block, states in holders.items():
                 directory = self._directories[self.home_slice(block)]
-                sharers = directory.lookup(self.slice_local_address(block)).sharers
-                if cache_id not in sharers:
+                reported = directory.lookup(self.slice_local_address(block)).sharers
+                resident = set(states)
+                untracked = resident - reported
+                if untracked:
                     violations.append(
-                        f"block {block:#x} resident in cache {cache_id} "
+                        f"block {block:#x} resident in caches {sorted(untracked)} "
                         f"but not tracked by its home directory"
                     )
+                elif directory.reports_exact_sharers and reported != resident:
+                    violations.append(
+                        f"block {block:#x} reported in caches {sorted(reported)} "
+                        f"but resident in {sorted(resident)}"
+                    )
+                owners = sorted(
+                    cache_id
+                    for cache_id, state in states.items()
+                    if state >= STATE_EXCLUSIVE
+                )
+                if owners and len(states) > 1:
+                    violations.append(
+                        f"block {block:#x} violates SWMR: M/E copies in caches "
+                        f"{owners}, copies in {sorted(resident)}"
+                    )
+        finally:
+            for directory, stats in zip(self._directories, saved_stats):
+                directory._stats = stats
         return violations
 
     # -- helpers ---------------------------------------------------------------------

@@ -116,6 +116,10 @@ class CuckooDirectory(Directory):
         return self._table.num_sets
 
     @property
+    def reports_exact_sharers(self) -> bool:
+        return self._sharer_cls is FullBitVector
+
+    @property
     def capacity(self) -> int:
         return self._table.capacity
 
@@ -248,9 +252,9 @@ class CuckooDirectory(Directory):
         return self._insert_results[attempts]
 
     def drain_handles(self) -> Optional[tuple]:
-        """Internal-state bundle for the batched drain's inlined directory ops.
+        """Internal-state bundle for the vectorized drain's inlined directory ops.
 
-        The whole-chunk kernel's miss drain (``TiledCMP._drain_batch``)
+        The fast path's miss drain (``TiledCMP._drain_batch_vector``)
         inlines ``lookup_add``/``acquire_exclusive``/``remove_sharer`` over
         these structures, manipulating the cuckoo table's locator/way arrays
         and the sharer bit masks directly and flushing the statistics once
@@ -258,8 +262,8 @@ class CuckooDirectory(Directory):
         call overhead.  Only the plain full-bit-vector encoding on the exact
         base class qualifies: subclasses (the stashed variant) and richer
         sharer encodings override operation semantics the inlined sequences
-        do not reproduce, so they return ``None`` and keep the method-call
-        path.
+        do not reproduce, so they return ``None`` and their systems run the
+        handler loop (``TiledCMP.access_batch``).
         """
         if type(self) is not CuckooDirectory or self._sharer_cls is not FullBitVector:
             return None

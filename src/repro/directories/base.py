@@ -309,6 +309,15 @@ class Directory(abc.ABC):
         return 0
 
     @property
+    def reports_exact_sharers(self) -> bool:
+        """Whether :meth:`lookup` names exactly the caches holding a block.
+
+        Inexact organizations (coarse sharer encodings, filter-based tagless
+        designs) may report supersets and keep this default.
+        """
+        return False
+
+    @property
     def stats(self) -> DirectoryStats:
         return self._stats
 

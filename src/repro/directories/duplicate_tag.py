@@ -93,6 +93,10 @@ class DuplicateTagDirectory(Directory):
         return self._mirror_ways * self._num_caches
 
     @property
+    def reports_exact_sharers(self) -> bool:
+        return True
+
+    @property
     def capacity(self) -> int:
         return self._num_caches * self._mirror_sets * self._mirror_ways
 

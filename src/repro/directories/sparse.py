@@ -90,6 +90,10 @@ class SparseDirectory(Directory):
         return self._num_ways
 
     @property
+    def reports_exact_sharers(self) -> bool:
+        return self._sharer_cls is FullBitVector
+
+    @property
     def capacity(self) -> int:
         return self._num_sets * self._num_ways
 

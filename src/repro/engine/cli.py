@@ -1050,17 +1050,11 @@ def _report_store_path(args: argparse.Namespace) -> str:
 
 def _cmd_report_all(args: argparse.Namespace) -> int:
     """``repro-run report --all``: the whole store, flat or aggregated."""
-    from pathlib import Path
-
     from repro.analysis.frame import Column, SweepFrame
-    from repro.engine.segment import MANIFEST_NAME
-    from repro.engine.store import iter_store_records, segments_dir
+    from repro.engine.store import iter_store_records, store_exists
 
     store_path = _report_store_path(args)
-    if (
-        not Path(store_path).exists()
-        and not (segments_dir(Path(store_path)) / MANIFEST_NAME).is_file()
-    ):
+    if not store_exists(store_path):
         print(f"no result store at {store_path}", file=sys.stderr)
         return 2
     if args.group_by:

@@ -89,6 +89,7 @@ __all__ = [
     "iter_store_results",
     "load_store_columns",
     "segments_dir",
+    "store_exists",
 ]
 
 #: Environment variable overriding the default on-disk store location.
@@ -216,9 +217,17 @@ def _wal_paths(path: Path) -> List[Path]:
     return paths
 
 
-def _store_exists(path: Path) -> bool:
-    """Whether anything of a store exists at ``path`` (WAL or segments)."""
-    return path.exists() or (segments_dir(path) / MANIFEST_NAME).exists()
+def store_exists(path: Union[str, Path]) -> bool:
+    """Whether anything of a store exists at ``path``.
+
+    That is its main WAL, a segment manifest or any per-writer WAL: a
+    store written only by pool workers holds nothing but
+    ``<store>.segments/wal-<writer>.jsonl`` files.
+    """
+    path = Path(path)
+    return (segments_dir(path) / MANIFEST_NAME).exists() or any(
+        wal.exists() for wal in _wal_paths(path)
+    )
 
 
 def _scan_winners(
@@ -312,7 +321,7 @@ def iter_store_records(
     deterministic output.
     """
     path = Path(path)
-    if not _store_exists(path) and not segments_dir(path).is_dir():
+    if not store_exists(path):
         return
     segdir, manifest, winners = _scan_winners(path)
 
@@ -362,7 +371,7 @@ def load_store_columns(
     callers fall back to the streaming reader.
     """
     path = Path(path)
-    if not _store_exists(path) and not segments_dir(path).is_dir():
+    if not store_exists(path):
         return None
     segdir, manifest, winners = _scan_winners(path)
     if not winners:

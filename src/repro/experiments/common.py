@@ -186,10 +186,9 @@ def run_workload(
     seed: int = 0,
     occupancy_sample_interval: int = 2_000,
     timeline_interval: Optional[int] = None,
-    batch_kernel: Optional[str] = None,
 ) -> WorkloadRun:
     """Build a system, warm it up, and measure one workload on it."""
-    system = TiledCMP(system_config, directory_factory, batch_kernel=batch_kernel)
+    system = TiledCMP(system_config, directory_factory)
     if warmup_accesses is None:
         warmup_accesses = workload.recommended_warmup(system_config)
     simulator = TraceSimulator(

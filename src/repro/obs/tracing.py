@@ -4,11 +4,11 @@ A *span* wraps one phase of work in a ``with`` block::
 
     from repro.obs import TRACER
 
-    with TRACER.span("batch_kernel"):
+    with TRACER.span("hit_kernel"):
         ...
 
 Spans nest: a run's ``run_chunks`` span contains ``translate`` and
-``batch_kernel`` children, and the tracer keeps both the *total* time of
+``hit_kernel`` children, and the tracer keeps both the *total* time of
 each phase and its *self* time (total minus time spent in child spans),
 so the breakdown columns add up instead of double-counting.
 

@@ -104,42 +104,51 @@ def test_array_cache_matches_dict_reference(size_bytes, ways, operations):
 
 @given(operations=_operations)
 @settings(max_examples=40, deadline=None)
-def test_touch_repeats_equals_repeated_touches(operations):
-    """The run-length fast path's counter fold must equal N plain touches."""
+def test_touch_batch_equals_repeated_touches(operations):
+    """Explicit-stamp hit retirement plus one clock advance equals N touches.
+
+    This is the cache half of the fast path's contract: a hit retired with
+    ``touch_batch`` at the stamp ``touch_code`` would have written, with the
+    clock settled afterwards by ``advance_clock``, must leave counters and
+    recency exactly as the plain touches do.
+    """
     config = CacheConfig(size_bytes=1024, associativity=2)
-    folded = SetAssociativeCache(config)
+    batched = SetAssociativeCache(config)
     plain = SetAssociativeCache(config)
     for kind, address, payload in operations:
-        _apply_simple(folded, plain, kind, address, payload)
+        _apply_simple(batched, plain, kind, address, payload)
 
 
-def _apply_simple(folded, plain, kind, address, payload):
+def _apply_simple(batched, plain, kind, address, payload):
     if kind == "fill":
         state_code = STATE_TO_CODE[_VALID_STATES[payload % len(_VALID_STATES)]]
-        folded.fill_code(address, state_code, payload % 2 == 1)
+        batched.fill_code(address, state_code, payload % 2 == 1)
         plain.fill_code(address, state_code, payload % 2 == 1)
         return
     if kind == "invalidate":
-        folded.invalidate(address)
+        batched.invalidate(address)
         plain.invalidate(address)
         return
-    # Any touch kind: run it as a fold on one model, as repeats on the other.
+    # Any touch kind: run it as repeats on one model, as a batch on the other.
     repeats = payload + 1
-    state = folded.state_code_of(address)
+    state = batched.state_code_of(address)
     if state == 0:
-        return  # touch_repeats requires residency
+        return  # touch_batch retires hits only
     writable = state == STATE_TO_CODE[CoherenceState.MODIFIED]
     write = kind == "touch_w" and writable
     if write or kind == "touch_r":
-        # First touch the plain model `repeats` times...
         for _ in range(repeats):
             assert plain.touch(address, write=write)
-        # ...then fold the same repeats on the other model.
-        folded.touch_repeats(address, repeats)
-        assert folded.stats.hits == plain.stats.hits
-        assert folded.stats.accesses == plain.stats.accesses
+        frame = batched._location[address]
+        clock = batched._clock
+        batched.touch_batch(
+            [frame] * repeats, [clock + rank + 1 for rank in range(repeats)]
+        )
+        batched.advance_clock(repeats)
+        assert batched.stats.hits == plain.stats.hits
+        assert batched.stats.accesses == plain.stats.accesses
         # Recency parity: fill a conflicting block and compare victims.
-        conflict_a = address + 16 * folded.num_sets
+        conflict_a = address + 16 * batched.num_sets
         assert (
-            folded.fill_code(conflict_a) == plain.fill_code(conflict_a)
+            batched.fill_code(conflict_a) == plain.fill_code(conflict_a)
         )

@@ -1,14 +1,15 @@
-"""Timeline collection must be observation-only and kernel-independent.
+"""Timeline collection must be observation-only and path-independent.
 
 Two invariants anchor the timeline design:
 
 1. **On/off identity** — enabling ``timeline_interval`` may not change a
    single measured statistic: sampling reads non-mutating accessors at
    sub-slice boundaries only.
-2. **Kernel identity** — the scalar protocol path and the vectorised
-   whole-chunk kernel must produce ``==``-equal timelines, byte-identical
-   once persisted: samples are taken at boundaries where both kernels
-   have retired exactly the same accesses.
+2. **Path identity** — running the handlers per access (``run``) and
+   running chunks through ``access_batch`` (``run_chunks``: the fast path
+   for cuckoo slices, the handler loop otherwise) must produce
+   ``==``-equal timelines, byte-identical once persisted: samples are taken
+   at boundaries where both have retired exactly the same accesses.
 
 Both are exercised property-style over randomized access streams with
 randomized chunk boundaries, including an under-provisioned configuration
@@ -22,6 +23,7 @@ from repro.coherence.simulator import TraceSimulator
 from repro.coherence.system import MemoryAccess, TiledCMP
 from repro.config import CacheConfig, CacheLevel, SystemConfig
 from repro.core.cuckoo_directory import CuckooDirectory
+from repro.directories.sparse import SparseDirectory
 from repro.obs.timeline import save_timeline
 
 
@@ -75,16 +77,29 @@ def _chunks(stream, seed):
     return out
 
 
-def _run(kernel, factory, stream, seed, timeline_interval, warmup=100,
+def _sparse_factory(num_caches, slice_id):
+    # A non-cuckoo organization: its chunks run the handler loop.
+    return SparseDirectory(num_caches=num_caches, num_sets=4, num_ways=2)
+
+
+def _run(path, factory, stream, seed, timeline_interval, warmup=100,
          max_accesses=900):
-    system = TiledCMP(_config(), factory, batch_kernel=kernel)
+    """Simulate ``stream`` per access (``"handlers"``) or chunked (``"batch"``)."""
+    system = TiledCMP(_config(), factory)
     simulator = TraceSimulator(
         system,
         warmup_accesses=warmup,
         occupancy_sample_interval=150,
         timeline_interval=timeline_interval,
     )
-    return simulator.run_chunks(_chunks(stream, seed), max_accesses=max_accesses)
+    if path == "batch":
+        return simulator.run_chunks(_chunks(stream, seed), max_accesses=max_accesses)
+    cores, addresses, writes, instrs = stream
+    accesses = (
+        MemoryAccess(int(c), int(a), bool(w), bool(i))
+        for c, a, w, i in zip(cores, addresses, writes, instrs)
+    )
+    return simulator.run(accesses, max_accesses=max_accesses)
 
 
 def _stats_fingerprint(result):
@@ -104,44 +119,46 @@ def _stats_fingerprint(result):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-@pytest.mark.parametrize("factory", [_roomy_factory, _cramped_factory],
-                         ids=["roomy", "forced-invalidations"])
-class TestKernelIdentity:
-    def test_scalar_and_vector_timelines_are_equal(self, seed, factory):
+@pytest.mark.parametrize(
+    "factory", [_roomy_factory, _cramped_factory, _sparse_factory],
+    ids=["roomy", "forced-invalidations", "handler-loop"],
+)
+class TestPathIdentity:
+    def test_handler_and_batch_timelines_are_equal(self, seed, factory):
         stream = _stream(seed, 1200)
-        scalar = _run("scalar", factory, stream, seed, timeline_interval=100)
-        vector = _run("vector", factory, stream, seed, timeline_interval=100)
-        assert _stats_fingerprint(scalar) == _stats_fingerprint(vector)
-        assert scalar.timeline == vector.timeline
-        assert scalar.timeline.num_samples("occupancy_banks") > 0
+        handlers = _run("handlers", factory, stream, seed, timeline_interval=100)
+        batch = _run("batch", factory, stream, seed, timeline_interval=100)
+        assert _stats_fingerprint(handlers) == _stats_fingerprint(batch)
+        assert handlers.timeline == batch.timeline
+        assert handlers.timeline.num_samples("occupancy_banks") > 0
 
     def test_persisted_timelines_are_byte_identical(self, seed, factory, tmp_path):
         stream = _stream(seed, 1200)
-        scalar = _run("scalar", factory, stream, seed, timeline_interval=100)
-        vector = _run("vector", factory, stream, seed, timeline_interval=100)
-        save_timeline(tmp_path / "scalar.npz", scalar.timeline)
-        save_timeline(tmp_path / "vector.npz", vector.timeline)
+        handlers = _run("handlers", factory, stream, seed, timeline_interval=100)
+        batch = _run("batch", factory, stream, seed, timeline_interval=100)
+        save_timeline(tmp_path / "handlers.npz", handlers.timeline)
+        save_timeline(tmp_path / "batch.npz", batch.timeline)
         assert (
-            (tmp_path / "scalar.npz").read_bytes()
-            == (tmp_path / "vector.npz").read_bytes()
+            (tmp_path / "handlers.npz").read_bytes()
+            == (tmp_path / "batch.npz").read_bytes()
         )
 
 
 @pytest.mark.parametrize("seed", [0, 5])
-@pytest.mark.parametrize("kernel", ["scalar", "vector"])
+@pytest.mark.parametrize("path", ["handlers", "batch"])
 class TestObservationOnly:
-    def test_timeline_on_off_identity(self, seed, kernel):
+    def test_timeline_on_off_identity(self, seed, path):
         stream = _stream(seed, 1200)
-        off = _run(kernel, _cramped_factory, stream, seed, timeline_interval=None)
-        on = _run(kernel, _cramped_factory, stream, seed, timeline_interval=75)
+        off = _run(path, _cramped_factory, stream, seed, timeline_interval=None)
+        on = _run(path, _cramped_factory, stream, seed, timeline_interval=75)
         assert _stats_fingerprint(off) == _stats_fingerprint(on)
         assert off.timeline is not None and not off.timeline.enabled
         assert on.timeline.enabled
 
-    def test_interval_choice_does_not_change_results(self, seed, kernel):
+    def test_interval_choice_does_not_change_results(self, seed, path):
         stream = _stream(seed, 1200)
-        coarse = _run(kernel, _cramped_factory, stream, seed, timeline_interval=300)
-        fine = _run(kernel, _cramped_factory, stream, seed, timeline_interval=50)
+        coarse = _run(path, _cramped_factory, stream, seed, timeline_interval=300)
+        fine = _run(path, _cramped_factory, stream, seed, timeline_interval=50)
         assert _stats_fingerprint(coarse) == _stats_fingerprint(fine)
         assert fine.timeline.num_samples("insertions") > (
             coarse.timeline.num_samples("insertions")
@@ -151,20 +168,10 @@ class TestObservationOnly:
 class TestPerAccessChunkAgreement:
     def test_run_and_run_chunks_produce_the_same_timeline(self):
         stream = _stream(7, 1000)
-        chunked = _run("scalar", _roomy_factory, stream, 7, timeline_interval=120,
+        chunked = _run("batch", _roomy_factory, stream, 7, timeline_interval=120,
                        warmup=50, max_accesses=800)
-
-        system = TiledCMP(_config(), _roomy_factory, batch_kernel="scalar")
-        simulator = TraceSimulator(
-            system, warmup_accesses=50, occupancy_sample_interval=150,
-            timeline_interval=120,
-        )
-        cores, addresses, writes, instrs = stream
-        accesses = (
-            MemoryAccess(int(c), int(a), bool(w), bool(i))
-            for c, a, w, i in zip(cores, addresses, writes, instrs)
-        )
-        per_access = simulator.run(accesses, max_accesses=800)
+        per_access = _run("handlers", _roomy_factory, stream, 7,
+                          timeline_interval=120, warmup=50, max_accesses=800)
         assert _stats_fingerprint(per_access) == _stats_fingerprint(chunked)
         assert per_access.timeline == chunked.timeline
 
@@ -172,7 +179,7 @@ class TestPerAccessChunkAgreement:
 class TestTimelineContents:
     def test_cumulative_channels_match_final_statistics(self):
         stream = _stream(11, 1200)
-        result = _run("vector", _cramped_factory, stream, 11, timeline_interval=100,
+        result = _run("batch", _cramped_factory, stream, 11, timeline_interval=100,
                       max_accesses=800)
         timeline = result.timeline
         stats = result.directory_stats
@@ -193,7 +200,7 @@ class TestTimelineContents:
 
     def test_occupancy_channel_is_the_legacy_samples(self):
         stream = _stream(13, 1200)
-        result = _run("vector", _roomy_factory, stream, 13, timeline_interval=200)
+        result = _run("batch", _roomy_factory, stream, 13, timeline_interval=200)
         assert result.timeline.occupancy_list() == result.occupancy_samples
         assert result.average_occupancy == (
             sum(result.occupancy_samples) / len(result.occupancy_samples)
@@ -203,7 +210,7 @@ class TestTimelineContents:
 class TestSampledWindows:
     def test_window_mode_samples_once_per_completed_window(self):
         stream = _stream(17, 2000)
-        system = TiledCMP(_config(), _roomy_factory, batch_kernel="vector")
+        system = TiledCMP(_config(), _roomy_factory)
         simulator = TraceSimulator(
             system, occupancy_sample_interval=100, timeline_interval=50
         )
@@ -225,7 +232,7 @@ class TestSampledWindows:
         stream = _stream(19, 2000)
 
         def run_sampled(timeline_interval):
-            system = TiledCMP(_config(), _roomy_factory, batch_kernel="vector")
+            system = TiledCMP(_config(), _roomy_factory)
             simulator = TraceSimulator(
                 system, occupancy_sample_interval=100,
                 timeline_interval=timeline_interval,

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -299,3 +300,36 @@ class TestCompare:
             ["compare", store_path, str(torn), "--fail-on-regression"]
         ) == 0
         assert "0 regressions" in capsys.readouterr().out
+
+
+class TestPoolOnlyStore:
+    """A store written only by pool workers has no main WAL file at all."""
+
+    @pytest.fixture
+    def pool_store(self, capsys, store_path):
+        argv = [
+            "run", "fig08", "--workloads", "Oracle", "--scale", "64",
+            "--measure-accesses", "1500", "--store", store_path,
+            "--workers", "2", "--quiet",
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        segdir = Path(store_path + ".segments")
+        assert not Path(store_path).exists()
+        assert list(segdir.glob("wal-*.jsonl"))
+        return store_path
+
+    def test_report_all_reads_per_writer_wals(self, capsys, pool_store):
+        assert main(["report", "--all", "--store", pool_store, "--format", "csv"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert sorted(row["tracked_level"] for row in rows) == ["L1", "L2"]
+        assert main(
+            ["report", "--all", "--store", pool_store, "--group-by", "tracked_level"]
+        ) == 0
+
+    def test_compare_reads_per_writer_wals(self, capsys, pool_store):
+        assert main(
+            ["compare", pool_store, pool_store, "--threshold", "0",
+             "--fail-on-regression"]
+        ) == 0
+        assert "2 points compared, 0 regressions" in capsys.readouterr().out

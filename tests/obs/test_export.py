@@ -17,7 +17,7 @@ def _populated():
     hist.observe(500)
     hist.observe(5000)
     tracer = Tracer()
-    tracer._totals["batch_kernel"] = [4, 2.5, 2.5]
+    tracer._totals["hit_kernel"] = [4, 2.5, 2.5]
     tracer._totals["translate"] = [4, 0.5, 0.5]
     return registry, tracer
 
@@ -43,7 +43,7 @@ class TestJsonSnapshot:
                 },
             },
             "phases": {
-                "batch_kernel": {
+                "hit_kernel": {
                     "count": 4,
                     "total_seconds": 2.5,
                     "self_seconds": 2.5,
@@ -90,7 +90,7 @@ class TestPrometheusText:
     def test_phase_series(self):
         registry, tracer = _populated()
         text = export.to_prometheus_text(registry, tracer)
-        assert 'repro_phase_seconds{phase="batch_kernel"} 2.5\n' in text
+        assert 'repro_phase_seconds{phase="hit_kernel"} 2.5\n' in text
         assert 'repro_phase_count{phase="translate"} 4\n' in text
 
     def test_empty_registry_renders_empty(self):

@@ -193,12 +193,12 @@ class TestPooledHeartbeats:
         measured = obs.REGISTRY.counter("sim.run.measured_accesses").value
         assert measured == 4 * 1_000
         phases = obs.TRACER.totals()
-        # Each run traces its batch front-end under "batch_kernel"
-        # (scalar loop) or "hit_kernel" (whole-chunk kernel), depending
-        # on which kernel the per-chunk heuristic picked.
+        # Each chunk traces its path under "hit_kernel" (the fast path)
+        # or "drain_scalar" (the handler loop), depending on whether it
+        # pays for the tag snapshot.
         batch_spans = sum(
             phases[name]["count"]
-            for name in ("batch_kernel", "hit_kernel")
+            for name in ("hit_kernel", "drain_scalar")
             if name in phases
         )
         assert batch_spans >= 4
