@@ -23,11 +23,11 @@ time committed by the previous perf PR divided by the current time —
 which is the per-PR claim CI's ``repro-run compare`` gate watches.
 
 The fig10 reference point is *miss-dominated* (the scaled L1s hit only
-~21% of accesses), so its time is governed by the miss drain; the
-``drain_heavy_50k`` metric isolates that further with a ~0% hit-rate
-stream.  Both run on the system's one fast path (the whole-chunk hit
-kernel plus the vectorized drain), which is what every cuckoo point of
-the paper uses.
+~21% of accesses), so its time is governed by the drain's miss protocol;
+the ``drain_heavy_50k`` metric isolates that further with a ~0% hit-rate
+stream.  Both run on the system's one fast path (the vectorized drain,
+every access of a chunk in trace order), which is what every cuckoo
+point of the paper uses.
 
 Usage::
 
@@ -150,9 +150,9 @@ _DRAIN_STREAM = None
 def _drain_heavy_stream():
     """50k accesses over a footprint ~30x the tracked L1 capacity.
 
-    The hit rate collapses to ~1%, so virtually every access reaches the
-    miss drain: the stream isolates the drain pipeline from the hit
-    retirement the whole-chunk kernel already vectorizes.  30% writes
+    The hit rate collapses to ~1%, so virtually every access misses: the
+    stream isolates the drain's miss protocol from its cheap hit path
+    (a stamp write and a position append).  30% writes
     keep the write-miss/invalidation protocol in the mix; the shared
     footprint keeps directory-hit reads (sharer additions, owner
     downgrades) common.  Built once and reused — the arrays, not their

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional
 
 from repro.cache.replacement import LruPolicy, ReplacementPolicy
 from repro.config import CacheConfig
@@ -352,49 +352,25 @@ class SetAssociativeCache:
 
     # -- batched primitives (fast-path support) ------------------------------
     #
-    # The fast path in ``repro.coherence.system`` resolves a whole trace
-    # chunk against the flat arrays at once and retires hits with
-    # *explicit* LRU stamps (`touch_batch`), then settles the clock once
-    # (`advance_clock`).  Explicit stamps work because every access — hit
-    # or miss — advances the inline-LRU clock by exactly one, so the stamp
-    # any access would have written is ``clock_at_chunk_start + its rank
-    # among this cache's chunk accesses``, computable for the whole chunk
-    # up front.  The fast path also reads the flat arrays (``_tags``/
-    # ``_states``/``_dirty``/``_stamps``/``_set_counts``/``_location``/
-    # ``_clock``) directly in its vectorized drain; keep the storage layout
-    # and these primitives in sync.  It relies on inline LRU, which is the
-    # only policy ``TiledCMP`` builds.
+    # The fast path in ``repro.coherence.system`` (the vectorized drain)
+    # runs a whole trace chunk against the flat arrays with *explicit* LRU
+    # stamps, then settles the clock once (`advance_clock`).  Explicit
+    # stamps work because every access — hit or miss — advances the
+    # inline-LRU clock by exactly one, so the stamp any access would have
+    # written is ``clock_at_chunk_start + its rank among this cache's chunk
+    # accesses``, computable for the whole chunk up front.  The drain reads
+    # and writes the flat arrays (``_tags``/``_states``/``_dirty``/
+    # ``_stamps``/``_set_counts``/``_location``/``_clock``) directly; keep
+    # the storage layout and this primitive in sync.  It relies on inline
+    # LRU, which is the only policy ``TiledCMP`` builds.
 
     def advance_clock(self, count: int) -> None:
         """Advance the LRU clock by ``count`` accesses retired out-of-band.
 
-        The fast path writes precomputed stamps directly (via
-        :meth:`touch_batch` and its vectorized drain) and settles the clock
-        once per chunk instead of once per access.
+        The vectorized drain writes precomputed stamps directly and settles
+        the clock once per chunk instead of once per access.
         """
         self._clock += count
-
-    def touch_batch(self, frames: Sequence[int], stamps: Sequence[int]) -> List[int]:
-        """Retire a batch of hits with explicit stamps; returns prior stamps.
-
-        ``frames`` are flat frame indices the caller already resolved
-        against the tag array, in trace order; ``stamps`` carries the exact
-        stamp value each access would have written had it run through
-        :meth:`touch_code` in sequence.  The caller guarantees every access
-        is a hit that changes neither state nor dirtiness (a read in any
-        valid state, or a write while already MODIFIED).  The clock is
-        *not* advanced here — the caller settles it with
-        :meth:`advance_clock` once the whole chunk is retired.  The returned
-        prior-stamp list lets the caller undo individual retirements
-        (forced-invalidation hazards) exactly.
-        """
-        stamp_array = self._stamps
-        old = [0] * len(frames)
-        for position, index in enumerate(frames):
-            old[position] = stamp_array[index]
-            stamp_array[index] = stamps[position]
-        self._stats.hits += len(frames)
-        return old
 
     def fill(
         self,

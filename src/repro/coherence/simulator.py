@@ -44,7 +44,7 @@ __all__ = ["SimulationResult", "TraceSimulator", "TraceChunk"]
 # Phase spans are opened per chunk / per sample point — never per access
 # (DESIGN.md "Observability").  ``trace_production`` times the workload
 # generator (or replay mmap) producing the next chunk; ``translate``,
-# ``hit_kernel``, ``drain_vector`` and ``drain_scalar`` (the handler loop)
+# ``drain_vector`` (the fast path) and ``drain_scalar`` (the handler loop)
 # are opened inside ``TiledCMP.access_batch``;
 # ``occupancy_sampling`` times the directory occupancy probes.
 _WARMUP_ACCESSES = _obs_counter(

@@ -33,10 +33,9 @@ tracked-cache selection) numpy-precomputed and the core-range check hoisted
 to one chunk-level validation.  It then takes one of two paths, chosen from
 what it can observe and bit-identical in every statistic:
 
-* the **fast path** — the whole-chunk hit kernel plus the vectorized miss
-  drain — when every directory slice is a plain Cuckoo directory with a
-  full bit vector (it exposes ``drain_handles()``) and the chunk is long
-  enough to pay for the tag-array snapshot (``_AUTO_SNAPSHOT_RATIO``);
+* the **fast path** — the vectorized drain, every access of the chunk in
+  trace order — when every directory slice is a plain Cuckoo directory
+  with a full bit vector (it exposes ``drain_handles()``);
 * the **handler loop** — each access through the handlers — otherwise.
 
 Internally the protocol operates on integer MESI codes
@@ -46,9 +45,8 @@ CoherenceState` enum appears only at the public cache API boundary.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -83,17 +81,9 @@ _BATCH_CHUNKS = _obs_counter(
 _BATCH_ACCESSES = _obs_counter(
     "sim.batch.accesses", help="accesses executed through access_batch"
 )
-_BATCH_KERNEL_HITS = _obs_counter(
-    "sim.batch.kernel_hits",
-    help="hits retired vectorised by the whole-chunk kernel",
-)
 _BATCH_DRAINED = _obs_counter(
     "sim.batch.drained",
-    help="accesses the whole-chunk kernel left to the vectorized drain",
-)
-_BATCH_ROLLBACKS = _obs_counter(
-    "sim.batch.rollbacks",
-    help="kernel-retired hits rolled back and re-injected (hazards)",
+    help="accesses executed by the vectorized drain",
 )
 # Drain telemetry (DESIGN.md "The vectorized drain pipeline"): the
 # fast-path / handler-loop split plus the vector drain's per-class
@@ -109,7 +99,7 @@ _DRAIN_SCALAR = _obs_counter(
 )
 _DRAIN_CLS_HITS = _obs_counter(
     "sim.drain.class_hits",
-    help="drained accesses that were cache hits dragged in by conflicts",
+    help="drained accesses that were cache hits needing no directory",
 )
 _DRAIN_CLS_UPGRADES = _obs_counter(
     "sim.drain.class_upgrades",
@@ -131,21 +121,6 @@ _DRAIN_CLS_WALKS = _obs_counter(
     "sim.drain.class_walks",
     help="insertions that needed a displacement walk (scalar by design)",
 )
-_DRAIN_REINJECTED = _obs_counter(
-    "sim.drain.reinjected",
-    help="rolled-back kernel hits replayed through the drain",
-)
-
-#: The fast path runs a chunk only when ``total tracked frames <= ratio *
-#: chunk length``: the kernel's per-chunk snapshot of every tracked tag
-#: array is O(frames), so tiny chunks over huge caches (the Private-L2
-#: sweeps) would pay more building the snapshot than the handler loop
-#: costs.  The snapshot is a handful of numpy conversions (~35ns/frame)
-#: while the handlers cost several microseconds per access, so the
-#: break-even sits near two orders of magnitude; 64 keeps a safety margin
-#: for small chunks (the warm-up ramp) without letting sweep-sized caches
-#: through.
-_AUTO_SNAPSHOT_RATIO = 64
 
 # Hot-path message constants: hoisted enum members and their byte costs so
 # the inlined traffic recording does no enum attribute traversal.
@@ -256,7 +231,6 @@ class TiledCMP:
         # unsupported, else the shared-or-per-slice hash family marker
         # tuple.
         self._drain_vector_support: object = None
-        self._snapshot_frames = num_tracked * self._tracked[0].num_frames
 
     # -- geometry / accessors ------------------------------------------------
     @property
@@ -296,7 +270,8 @@ class TiledCMP:
 
         NOTE: ``access_scalar``, ``_evict_notify``, ``_drain_batch_vector``
         and ``PageMapper.translate_blocks`` (behind ``access_batch``)
-        compute this rule (and :meth:`slice_local_address`) directly
+        compute this rule (and :meth:`slice_local_address`; the drain also
+        :meth:`global_address`, for forced-invalidation victims) directly
         against the slice count; change the interleaving everywhere
         together.
         """
@@ -456,14 +431,9 @@ class TiledCMP:
         DESIGN.md "Hot-path data layout"), bit-identical in every statistic
         and in all directory/cache state:
 
-        * **fast path** — the whole-chunk kernel: every tracked-cache
-          lookup in the slice is resolved at once against the flat tag
-          arrays, conflict-free hits are retired with vectorised stamp
-          writes and bulk counter updates, and only the sparse remainder
-          (misses, upgrades, and accesses dragged into their conflict
-          groups) goes through the vectorized drain in trace order.  Taken
-          when every slice exposes ``drain_handles()`` and the chunk pays
-          for the tag-array snapshot.
+        * **fast path** — every access of the slice through the vectorized
+          drain in trace order (:meth:`_drain_batch_vector`).  Taken
+          whenever every slice exposes ``drain_handles()``.
         * **handler loop** — every access through :meth:`_access_block`.
         """
         cores = np.asarray(cores)
@@ -497,14 +467,13 @@ class TiledCMP:
         _BATCH_CHUNKS.inc()
         _BATCH_ACCESSES.add(count)
         vector_config = self._drain_vector_config()
-        if (
-            vector_config is not None
-            and self._snapshot_frames <= _AUTO_SNAPSHOT_RATIO * count
-        ):
-            self._access_batch_vector(
-                block_array, locals_array, homes_array,
-                cache_id_array, write_array, count, vector_config,
-            )
+        if vector_config is not None:
+            with _TRACER.span("drain_vector"):
+                self._drain_batch_vector(
+                    block_array, locals_array, homes_array,
+                    cache_id_array, write_array, vector_config,
+                )
+            _BATCH_DRAINED.add(count)
         else:
             access_block = self._access_block
             with _TRACER.span("drain_scalar"):
@@ -516,151 +485,6 @@ class TiledCMP:
                     access_block(*args)
             _DRAIN_SCALAR.add(count)
         return count
-
-    def _access_batch_vector(
-        self,
-        blocks_a: np.ndarray,
-        locals_a: np.ndarray,
-        homes_a: np.ndarray,
-        caches_a: np.ndarray,
-        writes_a: np.ndarray,
-        count: int,
-        vector_config: tuple,
-    ) -> None:
-        """Whole-chunk kernel: vectorised hit retirement + vectorized drain.
-
-        Three phases, bit-identical to running :meth:`access_scalar` per
-        element (``tests/coherence/test_access_paths.py`` asserts this at
-        every chunk shape, under tight tables too):
-
-        1. **Classify.**  Every access is resolved against a snapshot of
-           the flat tag/state arrays taken at chunk entry: vectorised
-           set-index/tag derivation, a per-way tag compare across the whole
-           chunk, and a state-code gather.  Read hits and write hits in M
-           are *kernel-eligible* (no protocol side effects); write upgrades
-           in S/E and misses must drain.
-        2. **Partition into conflict groups.**  A draining access has
-           side effects the snapshot cannot see, so eligibility propagates
-           restrictions: every access to a *block* that drains anywhere in
-           the chunk also drains (cross-cache invalidations/downgrades
-           could change its hit outcome), and every hit in a (cache, set)
-           that contains a draining access drains too (fills read and
-           reorder that set's LRU stamps).  One propagation round is a
-           fixpoint: demoted hits add no new blocks with side effects and
-           no new sets with fills.
-        3. **Retire + drain.**  Surviving hits are retired in bulk with
-           *exact* precomputed stamps — every access advances its cache's
-           clock by exactly one, so stamp(i) = clock-at-entry + rank of i
-           among that cache's chunk accesses, independent of interleaving.
-           The remainder drains through the MESI protocol in trace order
-           (:meth:`_drain_batch_vector`).  Forced invalidations are the one
-           event the partition cannot predict (cut-off cuckoo walks victimise
-           arbitrary blocks); the drain detects retired-but-now-stale kernel
-           hits, rolls them back exactly and re-injects them as scalar
-           accesses.
-        """
-        tracked = self._tracked
-        num_tracked = len(tracked)
-        first = tracked[0]
-        num_sets = first.num_sets
-        num_ways = first.num_ways
-        frames_per = num_sets * num_ways
-
-        with _TRACER.span("hit_kernel"):
-            sets_a = blocks_a % num_sets
-            frame_base = caches_a * frames_per + sets_a * num_ways
-            flat_tags = np.array(
-                [cache._tags for cache in tracked], dtype=np.int64
-            ).ravel()
-            flat_states = np.array(
-                [cache._states for cache in tracked], dtype=np.int64
-            ).ravel()
-            frames = np.full(count, -1, dtype=np.int64)
-            for way in range(num_ways):
-                candidate = frame_base + way
-                np.copyto(frames, candidate, where=(flat_tags[candidate] == blocks_a))
-            found = frames >= 0
-            state_snap = np.where(found, flat_states[np.where(found, frames, 0)], 0)
-            eligible = found & (~writes_a | (state_snap == STATE_MODIFIED))
-            drain_mask = ~eligible
-            if drain_mask.any() and eligible.any():
-                # Membership via scatter/gather tables: both key spaces
-                # are dense integer ranges, so a boolean table beats the
-                # sort-based unique/isin pair.  Block ids are only
-                # bounded by the address space, so huge outliers fall
-                # back to isin.
-                max_block = int(blocks_a.max())
-                if max_block < (1 << 22):
-                    block_table = np.zeros(max_block + 1, dtype=bool)
-                    block_table[blocks_a[drain_mask]] = True
-                    drain_mask |= block_table[blocks_a]
-                else:
-                    conflict_blocks = np.unique(blocks_a[drain_mask])
-                    drain_mask |= np.isin(blocks_a, conflict_blocks)
-                set_keys = caches_a * num_sets + sets_a
-                set_table = np.zeros(num_tracked * num_sets, dtype=bool)
-                set_table[set_keys[drain_mask]] = True
-                drain_mask |= set_table[set_keys]
-
-            # Exact per-access stamps (phase 3 above), computed for the
-            # whole chunk: group accesses by cache and rank within group.
-            clock0 = np.fromiter(
-                (cache._clock for cache in tracked),
-                dtype=np.int64,
-                count=num_tracked,
-            )
-            cache_counts = np.bincount(caches_a, minlength=num_tracked)
-            order = np.argsort(caches_a, kind="stable")
-            sorted_caches = caches_a[order]
-            group_starts = np.concatenate(([0], np.cumsum(cache_counts)[:-1]))
-            ranks = np.arange(count, dtype=np.int64) - np.repeat(
-                group_starts, cache_counts
-            )
-            stamps_a = np.empty(count, dtype=np.int64)
-            stamps_a[order] = clock0[sorted_caches] + ranks + 1
-
-            kernel_idx = np.flatnonzero(~drain_mask)
-            kernel_count = int(kernel_idx.size)
-            if kernel_count:
-                kern_cache = caches_a[kernel_idx]
-                kern_frame = frames[kernel_idx] - kern_cache * frames_per
-                kern_stamp = stamps_a[kernel_idx]
-                kern_old = np.empty(kernel_count, dtype=np.int64)
-                for cache_id in np.unique(kern_cache).tolist():
-                    member = kern_cache == cache_id
-                    kern_old[member] = tracked[cache_id].touch_batch(
-                        kern_frame[member].tolist(), kern_stamp[member].tolist()
-                    )
-                kernel_state: Optional[Tuple[np.ndarray, ...]] = (
-                    kernel_idx,
-                    kern_cache,
-                    kern_frame,
-                    blocks_a[kernel_idx],
-                    sets_a[kernel_idx],
-                    writes_a[kernel_idx],
-                    kern_stamp,
-                    kern_old,
-                    np.ones(kernel_count, dtype=bool),
-                )
-            else:
-                kernel_state = None
-        _BATCH_KERNEL_HITS.add(kernel_count)
-
-        drain_idx = np.flatnonzero(drain_mask)
-        drained = int(drain_idx.size)
-        _BATCH_DRAINED.add(drained)
-        if drained:
-            with _TRACER.span("drain_vector"):
-                self._drain_batch_vector(
-                    drain_idx, blocks_a, locals_a, homes_a, caches_a,
-                    writes_a, sets_a, stamps_a, kernel_state, vector_config,
-                )
-        # Settle the per-cache clocks once for the whole chunk (stamps were
-        # written as precomputed values, never via clock increments).
-        counts_list = cache_counts.tolist()
-        for cache_id in range(num_tracked):
-            if counts_list[cache_id]:
-                tracked[cache_id].advance_clock(counts_list[cache_id])
 
     def _drain_vector_config(self) -> Optional[tuple]:
         """Support decision for the fast path, resolved once.
@@ -698,26 +522,31 @@ class TiledCMP:
 
     def _drain_batch_vector(
         self,
-        drain_idx: np.ndarray,
         blocks_a: np.ndarray,
         locals_a: np.ndarray,
         homes_a: np.ndarray,
         caches_a: np.ndarray,
         writes_a: np.ndarray,
-        sets_a: np.ndarray,
-        stamps_a: np.ndarray,
-        kernel_state: Optional[Tuple[np.ndarray, ...]],
         vector_config: tuple,
     ) -> None:
         """Vectorized drain pipeline (DESIGN.md "The vectorized drain pipeline").
 
-        Bit-identical to running the handlers (:meth:`_access_block`) per
-        drained access, restructured around a numpy pre-pass so the
-        per-access protocol loop touches no hash function, no hop table,
-        no bank model and almost no traffic or statistics bookkeeping:
+        Runs every access of a chunk in trace order, bit-identical to
+        running the handlers (:meth:`_access_block`) per access
+        (``tests/coherence/test_access_paths.py`` asserts this at every
+        chunk shape, under tight tables too), restructured around a numpy
+        pre-pass so the per-access protocol loop touches no hash function,
+        no hop table, no LRU clock, no bank model and almost no traffic or
+        statistics bookkeeping:
 
-        * **Batch hashing.**  Every drained block's slice-local address is
-          hashed across all directory ways in one vectorized call
+        * **Exact stamps.**  Every access advances its cache's LRU clock by
+          exactly one (a hit touches, a miss fills), so the stamp access
+          ``i`` writes is its cache's clock at entry plus its rank among
+          that cache's accesses in the chunk, whatever the protocol does in
+          between.  One stable sort by cache computes every stamp; each
+          clock is settled once, at the flush.
+        * **Batch hashing.**  Every slice-local address is hashed across
+          all directory ways in one vectorized call
           (``HashFamily.batch_indices``) — one call for the whole chunk
           when every slice shares a hash family, else one per home group.
           The insert path then reads precomputed candidate rows instead
@@ -725,10 +554,10 @@ class TiledCMP:
         * **All-miss accounting.**  Traffic (request + response hops,
           message counts, bytes), per-home directory lookups and per-cache
           miss counts are computed vectorized under the assumption that
-          every drained access misses — the common case by construction,
-          since the kernel only demotes conflicted hits.  The hit branch
-          then *corrects* the assumption (one subtraction per hit) instead
-          of every miss paying per-access accounting.
+          every access misses.  A hit only records its chunk position; the
+          flush *corrects* the baselines from those positions in a few
+          vectorized reductions, so neither class pays per-access
+          accounting.
         * **Bank decoupling.**  The shared-L2 bank model reads nothing
           from the protocol and feeds nothing back into it, so bank
           updates are recorded as ``(block, home, write)`` events in trace
@@ -737,14 +566,11 @@ class TiledCMP:
         Trace order is preserved throughout — conflicting accesses
         (same block, same (cache, set), same directory slot) simply
         execute in their original relative order, which makes the
-        reordering-safety argument trivial.  Kernel hits rolled back by
-        forced invalidations are rare by construction and replay
-        through the scalar ``process_one`` closure (full live
-        accounting, live hashing and hop lookups) at their exact trace
-        position.  Displacement walks, forced invalidations and write
-        upgrades with remote sharers stay on the scalar helper paths by
-        construction; stash variants and rich sharer encodings never
-        reach this method (:meth:`_drain_vector_config`).
+        reordering-safety argument trivial.  Displacement walks, forced
+        invalidations and write upgrades with remote sharers stay on the
+        scalar helper paths by construction; stash variants and rich
+        sharer encodings never reach this method
+        (:meth:`_drain_vector_config`).
         """
         (shared_family,) = vector_config
         # Module-level protocol constants rebound as locals: the loop
@@ -775,17 +601,17 @@ class TiledCMP:
         messages = traffic.messages
         hops_acc = 0
         bytes_acc = 0
-        locations = [cache._location for cache in tracked]
-        tags_of = [cache._tags for cache in tracked]
+        cache_arrs = [
+            (
+                cache._location, cache._tags, cache._states, cache._dirty,
+                cache._stamps, cache._set_counts,
+            )
+            for cache in tracked
+        ]
+        locations_get = [cache._location.get for cache in tracked]
         states_of = [cache._states for cache in tracked]
         dirty_of = [cache._dirty for cache in tracked]
         stamps_of = [cache._stamps for cache in tracked]
-        counts_of = [cache._set_counts for cache in tracked]
-        cache_arrs = list(
-            zip(locations, tags_of, states_of, dirty_of, stamps_of, counts_of)
-        )
-        locations_get = [location.get for location in locations]
-        hit_delta = [0] * num_tracked
         evict_delta = [0] * num_tracked
         dirty_evict_delta = [0] * num_tracked
 
@@ -824,63 +650,61 @@ class TiledCMP:
         a_er = [0] * num_homes
         a_io = [0] * num_homes
         # Live traffic counters: only the unpredictable events (evictions,
-        # invalidations, owner downgrades) and re-injected accesses add to
-        # these in-loop; the all-miss baseline below covers the rest.
-        n_getS = n_getM = n_data = n_inv = n_ack = 0
-        n_putM = n_putS = n_fwd = 0
+        # invalidations, owner downgrades) add to these in-loop; the
+        # all-miss baseline covers the rest.
+        n_inv = n_ack = n_putM = n_putS = n_fwd = 0
         # Per-class retirement counters (sim.drain.*): in-branch for the
         # cheap-to-count classes, derived at flush for the rest.
-        n_rdh = n_walk = n_reinj = 0
-        rh = cw = s_up = 0
-        hops_corr = 0
-        p1_hit = p1_up = p1_rm = p1_wm = 0
+        n_rdh = n_walk = 0
+        # Chunk positions of the hits that need no directory (reads, and
+        # writes in E or M) and of the S -> M upgrades: the flush corrects
+        # the all-miss baselines from them.
+        hits: List[int] = []
+        upgrades: List[int] = []
+        hit_app = hits.append
 
         # -- vectorized pre-pass -------------------------------------------
-        count = int(drain_idx.size)
-        d_local_a = locals_a[drain_idx]
-        d_home_a = homes_a[drain_idx]
-        d_cache_a = caches_a[drain_idx]
-        d_write_a = writes_a[drain_idx]
-        d_sets_a = sets_a[drain_idx]
-        dp = drain_idx.tolist()
-        db = blocks_a[drain_idx].tolist()
-        dl = d_local_a.tolist()
-        dh = d_home_a.tolist()
-        dc = d_cache_a.tolist()
-        dw = d_write_a.tolist()
-        ds = d_sets_a.tolist()
-        dbase = (d_sets_a * num_ways).tolist()
-        dst = stamps_a[drain_idx].tolist()
-        # (1) Batch-hash the drained slice-local addresses across all ways.
+        count = int(blocks_a.size)
+        sets_a = blocks_a % tracked[0].num_sets
+        # (1) Exact stamps: group the chunk by cache (stable, so trace
+        # order holds within a group) and offset each group's ranks by its
+        # cache's clock at entry.
+        cache_counts = np.bincount(caches_a, minlength=num_tracked)
+        clock0 = np.fromiter(
+            (cache._clock for cache in tracked), dtype=np.int64, count=num_tracked
+        )
+        stamps_a = np.empty(count, dtype=np.int64)
+        stamps_a[np.argsort(caches_a, kind="stable")] = np.arange(
+            1, count + 1, dtype=np.int64
+        ) + np.repeat(clock0 - (np.cumsum(cache_counts) - cache_counts), cache_counts)
+        db = blocks_a.tolist()
+        dl = locals_a.tolist()
+        dh = homes_a.tolist()
+        dc = caches_a.tolist()
+        dw = writes_a.tolist()
+        ds = sets_a.tolist()
+        dbase = (sets_a * num_ways).tolist()
+        dst = stamps_a.tolist()
+        # (2) Batch-hash the slice-local addresses across all ways.
         if shared_family is not None:
-            cand_rows: List = shared_family.batch_indices(d_local_a)
+            cand_rows: List = shared_family.batch_indices(locals_a)
         else:
             cand_rows = [None] * count
-            order = np.argsort(d_home_a, kind="stable")
-            sorted_homes = d_home_a[order]
+            order = np.argsort(homes_a, kind="stable")
+            sorted_homes = homes_a[order]
             boundaries = np.flatnonzero(np.diff(sorted_homes)) + 1
             for group in np.split(order, boundaries):
-                home_g = int(d_home_a[group[0]])
+                home_g = int(homes_a[group[0]])
                 rows = directories[home_g].table.hash_family.batch_indices(
-                    d_local_a[group]
+                    locals_a[group]
                 )
                 for offset, member in enumerate(group.tolist()):
                     cand_rows[member] = rows[offset]
-        # (2) Gather request/response hop counts for the whole chunk.
+        # (3) Request and response hop counts for the whole chunk.
         hop_matrix = self._hop_matrix
-        d_core_a = (d_cache_a >> 1) if self._l1_tracked else d_cache_a
-        h_req_a = hop_matrix[d_core_a, d_home_a]
-        h_rsp_a = hop_matrix[d_home_a, d_core_a]
-        # One fused request+response hop column: the hit corrections always
-        # need the sum; the lone S->M case recomputes its response hop.
-        h_sum = (h_req_a + h_rsp_a).tolist()
-        # (3) All-miss baselines, corrected per hit in the loop below.
-        writes_total = int(np.count_nonzero(d_write_a))
-        reads_total = count - writes_total
-        if track:
-            hops_base = int(h_req_a.sum()) + int(h_rsp_a.sum())
-        a_lk = np.bincount(d_home_a, minlength=num_homes).tolist()
-        miss_delta = np.bincount(d_cache_a, minlength=num_tracked).tolist()
+        cores_a = (caches_a >> 1) if self._l1_tracked else caches_a
+        h_rsp_a = hop_matrix[homes_a, cores_a]
+        h_sum_a = hop_matrix[cores_a, homes_a] + h_rsp_a
         # (4) Bank events accumulate per home in trace order for the replay
         # pass — the banks are independent state machines, so each home's
         # event list replays with its bank's arrays bound once.  Events are
@@ -890,106 +714,7 @@ class TiledCMP:
             ev_by_home: List[List[int]] = [[] for _ in banks]
             ev_app = [events.append for events in ev_by_home]
 
-        if kernel_state is not None:
-            (
-                kern_pos, kern_cache, kern_frame, kern_block, kern_set,
-                kern_write, kern_stamp, kern_old, kern_alive,
-            ) = kernel_state
-        else:
-            kern_alive = None
-        pos = 0
-        rollback_total = 0
-        pending: List[tuple] = []
-
-        def rollback(mask: np.ndarray) -> None:
-            # Undo retired kernel hits made stale by an unpredictable event
-            # and re-inject them (sorted by trace position) for replay.
-            nonlocal rollback_total
-            for j in np.flatnonzero(mask).tolist():
-                rollback_total += 1
-                kern_alive[j] = False
-                r_cache = int(kern_cache[j])
-                r_frame = int(kern_frame[j])
-                r_block = int(kern_block[j])
-                r_pos = int(kern_pos[j])
-                hit_delta[r_cache] -= 1
-                siblings = (
-                    kern_alive & (kern_cache == r_cache) & (kern_frame == r_frame)
-                )
-                if siblings.any():
-                    stamps_of[r_cache][r_frame] = int(kern_stamp[siblings].max())
-                else:
-                    family = np.flatnonzero(
-                        (kern_cache == r_cache) & (kern_frame == r_frame)
-                    )
-                    earliest = family[np.argmin(kern_pos[family])]
-                    stamps_of[r_cache][r_frame] = int(kern_old[earliest])
-                insort(
-                    pending,
-                    (
-                        r_pos,
-                        r_block,
-                        r_block // num_slices,
-                        r_block % num_slices,
-                        r_cache,
-                        bool(kern_write[j]),
-                        int(kern_set[j]),
-                        int(kern_stamp[j]),
-                    ),
-                )
-
         record = self._record
-
-        def apply_forced(
-            invalidations: Sequence[Invalidation], victim_home: int
-        ) -> None:
-            for invalidation in invalidations:
-                victim_block = invalidation.address * num_slices + victim_home
-                for sharer in invalidation.caches:
-                    record(_INVALIDATE, victim_home, core_of[sharer])
-                    if kern_alive is not None:
-                        mask = (
-                            kern_alive
-                            & (kern_cache == sharer)
-                            & (kern_block == victim_block)
-                            & (kern_pos > pos)
-                        )
-                        if mask.any():
-                            rollback(mask)
-                    tracked[sharer].invalidate(victim_block)
-                    record(_INV_ACK, core_of[sharer], victim_home)
-
-        def insert_new(home: int, local_addr: int, mask: int, indices) -> None:
-            # Vacant-candidate placement with precomputed candidate rows
-            # (``indices`` is None only for re-injected accesses).
-            pool = d_pool[home]
-            if pool:
-                sharer_set = pool.pop()
-            else:
-                sharer_set = bitvec_cls(dir_caches)
-            sharer_set._mask = mask
-            if indices is None:
-                indices = d_ic[home].get(local_addr)
-                if indices is None:
-                    indices = d_table[home]._indices_of(local_addr)
-            else:
-                # Seed the table's per-key indices cache: a later
-                # displacement walk that evicts this key re-hashes it
-                # scalar unless the batch-computed row is cached.
-                ic = d_ic[home]
-                if len(ic) < ic_limit:
-                    ic[local_addr] = indices
-            keys_h = d_keys[home]
-            for way in d_wo[home][d_sw[home]]:
-                idx = indices[way]
-                if keys_h[way][idx] == -1:
-                    keys_h[way][idx] = local_addr
-                    d_val[home][way][idx] = sharer_set
-                    d_loc[home][local_addr] = (way, idx)
-                    d_sw[home] = way
-                    a_i1[home] += 1
-                    return
-            insert_walk(home, local_addr, sharer_set, indices)
 
         def insert_walk(home: int, local_addr: int, sharer_set, indices) -> None:
             # Displacement walk: insert_absent plus direct stats; resync
@@ -1007,26 +732,45 @@ class TiledCMP:
             stats.attempt_histogram[attempts] += 1
             stats.bits_written += attempts * dir_entry_bits
             if result.evicted:
-                invalidation = Invalidation(
-                    address=result.evicted_key,
-                    caches=result.evicted_value.sharers(),
-                )
+                # Forced invalidation of the victim entry's sharers.
+                victim_block = result.evicted_key * num_slices + home
+                victims = result.evicted_value.sharers()
                 stats.forced_invalidations += 1
-                stats.forced_invalidation_messages += invalidation.num_messages
-                apply_forced((invalidation,), home)
+                stats.forced_invalidation_messages += len(victims)
+                for sharer in victims:
+                    record(_INVALIDATE, home, core_of[sharer])
+                    tracked[sharer].invalidate(victim_block)
+                    record(_INV_ACK, core_of[sharer], home)
 
         def acquire_excl(
-            local_addr: int, home: int, block: int, cache_id: int,
-            reinjected: bool, indices,
+            local_addr: int, home: int, block: int, cache_id: int, indices
         ) -> None:
-            # Inlined CuckooDirectory.acquire_exclusive, *without* the
-            # lookup count: the all-miss baseline (or the re-injected
-            # caller) already accounts the lookup.
+            # Inlined CuckooDirectory.acquire_exclusive for an S -> M
+            # upgrade, *without* the lookup count (the all-miss baseline
+            # already accounts it).  The entry is normally present; a walk
+            # that evicted its own key leaves it absent, and then it is
+            # inserted like a write miss's.
             nonlocal hops_acc, bytes_acc, n_inv, n_ack
             wbit = 1 << cache_id
             loc = d_loc[home].get(local_addr)
             if loc is None:
-                insert_new(home, local_addr, wbit, indices)
+                pool = d_pool[home]
+                sharer_set = pool.pop() if pool else bitvec_cls(dir_caches)
+                sharer_set._mask = wbit
+                ic = d_ic[home]
+                if len(ic) < ic_limit:
+                    ic[local_addr] = indices
+                keys_h = d_keys[home]
+                for way in d_wo[home][d_sw[home]]:
+                    idx = indices[way]
+                    if keys_h[way][idx] == -1:
+                        keys_h[way][idx] = local_addr
+                        d_val[home][way][idx] = sharer_set
+                        d_loc[home][local_addr] = (way, idx)
+                        d_sw[home] = way
+                        a_i1[home] += 1
+                        return
+                insert_walk(home, local_addr, sharer_set, indices)
                 return
             a_lh[home] += 1
             way, idx = loc
@@ -1051,80 +795,101 @@ class TiledCMP:
                     n_ack += 1
                     hops_acc += hop_table[sharer_core][home]
                     bytes_acc += ack_bytes
-                if reinjected and kern_alive is not None:
-                    stale = (
-                        kern_alive
-                        & (kern_cache == sharer)
-                        & (kern_block == block)
-                        & (kern_pos > pos)
-                    )
-                    if stale.any():
-                        rollback(stale)
                 tracked[sharer].invalidate(block)
 
-        def process_one(entry: tuple) -> None:
-            # Scalar replay of one re-injected access (full live
-            # accounting — re-injections are outside the all-miss
-            # baselines), the exact protocol of the handlers.
-            nonlocal pos, hops_acc, bytes_acc, n_getS, n_getM, n_data
-            nonlocal n_fwd, n_putM, n_putS
-            nonlocal n_rdh, n_reinj, p1_hit, p1_up, p1_rm, p1_wm
-            n_reinj += 1
-            (
-                pos, block, local_addr, home, cache_id,
-                is_write, set_index, stamp,
-            ) = entry
-            location, tags, states, dirty, stamps, counts = cache_arrs[cache_id]
-            frame = location.get(block)
+        # -- the protocol loop (trace order) ---------------------------------
+        # Direct unpacking in the for header keeps the result tuple's
+        # refcount at one so zip can recycle it instead of allocating a
+        # fresh tuple per access.
+        for (
+            position, block, local_addr, home, cache_id, is_write,
+            set_index, base, stamp, indices,
+        ) in zip(range(count), db, dl, dh, dc, dw, ds, dbase, dst, cand_rows):
+            frame = locations_get[cache_id](block)
             if frame is not None:
-                hit_delta[cache_id] += 1
-                stamps[frame] = stamp
+                # Hit: stamp recency, run any write-upgrade protocol, and
+                # leave the accounting to the flush.
+                stamps_of[cache_id][frame] = stamp
                 if is_write:
-                    dirty[frame] = True
-                    state = states[frame]
-                    if state == state_m:
-                        p1_hit += 1
-                    elif state == state_e:
-                        p1_hit += 1
+                    dirty_of[cache_id][frame] = True
+                    states = states_of[cache_id]
+                    if states[frame] == state_s:
+                        # S -> M: GET_M is sent (the baseline lookup and
+                        # request hop stand) but no DATA comes back.
+                        upgrades.append(position)
+                        acquire_excl(local_addr, home, block, cache_id, indices)
                         states[frame] = state_m
-                    else:
-                        p1_up += 1
-                        if track:
-                            n_getM += 1
-                            hops_acc += hop_table[core_of[cache_id]][home]
-                            bytes_acc += getm_bytes
-                        a_lk[home] += 1
-                        acquire_excl(
-                            local_addr, home, block, cache_id, True, None
-                        )
-                        states[frame] = state_m
-                else:
-                    p1_hit += 1
-                return
-            miss_delta[cache_id] += 1
+                        continue
+                    # Silent E -> M (M stays M): no directory traffic.
+                    states[frame] = state_m
+                hit_app(position)
+                continue
+
+            # Miss: queue the bank event, run the directory protocol, fill
+            # inline.  Traffic and lookup counts are covered by the
+            # all-miss baseline.
             if use_banks:
                 ev_app[home](block << 1 | is_write)
-            core = core_of[cache_id]
-            hop_row = hop_table[core]
             if is_write:
-                p1_wm += 1
-                if track:
-                    n_getM += 1
-                    hops_acc += hop_row[home]
-                    bytes_acc += getm_bytes
-                a_lk[home] += 1
-                acquire_excl(local_addr, home, block, cache_id, True, None)
+                # Inlined acquire_exclusive (the two common cases: absent
+                # entry with a vacant candidate, or already-present
+                # sharer sets); conflicts fall back to the walk.
+                wbit = 1 << cache_id
+                loc = d_loc_get[home](local_addr)
+                if loc is None:
+                    pool = d_pool[home]
+                    if pool:
+                        sharer_set = pool.pop()
+                    else:
+                        sharer_set = bitvec_cls(dir_caches)
+                    sharer_set._mask = wbit
+                    ic = d_ic[home]
+                    if len(ic) < ic_limit:
+                        ic[local_addr] = indices
+                    keys_h = d_keys[home]
+                    for way in d_wo[home][d_sw[home]]:
+                        idx = indices[way]
+                        if keys_h[way][idx] == -1:
+                            keys_h[way][idx] = local_addr
+                            d_val[home][way][idx] = sharer_set
+                            d_loc[home][local_addr] = (way, idx)
+                            d_sw[home] = way
+                            a_i1[home] += 1
+                            break
+                    else:
+                        insert_walk(home, local_addr, sharer_set, indices)
+                else:
+                    a_lh[home] += 1
+                    way, idx = loc
+                    sharer_set = d_val[home][way][idx]
+                    prior = sharer_set._mask
+                    others = prior & ~wbit
+                    if not others:
+                        sharer_set._mask = prior | wbit
+                    else:
+                        sharer_set._mask = wbit
+                        a_io[home] += 1
+                        a_sr[home] += bin(others).count("1")
+                        while others:
+                            low = others & -others
+                            others -= low
+                            sharer = low.bit_length() - 1
+                            if track:
+                                sharer_core = core_of[sharer]
+                                n_inv += 1
+                                hops_acc += hop_table[home][sharer_core]
+                                bytes_acc += inv_bytes
+                                n_ack += 1
+                                hops_acc += hop_table[sharer_core][home]
+                                bytes_acc += ack_bytes
+                            tracked[sharer].invalidate(block)
                 new_state = state_m
                 fill_dirty = True
             else:
-                p1_rm += 1
-                if track:
-                    n_getS += 1
-                    hops_acc += hop_row[home]
-                    bytes_acc += gets_bytes
-                a_lk[home] += 1
-                loc = d_loc[home].get(local_addr)
+                loc = d_loc_get[home](local_addr)
                 if loc is not None:
+                    # Directory hit: add the sharer bit, downgrade any
+                    # M/E owner among the prior sharers.
                     n_rdh += 1
                     a_lh[home] += 1
                     way, idx = loc
@@ -1133,53 +898,64 @@ class TiledCMP:
                     wbit = 1 << cache_id
                     sharer_set._mask = prior | wbit
                     remaining = prior & ~wbit
-                    while remaining:
-                        low = remaining & -remaining
-                        remaining -= low
-                        sharer = low.bit_length() - 1
-                        owner_frame = locations[sharer].get(block)
-                        if owner_frame is None:
-                            continue
-                        owner_states = states_of[sharer]
-                        owner_state = owner_states[owner_frame]
-                        if owner_state >= state_e:
-                            if track:
-                                sharer_core = core_of[sharer]
-                                n_fwd += 1
-                                hops_acc += hop_table[home][sharer_core]
-                                bytes_acc += fwd_bytes
-                                if owner_state == state_m:
-                                    n_putM += 1
-                                    hops_acc += hop_table[sharer_core][home]
-                                    bytes_acc += putm_bytes
-                            owner_states[owner_frame] = state_s
+                    # MESI invariant: an M/E owner holds the block
+                    # exclusively, so a downgrade is only possible
+                    # when exactly one prior sharer remains — the
+                    # multi-sharer scan would find only S copies.
+                    if remaining and not (remaining & (remaining - 1)):
+                        sharer = remaining.bit_length() - 1
+                        owner_frame = locations_get[sharer](block)
+                        if owner_frame is not None:
+                            owner_states = states_of[sharer]
+                            owner_state = owner_states[owner_frame]
+                            if owner_state >= state_e:
+                                if track:
+                                    sharer_core = core_of[sharer]
+                                    n_fwd += 1
+                                    hops_acc += hop_table[home][sharer_core]
+                                    bytes_acc += fwd_bytes
+                                    if owner_state == state_m:
+                                        n_putM += 1
+                                        hops_acc += hop_table[sharer_core][home]
+                                        bytes_acc += putm_bytes
+                                owner_states[owner_frame] = state_s
                     new_state = state_s
                 else:
-                    insert_new(home, local_addr, 1 << cache_id, None)
+                    # Directory miss on a read: allocate the entry with
+                    # this cache as the sole (Exclusive) sharer, using
+                    # the pre-pass candidate row.
+                    pool = d_pool[home]
+                    if pool:
+                        sharer_set = pool.pop()
+                    else:
+                        sharer_set = bitvec_cls(dir_caches)
+                    sharer_set._mask = 1 << cache_id
+                    ic = d_ic[home]
+                    if len(ic) < ic_limit:
+                        ic[local_addr] = indices
+                    keys_h = d_keys[home]
+                    for way in d_wo[home][d_sw[home]]:
+                        idx = indices[way]
+                        if keys_h[way][idx] == -1:
+                            keys_h[way][idx] = local_addr
+                            d_val[home][way][idx] = sharer_set
+                            d_loc[home][local_addr] = (way, idx)
+                            d_sw[home] = way
+                            a_i1[home] += 1
+                            break
+                    else:
+                        insert_walk(home, local_addr, sharer_set, indices)
                     new_state = state_e
                 fill_dirty = False
-            if track:
-                n_data += 1
-                hops_acc += hop_table[home][core]
-                bytes_acc += data_bytes
-            if kern_alive is not None:
-                mask = (
-                    kern_alive
-                    & (kern_cache == cache_id)
-                    & (kern_set == set_index)
-                    & (kern_pos > pos)
-                )
-                if mask.any():
-                    rollback(mask)
-            base = set_index * num_ways
+
+            # Inline fill: the exact-stamp twin of fill_miss_code.
+            location, tags, states, dirty, stamps, counts = cache_arrs[cache_id]
             if counts[set_index] < num_ways:
                 frame = tags.index(-1, base, base + num_ways)
                 counts[set_index] += 1
             else:
                 if num_ways == 2:
-                    frame = (
-                        base if stamps[base] <= stamps[base + 1] else base + 1
-                    )
+                    frame = base if stamps[base] <= stamps[base + 1] else base + 1
                 else:
                     row = stamps[base : base + num_ways]
                     frame = base + row.index(min(row))
@@ -1191,13 +967,14 @@ class TiledCMP:
                 del location[victim]
                 victim_home = victim % num_slices
                 if track:
-                    hops_acc += hop_row[victim_home]
+                    hops_acc += hop_rows[cache_id][victim_home]
                     if victim_dirty:
                         n_putM += 1
                         bytes_acc += putm_bytes
                     else:
                         n_putS += 1
                         bytes_acc += puts_bytes
+                # Inlined remove_sharer (evict notify).
                 victim_local = victim // num_slices
                 loc = d_loc_get[victim_home](victim_local)
                 if loc is not None:
@@ -1217,233 +994,6 @@ class TiledCMP:
             dirty[frame] = fill_dirty
             stamps[frame] = stamp
             location[block] = frame
-
-        # -- the protocol loop (trace order; re-injections spliced in) -----
-        # Direct unpacking in the for header keeps the result tuple's
-        # refcount at one so zip can recycle it instead of allocating a
-        # fresh 11-tuple per access.
-        for (
-            pos, block, local_addr, home, cache_id, is_write,
-            set_index, base, stamp, hsum, indices,
-        ) in zip(dp, db, dl, dh, dc, dw, ds, dbase, dst, h_sum, cand_rows):
-            if pending:
-                cur = pos
-                while pending and pending[0][0] < cur:
-                    process_one(pending.pop(0))
-                pos = cur
-            frame = locations_get[cache_id](block)
-            if frame is None:
-                # Miss (the common case): queue the bank event, run the
-                # directory protocol, fill inline.  Traffic and lookup
-                # counts are covered by the all-miss baseline.
-                if use_banks:
-                    ev_app[home](block << 1 | is_write)
-                if is_write:
-                    # Inlined acquire_excl (the two common cases: absent
-                    # entry with a vacant candidate, or already-present
-                    # sharer sets); conflicts fall back to the closure.
-                    wbit = 1 << cache_id
-                    loc = d_loc_get[home](local_addr)
-                    if loc is None:
-                        pool = d_pool[home]
-                        if pool:
-                            sharer_set = pool.pop()
-                        else:
-                            sharer_set = bitvec_cls(dir_caches)
-                        sharer_set._mask = wbit
-                        ic = d_ic[home]
-                        if len(ic) < ic_limit:
-                            ic[local_addr] = indices
-                        keys_h = d_keys[home]
-                        for way in d_wo[home][d_sw[home]]:
-                            idx = indices[way]
-                            if keys_h[way][idx] == -1:
-                                keys_h[way][idx] = local_addr
-                                d_val[home][way][idx] = sharer_set
-                                d_loc[home][local_addr] = (way, idx)
-                                d_sw[home] = way
-                                a_i1[home] += 1
-                                break
-                        else:
-                            insert_walk(home, local_addr, sharer_set, indices)
-                    else:
-                        a_lh[home] += 1
-                        way, idx = loc
-                        sharer_set = d_val[home][way][idx]
-                        prior = sharer_set._mask
-                        others = prior & ~wbit
-                        if not others:
-                            sharer_set._mask = prior | wbit
-                        else:
-                            sharer_set._mask = wbit
-                            a_io[home] += 1
-                            a_sr[home] += bin(others).count("1")
-                            while others:
-                                low = others & -others
-                                others -= low
-                                sharer = low.bit_length() - 1
-                                if track:
-                                    sharer_core = core_of[sharer]
-                                    n_inv += 1
-                                    hops_acc += hop_table[home][sharer_core]
-                                    bytes_acc += inv_bytes
-                                    n_ack += 1
-                                    hops_acc += hop_table[sharer_core][home]
-                                    bytes_acc += ack_bytes
-                                tracked[sharer].invalidate(block)
-                    new_state = state_m
-                    fill_dirty = True
-                else:
-                    loc = d_loc_get[home](local_addr)
-                    if loc is not None:
-                        # Directory hit: add the sharer bit, downgrade any
-                        # M/E owner among the prior sharers.
-                        n_rdh += 1
-                        a_lh[home] += 1
-                        way, idx = loc
-                        sharer_set = d_val[home][way][idx]
-                        prior = sharer_set._mask
-                        wbit = 1 << cache_id
-                        sharer_set._mask = prior | wbit
-                        remaining = prior & ~wbit
-                        # MESI invariant: an M/E owner holds the block
-                        # exclusively, so a downgrade is only possible
-                        # when exactly one prior sharer remains — the
-                        # multi-sharer scan would find only S copies.
-                        if remaining and not (remaining & (remaining - 1)):
-                            sharer = remaining.bit_length() - 1
-                            owner_frame = locations_get[sharer](block)
-                            if owner_frame is not None:
-                                owner_states = states_of[sharer]
-                                owner_state = owner_states[owner_frame]
-                                if owner_state >= state_e:
-                                    if track:
-                                        sharer_core = core_of[sharer]
-                                        n_fwd += 1
-                                        hops_acc += hop_table[home][sharer_core]
-                                        bytes_acc += fwd_bytes
-                                        if owner_state == state_m:
-                                            n_putM += 1
-                                            hops_acc += hop_table[sharer_core][home]
-                                            bytes_acc += putm_bytes
-                                    owner_states[owner_frame] = state_s
-                        new_state = state_s
-                    else:
-                        # Directory miss on a read: allocate the entry with
-                        # this cache as the sole (Exclusive) sharer, using
-                        # the pre-pass candidate row.
-                        pool = d_pool[home]
-                        if pool:
-                            sharer_set = pool.pop()
-                        else:
-                            sharer_set = bitvec_cls(dir_caches)
-                        sharer_set._mask = 1 << cache_id
-                        ic = d_ic[home]
-                        if len(ic) < ic_limit:
-                            ic[local_addr] = indices
-                        keys_h = d_keys[home]
-                        for way in d_wo[home][d_sw[home]]:
-                            idx = indices[way]
-                            if keys_h[way][idx] == -1:
-                                keys_h[way][idx] = local_addr
-                                d_val[home][way][idx] = sharer_set
-                                d_loc[home][local_addr] = (way, idx)
-                                d_sw[home] = way
-                                a_i1[home] += 1
-                                break
-                        else:
-                            insert_walk(home, local_addr, sharer_set, indices)
-                        new_state = state_e
-                    fill_dirty = False
-
-                # Inline fill: the exact-stamp twin of fill_miss_code.
-                location, tags, states, dirty, stamps, counts = cache_arrs[
-                    cache_id
-                ]
-                if counts[set_index] < num_ways:
-                    frame = tags.index(-1, base, base + num_ways)
-                    counts[set_index] += 1
-                else:
-                    if num_ways == 2:
-                        frame = (
-                            base
-                            if stamps[base] <= stamps[base + 1]
-                            else base + 1
-                        )
-                    else:
-                        row = stamps[base : base + num_ways]
-                        frame = base + row.index(min(row))
-                    victim = tags[frame]
-                    victim_dirty = dirty[frame]
-                    evict_delta[cache_id] += 1
-                    if victim_dirty:
-                        dirty_evict_delta[cache_id] += 1
-                    del location[victim]
-                    victim_home = victim % num_slices
-                    if track:
-                        hops_acc += hop_rows[cache_id][victim_home]
-                        if victim_dirty:
-                            n_putM += 1
-                            bytes_acc += putm_bytes
-                        else:
-                            n_putS += 1
-                            bytes_acc += puts_bytes
-                    # Inlined remove_sharer (evict notify).
-                    victim_local = victim // num_slices
-                    loc = d_loc_get[victim_home](victim_local)
-                    if loc is not None:
-                        way, idx = loc
-                        sharer_set = d_val[victim_home][way][idx]
-                        remaining = sharer_set._mask & ~(1 << cache_id)
-                        sharer_set._mask = remaining
-                        a_sr[victim_home] += 1
-                        if not remaining:
-                            del d_loc[victim_home][victim_local]
-                            d_keys[victim_home][way][idx] = -1
-                            d_val[victim_home][way][idx] = None
-                            a_er[victim_home] += 1
-                            d_pool[victim_home].append(sharer_set)
-                tags[frame] = block
-                states[frame] = new_state
-                dirty[frame] = fill_dirty
-                stamps[frame] = stamp
-                location[block] = frame
-                continue
-
-            # Hit (dragged in by a conflict): stamp recency, correct the
-            # all-miss baselines, run any write-upgrade protocol.
-            hit_delta[cache_id] += 1
-            miss_delta[cache_id] -= 1
-            stamps_of[cache_id][frame] = stamp
-            if is_write:
-                dirty_of[cache_id][frame] = True
-                states = states_of[cache_id]
-                state = states[frame]
-                if state == state_m:
-                    cw += 1
-                    a_lk[home] -= 1
-                    hops_corr += hsum
-                elif state == state_e:
-                    # Silent E -> M upgrade; no directory traffic.
-                    cw += 1
-                    a_lk[home] -= 1
-                    hops_corr += hsum
-                    states[frame] = state_m
-                else:
-                    # S -> M: GET_M is sent (the baseline request hop
-                    # stands) but no DATA comes back.
-                    s_up += 1
-                    hops_corr += hop_table[home][core_of[cache_id]]
-                    acquire_excl(
-                        local_addr, home, block, cache_id, False, indices
-                    )
-                    states[frame] = state_m
-            else:
-                rh += 1
-                a_lk[home] -= 1
-                hops_corr += hsum
-        while pending:
-            process_one(pending.pop(0))
 
         # -- bank replay: the decoupled shared-L2 model, one independent
         # pass per bank with its arrays bound once -------------------------
@@ -1499,18 +1049,34 @@ class TiledCMP:
                 stats.dirty_evictions += b_dirty_evicts
 
         # -- flush: baselines minus corrections, plus the live counters ----
-        for cache_id in range(num_tracked):
-            if hit_delta[cache_id] or miss_delta[cache_id] or evict_delta[cache_id]:
-                stats = tracked[cache_id]._stats
-                stats.hits += hit_delta[cache_id]
-                stats.misses += miss_delta[cache_id]
+        hit_idx = np.array(hits, dtype=np.int64)
+        up_idx = np.array(upgrades, dtype=np.int64)
+        s_up = len(upgrades)
+        cw = int(np.count_nonzero(writes_a[hit_idx]))
+        rh = len(hits) - cw
+        hits_by_cache = (
+            np.bincount(caches_a[hit_idx], minlength=num_tracked)
+            + np.bincount(caches_a[up_idx], minlength=num_tracked)
+        ).tolist()
+        for cache_id, accesses in enumerate(cache_counts.tolist()):
+            if accesses:
+                cache = tracked[cache_id]
+                cache.advance_clock(accesses)
+                stats = cache._stats
+                stats.hits += hits_by_cache[cache_id]
+                stats.misses += accesses - hits_by_cache[cache_id]
                 stats.evictions += evict_delta[cache_id]
                 stats.dirty_evictions += dirty_evict_delta[cache_id]
+        # Every access but a hit that needs no directory looks up its home.
+        lookups_by_home = (
+            np.bincount(homes_a, minlength=num_homes)
+            - np.bincount(homes_a[hit_idx], minlength=num_homes)
+        ).tolist()
         for home in range(num_homes):
             table = d_table[home]
             if table._start_way != d_sw[home]:
                 table._start_way = d_sw[home]
-            lk = a_lk[home]
+            lk = lookups_by_home[home]
             sr = a_sr[home]
             if lk or sr:
                 lh = a_lh[home]
@@ -1536,15 +1102,21 @@ class TiledCMP:
                     stats.attempt_histogram[1] += i1
                 if i1 != er:
                     table._size += i1 - er
+        writes_total = int(np.count_nonzero(writes_a))
+        reads_total = count - writes_total
         if track:
-            n_getS += reads_total - rh
-            n_getM += writes_total - cw
-            n_data += count - rh - cw - s_up
-            hops_acc += hops_base - hops_corr
+            # A hit sends neither request nor response; an S -> M upgrade
+            # sends its GET_M but gets no DATA back.
+            n_getS = reads_total - rh
+            n_getM = writes_total - cw
+            n_data = count - rh - cw - s_up
+            hops_acc += (
+                int(h_sum_a.sum())
+                - int(h_sum_a[hit_idx].sum())
+                - int(h_rsp_a[up_idx].sum())
+            )
             bytes_acc += (
-                (reads_total - rh) * gets_bytes
-                + (writes_total - cw) * getm_bytes
-                + (count - rh - cw - s_up) * data_bytes
+                n_getS * gets_bytes + n_getM * getm_bytes + n_data * data_bytes
             )
             if n_getS:
                 messages[_GET_SHARED] += n_getS
@@ -1564,17 +1136,13 @@ class TiledCMP:
                 messages[_FWD_GET] += n_fwd
             traffic.hops += hops_acc
             traffic.bytes_transferred += bytes_acc
-        if rollback_total:
-            _BATCH_ROLLBACKS.add(rollback_total)
         _DRAIN_VECTOR.add(count)
-        _DRAIN_CLS_HITS.add(rh + cw + p1_hit)
-        _DRAIN_CLS_UPGRADES.add(s_up + p1_up)
+        _DRAIN_CLS_HITS.add(rh + cw)
+        _DRAIN_CLS_UPGRADES.add(s_up)
         _DRAIN_CLS_READ_DIRHIT.add(n_rdh)
-        _DRAIN_CLS_READ_INSERT.add(reads_total - rh + p1_rm - n_rdh)
-        _DRAIN_CLS_WRITE_MISS.add(writes_total - cw - s_up + p1_wm)
+        _DRAIN_CLS_READ_INSERT.add(reads_total - rh - n_rdh)
+        _DRAIN_CLS_WRITE_MISS.add(writes_total - cw - s_up)
         _DRAIN_CLS_WALKS.add(n_walk)
-        if n_reinj:
-            _DRAIN_REINJECTED.add(n_reinj)
 
     def _access_block(
         self, block: int, local: int, home: int, cache_id: int, is_write: bool
@@ -1778,6 +1346,10 @@ class TiledCMP:
         * **SWMR** — at most one cache holds it in M or E, and an M/E copy
           excludes every other copy.
 
+        A fourth runs over the directory side: an exact organization that
+        lists its entries (:meth:`Directory.tracked_addresses`) must hold
+        **no stale entry**, one for a block no tracked cache holds.
+
         The check is observation-only: its directory lookups count into
         scratch statistics that are discarded.
         """
@@ -1815,6 +1387,19 @@ class TiledCMP:
                         f"block {block:#x} violates SWMR: M/E copies in caches "
                         f"{owners}, copies in {sorted(resident)}"
                     )
+            for slice_id, directory in enumerate(self._directories):
+                tracked = (
+                    directory.tracked_addresses()
+                    if directory.reports_exact_sharers
+                    else None
+                )
+                for local in sorted(tracked or ()):
+                    block = self.global_address(local, slice_id)
+                    if block not in holders:
+                        violations.append(
+                            f"block {block:#x} tracked by its home directory "
+                            f"but resident in no cache"
+                        )
         finally:
             for directory, stats in zip(self._directories, saved_stats):
                 directory._stats = stats

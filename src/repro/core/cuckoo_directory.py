@@ -20,7 +20,7 @@ Statistics follow the paper's accounting rules (Section 5.2):
 
 from __future__ import annotations
 
-from typing import Optional, Type
+from typing import List, Optional, Type
 
 from repro.core.cuckoo_hash import CuckooHashTable, InsertOutcome
 from repro.directories.base import (
@@ -135,6 +135,9 @@ class CuckooDirectory(Directory):
 
     def entry_count(self) -> int:
         return len(self._table)
+
+    def tracked_addresses(self) -> List[int]:
+        return list(self._table.keys())
 
     # -- operations -------------------------------------------------------------
     def lookup(self, address: int) -> LookupResult:

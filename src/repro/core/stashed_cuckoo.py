@@ -25,7 +25,7 @@ and how little it matters at the paper's chosen 1x/1.5x design points.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Type
+from typing import List, Optional, Type
 
 from repro.core.cuckoo_directory import CuckooDirectory
 from repro.core.cuckoo_hash import InsertOutcome
@@ -101,6 +101,9 @@ class StashedCuckooDirectory(CuckooDirectory):
 
     def entry_count(self) -> int:
         return super().entry_count() + len(self._stash)
+
+    def tracked_addresses(self) -> List[int]:
+        return super().tracked_addresses() + list(self._stash)
 
     # -- operations -------------------------------------------------------------
     # The stash participates through the virtual lookup/add_sharer/

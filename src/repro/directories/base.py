@@ -317,6 +317,16 @@ class Directory(abc.ABC):
         """
         return False
 
+    def tracked_addresses(self) -> Optional[List[int]]:
+        """Every address holding a live entry, or ``None`` if not listable.
+
+        Exact organizations override this so the coherence layer's
+        consistency check can find stale entries: entries for blocks that
+        no tracked cache holds any more.  ``None`` (the default) means the
+        check is skipped for this organization.
+        """
+        return None
+
     @property
     def stats(self) -> DirectoryStats:
         return self._stats

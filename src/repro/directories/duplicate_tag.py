@@ -109,6 +109,15 @@ class DuplicateTagDirectory(Directory):
             len(entries) for mirror in self._mirrors for entries in mirror
         )
 
+    def tracked_addresses(self) -> List[int]:
+        # A block held by several caches has one mirror entry per cache.
+        return list(dict.fromkeys(
+            entry.address
+            for mirror in self._mirrors
+            for entries in mirror
+            for entry in entries
+        ))
+
     def set_index(self, address: int) -> int:
         return address % self._mirror_sets
 

@@ -100,6 +100,9 @@ class SkewedDirectory(Directory):
     def entry_count(self) -> int:
         return self._live_entries
 
+    def tracked_addresses(self) -> List[int]:
+        return [entry.address for way in self._ways for entry in way if entry]
+
     # -- operations ------------------------------------------------------------
     def lookup(self, address: int) -> LookupResult:
         self._stats.lookups += 1

@@ -108,6 +108,9 @@ class SparseDirectory(Directory):
     def entry_count(self) -> int:
         return sum(len(entries) for entries in self._sets)
 
+    def tracked_addresses(self) -> List[int]:
+        return [entry.address for entries in self._sets for entry in entries]
+
     # -- operations -------------------------------------------------------
     def lookup(self, address: int) -> LookupResult:
         self._stats.lookups += 1

@@ -7,8 +7,8 @@ and what EXPERIMENTS.md's dump-diffing workflow consumes::
       "schema": "repro-obs/1",
       "meta": {...},                # run id, argv, anything the caller adds
       "metrics": {"counters": {...}, "gauges": {...}, "histograms": {...}},
-      "phases": {"hit_kernel": {"count": ..., "total_seconds": ...,
-                                 "self_seconds": ...}, ...}
+      "phases": {"drain_vector": {"count": ..., "total_seconds": ...,
+                                   "self_seconds": ...}, ...}
     }
 
 The Prometheus rendering follows the text exposition format (``# HELP`` /

@@ -4,11 +4,11 @@ A *span* wraps one phase of work in a ``with`` block::
 
     from repro.obs import TRACER
 
-    with TRACER.span("hit_kernel"):
+    with TRACER.span("drain_vector"):
         ...
 
 Spans nest: a run's ``run_chunks`` span contains ``translate`` and
-``hit_kernel`` children, and the tracer keeps both the *total* time of
+``drain_vector`` children, and the tracer keeps both the *total* time of
 each phase and its *self* time (total minus time spent in child spans),
 so the breakdown columns add up instead of double-counting.
 

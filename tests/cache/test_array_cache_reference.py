@@ -11,12 +11,7 @@ contents must match the retained pre-rewrite reference implementation
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.cache import (
-    CODE_TO_STATE,
-    STATE_TO_CODE,
-    CoherenceState,
-    SetAssociativeCache,
-)
+from repro.cache.cache import CoherenceState, SetAssociativeCache
 from repro.config import CacheConfig
 
 from reference_model import ReferenceCache
@@ -101,54 +96,3 @@ def test_array_cache_matches_dict_reference(size_bytes, ways, operations):
     }
     assert observed == reference.resident()
 
-
-@given(operations=_operations)
-@settings(max_examples=40, deadline=None)
-def test_touch_batch_equals_repeated_touches(operations):
-    """Explicit-stamp hit retirement plus one clock advance equals N touches.
-
-    This is the cache half of the fast path's contract: a hit retired with
-    ``touch_batch`` at the stamp ``touch_code`` would have written, with the
-    clock settled afterwards by ``advance_clock``, must leave counters and
-    recency exactly as the plain touches do.
-    """
-    config = CacheConfig(size_bytes=1024, associativity=2)
-    batched = SetAssociativeCache(config)
-    plain = SetAssociativeCache(config)
-    for kind, address, payload in operations:
-        _apply_simple(batched, plain, kind, address, payload)
-
-
-def _apply_simple(batched, plain, kind, address, payload):
-    if kind == "fill":
-        state_code = STATE_TO_CODE[_VALID_STATES[payload % len(_VALID_STATES)]]
-        batched.fill_code(address, state_code, payload % 2 == 1)
-        plain.fill_code(address, state_code, payload % 2 == 1)
-        return
-    if kind == "invalidate":
-        batched.invalidate(address)
-        plain.invalidate(address)
-        return
-    # Any touch kind: run it as repeats on one model, as a batch on the other.
-    repeats = payload + 1
-    state = batched.state_code_of(address)
-    if state == 0:
-        return  # touch_batch retires hits only
-    writable = state == STATE_TO_CODE[CoherenceState.MODIFIED]
-    write = kind == "touch_w" and writable
-    if write or kind == "touch_r":
-        for _ in range(repeats):
-            assert plain.touch(address, write=write)
-        frame = batched._location[address]
-        clock = batched._clock
-        batched.touch_batch(
-            [frame] * repeats, [clock + rank + 1 for rank in range(repeats)]
-        )
-        batched.advance_clock(repeats)
-        assert batched.stats.hits == plain.stats.hits
-        assert batched.stats.accesses == plain.stats.accesses
-        # Recency parity: fill a conflicting block and compare victims.
-        conflict_a = address + 16 * batched.num_sets
-        assert (
-            batched.fill_code(conflict_a) == plain.fill_code(conflict_a)
-        )

@@ -3,9 +3,8 @@
 The handlers (``TiledCMP._access_block`` and the ``_handle_*`` methods) are
 the one definition of the MESI protocol.  ``access_batch`` either runs them
 per access (the handler loop) or, when every slice is a plain cuckoo
-directory and the chunk pays for the tag snapshot, takes the fast path: the
-whole-chunk hit kernel plus the vectorized drain.  This suite holds both to
-the handlers:
+directory, takes the fast path: every access of the chunk through the
+vectorized drain in trace order.  This suite holds both to the handlers:
 
 * **reference** — ``access()`` per access on a fresh system;
 * **candidate** — ``access_batch`` at chunk sizes 1, 3, 17 and 4096, plus a
@@ -18,9 +17,9 @@ the handlers:
   directory internals) and a clean ``check_inclusion`` after every chunk
   (except on the long-walk cases, where inclusion is known not to hold).
 
-The obs counters prove which path ran: cuckoo chunks reach the vector drain,
-every other organization runs the handler loop, and the tight cuckoo case
-rolls back kernel hits.  Nothing here selects a path by hand.
+The obs counters prove which path ran: cuckoo chunks of every size reach the
+vector drain and every other organization runs the handler loop.  Nothing
+here selects a path by hand.
 """
 
 import numpy as np
@@ -68,7 +67,7 @@ def _cuckoo_strong(config):
 
 
 # Tight cuckoo tables: walks cut off constantly, so forced invalidations
-# roll back kernel-retired hits.  The first two cap the walk at one attempt
+# land in the middle of a chunk.  The first two cap the walk at one attempt
 # per way.  The walk3/walk32 tables walk longer than their ways, as the
 # paper's tight points do (32 attempts): such a walk can come back round and
 # evict the key it is inserting, a protocol gap (see the xfail test below)
@@ -372,9 +371,7 @@ def counters():
             for name in (
                 "sim.drain.vector_resolved",
                 "sim.drain.scalar_fallback",
-                "sim.batch.kernel_hits",
-                "sim.batch.rollbacks",
-                "sim.drain.reinjected",
+                "sim.drain.class_hits",
             )
         }
 
@@ -402,14 +399,10 @@ def test_chunk_sizes_match_handlers(organization, level, counters):
         handled = (
             after["sim.drain.scalar_fallback"] - before["sim.drain.scalar_fallback"]
         )
-        if chunk_size == 1:
-            # A one-access chunk never pays for the tag snapshot.
+        if ORGANIZATIONS[organization][1]:
+            assert vector == len(stream) and handled == 0
+        else:
             assert handled == len(stream) and vector == 0
-        elif chunk_size == 4096:
-            if ORGANIZATIONS[organization][1]:
-                assert vector > 0 and handled == 0
-            else:
-                assert handled == len(stream) and vector == 0
 
 
 @pytest.mark.parametrize("level", LEVELS, ids=["L1", "L2"])
@@ -438,25 +431,21 @@ def test_long_walk_cases_reach_the_inclusion_gap(organization, level):
 
 
 @pytest.mark.parametrize("organization", ["cuckoo-tight", *INCLUSION_GAP])
-def test_tight_cuckoo_rolls_back_kernel_hits(organization, counters):
-    """Forced invalidations mid-chunk victimise already-retired kernel hits."""
+def test_tight_cuckoo_forced_invalidations_mid_chunk_match_handlers(organization):
+    """Long chunks full of forced invalidations still match the handlers."""
     stream = _random_stream(11, 3000, 400)
     reference = _make_system(organization, CacheLevel.L1)
     _run_reference(reference, stream)
     assert reference.directory_stats().forced_invalidations > 0
     check = organization not in INCLUSION_GAP
-    before = counters()
     for chunk_size in (64, 512):
         system = _make_system(organization, CacheLevel.L1)
         _run_chunked(system, stream, chunk_size, check)
-        assert _deep_state(system) == _deep_state(reference)
-    after = counters()
-    assert after["sim.batch.rollbacks"] > before["sim.batch.rollbacks"]
-    assert after["sim.drain.reinjected"] > before["sim.drain.reinjected"]
+        assert _deep_state(system) == _deep_state(reference), f"chunk size {chunk_size}"
 
 
-def test_hit_run_retires_in_the_kernel(counters):
-    """A pure-hit chunk is retired by the kernel without draining."""
+def test_hit_run_retires_in_the_drain(counters):
+    """A pure-hit chunk retires every access as a drain hit."""
     core, block = 1, 7 * 64
     warm = [(core, block, False, False), (core, block, True, False)]
     run = [(core, block, False, False)] * 500 + [(core, block, True, False)] * 300
@@ -466,7 +455,7 @@ def test_hit_run_retires_in_the_kernel(counters):
     _run_chunked(system, warm, 4096)
     before = counters()
     _run_chunked(system, run, 4096)
-    assert counters()["sim.batch.kernel_hits"] - before["sim.batch.kernel_hits"] == len(run)
+    assert counters()["sim.drain.class_hits"] - before["sim.drain.class_hits"] == len(run)
     assert _deep_state(system) == _deep_state(reference)
 
 
@@ -594,6 +583,43 @@ def test_check_inclusion_reports_stale_sharer_only_when_exact(organization, exac
         assert len(violations) == 1 and "reported in caches" in violations[0]
     else:
         assert violations == []
+
+
+@pytest.mark.parametrize(
+    "organization", ["cuckoo", "stashed", "sparse", "in-cache", "skewed", "duplicate-tag"]
+)
+def test_check_inclusion_reports_stale_entry(organization):
+    system, block, first, second = _shared_block_system(organization)
+    for cache_id in (first, second):
+        system.tracked_caches[cache_id].invalidate(block)  # the directory is not told
+    violations = system.check_inclusion()
+    assert len(violations) == 1
+    assert "resident in no cache" in violations[0] and f"{block:#x}" in violations[0]
+
+
+@pytest.mark.parametrize("organization", list(ORGANIZATIONS))
+def test_tracked_addresses_are_exactly_the_live_entries(organization):
+    """The stale-entry hook lists every live entry (stash included), once."""
+    system = _make_system(organization, CacheLevel.L1)
+    stream = _stream(organization)
+    _run_reference(system, stream)
+    blocks = {system.block_address(address) for _core, address, _w, _i in stream}
+    for slice_id, directory in enumerate(system.directories):
+        tracked = directory.tracked_addresses()
+        if tracked is None:
+            # Only an inexact organization may keep the check from its entries.
+            assert not directory.reports_exact_sharers
+            continue
+        live = {
+            system.slice_local_address(block)
+            for block in blocks
+            if system.home_slice(block) == slice_id
+            and directory.lookup(system.slice_local_address(block)).found
+        }
+        assert len(tracked) == len(set(tracked))
+        assert set(tracked) == live
+    if organization == "stashed-tight":
+        assert any(d.stash_occupancy for d in system.directories)
 
 
 @pytest.mark.xfail(

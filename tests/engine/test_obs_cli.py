@@ -53,11 +53,10 @@ class TestMetricsOut:
         assert counters["sim.run.measured_accesses"] == 1500
         assert counters["sim.batch.chunks"] >= 1
         assert counters["store.puts"] == 1
-        # A cuckoo point: its chunks take the fast path (hit kernel plus
-        # vectorized drain) once they pay for the tag snapshot; the short
-        # warm-up chunks run the handler loop ("drain_scalar").
+        # A cuckoo point: every chunk takes the fast path, the vectorized
+        # drain ("drain_vector").
         phases = document["phases"]
-        assert "hit_kernel" in phases or "drain_scalar" in phases
+        assert "drain_vector" in phases
         assert "translate" in phases
         assert "batch_kernel" not in phases
         sweep = document["meta"]["sweep"]
@@ -77,7 +76,7 @@ class TestProgressOutput:
         # capsys streams are not TTYs, so the renderer emits plain lines.
         assert "1/1" in err
         assert "Phase breakdown" in err
-        assert "hit_kernel" in err or "drain_scalar" in err
+        assert "drain_vector" in err
 
     def test_quiet_suppresses_progress(self, capsys, store_path):
         assert main(_sweep_argv(store_path, "--quiet")) == 0

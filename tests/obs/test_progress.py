@@ -193,12 +193,11 @@ class TestPooledHeartbeats:
         measured = obs.REGISTRY.counter("sim.run.measured_accesses").value
         assert measured == 4 * 1_000
         phases = obs.TRACER.totals()
-        # Each chunk traces its path under "hit_kernel" (the fast path)
-        # or "drain_scalar" (the handler loop), depending on whether it
-        # pays for the tag snapshot.
+        # Each chunk traces its path under "drain_vector" (the fast path)
+        # or "drain_scalar" (the handler loop).
         batch_spans = sum(
             phases[name]["count"]
-            for name in ("hit_kernel", "drain_scalar")
+            for name in ("drain_vector", "drain_scalar")
             if name in phases
         )
         assert batch_spans >= 4
