@@ -34,9 +34,13 @@ to one chunk-level validation.  It then takes one of two paths, chosen from
 what it can observe and bit-identical in every statistic:
 
 * the **fast path** — the vectorized drain, every access of the chunk in
-  trace order — when every directory slice is a plain Cuckoo directory
-  with a full bit vector (it exposes ``drain_handles()``);
-* the **handler loop** — each access through the handlers — otherwise.
+  trace order — when every directory slice is a plain table-backed
+  directory (Cuckoo, Sparse, Skewed or In-Cache, :class:`~repro.
+  directories.table.TableDirectory`) with a full bit vector (it exposes
+  ``drain_handles()``);
+* the **handler loop** — each access through the handlers — otherwise:
+  the stashed cuckoo, Duplicate-Tag and Tagless organizations and rich
+  sharer encodings.
 
 Internally the protocol operates on integer MESI codes
 (:data:`repro.cache.cache.STATE_TO_CODE`); the :class:`~repro.cache.cache.
@@ -95,7 +99,8 @@ _DRAIN_VECTOR = _obs_counter(
 )
 _DRAIN_SCALAR = _obs_counter(
     "sim.drain.scalar_fallback",
-    help="accesses executed by the handler loop instead of the fast path",
+    help="accesses executed by the handler loop instead of the fast path "
+    "(stash, duplicate-tag, tagless or rich sharer encodings)",
 )
 _DRAIN_CLS_HITS = _obs_counter(
     "sim.drain.class_hits",
@@ -119,7 +124,8 @@ _DRAIN_CLS_WRITE_MISS = _obs_counter(
 )
 _DRAIN_CLS_WALKS = _obs_counter(
     "sim.drain.class_walks",
-    help="insertions that needed a displacement walk (scalar by design)",
+    help="insertions that found every candidate full: a displacement walk "
+    "(cuckoo) or an LRU eviction (sparse, skewed), scalar by design",
 )
 
 # Hot-path message constants: hoisted enum members and their byte costs so
@@ -433,7 +439,9 @@ class TiledCMP:
 
         * **fast path** — every access of the slice through the vectorized
           drain in trace order (:meth:`_drain_batch_vector`).  Taken
-          whenever every slice exposes ``drain_handles()``.
+          whenever every slice exposes ``drain_handles()``: the Cuckoo,
+          Sparse, Skewed and In-Cache organizations with a full bit
+          vector.
         * **handler loop** — every access through :meth:`_access_block`.
         """
         cores = np.asarray(cores)
@@ -490,10 +498,11 @@ class TiledCMP:
         """Support decision for the fast path, resolved once.
 
         Returns ``None`` when any slice lacks the inlined-directory drain
-        handles (non-cuckoo organizations, stash variants, rich sharer
-        encodings), else a one-element tuple holding the hash family
-        shared by every slice — or ``None`` inside the tuple when the
-        slices hash differently and the pre-pass must group by home.
+        handles (organizations not backed by the one directory table, stash
+        variants, rich sharer encodings), else a one-element tuple holding
+        the hash family shared by every slice — or ``None`` inside the
+        tuple when the slices hash differently and the pre-pass must group
+        by home.
         The directories never change after construction, so the decision
         is cached; the per-chunk state (stats objects, table arrays) is
         re-fetched from ``drain_handles`` on every drained chunk.
@@ -563,13 +572,20 @@ class TiledCMP:
           updates are recorded as ``(block, home, write)`` events in trace
           order and replayed in a dedicated pass after the protocol loop.
 
+        * **One LRU branch.**  Sparse and Skewed tables (the LRU insert
+          policy) stamp their slot at every directory hit and vacant
+          insert; a cuckoo table skips the stamp and advances its
+          round-robin start way instead.  An insert that finds every
+          candidate full goes to one scalar helper either way: the walk,
+          or the LRU eviction, both through ``insert_absent``.
+
         Trace order is preserved throughout — conflicting accesses
         (same block, same (cache, set), same directory slot) simply
         execute in their original relative order, which makes the
-        reordering-safety argument trivial.  Displacement walks, forced
-        invalidations and write upgrades with remote sharers stay on the
-        scalar helper paths by construction; stash variants and rich
-        sharer encodings never reach this method
+        reordering-safety argument trivial.  Displacement walks, LRU
+        evictions, forced invalidations and write upgrades with remote
+        sharers stay on the scalar helper paths by construction; stash
+        variants and rich sharer encodings never reach this method
         (:meth:`_drain_vector_config`).
         """
         (shared_family,) = vector_config
@@ -632,18 +648,22 @@ class TiledCMP:
         d_wo = [b[4] for b in bundles]
         d_pool = [b[5] for b in bundles]
         d_stats = [b[6] for b in bundles]
+        # Cuckoo tables: the indices cache walks read.  LRU tables (sparse,
+        # skewed): per-way stamp arrays, stamped from the table's own clock.
+        # Each list holds None for the other policy.
         d_ic = [table._indices_cache for table in d_table]
+        d_st = [table._stamps for table in d_table]
         ic_limit = _INDICES_CACHE_LIMIT
         d_loc_get = [locator.get for locator in d_loc]
         # Shadowed round-robin insertion cursor, written back at flush
         # (resynced after a displacement walk, which rotates it inside
-        # the table).
+        # the table).  LRU tables keep it at way 0: fixed way order.
         d_sw = [table._start_way for table in d_table]
         # Two counters are derived at flush instead of tracked in-loop:
         # sharer additions equal lookup hits (every drain path that finds
         # an entry adds a sharer bit), and the table-size delta equals
-        # vacant-slot inserts minus entry removals (walks maintain
-        # ``table._size`` themselves via ``insert_absent``).
+        # vacant-slot inserts minus entry removals (all-full inserts
+        # maintain ``table._size`` themselves via ``insert_absent``).
         a_lh = [0] * num_homes
         a_i1 = [0] * num_homes
         a_sr = [0] * num_homes
@@ -716,12 +736,16 @@ class TiledCMP:
 
         record = self._record
 
-        def insert_walk(home: int, local_addr: int, sharer_set, indices) -> None:
-            # Displacement walk: insert_absent plus direct stats; resync
-            # the start-way shadow the walk rotated inside the table.
+        def insert_full(home: int, local_addr: int, sharer_set, indices) -> None:
+            # Every candidate full: insert_absent (a displacement walk, or
+            # an LRU eviction) plus direct stats; resync the start-way
+            # shadow a walk rotates inside the table.
             nonlocal n_walk
             n_walk += 1
             table = d_table[home]
+            ic = d_ic[home]
+            if ic is not None and len(ic) < ic_limit:
+                ic[local_addr] = indices
             table._start_way = d_sw[home]
             result = table.insert_absent(local_addr, sharer_set, indices)
             d_sw[home] = table._start_way
@@ -732,7 +756,8 @@ class TiledCMP:
             stats.attempt_histogram[attempts] += 1
             stats.bits_written += attempts * dir_entry_bits
             if result.evicted:
-                # Forced invalidation of the victim entry's sharers.
+                # Forced invalidation of the victim entry's sharers (the
+                # walk's last displaced entry, or the LRU candidate).
                 victim_block = result.evicted_key * num_slices + home
                 victims = result.evicted_value.sharers()
                 stats.forced_invalidations += 1
@@ -742,10 +767,39 @@ class TiledCMP:
                     tracked[sharer].invalidate(victim_block)
                     record(_INV_ACK, core_of[sharer], home)
 
+        def insert_new(home: int, local_addr: int, mask: int, indices) -> None:
+            # TableDirectory._insert_new_entry over the drain's handles: a
+            # pooled sharer set takes the first vacant candidate of the
+            # pre-hashed row, then the one LRU branch (stamp the slot, or
+            # move the round-robin cursor and seed the indices cache); a
+            # full row goes to insert_full.
+            pool = d_pool[home]
+            sharer_set = pool.pop() if pool else bitvec_cls(dir_caches)
+            sharer_set._mask = mask
+            keys_h = d_keys[home]
+            for way in d_wo[home][d_sw[home]]:
+                idx = indices[way]
+                if keys_h[way][idx] == -1:
+                    keys_h[way][idx] = local_addr
+                    d_val[home][way][idx] = sharer_set
+                    d_loc[home][local_addr] = (way, idx)
+                    lru = d_st[home]
+                    if lru is None:
+                        d_sw[home] = way
+                        ic = d_ic[home]
+                        if len(ic) < ic_limit:
+                            ic[local_addr] = indices
+                    else:
+                        d_table[home]._clock += 1
+                        lru[way][idx] = d_table[home]._clock
+                    a_i1[home] += 1
+                    return
+            insert_full(home, local_addr, sharer_set, indices)
+
         def acquire_excl(
             local_addr: int, home: int, block: int, cache_id: int, indices
         ) -> None:
-            # Inlined CuckooDirectory.acquire_exclusive for an S -> M
+            # Inlined TableDirectory.acquire_exclusive for an S -> M
             # upgrade, *without* the lookup count (the all-miss baseline
             # already accounts it).  The entry is normally present; a walk
             # that evicted its own key leaves it absent, and then it is
@@ -754,26 +808,14 @@ class TiledCMP:
             wbit = 1 << cache_id
             loc = d_loc[home].get(local_addr)
             if loc is None:
-                pool = d_pool[home]
-                sharer_set = pool.pop() if pool else bitvec_cls(dir_caches)
-                sharer_set._mask = wbit
-                ic = d_ic[home]
-                if len(ic) < ic_limit:
-                    ic[local_addr] = indices
-                keys_h = d_keys[home]
-                for way in d_wo[home][d_sw[home]]:
-                    idx = indices[way]
-                    if keys_h[way][idx] == -1:
-                        keys_h[way][idx] = local_addr
-                        d_val[home][way][idx] = sharer_set
-                        d_loc[home][local_addr] = (way, idx)
-                        d_sw[home] = way
-                        a_i1[home] += 1
-                        return
-                insert_walk(home, local_addr, sharer_set, indices)
+                insert_new(home, local_addr, wbit, indices)
                 return
             a_lh[home] += 1
             way, idx = loc
+            lru = d_st[home]
+            if lru is not None:
+                d_table[home]._clock += 1
+                lru[way][idx] = d_table[home]._clock
             sharer_set = d_val[home][way][idx]
             prior = sharer_set._mask
             others = prior & ~wbit
@@ -831,36 +873,19 @@ class TiledCMP:
             if use_banks:
                 ev_app[home](block << 1 | is_write)
             if is_write:
-                # Inlined acquire_exclusive (the two common cases: absent
-                # entry with a vacant candidate, or already-present
-                # sharer sets); conflicts fall back to the walk.
+                # Inlined acquire_exclusive: insert an absent entry, or
+                # invalidate the other sharers of a present one.
                 wbit = 1 << cache_id
                 loc = d_loc_get[home](local_addr)
                 if loc is None:
-                    pool = d_pool[home]
-                    if pool:
-                        sharer_set = pool.pop()
-                    else:
-                        sharer_set = bitvec_cls(dir_caches)
-                    sharer_set._mask = wbit
-                    ic = d_ic[home]
-                    if len(ic) < ic_limit:
-                        ic[local_addr] = indices
-                    keys_h = d_keys[home]
-                    for way in d_wo[home][d_sw[home]]:
-                        idx = indices[way]
-                        if keys_h[way][idx] == -1:
-                            keys_h[way][idx] = local_addr
-                            d_val[home][way][idx] = sharer_set
-                            d_loc[home][local_addr] = (way, idx)
-                            d_sw[home] = way
-                            a_i1[home] += 1
-                            break
-                    else:
-                        insert_walk(home, local_addr, sharer_set, indices)
+                    insert_new(home, local_addr, wbit, indices)
                 else:
                     a_lh[home] += 1
                     way, idx = loc
+                    lru = d_st[home]
+                    if lru is not None:
+                        d_table[home]._clock += 1
+                        lru[way][idx] = d_table[home]._clock
                     sharer_set = d_val[home][way][idx]
                     prior = sharer_set._mask
                     others = prior & ~wbit
@@ -893,6 +918,10 @@ class TiledCMP:
                     n_rdh += 1
                     a_lh[home] += 1
                     way, idx = loc
+                    lru = d_st[home]
+                    if lru is not None:
+                        d_table[home]._clock += 1
+                        lru[way][idx] = d_table[home]._clock
                     sharer_set = d_val[home][way][idx]
                     prior = sharer_set._mask
                     wbit = 1 << cache_id
@@ -924,27 +953,7 @@ class TiledCMP:
                     # Directory miss on a read: allocate the entry with
                     # this cache as the sole (Exclusive) sharer, using
                     # the pre-pass candidate row.
-                    pool = d_pool[home]
-                    if pool:
-                        sharer_set = pool.pop()
-                    else:
-                        sharer_set = bitvec_cls(dir_caches)
-                    sharer_set._mask = 1 << cache_id
-                    ic = d_ic[home]
-                    if len(ic) < ic_limit:
-                        ic[local_addr] = indices
-                    keys_h = d_keys[home]
-                    for way in d_wo[home][d_sw[home]]:
-                        idx = indices[way]
-                        if keys_h[way][idx] == -1:
-                            keys_h[way][idx] = local_addr
-                            d_val[home][way][idx] = sharer_set
-                            d_loc[home][local_addr] = (way, idx)
-                            d_sw[home] = way
-                            a_i1[home] += 1
-                            break
-                    else:
-                        insert_walk(home, local_addr, sharer_set, indices)
+                    insert_new(home, local_addr, 1 << cache_id, indices)
                     new_state = state_e
                 fill_dirty = False
 

@@ -4,7 +4,9 @@
   cuckoo hash table with the displacement-based insertion procedure the
   hardware implements (Section 4.2): parallel candidate lookup, bounded
   insertion walk, round-robin start way, and eviction of the most recently
-  displaced entry when the walk is cut off.
+  displaced entry when the walk is cut off.  Its second insert policy,
+  LRU, evicts the least recently used candidate at once: the Sparse and
+  Skewed baselines are that table.
 * :class:`~repro.core.cuckoo_directory.CuckooDirectory` — the coherence
   directory built on that table, implementing the same
   :class:`~repro.directories.base.Directory` interface as every baseline

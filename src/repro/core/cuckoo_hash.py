@@ -46,6 +46,22 @@ check — into a single dict probe instead of a d-way candidate scan.  This
 mirrors what the hardware gets for free: the d probes happen in parallel
 in silicon, while a software model pays them serially unless it shortcuts
 the search.
+
+LRU insert policy
+-----------------
+With ``lru=True`` the same table implements the paper's baselines, which
+differ from the Cuckoo directory only in what an insertion does when every
+candidate is full (Section 4.1): it evicts the least recently used
+candidate at once instead of walking.  A per-slot stamp array and a
+per-table clock record recency: :meth:`CuckooHashTable.touch` and every
+insertion stamp, :meth:`~CuckooHashTable.get` and removals do not.  A
+vacant candidate is taken in fixed way order (no round-robin start way),
+and both outcomes count one attempt; the eviction returns the same
+``EVICTED_VICTIM`` result as a cut-off walk.  A Skewed directory is such a
+table over a skewing hash family; a Sparse directory is one whose ways all
+index ``address % num_sets`` (:class:`~repro.hashing.modulo.
+ModuloHashFamily`).  No walk ever re-reads a key's candidate row, so LRU
+tables keep no indices cache.
 """
 
 from __future__ import annotations
@@ -115,6 +131,11 @@ class CuckooHashTable:
         "cryptographic hash" experiments.
     max_attempts:
         Insertion-walk bound (32 in the paper's evaluation).
+    lru:
+        Use the LRU insert policy of the Sparse and Skewed baselines
+        instead of the displacement walk (module docstring); the
+        organization fixes it, one way is then allowed and
+        ``max_attempts`` is unused.
     """
 
     def __init__(
@@ -123,9 +144,10 @@ class CuckooHashTable:
         num_sets: int,
         hash_family: Optional[HashFamily] = None,
         max_attempts: int = 32,
+        lru: bool = False,
     ) -> None:
-        if num_ways < 2:
-            raise ValueError("a cuckoo hash needs at least 2 ways")
+        if num_ways < (1 if lru else 2):
+            raise ValueError("a cuckoo hash needs at least 2 ways, an LRU table 1")
         if num_sets <= 0:
             raise ValueError("num_sets must be positive")
         if max_attempts <= 0:
@@ -158,8 +180,15 @@ class CuckooHashTable:
         # eviction notification and displacement re-probes a key seen
         # before), and the hash functions are pure, so each distinct key is
         # hashed once and then served by a dict probe.  Bounded by
-        # _INDICES_CACHE_LIMIT (see above).
-        self._indices_cache: Dict[int, List[int]] = {}
+        # _INDICES_CACHE_LIMIT (see above).  LRU tables never walk, so they
+        # have none.
+        self._indices_cache: Optional[Dict[int, List[int]]] = None if lru else {}
+        # LRU recency: per-slot stamps (None under the cuckoo policy) and
+        # the clock the last stamp was taken from.
+        self._stamps: Optional[List[List[int]]] = (
+            [[0] * num_sets for _ in range(num_ways)] if lru else None
+        )
+        self._clock = 0
         # InsertResult is frozen, so the non-evicting outcomes (UPDATED and
         # INSERTED-with-N-attempts, N <= max_attempts) are preallocated and
         # shared; only the rare cut-off walk builds a result object.
@@ -204,6 +233,8 @@ class CuckooHashTable:
     def _indices_of(self, key: int) -> List[int]:
         """The key's per-way set indices, cached per distinct key."""
         cache = self._indices_cache
+        if cache is None:
+            return self._indices_fn(key)
         indices = cache.get(key)
         if indices is None:
             if len(cache) >= _INDICES_CACHE_LIMIT:
@@ -231,6 +262,22 @@ class CuckooHashTable:
         if location is None:
             return default
         way, index = location
+        return self._values[way][index]
+
+    def touch(self, key: int) -> Any:
+        """:meth:`get` for an update of the stored value.
+
+        Under the LRU policy this also stamps the key's slot as the most
+        recently used; under the cuckoo policy it is :meth:`get`.
+        """
+        location = self._locator.get(key)
+        if location is None:
+            return None
+        way, index = location
+        stamps = self._stamps
+        if stamps is not None:
+            self._clock += 1
+            stamps[way][index] = self._clock
         return self._values[way][index]
 
     def __contains__(self, key: int) -> bool:
@@ -295,8 +342,10 @@ class CuckooHashTable:
 
         # The lookup that preceded the insertion has already revealed whether a
         # vacant candidate slot exists; writing into it is the single attempt.
+        # LRU tables never move their start way, so they scan in way order.
         num_ways = self._num_ways
         start_way = self._start_way
+        stamps = self._stamps
         for way in self._way_orders[start_way]:
             index = candidate_indices[way]
             if keys[way][index] == _EMPTY:
@@ -304,8 +353,35 @@ class CuckooHashTable:
                 values[way][index] = value
                 locator[key] = (way, index)
                 self._size += 1
-                self._start_way = way
+                if stamps is None:
+                    self._start_way = way
+                else:
+                    self._clock += 1
+                    stamps[way][index] = self._clock
                 return self._inserted_results[1]
+
+        if stamps is not None:
+            # LRU: evict the least recently stamped candidate at once, in
+            # one attempt.  Every stamp is a fresh clock value, so the
+            # minimum is unique.
+            way = min(
+                range(num_ways), key=lambda w: stamps[w][candidate_indices[w]]
+            )
+            index = candidate_indices[way]
+            victim_key = keys[way][index]
+            victim_value = values[way][index]
+            keys[way][index] = key
+            values[way][index] = value
+            del locator[victim_key]
+            locator[key] = (way, index)
+            self._clock += 1
+            stamps[way][index] = self._clock
+            return InsertResult(
+                outcome=InsertOutcome.EVICTED_VICTIM,
+                attempts=1,
+                evicted_key=victim_key,
+                evicted_value=victim_value,
+            )
 
         # All candidates are occupied: displacement walk.  Each placement
         # updates the displaced entry's locator slot; the victim's stale
@@ -386,9 +462,12 @@ class CuckooHashTable:
         for way in range(self._num_ways):
             self._keys[way] = [_EMPTY] * self._num_sets
             self._values[way] = [None] * self._num_sets
+            if self._stamps is not None:
+                self._stamps[way] = [0] * self._num_sets
         self._locator.clear()
         self._size = 0
         self._start_way = 0
+        self._clock = 0
 
     # -- diagnostics ---------------------------------------------------------
     def way_occupancies(self) -> List[float]:

@@ -11,12 +11,18 @@ interface:
 * :class:`~repro.directories.skewed.SkewedDirectory` — skewed-associative
   indexing with conventional single-step victimisation.
 * :class:`~repro.directories.in_cache.InCacheDirectory` — sharer vectors
-  embedded in the inclusive shared-L2 tags.
+  embedded in the inclusive shared-L2 tags (a Sparse directory with the
+  shared cache's geometry).
 * :class:`~repro.directories.tagless.TaglessDirectory` — the Bloom-filter
   grid of Zebchuk et al. (super-set sharer tracking).
 
 The Cuckoo directory itself (the paper's contribution) lives in
-:mod:`repro.core`, and also implements the same interface.
+:mod:`repro.core`, and also implements the same interface.  Sparse,
+Skewed and Cuckoo share one implementation,
+:class:`~repro.directories.table.TableDirectory` over the cuckoo hash
+table: their constructors choose only the table's index functions and its
+insert policy (LRU eviction for the baselines, the displacement walk for
+Cuckoo), and all three run on the simulator's vectorized drain.
 
 Sharer-set representations (full bit vector, coarse vector, limited
 pointers, hierarchical) live in :mod:`repro.directories.sharers` and are

@@ -1,0 +1,295 @@
+"""One table-backed directory for the Cuckoo, Sparse and Skewed organizations.
+
+The three organizations store their entries the same way — one hashed
+slot per way in a :class:`~repro.core.cuckoo_hash.CuckooHashTable` — and
+differ only in the table's index functions and insert policy, which their
+constructors choose:
+
+* **Cuckoo** (:mod:`repro.core.cuckoo_directory`): skewing (or strong)
+  hashes, displacement walk when every candidate is full;
+* **Skewed** (:mod:`repro.directories.skewed`): skewing hashes, LRU
+  candidate evicted at once;
+* **Sparse** (:mod:`repro.directories.sparse`, and In-Cache with it): every
+  way indexed by ``address % num_sets``, LRU way evicted at once.
+
+:class:`TableDirectory` is the one implementation of the directory
+operations over that table, and the one source of the vectorized drain's
+handles (:meth:`TableDirectory.drain_handles`).
+
+Statistics follow the paper's accounting rules (Section 5.2):
+
+* a lookup always precedes an insertion; if it reveals a vacant candidate
+  slot the insertion counts one attempt;
+* adding a sharer to an existing entry does not count as an insertion;
+* entries become free (and reusable) when the last sharer evicts the
+  block;
+* when an insertion cannot place its entry without losing one (a cut-off
+  walk, or an LRU eviction), the lost entry is reported as a forced
+  invalidation so the private caches can be kept consistent.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, List, Optional, Type
+
+from repro.directories.base import (
+    LOOKUP_MISS,
+    SHARERS_UPDATED,
+    Directory,
+    Invalidation,
+    LookupResult,
+    UpdateResult,
+)
+from repro.directories.sharers import FullBitVector, SharerSet
+
+if TYPE_CHECKING:  # repro.core imports this module
+    from repro.core.cuckoo_hash import CuckooHashTable
+
+__all__ = ["TableDirectory"]
+
+
+class TableDirectory(Directory):
+    """Coherence directory over a cuckoo hash table of sharer sets.
+
+    Parameters
+    ----------
+    num_caches:
+        Number of tracked private caches (sharer-set width).
+    table:
+        The tag store, built by the organization's constructor with its
+        hash family and insert policy.
+    sharer_cls:
+        Sharer-set representation stored in each entry; any of the classes
+        in :mod:`repro.directories.sharers`.
+    tag_bits:
+        Stored tag width, used for the bits-read/written accounting.
+    """
+
+    def __init__(
+        self,
+        num_caches: int,
+        table: "CuckooHashTable",
+        sharer_cls: Type[SharerSet] = FullBitVector,
+        tag_bits: int = 36,
+        **sharer_kwargs,
+    ) -> None:
+        super().__init__(num_caches)
+        self._table = table
+        self._sharer_cls = sharer_cls
+        self._sharer_kwargs = sharer_kwargs
+        self._tag_bits = tag_bits
+        # Entry width is fixed by the constructor arguments; computed once
+        # so the per-operation bit accounting does not re-derive it.
+        self._entry_bits = 1 + tag_bits + sharer_cls.storage_bits(
+            num_caches, **sharer_kwargs
+        )
+        # Per-operation bit costs, precomputed for the hot paths, and
+        # prebound table accessors (the table object is never replaced).
+        self._lookup_tag_bits = table.num_ways * tag_bits
+        self._payload_bits = self._entry_bits - tag_bits
+        self._table_get = table.get
+        self._table_touch = table.touch
+        self._table_get_slot = table.get_slot
+        # UpdateResult is frozen, so the common insertion outcomes (a new
+        # entry placed in N attempts with no forced invalidation) are
+        # preallocated and shared; only evicting inserts build a result.
+        self._insert_results: list = [None] + [
+            UpdateResult(inserted_new_entry=True, attempts=attempts)
+            for attempts in range(1, table.max_attempts + 1)
+        ]
+        # Sharer sets freed when an entry's last sharer leaves are recycled
+        # for the next insertion: entry turnover is the dominant allocation
+        # of a warmed simulation, and a set is only pooled once it is empty,
+        # so a recycled object is indistinguishable from a fresh one.
+        self._sharer_pool: list = []
+
+    # -- geometry -----------------------------------------------------------
+    @property
+    def num_ways(self) -> int:
+        return self._table.num_ways
+
+    @property
+    def num_sets(self) -> int:
+        return self._table.num_sets
+
+    @property
+    def reports_exact_sharers(self) -> bool:
+        return self._sharer_cls is FullBitVector
+
+    @property
+    def capacity(self) -> int:
+        return self._table.capacity
+
+    @property
+    def table(self) -> "CuckooHashTable":
+        """The underlying hash table (exposed for analysis)."""
+        return self._table
+
+    @property
+    def entry_bits(self) -> int:
+        """Width of one directory entry (valid bit + tag + sharer encoding)."""
+        return self._entry_bits
+
+    def entry_count(self) -> int:
+        return len(self._table)
+
+    def tracked_addresses(self) -> List[int]:
+        return list(self._table.keys())
+
+    # -- operations -------------------------------------------------------------
+    def lookup(self, address: int) -> LookupResult:
+        stats = self._stats
+        stats.lookups += 1
+        # A lookup reads the tags of all ways in parallel plus the matching
+        # entry's sharer bits — the same cost as a set-associative lookup.
+        stats.bits_read += self._lookup_tag_bits
+        sharers = self._table_get(address)
+        if sharers is None:
+            stats.lookup_misses += 1
+            return LOOKUP_MISS
+        stats.lookup_hits += 1
+        stats.bits_read += self._payload_bits
+        return LookupResult(found=True, sharers=sharers.sharers())
+
+    def add_sharer(self, address: int, cache_id: int) -> UpdateResult:
+        self._check_cache(cache_id)
+        existing = self._table_touch(address)
+        if existing is not None:
+            existing.add(cache_id)
+            stats = self._stats
+            stats.sharer_additions += 1
+            stats.bits_written += self._payload_bits
+            return SHARERS_UPDATED
+        return self._insert_new_entry(address, cache_id)
+
+    def lookup_add(self, address: int, cache_id: int):
+        """Fused lookup + add_sharer: one table probe for the read-miss path.
+
+        Counters are bit-identical to ``lookup()`` followed by
+        ``add_sharer()``; only the second candidate scan disappears.
+        """
+        if not 0 <= cache_id < self._num_caches:
+            self._check_cache(cache_id)
+        stats = self._stats
+        stats.lookups += 1
+        stats.bits_read += self._lookup_tag_bits
+        existing = self._table_touch(address)
+        if existing is not None:
+            payload_bits = self._payload_bits
+            stats.lookup_hits += 1
+            stats.bits_read += payload_bits
+            prior = existing.sharers()
+            existing.add(cache_id)
+            stats.sharer_additions += 1
+            stats.bits_written += payload_bits
+            return True, prior, SHARERS_UPDATED
+        stats.lookup_misses += 1
+        return False, frozenset(), self._insert_new_entry(address, cache_id)
+
+    def acquire_exclusive(self, address: int, cache_id: int) -> UpdateResult:
+        """Fused write path: one table probe instead of one per sharer.
+
+        Statistics and directory state are bit-identical to the base
+        implementation (lookup, add the writer, then remove every other
+        sharer), which probes the table once per removed sharer.
+        """
+        if not 0 <= cache_id < self._num_caches:
+            self._check_cache(cache_id)
+        stats = self._stats
+        stats.lookups += 1
+        stats.bits_read += self._lookup_tag_bits
+        existing = self._table_touch(address)
+        if existing is None:
+            stats.lookup_misses += 1
+            return self._insert_new_entry(address, cache_id)
+        stats.lookup_hits += 1
+        entry_payload_bits = self._payload_bits
+        stats.bits_read += entry_payload_bits
+        prior = existing.sharers()
+        existing.add(cache_id)
+        stats.sharer_additions += 1
+        stats.bits_written += entry_payload_bits
+        to_invalidate = frozenset(c for c in prior if c != cache_id)
+        if to_invalidate:
+            stats.invalidate_all_operations += 1
+            # The writer stays a member throughout, so the entry never
+            # transiently empties and is never deallocated here.
+            for other in to_invalidate:
+                existing.remove(other)
+                stats.sharer_removals += 1
+                stats.bits_written += entry_payload_bits
+            return UpdateResult(coherence_invalidations=to_invalidate)
+        return SHARERS_UPDATED
+
+    def _insert_new_entry(self, address: int, cache_id: int) -> UpdateResult:
+        """Allocate a fresh entry for ``address`` with ``cache_id`` as sharer."""
+        if self._sharer_pool:
+            sharers = self._sharer_pool.pop()
+        else:
+            sharers = self._sharer_cls(self._num_caches, **self._sharer_kwargs)
+        sharers.add(cache_id)
+        result = self._table.insert_absent(address, sharers)
+        stats = self._stats
+        attempts = result.attempts
+        stats.insertions += 1
+        stats.insertion_attempts += attempts
+        stats.attempt_histogram[attempts] += 1
+        # Every placement rewrites one entry (attempts >= 1 for every
+        # insert_absent outcome).
+        stats.bits_written += attempts * self._entry_bits
+
+        if result.evicted:
+            evicted_sharers: SharerSet = result.evicted_value
+            invalidation = Invalidation(
+                address=result.evicted_key, caches=evicted_sharers.sharers()
+            )
+            self._record_forced_invalidation(invalidation)
+            return UpdateResult(
+                inserted_new_entry=True,
+                attempts=attempts,
+                invalidations=(invalidation,),
+            )
+        return self._insert_results[attempts]
+
+    def drain_handles(self) -> Optional[tuple]:
+        """Internal-state bundle for the vectorized drain's inlined directory ops.
+
+        The fast path's miss drain (``TiledCMP._drain_batch_vector``)
+        inlines ``lookup_add``/``acquire_exclusive``/``remove_sharer`` over
+        these structures, manipulating the table's locator, way arrays and
+        LRU stamps and the sharer bit masks directly and flushing the
+        statistics once per chunk — bit-identical to the method calls,
+        minus the per-access call overhead.  Only the plain full-bit-vector
+        encoding qualifies: richer sharer encodings, and subclasses that
+        change an inlined operation (the stashed variant overrides this),
+        return ``None``, and their systems run the handler loop
+        (``TiledCMP.access_batch``).
+        """
+        if self._sharer_cls is not FullBitVector:
+            return None
+        table = self._table
+        return (
+            table,
+            table._locator,
+            table._keys,
+            table._values,
+            table._way_orders,
+            self._sharer_pool,
+            self._stats,
+        )
+
+    def remove_sharer(self, address: int, cache_id: int) -> None:
+        if not 0 <= cache_id < self._num_caches:
+            self._check_cache(cache_id)
+        slot = self._table_get_slot(address)
+        if slot is None:
+            return
+        way, index, sharers = slot
+        sharers.remove(cache_id)
+        stats = self._stats
+        stats.sharer_removals += 1
+        stats.bits_written += self._payload_bits
+        if sharers.is_empty():
+            self._table.clear_slot(way, index)
+            stats.entry_removals += 1
+            self._sharer_pool.append(sharers)

@@ -47,7 +47,8 @@ def directory_factory_for_spec(spec: RunSpec, system: "object") -> Callable:
         return common.cuckoo_factory(system, ways=spec.ways, provisioning=spec.provisioning)
 
     # Hash-family override (Section 5.5 ablation): same geometry resolution
-    # as cuckoo_factory, explicit hash family per slice.
+    # as cuckoo_factory.  The skewing family is shared by every slice; the
+    # strong family is seeded per slice.
     from repro.config import DirectoryConfig
     from repro.core.cuckoo_directory import CuckooDirectory
     from repro.hashing.skewing import SkewingHashFamily
@@ -57,11 +58,10 @@ def directory_factory_for_spec(spec: RunSpec, system: "object") -> Callable:
         system, ways=spec.ways, provisioning=spec.provisioning
     ).sets
 
+    shared = SkewingHashFamily(spec.ways, sets) if spec.hash_family == "skewing" else None
+
     def factory(num_caches: int, slice_id: int):
-        if spec.hash_family == "skewing":
-            hashes = SkewingHashFamily(spec.ways, sets)
-        else:
-            hashes = StrongHashFamily(spec.ways, sets, seed=slice_id + 1)
+        hashes = shared or StrongHashFamily(spec.ways, sets, seed=slice_id + 1)
         return CuckooDirectory(
             num_caches=num_caches, num_sets=sets, num_ways=spec.ways, hash_family=hashes
         )

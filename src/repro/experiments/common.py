@@ -41,6 +41,7 @@ from repro.directories.base import Directory
 from repro.directories.skewed import SkewedDirectory
 from repro.directories.sparse import SparseDirectory
 from repro.engine.spec import DEFAULT_MEASURE_ACCESSES, DEFAULT_SCALE
+from repro.hashing.skewing import SkewingHashFamily
 from repro.workloads.base import Workload
 
 __all__ = [
@@ -96,14 +97,20 @@ def cuckoo_factory(
     sets: Optional[int] = None,
     **kwargs,
 ) -> Callable[[int, int], Directory]:
-    """Directory factory building Cuckoo slices sized by provisioning factor."""
+    """Directory factory building Cuckoo slices sized by provisioning factor.
+
+    Every slice of a system shares one hash family (by default one skewing
+    family), so its index tables and fused indexer are built once.
+    """
     resolved_sets = sets if sets is not None else _sets_for_provisioning(
         system, ways, provisioning
     )
+    hashes = kwargs.pop("hash_family", None) or SkewingHashFamily(ways, resolved_sets)
 
     def factory(num_caches: int, slice_id: int) -> Directory:
         return CuckooDirectory(
-            num_caches=num_caches, num_sets=resolved_sets, num_ways=ways, **kwargs
+            num_caches=num_caches, num_sets=resolved_sets, num_ways=ways,
+            hash_family=hashes, **kwargs
         )
 
     return factory
@@ -136,14 +143,17 @@ def skewed_factory(
     sets: Optional[int] = None,
     **kwargs,
 ) -> Callable[[int, int], Directory]:
-    """Directory factory building skewed-associative slices."""
+    """Directory factory building skewed-associative slices (one shared
+    hash family per system, as :func:`cuckoo_factory`)."""
     resolved_sets = sets if sets is not None else _sets_for_provisioning(
         system, ways, provisioning
     )
+    hashes = kwargs.pop("hash_family", None) or SkewingHashFamily(ways, resolved_sets)
 
     def factory(num_caches: int, slice_id: int) -> Directory:
         return SkewedDirectory(
-            num_caches=num_caches, num_sets=resolved_sets, num_ways=ways, **kwargs
+            num_caches=num_caches, num_sets=resolved_sets, num_ways=ways,
+            hash_family=hashes, **kwargs
         )
 
     return factory

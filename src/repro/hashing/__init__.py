@@ -9,16 +9,19 @@ The paper evaluates two families:
   (Figure 7).
 
 Both families implement :class:`HashFamily`: a callable per way that maps
-a block address to a set index in ``[0, num_sets)``.
+a block address to a set index in ``[0, num_sets)``, and so does the
+modulo family that gives the Sparse baseline its set-associative layout.
 """
 
 from repro.hashing.base import HashFamily, HashFunction
+from repro.hashing.modulo import ModuloHashFamily
 from repro.hashing.skewing import SkewingHashFamily
 from repro.hashing.strong import StrongHashFamily, mix64
 
 __all__ = [
     "HashFamily",
     "HashFunction",
+    "ModuloHashFamily",
     "SkewingHashFamily",
     "StrongHashFamily",
     "mix64",

@@ -87,6 +87,9 @@ class SkewingHashFamily(HashFamily):
         # Numpy copies of the sigma tables, built lazily on the first
         # batch_indices_array call (only the batched drain needs them).
         self._sigma_arrays = None
+        # The fused indexer, generated once per family: every directory
+        # slice of a system shares one family and asks for it.
+        self._indices_fn = None
 
     def _build_sigma_tables(self) -> List[List[int]]:
         """``tables[p][v] == sigma^p(v)`` for every power any way uses."""
@@ -157,7 +160,10 @@ class SkewingHashFamily(HashFamily):
 
     def indices_function(self) -> Callable[[int], List[int]]:
         """Fused all-ways indexer: extract the three bit-fields once, then
-        gather from each way's sigma tables (generated straight-line code)."""
+        gather from each way's sigma tables (generated straight-line code,
+        built on the first call and shared by every later caller)."""
+        if self._indices_fn is not None:
+            return self._indices_fn
         bits = self.index_bits
         if bits == 0:
             ways = self._num_ways
@@ -183,7 +189,8 @@ class SkewingHashFamily(HashFamily):
             f"    return [{terms}]\n"
         )
         exec(source, namespace)  # noqa: S102 - constants and tables only
-        return namespace["_all_indices"]
+        self._indices_fn = namespace["_all_indices"]
+        return self._indices_fn
 
     def batch_indices(self, addresses: Sequence[int]) -> List[Tuple[int, ...]]:
         """Vectorized candidate indices: three shifts + two table gathers."""

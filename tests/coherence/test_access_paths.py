@@ -2,24 +2,28 @@
 
 The handlers (``TiledCMP._access_block`` and the ``_handle_*`` methods) are
 the one definition of the MESI protocol.  ``access_batch`` either runs them
-per access (the handler loop) or, when every slice is a plain cuckoo
-directory, takes the fast path: every access of the chunk through the
-vectorized drain in trace order.  This suite holds both to the handlers:
+per access (the handler loop) or, when every slice is a plain table-backed
+directory (cuckoo, sparse, skewed, in-cache) with a full bit vector, takes
+the fast path: every access of the chunk through the vectorized drain in
+trace order.  This suite holds both to the handlers:
 
 * **reference** — ``access()`` per access on a fresh system;
 * **candidate** — ``access_batch`` at chunk sizes 1, 3, 17 and 4096, plus a
   two-chunk split at every offset (through ``start``/``stop``);
 * **cases** — every organization ``TiledCMP`` accepts (cuckoo with the
-  skewing and the strong hash, stashed cuckoo, sparse, skewed,
-  duplicate-tag, in-cache, tagless), both tracked levels, and tight tables
-  that force invalidations, including cuckoo walks longer than the ways;
+  skewing and the strong hash, stashed cuckoo, sparse, sparse with a coarse
+  vector, skewed, duplicate-tag, in-cache, tagless), both tracked levels,
+  and tight tables that force invalidations, including cuckoo walks longer
+  than the ways;
 * **checks** — equal deep state (statistics, flat cache arrays, residency,
-  directory internals) and a clean ``check_inclusion`` after every chunk
-  (except on the long-walk cases, where inclusion is known not to hold).
+  table internals with their LRU stamps) and a clean ``check_inclusion``
+  after every chunk (except on the long-walk cases, where inclusion is
+  known not to hold).
 
-The obs counters prove which path ran: cuckoo chunks of every size reach the
-vector drain and every other organization runs the handler loop.  Nothing
-here selects a path by hand.
+The obs counters prove which path ran: chunks of every size of the plain
+table-backed organizations (cuckoo, sparse, skewed, in-cache) reach the
+vector drain, while the stash, duplicate-tag, tagless and rich sharer
+encodings run the handler loop.  Nothing here selects a path by hand.
 """
 
 import numpy as np
@@ -34,8 +38,10 @@ from repro.core.cuckoo_directory import CuckooDirectory
 from repro.core.stashed_cuckoo import StashedCuckooDirectory
 from repro.directories.duplicate_tag import DuplicateTagDirectory
 from repro.directories.in_cache import InCacheDirectory
+from repro.directories.sharers import CoarseVector
 from repro.directories.skewed import SkewedDirectory
 from repro.directories.sparse import SparseDirectory
+from repro.directories.table import TableDirectory
 from repro.directories.tagless import TaglessDirectory
 from repro.hashing.strong import StrongHashFamily
 
@@ -122,6 +128,14 @@ def _sparse_tight(config):
     return lambda n, s: SparseDirectory(num_caches=n, num_sets=2, num_ways=2)
 
 
+def _sparse_coarse(config):
+    # A rich sharer encoding: the table is the same, the handlers run.
+    return lambda n, s: SparseDirectory(
+        num_caches=n, num_sets=16, num_ways=4, sharer_cls=CoarseVector,
+        num_pointers=1, vector_bits=2,
+    )
+
+
 def _skewed(config):
     return lambda n, s: SkewedDirectory(num_caches=n, num_sets=16, num_ways=4)
 
@@ -157,12 +171,13 @@ ORGANIZATIONS = {
     "cuckoo-tight-walk32": (_cuckoo_tight_walk32, True),
     "stashed": (_stashed, False),
     "stashed-tight": (_stashed_tight, False),
-    "sparse": (_sparse, False),
-    "sparse-tight": (_sparse_tight, False),
-    "skewed": (_skewed, False),
-    "skewed-tight": (_skewed_tight, False),
+    "sparse": (_sparse, True),
+    "sparse-tight": (_sparse_tight, True),
+    "sparse-coarse": (_sparse_coarse, False),
+    "skewed": (_skewed, True),
+    "skewed-tight": (_skewed_tight, True),
     "duplicate-tag": (_duplicate_tag, False),
-    "in-cache": (_in_cache, False),
+    "in-cache": (_in_cache, True),
     "tagless": (_tagless, False),
 }
 TIGHT = ("cuckoo-tight", "cuckoo-tight-skewing", "cuckoo-tight-walk3",
@@ -316,12 +331,12 @@ def _flat_arrays(caches):
 
 
 def _deep_directory_state(system):
-    """Cuckoo-table internals (plus any stash) the public snapshot misses."""
+    """Table internals (LRU stamps, any stash) the public snapshot misses."""
     out = []
     for directory in system.directories:
-        if not isinstance(directory, CuckooDirectory):
+        if not isinstance(directory, TableDirectory):
             return None
-        table = directory._table
+        table = directory.table
         out.append(
             (
                 [list(way_keys) for way_keys in table._keys],
@@ -332,6 +347,8 @@ def _deep_directory_state(system):
                 dict(table._locator),
                 table._size,
                 table._start_way,
+                None if table._stamps is None else [list(w) for w in table._stamps],
+                table._clock,
                 [
                     (key, sharers._mask)
                     for key, sharers in getattr(directory, "_stash", {}).items()

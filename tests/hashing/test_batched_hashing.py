@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hashing.base import HashFamily
+from repro.hashing.modulo import ModuloHashFamily
 from repro.hashing.skewing import SkewingHashFamily
 from repro.hashing.strong import StrongHashFamily
 
@@ -24,6 +25,8 @@ FAMILIES = [
     ("skewing-2x1", lambda: SkewingHashFamily(2, 1)),
     ("strong-4x512", lambda: StrongHashFamily(4, 512, seed=7)),
     ("strong-3x1000", lambda: StrongHashFamily(3, 1000, seed=1)),
+    ("modulo-3x6", lambda: ModuloHashFamily(3, 6)),
+    ("modulo-1x64", lambda: ModuloHashFamily(1, 64)),
 ]
 
 
