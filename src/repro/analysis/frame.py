@@ -3,14 +3,15 @@
 The reporting subsystem's core abstraction: a :class:`SweepFrame` is built
 by *streaming* result records — :class:`~repro.engine.results.RunResult`
 objects, store payload dicts, or plain mappings — through group-by
-accumulators, so arbitrarily large sweeps (a whole
-:class:`~repro.engine.store.ResultStore`, a JSONL stream) are reduced
-without ever materializing the record list.  What survives is one small
-row per group, which the frame can pivot into two-dimensional tables,
-render as ASCII, or serialize as CSV/JSON.
+accumulators, so the frame keeps one small row per group, never the
+record list.  It can pivot those rows into two-dimensional tables, render
+them as ASCII, or serialize them as CSV/JSON.
 
-Reductions accumulate incrementally in record order, with arithmetic
-identical to the naive ``sum(xs) / len(xs)`` /
+This is the only aggregation path: a whole store reduces by feeding
+:func:`~repro.engine.store.iter_store_records` through
+:meth:`SweepFrame.aggregate`, and at a paper's 182 records nothing faster
+would pay.  Reductions accumulate incrementally in record order, with
+arithmetic identical to the naive ``sum(xs) / len(xs)`` /
 :func:`repro.analysis.stats.geometric_mean` loops the experiment drivers
 used before this module existed — the golden-pinned experiment tables
 depend on that equivalence.
@@ -33,8 +34,6 @@ from typing import (
     Tuple,
     Union,
 )
-
-import numpy as np
 
 from repro.analysis.tables import render_table
 
@@ -247,8 +246,8 @@ def flatten_record(record: object) -> Dict[str, object]:
     ``to_dict``), a store payload dict with a nested ``"spec"``, or an
     already-flat mapping.  Spec fields and metric fields land in one
     namespace — ``workload``, ``organization``, ``ways``, … alongside
-    ``average_insertion_attempts`` & co.  The attempt histogram and
-    ``elapsed_seconds`` are dropped: they are not aggregatable columns.
+    ``average_insertion_attempts``, ``elapsed_seconds`` & co.  The attempt
+    histogram is dropped: it is not an aggregatable column.
     """
     if hasattr(record, "to_dict"):
         record = record.to_dict()
@@ -261,40 +260,10 @@ def flatten_record(record: object) -> Dict[str, object]:
     if isinstance(spec, Mapping):
         flat.update(spec)
     for name, value in record.items():
-        if name in ("spec", "attempt_histogram", "elapsed_seconds"):
+        if name in ("spec", "attempt_histogram"):
             continue
         flat[name] = value
     return flat
-
-
-def _native(value: object) -> object:
-    """A numpy scalar as its plain Python equivalent (pass-through otherwise)."""
-    return value.item() if isinstance(value, np.generic) else value
-
-
-def _decode_cell(field: str, value: object) -> object:
-    """One columnar group-key cell as the value the streaming path yields.
-
-    The codec stores optional spec fields with sentinel encodings
-    (``-1``/empty string for ``None``); group keys must come back as the
-    original ``None`` so frames from both aggregation paths are
-    interchangeable.
-    """
-    # Imported lazily: the analysis package loads before the engine
-    # (obs.tracing renders through analysis.tables), so a module-level
-    # import here would be circular.
-    from repro.engine.results import (
-        NONE_INT_SENTINEL,
-        OPTIONAL_INT_COLUMNS,
-        OPTIONAL_STR_COLUMNS,
-    )
-
-    value = _native(value)
-    if field in OPTIONAL_INT_COLUMNS and value == NONE_INT_SENTINEL:
-        return None
-    if field in OPTIONAL_STR_COLUMNS and value == "":
-        return None
-    return value
 
 
 class Column:
@@ -402,155 +371,6 @@ class SweepFrame:
             row: Dict[str, object] = dict(zip(group_by, key))
             for name, accumulator in groups[key].items():
                 row[name] = accumulator.value()
-            rows.append(row)
-        return cls(rows, group_by=group_by)
-
-    @classmethod
-    def aggregate_columns(
-        cls,
-        store_path: Union[str, "object"],
-        group_by: Sequence[str],
-        metrics: Mapping[str, MetricSpec],
-        where: Optional[Callable[[Mapping[str, object]], bool]] = None,
-    ) -> "SweepFrame":
-        """:meth:`aggregate` over a result store, vectorized over columns.
-
-        Instead of decoding every record into a dict and streaming it
-        through Python accumulators, this reads the store's columnar
-        segments (:func:`repro.engine.store.load_store_columns`) and
-        reduces whole numpy arrays per group — the cold-scan fast path for
-        large stores.  Group order, group-key values and reduction
-        semantics match :meth:`aggregate` over
-        :func:`~repro.engine.store.iter_store_records`; anything the
-        columnar path cannot express (a ``where`` callable, fields outside
-        the fixed schema, extras-resident records) silently falls back to
-        the streaming implementation.
-        """
-        from repro.engine.store import iter_store_records, load_store_columns
-
-        group_by = tuple(group_by)
-        parsed: Dict[str, Tuple[str, str]] = {}
-        for name, spec in metrics.items():
-            if isinstance(spec, str):
-                source, reduction = name, spec
-            else:
-                source, reduction = spec
-            if reduction not in REDUCTIONS:
-                raise ValueError(
-                    f"unknown reduction {reduction!r} "
-                    f"(expected one of: {', '.join(REDUCTIONS)})"
-                )
-            parsed[name] = (source, reduction)
-
-        def fallback() -> "SweepFrame":
-            return cls.aggregate(
-                (payload for _key, payload in iter_store_records(store_path)),
-                group_by=group_by,
-                metrics=metrics,
-                where=where,
-            )
-
-        # flatten_record never exposes these, so neither may the fast path.
-        unflattened = {"spec", "attempt_histogram", "elapsed_seconds"}
-        needed = tuple(
-            dict.fromkeys(
-                list(group_by) + [source for source, _r in parsed.values()]
-            )
-        )
-        if (
-            where is not None
-            or not needed
-            or any(field in unflattened for field in needed)
-        ):
-            return fallback()
-        columns = load_store_columns(store_path, needed)
-        if columns is None:
-            return fallback()
-
-        total = len(columns[needed[0]]) if needed else 0
-        if total == 0:
-            return cls([], group_by=group_by)
-
-        # Factorize the group key: combine per-field codes, then order
-        # groups by first appearance to match the streaming frame.
-        if group_by:
-            combined = np.zeros(total, dtype=np.int64)
-            for field in group_by:
-                _values, codes = np.unique(columns[field], return_inverse=True)
-                combined = combined * (int(codes.max()) + 1) + codes
-            _ids, inverse = np.unique(combined, return_inverse=True)
-            n_groups = len(_ids)
-        else:
-            inverse = np.zeros(total, dtype=np.int64)
-            n_groups = 1
-        first_pos = np.full(n_groups, total, dtype=np.int64)
-        np.minimum.at(first_pos, inverse, np.arange(total, dtype=np.int64))
-        group_order = np.argsort(first_pos, kind="stable")
-        rank = np.empty(n_groups, dtype=np.int64)
-        rank[group_order] = np.arange(n_groups, dtype=np.int64)
-
-        counts = np.bincount(inverse, minlength=n_groups)
-        reduced: Dict[str, np.ndarray] = {}
-        for name, (source, reduction) in parsed.items():
-            values = columns[source]
-            if reduction == "count":
-                reduced[name] = counts.astype(np.int64)
-                continue
-            numeric = values.astype(np.float64)
-            if reduction == "mean":
-                sums = np.bincount(inverse, weights=numeric, minlength=n_groups)
-                reduced[name] = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
-            elif reduction == "sum":
-                reduced[name] = np.bincount(
-                    inverse, weights=numeric, minlength=n_groups
-                )
-            elif reduction == "geomean":
-                if (numeric < 0).any():
-                    raise ValueError(
-                        "geometric mean requires non-negative values"
-                    )
-                logs = np.log(np.maximum(numeric, _GEOMEAN_EPSILON))
-                sums = np.bincount(inverse, weights=logs, minlength=n_groups)
-                reduced[name] = np.exp(sums / np.maximum(counts, 1))
-            elif reduction == "min":
-                out = np.full(n_groups, np.inf)
-                np.minimum.at(out, inverse, numeric)
-                reduced[name] = out
-            elif reduction == "max":
-                out = np.full(n_groups, -np.inf)
-                np.maximum.at(out, inverse, numeric)
-                reduced[name] = out
-            elif reduction in ("first", "last"):
-                position = np.full(
-                    n_groups, total if reduction == "first" else -1, dtype=np.int64
-                )
-                if reduction == "first":
-                    np.minimum.at(
-                        position, inverse, np.arange(total, dtype=np.int64)
-                    )
-                else:
-                    np.maximum.at(
-                        position, inverse, np.arange(total, dtype=np.int64)
-                    )
-                reduced[name] = values[position]
-            else:  # p50 / p95 — exact quantiles need the group's values
-                q = 0.50 if reduction == "p50" else 0.95
-                out = np.zeros(n_groups, dtype=np.float64)
-                for group in range(n_groups):
-                    members = numeric[inverse == group]
-                    if len(members):
-                        out[group] = np.quantile(members, q)
-                reduced[name] = out
-
-        rows: List[Dict[str, object]] = []
-        for group in group_order:
-            anchor = int(first_pos[group])
-            row: Dict[str, object] = {
-                field: _decode_cell(field, columns[field][anchor])
-                for field in group_by
-            }
-            for name in parsed:
-                row[name] = _native(reduced[name][group])
             rows.append(row)
         return cls(rows, group_by=group_by)
 

@@ -345,30 +345,17 @@ class CompareReport:
         )
 
 
-def _sealed_store(path: Path) -> bool:
-    """True when ``path`` has a segment manifest (WAL may be empty/absent)."""
-    # Lazy import: repro.engine.store reaches repro.obs.tracing, which pulls
-    # repro.analysis back in at import time.
-    from repro.engine.segment import MANIFEST_NAME
-    from repro.engine.store import segments_dir
-
-    return (segments_dir(path) / MANIFEST_NAME).is_file()
-
-
 def _detect_kind(path: Path) -> str:
     """"store" for JSONL result stores, "bench" for BENCH_*.json records.
 
     A store is any file with a ``{"key": ..., "result": ...}`` record in
     its first lines — torn or corrupt leading lines are skipped, matching
     the tolerance of :class:`~repro.engine.store.ResultStore` loads.
-    A path whose sibling ``<name>.segments/`` directory holds a manifest is
-    also a store, even when its WAL is empty or absent (sealed/compacted
-    stores keep most records in binary segments), and so is an existing
-    store with no main WAL at all (pool workers write only per-writer
-    WALs).  Anything else that parses as one JSON document is a benchmark
-    record.
+    An existing store with no main WAL at all is also a store (pool
+    workers write only per-writer WALs).  Anything else that parses as
+    one JSON document is a benchmark record.
     """
-    if not path.is_file() or _sealed_store(path):
+    if not path.is_file():
         return "store"
     probed = 0
     with path.open("r", encoding="utf-8") as handle:

@@ -82,7 +82,7 @@ from repro.engine.spec import (
     RunGrid,
     RunSpec,
 )
-from repro.engine.store import ResultStore, default_store_path
+from repro.engine.store import ResultStore, SealedStoreError, default_store_path
 
 __all__ = ["main", "build_parser"]
 
@@ -455,9 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         default="show",
         choices=("show", "stats", "clear", "compact", "export", "import"),
-        help="what to do with the store (default: show); 'stats' prints "
-        "storage-engine details, 'export'/'import' translate to/from plain "
-        "last-wins JSONL",
+        help="what to do with the store (default: show); 'stats' counts "
+        "live entries against the records and bytes of every WAL, "
+        "'export'/'import' translate to/from plain last-wins JSONL",
     )
     cache_parser.add_argument(
         "file",
@@ -1058,8 +1058,8 @@ def _cmd_report_all(args: argparse.Namespace) -> int:
         print(f"no result store at {store_path}", file=sys.stderr)
         return 2
     if args.group_by:
-        frame = SweepFrame.aggregate_columns(
-            store_path,
+        frame = SweepFrame.aggregate(
+            (payload for _key, payload in iter_store_records(store_path)),
             group_by=args.group_by,
             metrics={
                 "points": ("workload", "count"),
@@ -1356,23 +1356,22 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         for name, value in stats.items():
             print(f"{name:<{width}}  {value}")
         return 0
-    size = store.path.stat().st_size if store.path.exists() else 0
     print(f"store:   {store.path}")
     print(f"entries: {len(store)}")
-    print(f"size:    {size} bytes")
-    segments = store.segment_names()
-    if segments:
-        stats = store.stats()
-        print(
-            f"engine:  {len(segments)} sealed segments "
-            f"({stats['segment_rows']} rows, {stats['segment_bytes']} bytes), "
-            f"{stats['wal_records']} WAL-resident records"
-        )
+    print(f"size:    {store.stats()['wal_bytes']} bytes")
     return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except SealedStoreError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":

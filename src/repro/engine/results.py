@@ -8,38 +8,20 @@ form, so results can cross process boundaries and live in the on-disk
 for reporting but excluded from equality so a cached result compares equal
 to a freshly simulated one.
 
-This module also owns the **columnar codec** the storage engine seals
-records with: :func:`encode_record_batch` packs ``(key, ts, payload)``
-store records into one numpy structured array (plus a flattened
-attempt-histogram array and a JSON side-channel for the rare payload that
-does not conform to the fixed schema), and :func:`decode_record_row`
-reverses it bit-exactly.  The codec is keyed by
-:data:`~repro.engine.spec.SPEC_VERSION` — the version is stamped into the
-segment manifest, and because every store key is salted with the same
-version, records encoded under a different version can never be served
-for a current-spec lookup.
+Results are stored as the JSON object :meth:`RunResult.to_dict` returns,
+one line per record in the store's write-ahead logs; there is no other
+on-disk encoding.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Optional, Tuple
 
 from repro.engine.spec import RunSpec
 
-__all__ = [
-    "RunResult",
-    "RunFailure",
-    "EncodedBatch",
-    "encode_record_batch",
-    "decode_record_row",
-    "NONE_INT_SENTINEL",
-    "OPTIONAL_INT_COLUMNS",
-    "OPTIONAL_STR_COLUMNS",
-]
+__all__ = ["RunResult", "RunFailure"]
 
 
 @dataclass(frozen=True)
@@ -150,303 +132,6 @@ class RunResult:
             worker=worker,
             timeline=timeline,
         )
-
-
-# -- columnar record codec ---------------------------------------------------
-#
-# One store record is the envelope ``(key, ts, payload)``: the spec content
-# hash, the writer's commit timestamp (time_ns; used for cross-writer
-# last-wins ordering), and the ``RunResult.to_dict`` payload.  A *conforming*
-# payload — the overwhelmingly common case — packs into fixed columns whose
-# names are the flat union of spec fields and result fields (they are
-# disjoint, and deliberately match ``repro.analysis.frame.flatten_record``'s
-# namespace so columnar aggregation can group by them directly).  Anything
-# else (unknown fields, wrong types, out-of-range ints) rides verbatim in
-# the JSON extras side-channel keyed by row index.
-
-#: Sentinel encoding ``None`` for optional integer columns.
-_NONE_INT = -1
-
-_SPEC_STR_FIELDS = ("workload", "tracked_level", "organization")
-_SPEC_OPT_STR_FIELDS = ("hash_family", "trace", "mix", "trace_fingerprint")
-_SPEC_INT_FIELDS = (
-    "ways", "num_cores", "scale", "seed", "measure_accesses",
-    "occupancy_sample_interval",
-)
-_SPEC_OPT_INT_FIELDS = ("warmup_accesses", "timeline_interval")
-_SPEC_FLOAT_FIELDS = ("provisioning",)
-_SPEC_FIELDS = frozenset(
-    _SPEC_STR_FIELDS + _SPEC_OPT_STR_FIELDS + _SPEC_INT_FIELDS
-    + _SPEC_OPT_INT_FIELDS + _SPEC_FLOAT_FIELDS
-)
-
-_RESULT_INT_FIELDS = (
-    "accesses", "insertions", "insertion_attempts", "forced_invalidations",
-    "tracked_frames_total", "directory_capacity_total", "total_messages",
-)
-_RESULT_FLOAT_FIELDS = (
-    "cache_hit_rate", "average_occupancy", "occupancy_vs_worst_case",
-    "average_insertion_attempts", "forced_invalidation_rate",
-    "elapsed_seconds",
-)
-_RESULT_STR_FIELDS = ("worker",)
-_RESULT_FIELDS = frozenset(
-    _RESULT_INT_FIELDS + _RESULT_FLOAT_FIELDS + _RESULT_STR_FIELDS
-    + ("spec", "attempt_histogram")
-)
-
-_INT64_MIN, _INT64_MAX = -(2 ** 63), 2 ** 63 - 1
-
-# Public view of the sentinel scheme, for columnar consumers (aggregation)
-# that need to map encoded cells back to spec-level ``None`` values.
-NONE_INT_SENTINEL = _NONE_INT
-OPTIONAL_INT_COLUMNS = _SPEC_OPT_INT_FIELDS
-OPTIONAL_STR_COLUMNS = _SPEC_OPT_STR_FIELDS
-
-
-class _NonConforming(Exception):
-    """A payload the fixed columns cannot represent losslessly."""
-
-
-def _int_cell(value: object) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _NonConforming(f"expected int, got {value!r}")
-    if not (_INT64_MIN <= value <= _INT64_MAX):
-        raise _NonConforming(f"int out of int64 range: {value!r}")
-    return value
-
-
-def _opt_int_cell(value: object) -> int:
-    if value is None:
-        return _NONE_INT
-    cell = _int_cell(value)
-    if cell == _NONE_INT:
-        raise _NonConforming("optional int collides with the None sentinel")
-    return cell
-
-
-def _float_cell(value: object) -> float:
-    # Strictly float: an int cell would decode back as ``x.0`` and break
-    # byte-identical JSONL round-trips.
-    if not isinstance(value, float):
-        raise _NonConforming(f"expected float, got {value!r}")
-    return value
-
-
-def _str_cell(value: object) -> str:
-    if not isinstance(value, str):
-        raise _NonConforming(f"expected str, got {value!r}")
-    return value
-
-
-def _opt_str_cell(value: object) -> str:
-    if value is None:
-        return ""
-    cell = _str_cell(value)
-    if not cell:
-        raise _NonConforming("optional str collides with the None sentinel")
-    return cell
-
-
-def _conforming_cells(payload: Mapping) -> Tuple[Dict[str, object], List[Tuple[int, int]]]:
-    """Fixed-column cells for ``payload``, or raise :class:`_NonConforming`.
-
-    A conforming payload has *exactly* the field sets ``RunResult.to_dict``
-    and ``RunSpec.to_dict`` emit — no defaults are invented for missing
-    fields, because decode must reproduce the sealed payload byte-for-byte.
-    """
-    if not isinstance(payload, Mapping):
-        raise _NonConforming("payload is not a mapping")
-    if set(payload) != _RESULT_FIELDS:
-        raise _NonConforming(
-            f"result fields differ from schema: {sorted(set(payload) ^ _RESULT_FIELDS)}"
-        )
-    spec = payload["spec"]
-    if not isinstance(spec, Mapping) or set(spec) != _SPEC_FIELDS:
-        raise _NonConforming("spec fields differ from schema")
-
-    cells: Dict[str, object] = {}
-    for name in _SPEC_STR_FIELDS:
-        cells[name] = _str_cell(spec[name])
-    for name in _SPEC_OPT_STR_FIELDS:
-        cells[name] = _opt_str_cell(spec[name])
-    for name in _SPEC_INT_FIELDS:
-        cells[name] = _int_cell(spec[name])
-    for name in _SPEC_OPT_INT_FIELDS:
-        cells[name] = _opt_int_cell(spec[name])
-    for name in _SPEC_FLOAT_FIELDS:
-        cells[name] = _float_cell(spec[name])
-
-    for name in _RESULT_INT_FIELDS:
-        cells[name] = _int_cell(payload[name])
-    for name in _RESULT_FLOAT_FIELDS:
-        cells[name] = _float_cell(payload[name])
-    for name in _RESULT_STR_FIELDS:
-        cells[name] = _str_cell(payload[name])
-
-    histogram: List[Tuple[int, int]] = []
-    for pair in payload["attempt_histogram"]:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise _NonConforming(f"bad attempt_histogram pair: {pair!r}")
-        histogram.append((_int_cell(pair[0]), _int_cell(pair[1])))
-    return cells, histogram
-
-
-@dataclass(frozen=True)
-class EncodedBatch:
-    """One sealed batch: fixed columns + histogram heap + extras side-channel."""
-
-    #: Structured array: ``key``/``ts`` plus the flat spec/result columns and
-    #: the per-row ``hist_off``/``hist_len`` histogram-heap window.
-    main: np.ndarray
-    #: ``(total_pairs, 2)`` int64 heap of attempt-histogram pairs.
-    hist: np.ndarray
-    #: ``{row index: verbatim payload}`` for non-conforming records.
-    extras: Dict[int, Dict[str, object]]
-
-
-def encode_record_batch(
-    records: Sequence[Tuple[str, int, Mapping]],
-) -> EncodedBatch:
-    """Pack ``(key, ts, payload)`` records into an :class:`EncodedBatch`."""
-    cells_per_row: List[Optional[Dict[str, object]]] = []
-    hists: List[List[Tuple[int, int]]] = []
-    extras: Dict[int, Dict[str, object]] = {}
-    for row, (key, ts, payload) in enumerate(records):
-        try:
-            cells, histogram = _conforming_cells(payload)
-        except _NonConforming:
-            extras[row] = dict(payload) if isinstance(payload, Mapping) else {
-                "__value__": payload
-            }
-            cells, histogram = None, []
-        cells_per_row.append(cells)
-        hists.append(histogram)
-
-    def str_width(name: str, values: List[str]) -> int:
-        return max([1] + [len(v) for v in values])
-
-    str_columns: Dict[str, List[str]] = {
-        "key": [str(key) for key, _ts, _payload in records]
-    }
-    for name in _SPEC_STR_FIELDS + _SPEC_OPT_STR_FIELDS + _RESULT_STR_FIELDS:
-        str_columns[name] = [
-            (cells[name] if cells is not None else "") for cells in cells_per_row
-        ]
-
-    dtype: List[Tuple[str, str]] = [("key", f"U{str_width('key', str_columns['key'])}")]
-    dtype.append(("ts", "i8"))
-    for name in _SPEC_STR_FIELDS + _SPEC_OPT_STR_FIELDS:
-        dtype.append((name, f"U{str_width(name, str_columns[name])}"))
-    for name in _SPEC_INT_FIELDS + _SPEC_OPT_INT_FIELDS:
-        dtype.append((name, "i8"))
-    for name in _SPEC_FLOAT_FIELDS:
-        dtype.append((name, "f8"))
-    for name in _RESULT_INT_FIELDS:
-        dtype.append((name, "i8"))
-    for name in _RESULT_FLOAT_FIELDS:
-        dtype.append((name, "f8"))
-    for name in _RESULT_STR_FIELDS:
-        dtype.append((name, f"U{str_width(name, str_columns[name])}"))
-    dtype.extend([("hist_off", "i8"), ("hist_len", "i8")])
-
-    main = np.zeros(len(records), dtype=dtype)
-    main["key"] = str_columns["key"]
-    main["ts"] = [ts for _key, ts, _payload in records]
-    numeric_fields = (
-        _SPEC_INT_FIELDS + _SPEC_OPT_INT_FIELDS + _SPEC_FLOAT_FIELDS
-        + _RESULT_INT_FIELDS + _RESULT_FLOAT_FIELDS
-    )
-    for row, cells in enumerate(cells_per_row):
-        if cells is None:
-            continue
-        record = main[row]
-        for name in numeric_fields:
-            record[name] = cells[name]
-    for name in _SPEC_STR_FIELDS + _SPEC_OPT_STR_FIELDS + _RESULT_STR_FIELDS:
-        main[name] = str_columns[name]
-
-    offset = 0
-    flat_pairs: List[Tuple[int, int]] = []
-    for row, histogram in enumerate(hists):
-        main[row]["hist_off"] = offset
-        main[row]["hist_len"] = len(histogram)
-        flat_pairs.extend(histogram)
-        offset += len(histogram)
-    hist = np.asarray(flat_pairs, dtype=np.int64).reshape(len(flat_pairs), 2)
-    return EncodedBatch(main=main, hist=hist, extras=extras)
-
-
-def decode_record_row(
-    main: np.ndarray,
-    hist: np.ndarray,
-    extras: Mapping[int, Mapping],
-    row: int,
-) -> Tuple[str, Dict[str, object]]:
-    """``(key, payload)`` of one encoded row, bit-exact to what was sealed."""
-    record = main[row]
-    key = str(record["key"])
-    extra = extras.get(row)
-    if extra is not None:
-        payload = dict(extra)
-        if set(payload) == {"__value__"}:
-            return key, payload["__value__"]
-        return key, payload
-
-    spec: Dict[str, object] = {
-        "workload": str(record["workload"]),
-        "tracked_level": str(record["tracked_level"]),
-        "organization": str(record["organization"]),
-        "ways": int(record["ways"]),
-        "provisioning": float(record["provisioning"]),
-        "num_cores": int(record["num_cores"]),
-        "scale": int(record["scale"]),
-        "seed": int(record["seed"]),
-        "measure_accesses": int(record["measure_accesses"]),
-        "warmup_accesses": _decode_opt_int(record["warmup_accesses"]),
-        "occupancy_sample_interval": int(record["occupancy_sample_interval"]),
-        "hash_family": _decode_opt_str(record["hash_family"]),
-        "trace": _decode_opt_str(record["trace"]),
-        "mix": _decode_opt_str(record["mix"]),
-        "trace_fingerprint": _decode_opt_str(record["trace_fingerprint"]),
-        "timeline_interval": _decode_opt_int(record["timeline_interval"]),
-    }
-    off, length = int(record["hist_off"]), int(record["hist_len"])
-    histogram = [
-        [int(hist[index][0]), int(hist[index][1])]
-        for index in range(off, off + length)
-    ]
-    # Field order matches RunResult.to_dict so an export of decoded records
-    # is byte-identical to an export of the original payload dicts.
-    payload = {
-        "spec": spec,
-        "accesses": int(record["accesses"]),
-        "cache_hit_rate": float(record["cache_hit_rate"]),
-        "average_occupancy": float(record["average_occupancy"]),
-        "occupancy_vs_worst_case": float(record["occupancy_vs_worst_case"]),
-        "average_insertion_attempts": float(record["average_insertion_attempts"]),
-        "forced_invalidation_rate": float(record["forced_invalidation_rate"]),
-        "insertions": int(record["insertions"]),
-        "insertion_attempts": int(record["insertion_attempts"]),
-        "forced_invalidations": int(record["forced_invalidations"]),
-        "tracked_frames_total": int(record["tracked_frames_total"]),
-        "directory_capacity_total": int(record["directory_capacity_total"]),
-        "total_messages": int(record["total_messages"]),
-        "attempt_histogram": histogram,
-        "elapsed_seconds": float(record["elapsed_seconds"]),
-        "worker": str(record["worker"]),
-    }
-    return key, payload
-
-
-def _decode_opt_int(value) -> Optional[int]:
-    cell = int(value)
-    return None if cell == _NONE_INT else cell
-
-
-def _decode_opt_str(value) -> Optional[str]:
-    cell = str(value)
-    return cell if cell else None
 
 
 @dataclass(frozen=True)

@@ -86,10 +86,9 @@ _worker_store = None
 def _persist_in_worker(result: RunResult) -> bool:
     """Append ``result`` to this worker's own WAL of the shared store.
 
-    Each worker writes to ``wal-w<pid>.jsonl`` inside the store's segment
-    directory and seals its own segments into the shared manifest, so the
-    parent only has to *note* the result — no record crosses the process
-    boundary twice.  Returns ``False`` (parent persists instead) if this
+    Each worker appends to its own ``<store>.segments/wal-w<pid>.jsonl``,
+    so the parent only has to *note* the result — no record crosses the
+    process boundary twice.  Returns ``False`` (parent persists instead) if this
     worker has no store or the append failed; persistence problems must
     never cost a finished simulation.
     """
@@ -378,8 +377,8 @@ class ParallelRunner:
             if self._store is not None:
                 if outcome.get("persisted"):
                     # A pool worker already appended this record to its own
-                    # WAL (and sidecar); only the manifest/catalog note comes
-                    # home — never the bytes twice.
+                    # WAL (and sidecar); only the catalog note comes home —
+                    # never the bytes twice.
                     self._store.note_external(result)
                 else:
                     self._store.put(result)

@@ -27,13 +27,14 @@ class TestFlattenRecord:
         assert flat["ways"] == 4
         assert flat["cache_hit_rate"] == 0.5
 
-    def test_histogram_and_elapsed_dropped(self):
+    def test_histogram_dropped_and_elapsed_kept(self):
+        # Point cost is a report column (report --all's cost_seconds).
         flat = flatten_record(
             {"spec": {}, "attempt_histogram": [[1, 5]], "elapsed_seconds": 2.0,
              "accesses": 10}
         )
         assert "attempt_histogram" not in flat
-        assert "elapsed_seconds" not in flat
+        assert flat["elapsed_seconds"] == 2.0
         assert flat["accesses"] == 10
 
     def test_run_result_objects_flatten_via_to_dict(self):

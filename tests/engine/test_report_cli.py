@@ -327,6 +327,48 @@ class TestPoolOnlyStore:
             ["report", "--all", "--store", pool_store, "--group-by", "tracked_level"]
         ) == 0
 
+    def test_report_all_shows_point_cost(self, capsys, pool_store):
+        assert main(["report", "--all", "--store", pool_store, "--format", "csv"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert all(float(row["elapsed_seconds"]) > 0 for row in rows)
+        assert main(
+            ["report", "--all", "--store", pool_store, "--group-by", "workload",
+             "--format", "json"]
+        ) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["points"] == 2
+        assert row["cost_seconds"] > 0
+        assert row["secs_per_point"] > 0
+
+    def test_cache_size_counts_every_wal(self, capsys, pool_store):
+        wal_bytes = sum(
+            wal.stat().st_size
+            for wal in Path(pool_store + ".segments").glob("wal-*.jsonl")
+        )
+        assert wal_bytes > 0
+        assert main(["cache", "--store", pool_store]) == 0
+        assert f"size:    {wal_bytes} bytes" in capsys.readouterr().out
+        assert main(["cache", "stats", "--store", pool_store]) == 0
+        assert f"wal_bytes    {wal_bytes}" in capsys.readouterr().out
+
+    def test_compact_folds_worker_wals(self, capsys, pool_store, tmp_path):
+        before = tmp_path / "before.jsonl"
+        after = tmp_path / "after.jsonl"
+        assert main(["cache", "export", str(before), "--store", pool_store]) == 0
+        assert main(["report", "--all", "--store", pool_store, "--format", "csv"]) == 0
+        report_before = capsys.readouterr().out
+
+        compaction = ResultStore(pool_store).compact()
+        assert compaction.entries_kept == 2
+        assert compaction.lines_removed >= 0
+        assert compaction.bytes_after <= compaction.bytes_before
+        assert not list(Path(pool_store + ".segments").glob("wal-*.jsonl"))
+
+        assert main(["cache", "export", str(after), "--store", pool_store]) == 0
+        assert before.read_bytes() == after.read_bytes()
+        assert main(["report", "--all", "--store", pool_store, "--format", "csv"]) == 0
+        assert capsys.readouterr().out.split("\n", 1)[1] == report_before.split("\n", 1)[1]
+
     def test_compare_reads_per_writer_wals(self, capsys, pool_store):
         assert main(
             ["compare", pool_store, pool_store, "--threshold", "0",

@@ -1,10 +1,10 @@
-"""Storage-engine tests: sealing, multi-writer appends, crash safety.
+"""Result-store tests: last-wins across WALs, multi-writer appends, crash safety.
 
-The legacy behaviours (JSONL durability, compaction byte-identity, hit
+The single-WAL behaviours (JSONL durability, compaction byte-identity, hit
 and miss accounting) are pinned by ``test_store.py``; this module covers
-what the columnar engine adds on top — segment sealing, last-wins merge
-across WAL and segments, export/import, concurrent writers and torn-write
-recovery.
+what per-writer WALs add on top — last-wins across WALs, export/import,
+concurrent writers, torn-write recovery — and the loud failure on a store
+an earlier version sealed into columnar segments.
 """
 
 import json
@@ -21,14 +21,13 @@ import pytest
 import repro
 from repro.engine.cli import main
 from repro.engine.results import RunResult
-from repro.engine.segment import (
-    MANIFEST_NAME,
-    load_manifest,
-    read_segment,
-    segment_file_names,
-)
 from repro.engine.spec import RunSpec
-from repro.engine.store import ResultStore, segments_dir
+from repro.engine.store import (
+    ResultStore,
+    SealedStoreError,
+    iter_store_records,
+    segments_dir,
+)
 
 _SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 
@@ -52,63 +51,85 @@ def _result(spec, **overrides):
     return RunResult(**base)
 
 
-# -- sealing and last-wins ----------------------------------------------------
-class TestSealing:
-    def test_threshold_seal_moves_wal_into_segments(self, tmp_path):
+# -- last-wins across WALs ----------------------------------------------------
+class TestLastWinsAcrossWals:
+    """The newest commit stamp wins, whichever WAL it sits in."""
+
+    def test_writer_wal_supersedes_older_main_record(self, tmp_path):
         path = tmp_path / "results.jsonl"
-        store = ResultStore(path, seal_threshold=4)
-        for seed in range(6):
-            store.put(_result(_spec(seed=seed)))
-        assert store.segment_names()
-        assert (segments_dir(path) / MANIFEST_NAME).exists()
-
-        reopened = ResultStore(path)
-        assert len(reopened) == 6
-        for seed in range(6):
-            assert reopened.get(_spec(seed=seed)) == _result(_spec(seed=seed))
-
-    def test_last_wins_across_segment_and_wal(self, tmp_path):
-        path = tmp_path / "results.jsonl"
-        store = ResultStore(path)
-        store.put(_result(_spec(), accesses=1))
-        store.seal()
-        store.put(_result(_spec(), accesses=2))  # newer, WAL-resident
-
-        assert store.get(_spec()).accesses == 2
-        reopened = ResultStore(path)
-        assert reopened.get(_spec()).accesses == 2
-
-    def test_last_wins_within_sealed_segments(self, tmp_path):
-        path = tmp_path / "results.jsonl"
-        store = ResultStore(path)
-        store.put(_result(_spec(), accesses=1))
-        store.seal()
-        store.put(_result(_spec(), accesses=2))
-        store.seal()
+        ResultStore(path).put(_result(_spec(), accesses=1))
+        ResultStore(path, writer="w1", preload=False).put(_result(_spec(), accesses=2))
 
         reopened = ResultStore(path)
         assert len(reopened) == 1
         assert reopened.get(_spec()).accesses == 2
+        assert [p["accesses"] for _k, p in iter_store_records(path)] == [2]
 
-    def test_non_conforming_payload_survives_seal_byte_identically(self, tmp_path):
+    def test_newer_main_record_beats_earlier_writer_wal(self, tmp_path):
+        # The main WAL is read first, so scan order alone would pick the
+        # writer's record: the commit stamp must decide.
         path = tmp_path / "results.jsonl"
-        store = ResultStore(path)
-        store.put(_result(_spec()))
+        ResultStore(path, writer="w1", preload=False).put(_result(_spec(), accesses=1))
+        ResultStore(path).put(_result(_spec(), accesses=2))
+
+        assert ResultStore(path).get(_spec()).accesses == 2
+        assert [p["accesses"] for _k, p in iter_store_records(path)] == [2]
+
+    def test_legacy_timestampless_wal_lines_order_by_position(self, tmp_path):
+        # Lines written before commit stamps existed carry no ``ts``: scan
+        # position stands in for the stamp, so the later line wins, and any
+        # stamped record written since wins over both.
+        path = tmp_path / "results.jsonl"
+        key = _spec().key()
+        with path.open("w", encoding="utf-8") as handle:
+            for accesses in (1, 7):
+                handle.write(json.dumps(
+                    {"key": key, "result": _result(_spec(), accesses=accesses).to_dict()}
+                ) + "\n")
+
+        assert ResultStore(path).get(_spec()).accesses == 7
+        assert [p["accesses"] for _k, p in iter_store_records(path)] == [7]
+
+        ResultStore(path, writer="w1", preload=False).put(_result(_spec(), accesses=9))
+        reopened = ResultStore(path)
+        assert len(reopened) == 1
+        assert reopened.get(_spec()).accesses == 9
+
+    def test_last_wins_across_compactions(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        ResultStore(path).put(_result(_spec(), accesses=1))
+        ResultStore(path).compact()
+        ResultStore(path, writer="w1", preload=False).put(_result(_spec(), accesses=2))
+        report = ResultStore(path).compact()
+        assert report.entries_kept == 1
+        assert report.lines_removed == 1
+
+        reopened = ResultStore(path)
+        assert len(reopened) == 1
+        assert reopened.get(_spec()).accesses == 2
+        assert path.read_bytes().count(b"\n") == 1
+        assert not list(segments_dir(path).glob("wal-*.jsonl"))
+
+    def test_non_conforming_payload_survives_compaction_and_export(self, tmp_path):
+        # A payload that does not decode as a RunResult (say, from a newer
+        # schema) is not this reader's to drop: compaction keeps it as is.
+        path = tmp_path / "results.jsonl"
+        ResultStore(path).put(_result(_spec()))
         payload = {"custom": 1, "nested": {"a": [1, 2]}, "note": "not a RunResult"}
         with path.open("a", encoding="utf-8") as handle:
             handle.write(json.dumps(
                 {"key": "deadbeef", "ts": time.time_ns(), "result": payload}
             ) + "\n")
 
-        sealed = ResultStore(path)
-        meta = sealed.seal()
-        assert meta is not None and meta.rows == 2
-        extras_name = segment_file_names(meta.name)[3]
-        assert (segments_dir(path) / extras_name).exists()
-
+        assert ResultStore(path).compact().entries_kept == 2
         reopened = ResultStore(path)
-        records = dict(reopened.iter_records())
-        assert records["deadbeef"] == payload
+        assert dict(reopened.iter_records())["deadbeef"] == payload
+        assert [r.spec for r in reopened.iter_results()] == [_spec()]
+
+        exported = tmp_path / "export.jsonl"
+        assert reopened.export_jsonl(exported) == 2
+        lines = exported.read_text(encoding="utf-8").splitlines()
+        assert lines[-1] == json.dumps({"key": "deadbeef", "result": payload})
 
 
 # -- export / import ----------------------------------------------------------
@@ -118,8 +139,7 @@ class TestExportImport:
         store = ResultStore(path)
         store.put(_result(_spec(), accesses=1))
         store.put(_result(_spec(seed=7)))
-        store.seal()
-        store.put(_result(_spec(), accesses=2))  # supersedes the sealed row
+        store.put(_result(_spec(), accesses=2))  # supersedes the first record
 
         first = tmp_path / "first.jsonl"
         assert store.export_jsonl(first) == 2
@@ -201,9 +221,7 @@ class TestRotTolerance:
 
 # -- concurrent writers -------------------------------------------------------
 def _torture_worker(path_str, writer_id, count):
-    store = ResultStore(
-        Path(path_str), writer=f"t{writer_id}", preload=False, seal_threshold=5
-    )
+    store = ResultStore(Path(path_str), writer=f"t{writer_id}", preload=False)
     for i in range(count):
         store.put(_result(_spec(seed=writer_id * 1_000 + i)))
     store.flush()
@@ -239,7 +257,7 @@ class TestMultiWriter:
         assert sum(1 for _ in store.iter_results()) == len(expected)
         assert store.malformed == 0
 
-    def test_kill_mid_put_never_commits_a_torn_segment(self, tmp_path):
+    def test_kill_mid_put_keeps_every_complete_line(self, tmp_path):
         path = tmp_path / "results.jsonl"
         script = tmp_path / "endless_writer.py"
         script.write_text(textwrap.dedent(f"""
@@ -250,7 +268,7 @@ class TestMultiWriter:
             from repro.engine.spec import RunSpec
             from repro.engine.store import ResultStore
 
-            store = ResultStore(Path(sys.argv[1]), seal_threshold=4)
+            store = ResultStore(Path(sys.argv[1]))
             seed = 0
             while True:
                 spec = RunSpec(workload="Oracle", tracked_level="L1",
@@ -268,33 +286,32 @@ class TestMultiWriter:
         """))
         process = subprocess.Popen([sys.executable, str(script), str(path)])
         try:
-            segdir = segments_dir(path)
             deadline = time.monotonic() + 60
             while time.monotonic() < deadline:
-                if (segdir / MANIFEST_NAME).exists() and len(
-                    load_manifest(segdir).segments
-                ) >= 2:
+                if path.exists() and path.read_bytes().count(b"\n") >= 20:
                     break
                 time.sleep(0.01)
         finally:
             process.kill()
             process.wait(timeout=30)
 
-        manifest = load_manifest(segdir)
-        assert len(manifest.segments) >= 2
-        for meta in manifest.segments:
-            # Segment files are fully fsynced before the manifest commit,
-            # so every referenced file must exist and load to `rows` rows.
-            main_name, hist_name, index_name, _extras = segment_file_names(meta.name)
-            for name in (main_name, hist_name, index_name):
-                assert (segdir / name).exists()
-            loaded = read_segment(segdir, meta)
-            assert len(loaded.main) == meta.rows
+        raw = path.read_bytes()
+        complete = raw[: raw.rfind(b"\n") + 1].splitlines()
+        assert len(complete) >= 20
+        # Every line the writer finished decodes to a full record.
+        for line in complete:
+            record = json.loads(line)
+            RunResult.from_dict(record["result"])
+        # A write the kill cut short leaves a torn final line.
+        with path.open("ab") as handle:
+            handle.write(complete[-1][: len(complete[-1]) // 2])
 
         store = ResultStore(path)
-        assert len(store) > 0
-        assert sum(1 for _ in store.iter_results()) == len(store)
+        assert len(store) == len(complete)
+        assert sum(1 for _ in store.iter_results()) == len(complete)
         assert store.malformed == 0
+        for seed in range(len(complete)):
+            assert store.get(_spec(seed=seed)).accesses == seed
 
 
 # -- cache CLI: export / import / stats ---------------------------------------
@@ -304,7 +321,6 @@ class TestCacheCli:
         store = ResultStore(store_path)
         store.put(_result(_spec()))
         store.put(_result(_spec(seed=7)))
-        store.seal()
 
         backup = str(tmp_path / "backup.jsonl")
         assert main(["cache", "export", backup, "--store", store_path]) == 0
@@ -317,10 +333,11 @@ class TestCacheCli:
 
         assert main(["cache", "stats", "--store", store_path]) == 0
         out = capsys.readouterr().out
-        assert "entries" in out and "segments" in out
+        assert "entries" in out and "wal_bytes" in out
 
         assert main(["cache", "--store", store_path]) == 0
-        assert "sealed segments" in capsys.readouterr().out
+        size = Path(store_path).stat().st_size
+        assert f"size:    {size} bytes" in capsys.readouterr().out
 
     def test_export_and_import_require_a_file_operand(self, tmp_path, capsys):
         store_path = str(tmp_path / "results.jsonl")
@@ -334,112 +351,36 @@ class TestCacheCli:
         assert "no such file" in capsys.readouterr().err
 
 
-# -- winner scan equivalence --------------------------------------------------
-class TestScanWinnersEquivalence:
-    """The lexsort-based ``_scan_winners`` matches the sequential scan.
+# -- stores sealed by an earlier version ------------------------------------
+class TestSealedStore:
+    """A ``<store>.segments/MANIFEST.json`` fails loudly, never as a partial store."""
 
-    The reference below is the historical row-by-row implementation; the
-    production one reduces the segment portion to one numpy lexsort over
-    (key, ts, ordinal).  Both must pick identical winners — including the
-    winning (ts, ordinal) stamp and the exact (segment, row) locator —
-    for overlapping keys across many segments, WAL overrides and legacy
-    timestamp-less WAL lines.
-    """
-
-    @staticmethod
-    def _reference_scan(path):
-        from repro.engine.segment import read_segment_index
-        from repro.engine.store import (
-            _parse_wal_line,
-            _wal_paths,
-            load_manifest,
-            segments_dir,
-        )
-
+    @pytest.fixture
+    def sealed(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        ResultStore(path).put(_result(_spec()))  # WAL residue beside segments
         segdir = segments_dir(path)
-        manifest = (
-            load_manifest(segdir)
-            if (segdir / MANIFEST_NAME).exists()
-            else None
-        )
-        winners = {}
-        ordinal = 0
-        if manifest is not None:
-            for meta in manifest.segments:
-                keys, ts_arr = read_segment_index(segdir, meta)
-                for row in range(len(keys)):
-                    key = str(keys[row])
-                    stamp = (int(ts_arr[row]), ordinal)
-                    ordinal += 1
-                    if key not in winners or stamp > winners[key][:2]:
-                        winners[key] = (*stamp, ("seg", meta.name, row))
-        for wal_path in _wal_paths(path):
-            if not wal_path.exists():
-                continue
-            offset = 0
-            with wal_path.open("rb") as handle:
-                for raw in handle:
-                    line_offset = offset
-                    offset += len(raw)
-                    parsed = _parse_wal_line(raw)
-                    if parsed is None:
-                        continue
-                    key, ts, _payload = parsed
-                    stamp = (ordinal if ts is None else ts, ordinal)
-                    ordinal += 1
-                    if key not in winners or stamp > winners[key][:2]:
-                        winners[key] = (*stamp, ("wal", wal_path, line_offset))
-        return winners
+        segdir.mkdir()
+        (segdir / "MANIFEST.json").write_text('{"spec_version": 2, "segments": []}')
+        return path
 
-    def _assert_equivalent(self, path):
-        from repro.engine.store import _scan_winners
+    def test_open_names_the_export_import_route(self, sealed):
+        for open_store in (
+            ResultStore,
+            lambda path: ResultStore(path, writer="w1", preload=False),
+            lambda path: list(iter_store_records(path)),
+        ):
+            with pytest.raises(SealedStoreError) as info:
+                open_store(sealed)
+            assert "cache export" in str(info.value)
+            assert "cache import" in str(info.value)
 
-        _segdir, _manifest, winners = _scan_winners(path)
-        assert winners == self._reference_scan(path)
-        return winners
-
-    def test_overlapping_keys_across_many_segments(self, tmp_path):
-        path = tmp_path / "results.jsonl"
-        store = ResultStore(path)
-        # Three sealed generations re-writing overlapping key subsets.
-        for generation in range(3):
-            for seed in range(4):
-                if (seed + generation) % 2 == 0:
-                    store.put(_result(_spec(seed=seed), accesses=generation + 1))
-            store.seal()
-        winners = self._assert_equivalent(path)
-        assert len(load_manifest(segments_dir(path)).segments) == 3
-        assert all(locator[0] == "seg" for _, _, locator in winners.values())
-
-    def test_wal_overrides_and_fresh_keys(self, tmp_path):
-        path = tmp_path / "results.jsonl"
-        store = ResultStore(path)
-        for seed in range(3):
-            store.put(_result(_spec(seed=seed), accesses=1))
-        store.seal()
-        store.put(_result(_spec(seed=1), accesses=2))  # supersedes a sealed row
-        store.put(_result(_spec(seed=9), accesses=1))  # WAL-only key
-        winners = self._assert_equivalent(path)
-        kinds = {locator[0] for _, _, locator in winners.values()}
-        assert kinds == {"seg", "wal"}
-
-    def test_legacy_timestampless_wal_lines_order_by_position(self, tmp_path):
-        path = tmp_path / "results.jsonl"
-        store = ResultStore(path)
-        store.put(_result(_spec(seed=0), accesses=1))
-        store.seal()
-        # Legacy pre-engine lines: no ``ts`` field at all.  Scan position
-        # substitutes for the stamp, so the later line must win.
-        legacy_new = _result(_spec(seed=0), accesses=7).to_dict()
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps({"key": _spec(seed=0).key(),
-                                     "result": legacy_new}) + "\n")
-        self._assert_equivalent(path)
-
-    def test_empty_and_wal_only_stores(self, tmp_path):
-        path = tmp_path / "results.jsonl"
-        ResultStore(path)  # creates nothing until a put
-        self._assert_equivalent(path)
-        store = ResultStore(path)
-        store.put(_result(_spec(seed=3)))
-        self._assert_equivalent(path)
+    def test_cli_fails_with_the_export_import_message(self, sealed, capsys):
+        for argv in (["cache"], ["cache", "stats"], ["report", "--all"]):
+            assert main([*argv, "--store", str(sealed)]) == 2
+            err = capsys.readouterr().err
+            assert "cache export" in err and "cache import" in err
+        # Without its main WAL the store still fails loudly, not as absent.
+        sealed.unlink()
+        assert main(["report", "--all", "--store", str(sealed)]) == 2
+        assert "cache import" in capsys.readouterr().err
