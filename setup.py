@@ -32,6 +32,8 @@ setup(
     long_description_content_type="text/markdown",
     package_dir={"": "src"},
     packages=find_packages("src"),
+    # The compiled displacement walk is built from source on first import.
+    package_data={"repro.core": ["_cuckoo_walk.c"]},
     python_requires=">=3.9",
     install_requires=["numpy"],
     extras_require={

@@ -576,8 +576,10 @@ class TiledCMP:
           policy) stamp their slot at every directory hit and vacant
           insert; a cuckoo table skips the stamp and advances its
           round-robin start way instead.  An insert that finds every
-          candidate full goes to one scalar helper either way: the walk,
-          or the LRU eviction, both through ``insert_absent``.
+          candidate full goes to one helper either way: the table's
+          displacement walk (:meth:`~repro.core.cuckoo_hash.
+          CuckooHashTable.walk`, compiled where it builds), or the LRU
+          eviction through ``insert_absent``.
 
         Trace order is preserved throughout — conflicting accesses
         (same block, same (cache, set), same directory slot) simply
@@ -663,7 +665,8 @@ class TiledCMP:
         # sharer additions equal lookup hits (every drain path that finds
         # an entry adds a sharer bit), and the table-size delta equals
         # vacant-slot inserts minus entry removals (all-full inserts
-        # maintain ``table._size`` themselves via ``insert_absent``).
+        # maintain ``table._size`` themselves, in the walk or
+        # ``insert_absent``).
         a_lh = [0] * num_homes
         a_i1 = [0] * num_homes
         a_sr = [0] * num_homes
@@ -734,38 +737,52 @@ class TiledCMP:
             ev_by_home: List[List[int]] = [[] for _ in banks]
             ev_app = [events.append for events in ev_by_home]
 
-        record = self._record
-
         def insert_full(home: int, local_addr: int, sharer_set, indices) -> None:
-            # Every candidate full: insert_absent (a displacement walk, or
-            # an LRU eviction) plus direct stats; resync the start-way
-            # shadow a walk rotates inside the table.
-            nonlocal n_walk
+            # Every candidate full: the table's displacement walk, entered
+            # directly from the start-way shadow (or, on an LRU table, the
+            # eviction in insert_absent), plus direct stats and the forced
+            # invalidation through the live traffic counters.
+            nonlocal n_walk, hops_acc, bytes_acc, n_inv, n_ack
             n_walk += 1
             table = d_table[home]
             ic = d_ic[home]
-            if ic is not None and len(ic) < ic_limit:
-                ic[local_addr] = indices
-            table._start_way = d_sw[home]
-            result = table.insert_absent(local_addr, sharer_set, indices)
-            d_sw[home] = table._start_way
+            if ic is None:
+                result = table.insert_absent(local_addr, sharer_set, indices)
+                attempts = result.attempts
+                victim_key = result.evicted_key
+                victim_set = result.evicted_value
+            else:
+                if len(ic) < ic_limit:
+                    ic[local_addr] = indices
+                table._start_way = d_sw[home]
+                attempts, victim_key, victim_set = table.walk(local_addr, sharer_set)
+                d_sw[home] = table._start_way
             stats = d_stats[home]
-            attempts = result.attempts
             stats.insertions += 1
             stats.insertion_attempts += attempts
             stats.attempt_histogram[attempts] += 1
             stats.bits_written += attempts * dir_entry_bits
-            if result.evicted:
-                # Forced invalidation of the victim entry's sharers (the
-                # walk's last displaced entry, or the LRU candidate).
-                victim_block = result.evicted_key * num_slices + home
-                victims = result.evicted_value.sharers()
-                stats.forced_invalidations += 1
-                stats.forced_invalidation_messages += len(victims)
-                for sharer in victims:
-                    record(_INVALIDATE, home, core_of[sharer])
-                    tracked[sharer].invalidate(victim_block)
-                    record(_INV_ACK, core_of[sharer], home)
+            if victim_key is None:
+                return
+            # Forced invalidation of the victim entry's sharers (the walk's
+            # last displaced entry, or the LRU candidate).
+            victim_block = victim_key * num_slices + home
+            victims = victim_set._mask
+            stats.forced_invalidations += 1
+            stats.forced_invalidation_messages += bin(victims).count("1")
+            while victims:
+                low = victims & -victims
+                victims -= low
+                sharer = low.bit_length() - 1
+                if track:
+                    sharer_core = core_of[sharer]
+                    n_inv += 1
+                    hops_acc += hop_table[home][sharer_core]
+                    bytes_acc += inv_bytes
+                    n_ack += 1
+                    hops_acc += hop_table[sharer_core][home]
+                    bytes_acc += ack_bytes
+                tracked[sharer].invalidate(victim_block)
 
         def insert_new(home: int, local_addr: int, mask: int, indices) -> None:
             # TableDirectory._insert_new_entry over the drain's handles: a

@@ -62,6 +62,16 @@ table over a skewing hash family; a Sparse directory is one whose ways all
 index ``address % num_sets`` (:class:`~repro.hashing.modulo.
 ModuloHashFamily`).  No walk ever re-reads a key's candidate row, so LRU
 tables keep no indices cache.
+
+The displacement walk
+---------------------
+:meth:`CuckooHashTable.walk` is the one entry point to the walk, for the
+handlers (through :meth:`~CuckooHashTable.insert_absent`) and for the
+vectorized drain alike.  It runs the compiled walk of
+:mod:`repro.core.native` when that built and loaded, else
+:func:`_walk_python`, which is the reference both are tested against.
+Both run over the way lists, the locator and the indices cache above, so
+the layout is the same either way; :data:`WALK` names the live one.
 """
 
 from __future__ import annotations
@@ -70,10 +80,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.core import native
 from repro.hashing.base import HashFamily
 from repro.hashing.skewing import SkewingHashFamily
 
-__all__ = ["InsertOutcome", "InsertResult", "CuckooHashTable"]
+__all__ = ["InsertOutcome", "InsertResult", "CuckooHashTable", "WALK"]
 
 #: Vacant-slot sentinel in the flat key arrays (keys are non-negative).
 _EMPTY = -1
@@ -85,6 +96,55 @@ _EMPTY = -1
 #: iterate in insertion order), so a steady-state working set keeps its hot
 #: keys cached instead of being dumped wholesale and re-hashed from scratch.
 _INDICES_CACHE_LIMIT = 1 << 15
+
+
+def _walk_python(keys, values, locator, indices_cache, way_fns, key, value, way,
+                 max_attempts):
+    """The displacement walk: the reference for the compiled one.
+
+    Writes ``key`` over its candidate in ``way``, then re-places each
+    displaced entry in the next way round-robin, one attempt per
+    placement, until an entry lands in a vacant slot or ``max_attempts``
+    placements are made.  Each placement updates the placed key's locator
+    slot; a displaced entry's stale slot is overwritten when the walk
+    re-places it, or deleted when the cut-off walk discards it.
+
+    Returns ``(attempts, way, evicted_key, evicted_value)``: ``way`` is
+    where the walk stopped (the next insertion starts there), and the
+    evicted pair is ``None, None`` unless the walk was cut off and threw
+    its last displaced entry out of the table.
+    """
+    num_ways = len(way_fns)
+    attempts = 0
+    while attempts < max_attempts:
+        attempts += 1
+        # Displaced keys were inserted earlier, so their indices are
+        # almost always still cached.
+        cached = indices_cache.get(key)
+        index = cached[way] if cached is not None else way_fns[way](key)
+        way_keys = keys[way]
+        victim_key = way_keys[index]
+        way_values = values[way]
+        victim_value = way_values[index]
+        way_keys[index] = key
+        way_values[index] = value
+        locator[key] = (way, index)
+        if victim_key == _EMPTY:
+            return attempts, way, None, None
+        key = victim_key
+        value = victim_value
+        way += 1
+        if way == num_ways:
+            way = 0
+    del locator[key]
+    return attempts, way, key, value
+
+
+#: The displacement walk :meth:`CuckooHashTable.walk` runs.
+_walk = native.load_walk() or _walk_python
+#: Which walk that is: ``"compiled"`` or ``"python"`` (information only;
+#: the loader decides, and nothing else selects a walk).
+WALK = "python" if _walk is _walk_python else "compiled"
 
 
 class InsertOutcome(str, Enum):
@@ -335,7 +395,6 @@ class CuckooHashTable:
             raise ValueError("keys must be non-negative")
         keys = self._keys
         values = self._values
-        way_fns = self._way_fns
         locator = self._locator
         if candidate_indices is None:
             candidate_indices = self._indices_of(key)
@@ -383,51 +442,35 @@ class CuckooHashTable:
                 evicted_value=victim_value,
             )
 
-        # All candidates are occupied: displacement walk.  Each placement
-        # updates the displaced entry's locator slot; the victim's stale
-        # entry is overwritten when the walk re-places it (or popped below
-        # when the cut-off walk discards it), so the locator is consistent
-        # again by the time the walk returns.
-        current_key = key
-        current_value = value
-        way = start_way
-        attempts = 0
-        max_attempts = self._max_attempts
-        indices_cache = self._indices_cache
-        while attempts < max_attempts:
-            attempts += 1
-            # Displaced keys were inserted earlier, so their indices are
-            # almost always still cached.
-            cached = indices_cache.get(current_key)
-            index = cached[way] if cached is not None else way_fns[way](current_key)
-            way_keys = keys[way]
-            victim_key = way_keys[index]
-            way_values = values[way]
-            victim_value = way_values[index]
-            way_keys[index] = current_key
-            way_values[index] = current_value
-            locator[current_key] = (way, index)
-            if victim_key == _EMPTY:
-                self._size += 1
-                self._start_way = way
-                return self._inserted_results[attempts]
-            current_key = victim_key
-            current_value = victim_value
-            way += 1
-            if way == num_ways:
-                way = 0
-
-        # Walk cut off: the most recently displaced entry is discarded.  The
-        # new key itself has been written into the table (self._size is
-        # unchanged: one entry in, one entry out).
-        del locator[current_key]
-        self._start_way = way
+        # Every candidate is full: the displacement walk.
+        attempts, evicted_key, evicted_value = self.walk(key, value)
+        if evicted_key is None:
+            return self._inserted_results[attempts]
         return InsertResult(
             outcome=InsertOutcome.EVICTED_VICTIM,
             attempts=attempts,
-            evicted_key=current_key,
-            evicted_value=current_value,
+            evicted_key=evicted_key,
+            evicted_value=evicted_value,
         )
+
+    def walk(self, key: int, value: Any) -> Tuple[int, Optional[int], Any]:
+        """Insert an absent ``key`` whose candidates are all full, by walking.
+
+        The displacement walk (module docstring) from the round-robin start
+        way, which moves to where the walk stopped.  Returns ``(attempts,
+        evicted_key, evicted_value)``: the evicted pair is ``None, None``
+        when the walk ended in a vacant slot (the table grew by one), else
+        the entry the cut-off walk threw out (one entry in, one out).
+        Cuckoo policy only: an LRU table has no indices cache and never
+        walks.
+        """
+        attempts, self._start_way, evicted_key, evicted_value = _walk(
+            self._keys, self._values, self._locator, self._indices_cache,
+            self._way_fns, key, value, self._start_way, self._max_attempts,
+        )
+        if evicted_key is None:
+            self._size += 1
+        return attempts, evicted_key, evicted_value
 
     def get_slot(self, key: int) -> Optional[Tuple[int, int, Any]]:
         """Locate ``key`` in one probe; returns ``(way, index, value)`` or ``None``.

@@ -74,7 +74,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.engine.runner import ParallelRunner, default_workers
+from repro.engine.runner import ParallelRunner
 from repro.engine.spec import (
     DEFAULT_MEASURE_ACCESSES,
     DEFAULT_SCALE,

@@ -3,11 +3,17 @@
 :class:`ParallelRunner` takes a :class:`~repro.engine.spec.RunGrid`,
 answers what it can from the :class:`~repro.engine.store.ResultStore`
 (content-addressed, so only bit-identical points hit), shards the
-remaining specs across a :mod:`multiprocessing` pool, and folds every
-outcome into a :class:`GridReport`.  Each worker rebuilds its system from
-the spec (:func:`repro.engine.execute.execute_spec`), so parallel results
-are identical to serial ones; a failing point is isolated as a
-:class:`~repro.engine.results.RunFailure` without aborting the grid.
+remaining specs across a pool of :mod:`multiprocessing` worker processes,
+and folds every outcome into a :class:`GridReport`.  Each worker rebuilds
+its system from the spec (:func:`repro.engine.execute.execute_spec`), so
+parallel results are identical to serial ones; a failing point is isolated
+as a :class:`~repro.engine.results.RunFailure` without aborting the grid.
+
+The parent hands each worker one point at a time over its own pipe, so it
+always knows which point a worker holds.  A worker that dies mid-point (a
+segfault, ``os._exit``, the OOM killer) therefore fails exactly that
+point, with the worker's exit code or signal; a replacement worker takes
+the points that had not started, and the grid finishes.
 
 Telemetry crosses the process boundary in two streams, both optional:
 
@@ -31,11 +37,14 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
+from multiprocessing.connection import wait
 from queue import Empty
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Union
 
 from repro import obs
 from repro.engine.execute import execute_payload, execute_spec
@@ -176,6 +185,62 @@ def _execute_payload_observed(payload: Dict[str, object]) -> Dict[str, object]:
             "phases": TRACER.snapshot(),
         }
     return outcome
+
+
+def _worker_loop(conn, entry, initargs) -> None:
+    """Pool worker: run each payload the parent sends, reply with its outcome.
+
+    ``None`` (or the parent's end closing) stops the worker.
+    """
+    _worker_init(*initargs)
+    while True:
+        try:
+            payload = conn.recv()
+        except EOFError:
+            return
+        if payload is None:
+            return
+        conn.send(entry(payload))
+
+
+def _death_cause(exitcode: Optional[int]) -> str:
+    """``exit code N`` or ``signal NAME``, as a dead worker's exit reads."""
+    if exitcode is None:
+        return "an unknown cause"
+    if exitcode < 0:
+        try:
+            return f"signal {signal.Signals(-exitcode).name}"
+        except ValueError:
+            return f"signal {-exitcode}"
+    return f"exit code {exitcode}"
+
+
+class _Worker:
+    """One pool process, its end of the pipe and the point it holds."""
+
+    __slots__ = ("process", "conn", "payload")
+
+    def __init__(self, context, entry, initargs) -> None:
+        self.conn, child = context.Pipe()
+        self.process = context.Process(
+            target=_worker_loop, args=(child, entry, initargs), daemon=True
+        )
+        self.process.start()
+        child.close()
+        self.payload: Optional[Dict[str, object]] = None
+
+    def ask_to_stop(self) -> None:
+        try:
+            self.conn.send(None)
+        except OSError:  # already dead
+            pass
+
+    def join(self) -> None:
+        self.process.join(timeout=5)
+        if self.process.is_alive():  # still mid-point: the run was interrupted
+            self.process.terminate()
+            self.process.join()
+        self.conn.close()
 
 
 class EngineError(RuntimeError):
@@ -397,12 +462,16 @@ class ParallelRunner:
         for spec in pending:
             self._record_outcome(execute_payload(spec.to_dict()), report, total)
 
+    #: What a pool worker runs per payload (a seam for the dying-worker
+    #: tests, which must reach spawned workers too).
+    _worker_entry = staticmethod(_execute_payload_observed)
+
     def _run_pool(self, pending: List[RunSpec], report: GridReport, total: int) -> None:
         context = multiprocessing.get_context(self._start_method)
         pool_size = min(self.workers, len(pending))
-        payloads = [spec.to_dict() for spec in pending]
+        todo: Deque[Dict[str, object]] = deque(spec.to_dict() for spec in pending)
         # The event queue only exists when someone is watching; without a
-        # monitor the pool still replicates obs/logging state but skips the
+        # monitor the workers still replicate obs/logging state but skip the
         # heartbeat machinery entirely.
         queue = context.Queue() if self._monitor is not None else None
         telemetry: Dict[int, Dict[str, object]] = {}
@@ -414,49 +483,85 @@ class ParallelRunner:
             self._heartbeat_interval,
             store_path,
         )
-        with context.Pool(
-            processes=pool_size, initializer=_worker_init, initargs=initargs
-        ) as pool:
-            in_flight = [
-                pool.apply_async(_execute_payload_observed, (payload,))
-                for payload in payloads
-            ]
-            # apply_async + a poll loop (rather than imap_unordered) so the
-            # parent can drain worker events and repaint progress *between*
-            # completions — a stalled worker stays visible.
-            while in_flight:
-                self._drain_events(queue, timeout=0.05)
-                still_running = []
-                for handle in in_flight:
-                    if handle.ready():
-                        outcome = handle.get()
-                        self._take_telemetry(outcome, telemetry)
-                        self._record_outcome(outcome, report, total)
+        workers: List[_Worker] = []
+        try:
+            while todo or any(worker.payload is not None for worker in workers):
+                # Hand every idle worker its next point, replacing dead ones.
+                for worker in [w for w in workers if w.payload is None]:
+                    if not worker.process.is_alive():
+                        workers.remove(worker)
+                        worker.join()
+                while todo and len(workers) < pool_size:
+                    workers.append(_Worker(context, self._worker_entry, initargs))
+                for worker in workers:
+                    if worker.payload is None and todo:
+                        worker.payload = todo.popleft()
+                        worker.conn.send(worker.payload)
+                # Wait for an outcome or a death; the timeout keeps worker
+                # events and the progress display flowing in between.
+                busy = [w for w in workers if w.payload is not None]
+                ready = set(
+                    wait(
+                        [w.conn for w in busy] + [w.process.sentinel for w in busy],
+                        timeout=0.05,
+                    )
+                )
+                for worker in busy:
+                    if worker.conn in ready:
+                        try:
+                            outcome = worker.conn.recv()
+                        except (EOFError, OSError):
+                            outcome = None
+                    elif worker.process.sentinel in ready:
+                        outcome = None
                     else:
-                        still_running.append(handle)
-                in_flight = still_running
+                        continue
+                    if outcome is None:
+                        workers.remove(worker)
+                        self._record_death(worker, report, total)
+                        continue
+                    worker.payload = None
+                    self._take_telemetry(outcome, telemetry)
+                    self._record_outcome(outcome, report, total)
+                self._drain_events(queue)
                 if self._tick is not None:
                     self._tick()
-            # Final drain: queue feeder threads deliver asynchronously, so
-            # a non-blocking sweep here would drop trailing events.
+        finally:
+            for worker in workers:
+                worker.ask_to_stop()
+            # Drain before joining: a worker exits only once its queue
+            # feeder has flushed, and feeders deliver asynchronously, so a
+            # non-blocking sweep here would also drop trailing events.
             self._drain_events(queue, timeout=0.2)
+            for worker in workers:
+                worker.join()
         for snapshot in telemetry.values():
             REGISTRY.absorb(snapshot.get("metrics", {}))
             TRACER.absorb(snapshot.get("phases", {}))
 
-    def _drain_events(self, queue, timeout: float) -> None:
+    def _record_death(self, worker: _Worker, report: GridReport, total: int) -> None:
+        """Fail the point a dead worker held, with its exit code or signal."""
+        worker.join()
+        cause = _death_cause(worker.process.exitcode)
+        spec = RunSpec.from_dict(worker.payload)
+        report.failures[spec.key()] = RunFailure(
+            spec=spec,
+            error=f"worker {worker.process.pid} died mid-point ({cause})",
+        )
+        self._emit("failed", report, total, spec)
+
+    def _drain_events(self, queue, timeout: float = 0.0) -> None:
         """Feed queued worker events to the monitor, waiting ≤ ``timeout``."""
         if queue is None:
-            time.sleep(timeout)
             return
         monitor = self._monitor
         deadline = time.monotonic() + timeout
         while True:
-            wait = deadline - time.monotonic()
-            if wait <= 0:
-                return
+            wait_for = deadline - time.monotonic()
             try:
-                event = queue.get(timeout=wait)
+                event = (
+                    queue.get(timeout=wait_for) if wait_for > 0 else queue.get_nowait()
+                )
             except (Empty, OSError, EOFError):
                 return
             monitor.record_worker_event(event)

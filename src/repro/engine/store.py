@@ -517,9 +517,10 @@ class ResultStore:
         records are written in commit order to a sibling temp file,
         fsynced and :func:`os.replace`\\ d over the store path, so a crash
         mid-write leaves the original intact; only then are the
-        per-writer WALs unlinked, and a crash before that leaves
-        duplicates that last-wins resolves on the next open.  Timeline
-        sidecars whose key is no longer live are removed in the same pass.
+        per-writer WALs unlinked (and ``<store>.segments/`` with them, when
+        nothing else is in it), and a crash before that leaves duplicates
+        that last-wins resolves on the next open.  Timeline sidecars whose
+        key is no longer live are removed in the same pass.
 
         Compaction assumes no concurrent writers (it deletes their WALs);
         run it from the CLI between sweeps, not during one.
@@ -552,6 +553,11 @@ class ResultStore:
         for wal in wals:
             if wal != self._path or not self._catalog:
                 wal.unlink()
+        # Their directory goes too once it is empty; a foreign file keeps it.
+        try:
+            segments_dir(self._path).rmdir()
+        except OSError:
+            pass
         _STORE_COMPACTIONS.inc()
         _records_after, bytes_after = _wal_usage(self._path)
         return CompactionReport(

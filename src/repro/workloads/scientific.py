@@ -23,7 +23,7 @@ structures rather than sampling from popularity distributions:
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -32,6 +32,9 @@ from repro.config import SystemConfig
 from repro.workloads.base import AddressSpaceLayout, Workload, WorkloadCategory
 
 __all__ = ["Em3dWorkload", "OceanWorkload"]
+
+#: Node updates per em3d draw batch (the chunk of :meth:`Em3dWorkload.trace_chunks`).
+_EM3D_BATCH = 1024
 
 
 class Em3dWorkload(Workload):
@@ -75,33 +78,43 @@ class Em3dWorkload(Workload):
         self.remote_fraction = remote_fraction
         self.values_per_block = values_per_block
 
-    def trace(self, system: SystemConfig, seed: int = 0) -> Iterator[MemoryAccess]:
-        rng = np.random.default_rng(seed)
-        block_bytes = system.block_bytes
-        # Each core owns a contiguous partition of node blocks.
+    def _partitions(self, system: SystemConfig) -> Tuple[int, List[int]]:
+        """Nodes per core, and each core's contiguous partition base."""
         blocks_per_core = max(
             1,
             int(self.nodes_per_core_l2x * system.l2_config.num_frames),
         )
-        nodes_per_core = blocks_per_core * self.values_per_block
-        layout = AddressSpaceLayout(block_bytes)
-        partition_bases = [
-            layout.allocate(blocks_per_core) for _ in range(system.num_cores)
-        ]
+        layout = AddressSpaceLayout(system.block_bytes)
+        bases = [layout.allocate(blocks_per_core) for _ in range(system.num_cores)]
+        return blocks_per_core * self.values_per_block, bases
+
+    def _draws(self, rng: np.random.Generator, num_cores: int, nodes_per_core: int):
+        """One batch's five draws, in stream order."""
+        batch, degree = _EM3D_BATCH, self.degree
+        return (
+            rng.integers(0, num_cores, size=batch),
+            rng.integers(0, nodes_per_core, size=batch),
+            rng.random((batch, degree)),
+            rng.integers(0, num_cores, size=(batch, degree)),
+            rng.integers(0, nodes_per_core, size=(batch, degree)),
+        )
+
+    def trace(self, system: SystemConfig, seed: int = 0) -> Iterator[MemoryAccess]:
+        """The per-access stream: the reference :meth:`trace_chunks` matches."""
+        rng = np.random.default_rng(seed)
+        block_bytes = system.block_bytes
+        nodes_per_core, partition_bases = self._partitions(system)
         num_cores = system.num_cores
 
         def node_address(core: int, node_index: int) -> int:
             block = node_index // self.values_per_block
             return partition_bases[core] + block * block_bytes
 
-        batch = 1024
         while True:
-            cores = rng.integers(0, num_cores, size=batch)
-            nodes = rng.integers(0, nodes_per_core, size=batch)
-            remote_draws = rng.random((batch, self.degree))
-            remote_cores = rng.integers(0, num_cores, size=(batch, self.degree))
-            neighbour_nodes = rng.integers(0, nodes_per_core, size=(batch, self.degree))
-            for i in range(batch):
+            cores, nodes, remote_draws, remote_cores, neighbour_nodes = self._draws(
+                rng, num_cores, nodes_per_core
+            )
+            for i in range(_EM3D_BATCH):
                 core = int(cores[i])
                 # Read the neighbours feeding this node.
                 for d in range(self.degree):
@@ -119,6 +132,40 @@ class Em3dWorkload(Workload):
                     address=node_address(core, int(nodes[i])),
                     is_write=True,
                 )
+
+    def trace_chunks(
+        self, system: SystemConfig, seed: int = 0, chunk_size: int = 4096
+    ) -> Iterator[tuple]:
+        """One chunk per batch of node updates, built from the batch's draws.
+
+        Each update is its ``degree`` neighbour reads, then its write, as
+        in :meth:`trace`; the draws are the same five in the same order, so
+        the flattened chunks are that stream access for access.
+        """
+        del chunk_size  # a chunk is one draw batch
+        rng = np.random.default_rng(seed)
+        block_bytes = system.block_bytes
+        nodes_per_core, partition_bases = self._partitions(system)
+        bases = np.asarray(partition_bases, dtype=np.int64)
+        num_cores = system.num_cores
+        per_update = self.degree + 1
+        writes = np.tile(np.arange(per_update) == self.degree, _EM3D_BATCH)
+        no_instrs = np.zeros(writes.size, dtype=np.bool_)
+        writes.setflags(write=False)
+        no_instrs.setflags(write=False)
+        while True:
+            cores, nodes, remote_draws, remote_cores, neighbour_nodes = self._draws(
+                rng, num_cores, nodes_per_core
+            )
+            owners = np.where(
+                remote_draws < self.remote_fraction, remote_cores, cores[:, None]
+            )
+            addresses = np.empty((_EM3D_BATCH, per_update), dtype=np.int64)
+            addresses[:, :-1] = (
+                bases[owners] + neighbour_nodes // self.values_per_block * block_bytes
+            )
+            addresses[:, -1] = bases[cores] + nodes // self.values_per_block * block_bytes
+            yield np.repeat(cores, per_update), addresses.ravel(), writes, no_instrs
 
 
 class OceanWorkload(Workload):
@@ -149,8 +196,8 @@ class OceanWorkload(Workload):
         self.points_per_block = points_per_block
         self.write_back_every_point = write_back_every_point
 
-    def trace(self, system: SystemConfig, seed: int = 0) -> Iterator[MemoryAccess]:
-        block_bytes = system.block_bytes
+    def _bands(self, system: SystemConfig) -> Tuple[int, int, List[int]]:
+        """Rows per band, blocks per row, and each core's band base."""
         blocks_per_band = max(
             2, int(self.grid_l2x * system.l2_config.num_frames)
         )
@@ -158,11 +205,17 @@ class OceanWorkload(Workload):
         # boundary rows a small fraction of the band, like a real 2-D grid.
         rows_per_band = max(2, int(np.sqrt(blocks_per_band)))
         blocks_per_row = max(1, blocks_per_band // rows_per_band)
-        layout = AddressSpaceLayout(block_bytes)
+        layout = AddressSpaceLayout(system.block_bytes)
         band_bases = [
             layout.allocate(rows_per_band * blocks_per_row)
             for _ in range(system.num_cores)
         ]
+        return rows_per_band, blocks_per_row, band_bases
+
+    def trace(self, system: SystemConfig, seed: int = 0) -> Iterator[MemoryAccess]:
+        """The per-access stream: the reference :meth:`trace_chunks` matches."""
+        block_bytes = system.block_bytes
+        rows_per_band, blocks_per_row, band_bases = self._bands(system)
         num_cores = system.num_cores
 
         def block_address(core: int, row: int, column: int) -> int:
@@ -210,3 +263,46 @@ class OceanWorkload(Workload):
                             yield MemoryAccess(
                                 core=core, address=address, is_write=True
                             )
+
+    def trace_chunks(
+        self, system: SystemConfig, seed: int = 0, chunk_size: int = 4096
+    ) -> Iterator[tuple]:
+        """One chunk per grid row, in :meth:`trace` order.
+
+        A row's accesses repeat one pattern per column: each core's north
+        and south reads (where the band has them), its point's read and
+        write.  The pattern's addresses at column 0 plus the column's
+        offset give the row; no whole sweep is ever built.
+        """
+        del chunk_size, seed  # a chunk is one row; the sweep draws nothing
+        block_bytes = system.block_bytes
+        rows_per_band, blocks_per_row, band_bases = self._bands(system)
+        num_cores = system.num_cores
+        last_row = rows_per_band - 1
+        row_bytes = blocks_per_row * block_bytes
+        columns = np.arange(blocks_per_row, dtype=np.int64)[:, None] * block_bytes
+        while True:
+            for row in range(rows_per_band):
+                # (core, address at column 0, is_write) per access of a column.
+                pattern = []
+                for core in range(num_cores):
+                    base = band_bases[core]
+                    if row > 0:
+                        pattern.append((core, base + (row - 1) * row_bytes, False))
+                    elif core > 0:
+                        north = band_bases[core - 1] + last_row * row_bytes
+                        pattern.append((core, north, False))
+                    if row < last_row:
+                        pattern.append((core, base + (row + 1) * row_bytes, False))
+                    elif core < num_cores - 1:
+                        pattern.append((core, band_bases[core + 1], False))
+                    pattern.append((core, base + row * row_bytes, False))
+                    if self.write_back_every_point:
+                        pattern.append((core, base + row * row_bytes, True))
+                cores, starts, writes = zip(*pattern)
+                yield (
+                    np.tile(np.asarray(cores, dtype=np.int64), blocks_per_row),
+                    (np.asarray(starts, dtype=np.int64) + columns).ravel(),
+                    np.tile(np.asarray(writes, dtype=np.bool_), blocks_per_row),
+                    np.zeros(len(pattern) * blocks_per_row, dtype=np.bool_),
+                )

@@ -18,7 +18,9 @@ trace order.  This suite holds both to the handlers:
 * **checks** — equal deep state (statistics, flat cache arrays, residency,
   table internals with their LRU stamps) and a clean ``check_inclusion``
   after every chunk (except on the long-walk cases, where inclusion is
-  known not to hold).
+  known not to hold);
+* **walks** — the tight cuckoo cases also run under both displacement
+  walks, the compiled one and the Python reference, with equal deep state.
 
 The obs counters prove which path ran: chunks of every size of the plain
 table-backed organizations (cuckoo, sparse, skewed, in-cache) reach the
@@ -34,6 +36,7 @@ from repro.cache.cache import STATE_MODIFIED
 from repro.coherence.paging import PageMapper
 from repro.coherence.system import MemoryAccess, TiledCMP
 from repro.config import CacheConfig, CacheLevel, SystemConfig
+from repro.core import cuckoo_hash
 from repro.core.cuckoo_directory import CuckooDirectory
 from repro.core.stashed_cuckoo import StashedCuckooDirectory
 from repro.directories.duplicate_tag import DuplicateTagDirectory
@@ -459,6 +462,24 @@ def test_tight_cuckoo_forced_invalidations_mid_chunk_match_handlers(organization
         system = _make_system(organization, CacheLevel.L1)
         _run_chunked(system, stream, chunk_size, check)
         assert _deep_state(system) == _deep_state(reference), f"chunk size {chunk_size}"
+
+
+@pytest.mark.parametrize("level", LEVELS, ids=["L1", "L2"])
+@pytest.mark.parametrize("organization", ["cuckoo-tight", *INCLUSION_GAP])
+def test_long_walks_match_under_both_walks(organization, level, monkeypatch):
+    """The live walk (compiled where it builds) and the Python reference walk
+    leave identical deep state, through the handlers and the drain."""
+    stream = _stream(organization)
+    states = []
+    for walk in (cuckoo_hash._walk, cuckoo_hash._walk_python):
+        monkeypatch.setattr(cuckoo_hash, "_walk", walk)
+        reference = _make_system(organization, level)
+        _run_reference(reference, stream)
+        drained = _make_system(organization, level)
+        _run_chunked(drained, stream, 512, check=False)
+        states.append((_deep_state(reference), _deep_state(drained)))
+    assert states[0] == states[1]
+    assert states[0][0] == states[0][1]
 
 
 def test_hit_run_retires_in_the_drain(counters):

@@ -1,10 +1,17 @@
 """Parallel-runner tests: serial equivalence, caching, failure isolation."""
 
+import multiprocessing
+import os
+import signal
+import threading
+
 import pytest
 
+from repro.engine import runner as runner_module
 from repro.engine.runner import EngineError, ParallelRunner
 from repro.engine.spec import RunGrid, RunSpec
 from repro.engine.store import ResultStore
+from repro.obs.progress import SweepMonitor
 
 
 def _grid(**overrides):
@@ -125,3 +132,110 @@ class TestProgressReporting:
     def test_rejects_non_positive_workers(self):
         with pytest.raises(ValueError):
             ParallelRunner(workers=0)
+
+
+# -- dying workers ---------------------------------------------------------------
+
+START_METHODS = [
+    method
+    for method in ("fork", "spawn")
+    if method in multiprocessing.get_all_start_methods()
+]
+
+#: A dying worker once hung ``run()`` forever; a finished grid takes seconds.
+RUN_BOUND_SECONDS = 120
+
+
+def _exit_on_qry2(payload):
+    """Pool worker entry that dies outright on the Qry2 point."""
+    if payload["workload"] == "Qry2":
+        os._exit(137)
+    return runner_module._execute_payload_observed(payload)
+
+
+class _ExitingRunner(ParallelRunner):
+    _worker_entry = staticmethod(_exit_on_qry2)
+
+
+class _KillingMonitor(SweepMonitor):
+    """SIGKILLs the worker as soon as it reports starting ``victim``."""
+
+    def __init__(self, victim):
+        super().__init__()
+        self.victim = victim
+        self.killed = None
+
+    def record_worker_event(self, event):
+        super().record_worker_event(event)
+        kind, pid, _ts, label = event
+        if kind == "start" and label == self.victim and self.killed is None:
+            os.kill(pid, signal.SIGKILL)
+            self.killed = pid
+
+
+def _dying_grid():
+    quick = dict(provisioning=2.0, scale=64, measure_accesses=1_500)
+    specs = [
+        RunSpec(workload=name, tracked_level=level, **quick)
+        for name in ("Oracle", "ocean", "Apache")
+        for level in ("L1", "L2")
+    ]
+    # The victim runs long enough to be killed mid-point.
+    victim = RunSpec(
+        workload="Qry2", provisioning=2.0, scale=64, measure_accesses=400_000
+    )
+    return RunGrid([specs[0], victim] + specs[1:]), victim
+
+
+def _run_bounded(runner, grid):
+    outcome = {}
+    thread = threading.Thread(
+        target=lambda: outcome.setdefault("report", runner.run(grid)), daemon=True
+    )
+    thread.start()
+    thread.join(RUN_BOUND_SECONDS)
+    assert not thread.is_alive(), f"run() did not return within {RUN_BOUND_SECONDS}s"
+    return outcome["report"]
+
+
+def _assert_only_victim_failed(report, grid, victim, cause, store_path, monitor):
+    assert list(report.failures) == [victim.key()]
+    error = report.failures[victim.key()].error
+    assert "died mid-point" in error and cause in error
+    others = [spec for spec in grid if spec != victim]
+    assert sorted(report.results) == sorted(spec.key() for spec in others)
+    reopened = ResultStore(store_path)
+    assert all(reopened.get(spec) is not None for spec in others)
+    assert reopened.get(victim) is None
+    assert monitor.finished_at is not None
+    assert monitor.done == len(grid) and monitor.failed == 1
+
+
+@pytest.mark.parametrize("start_method", START_METHODS)
+class TestDyingWorker:
+    def test_worker_exit_fails_only_its_point(self, tmp_path, start_method):
+        grid, victim = _dying_grid()
+        monitor = SweepMonitor()
+        store_path = tmp_path / "results.jsonl"
+        runner = _ExitingRunner(
+            workers=2, store=ResultStore(store_path), start_method=start_method,
+            monitor=monitor,
+        )
+        report = _run_bounded(runner, grid)
+        _assert_only_victim_failed(
+            report, grid, victim, "exit code 137", store_path, monitor
+        )
+
+    def test_sigkilled_worker_fails_only_its_point(self, tmp_path, start_method):
+        grid, victim = _dying_grid()
+        monitor = _KillingMonitor(victim.workload)
+        store_path = tmp_path / "results.jsonl"
+        runner = ParallelRunner(
+            workers=2, store=ResultStore(store_path), start_method=start_method,
+            monitor=monitor,
+        )
+        report = _run_bounded(runner, grid)
+        assert monitor.killed is not None
+        _assert_only_victim_failed(
+            report, grid, victim, "signal SIGKILL", store_path, monitor
+        )

@@ -110,6 +110,27 @@ class TestLastWinsAcrossWals:
         assert path.read_bytes().count(b"\n") == 1
         assert not list(segments_dir(path).glob("wal-*.jsonl"))
 
+    def test_compaction_removes_the_emptied_segments_dir(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        for writer, workload in (("w1", "Oracle"), ("w2", "DB2")):
+            ResultStore(path, writer=writer, preload=False).put(
+                _result(_spec(workload=workload))
+            )
+        assert segments_dir(path).is_dir()
+        ResultStore(path).compact()
+        assert not segments_dir(path).exists()
+        assert len(ResultStore(path)) == 2
+
+    def test_compaction_keeps_a_segments_dir_holding_a_foreign_file(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        ResultStore(path, writer="w1", preload=False).put(_result(_spec()))
+        foreign = segments_dir(path) / "notes.txt"
+        foreign.write_text("not a WAL", encoding="utf-8")
+        ResultStore(path).compact()
+        assert foreign.read_text(encoding="utf-8") == "not a WAL"
+        assert not list(segments_dir(path).glob("wal-*.jsonl"))
+        assert len(ResultStore(path)) == 1
+
     def test_non_conforming_payload_survives_compaction_and_export(self, tmp_path):
         # A payload that does not decode as a RunResult (say, from a newer
         # schema) is not this reader's to drop: compaction keeps it as is.

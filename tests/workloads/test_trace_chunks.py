@@ -3,9 +3,10 @@
 ``run_workload`` feeds :meth:`Workload.trace_chunks` into the simulator's
 chunked loop, so any divergence between ``trace()`` and ``trace_chunks()``
 would silently change every figure.  These tests pin the equivalence for
-the natively vectorized generators (synthetic, uniform) and the generic
-batching fallback (scientific), and check that the chunked simulator loop
-produces the same measurements as the per-access loop.
+the natively vectorized generators (synthetic, uniform, and the scientific
+em3d and ocean, whose per-access ``trace()`` is the reference), and check
+that the chunked simulator loop produces the same measurements as the
+per-access loop.
 """
 
 from itertools import islice
@@ -32,11 +33,15 @@ def _flatten(chunks, limit):
                 return
 
 
+@pytest.mark.parametrize("scale", [64, 16])
+@pytest.mark.parametrize("level", [CacheLevel.L1, CacheLevel.L2], ids=["L1", "L2"])
 @pytest.mark.parametrize("name", ["Oracle", "Qry2", "em3d", "ocean"])
-def test_trace_chunks_flatten_to_trace(name):
-    system = scaled_system(CacheLevel.L1, scale=64)
+def test_trace_chunks_flatten_to_trace(name, level, scale):
+    system = scaled_system(level, scale=scale)
     workload = get_workload(name)
-    limit = 5000
+    # Past the end of an ocean sweep at scale 64 (24,320 accesses), so the
+    # chunks must restart the grid exactly where trace() does.
+    limit = 40_000
     from_chunks = list(_flatten(workload.trace_chunks(system, seed=3), limit))
     from_stream = [
         (access.core, access.address, access.is_write, access.is_instruction)
@@ -57,7 +62,8 @@ def test_uniform_workload_chunks_flatten_to_trace():
     assert from_chunks == from_stream
 
 
-def test_vectorised_chunk_fields_are_numpy_arrays():
+@pytest.mark.parametrize("name", ["Oracle", "em3d", "ocean"])
+def test_vectorised_chunk_fields_are_numpy_arrays(name):
     """The batched front-end (``TiledCMP.access_batch``) consumes chunk
     fields with vectorised address math; the natively vectorised generators
     must hand over their arrays directly instead of paying a per-element
@@ -65,7 +71,7 @@ def test_vectorised_chunk_fields_are_numpy_arrays():
     import numpy as np
 
     system = scaled_system(CacheLevel.L1, scale=64)
-    chunk = next(iter(get_workload("Oracle").trace_chunks(system, seed=0)))
+    chunk = next(iter(get_workload(name).trace_chunks(system, seed=0)))
     cores, addresses, writes, instrs = chunk
     assert isinstance(cores, np.ndarray) and cores.dtype.kind in "iu"
     assert isinstance(addresses, np.ndarray) and addresses.dtype.kind in "iu"
