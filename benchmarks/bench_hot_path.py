@@ -25,9 +25,9 @@ which is the per-PR claim CI's ``repro-run compare`` gate watches.
 The fig10 reference point is *miss-dominated* (the scaled L1s hit only
 ~21% of accesses), so its time is governed by the drain's miss protocol;
 the ``drain_heavy_50k`` metric isolates that further with a ~0% hit-rate
-stream.  Both run on the system's one fast path (the vectorized drain,
-every access of a chunk in trace order), which is what every cuckoo
-point of the paper uses.
+stream.  Both run on the compiled drain (every access of a chunk in trace
+order, where the C kernels built), which is what every point of the paper
+uses.
 
 Usage::
 
@@ -78,11 +78,10 @@ PRE_PR_BASELINE: Dict[str, float] = {
     "drain_heavy_50k_seconds": 0.3268,
 }
 
-#: fig10 point time committed by the whole-chunk-kernel PR
-#: (``current_seconds`` of the BENCH_hot_path.json committed by PR 7,
-#: measured on the same machine class as the baseline above).  The
-#: vectorized drain pipeline's per-PR claim is measured against this.
-PREV_COMMITTED_FIG10_SECONDS = 0.2788
+#: fig10 point time committed with the Python drain (``current_seconds``
+#: of the BENCH_hot_path.json the compiled drain replaced).  The compiled
+#: drain's per-PR claim is measured against this.
+PREV_COMMITTED_FIG10_SECONDS = 0.1950
 
 #: The Figure 10 reference point: Oracle on the Shared-L2 chosen design.
 FIG10_REFERENCE = RunSpec(

@@ -32,8 +32,9 @@ setup(
     long_description_content_type="text/markdown",
     package_dir={"": "src"},
     packages=find_packages("src"),
-    # The compiled displacement walk is built from source on first import.
-    package_data={"repro.core": ["_cuckoo_walk.c"]},
+    # The compiled kernels (walk and drain) are built from source on first
+    # import.
+    package_data={"repro.core": ["_kernels.c"]},
     python_requires=">=3.9",
     install_requires=["numpy"],
     extras_require={

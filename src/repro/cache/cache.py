@@ -17,7 +17,10 @@ codes), ``_dirty`` flags and ``_stamps`` (LRU recency).  A reverse map
 probe, and a per-set occupancy count lets the fill path skip the
 free-frame scan once a set is full (the steady state of every simulation).
 There is no per-frame wrapper object: the hot path reads and writes plain
-list slots.
+list slots.  The compiled drain (``repro/core/_kernels.c``) reads and writes
+these lists, ``_location`` and ``_clock`` directly, assuming the inline LRU
+policy, the only one :class:`~repro.coherence.system.TiledCMP` builds; keep
+the layout and the drain in sync.
 
 The MESI states are encoded as integers on the hot path (``STATE_*``
 module constants); the :class:`CoherenceState` enum remains the public
@@ -349,28 +352,6 @@ class SetAssociativeCache:
             way = index % self._num_ways
             self._policy.on_access(index // self._num_ways, way)
         return self._states[index]
-
-    # -- batched primitives (fast-path support) ------------------------------
-    #
-    # The fast path in ``repro.coherence.system`` (the vectorized drain)
-    # runs a whole trace chunk against the flat arrays with *explicit* LRU
-    # stamps, then settles the clock once (`advance_clock`).  Explicit
-    # stamps work because every access — hit or miss — advances the
-    # inline-LRU clock by exactly one, so the stamp any access would have
-    # written is ``clock_at_chunk_start + its rank among this cache's chunk
-    # accesses``, computable for the whole chunk up front.  The drain reads
-    # and writes the flat arrays (``_tags``/``_states``/``_dirty``/
-    # ``_stamps``/``_set_counts``/``_location``/``_clock``) directly; keep
-    # the storage layout and this primitive in sync.  It relies on inline
-    # LRU, which is the only policy ``TiledCMP`` builds.
-
-    def advance_clock(self, count: int) -> None:
-        """Advance the LRU clock by ``count`` accesses retired out-of-band.
-
-        The vectorized drain writes precomputed stamps directly and settles
-        the clock once per chunk instead of once per access.
-        """
-        self._clock += count
 
     def fill(
         self,

@@ -24,23 +24,28 @@ Cuckoo organizations.
 
 Execution paths
 ---------------
-The protocol has one definition: the handlers (:meth:`TiledCMP._access_block`
-and the ``_handle_*`` methods).  :meth:`TiledCMP.access` and
-:meth:`TiledCMP.access_scalar` run them for one access;
-:meth:`TiledCMP.access_batch` runs a slice of a trace chunk with all
-per-access address math (page translation, block/home/local derivation,
-tracked-cache selection) numpy-precomputed and the core-range check hoisted
-to one chunk-level validation.  It then takes one of two paths, chosen from
-what it can observe and bit-identical in every statistic:
+The protocol has two definitions: the handlers (:meth:`TiledCMP.
+_access_block` and the ``_handle_*`` methods), which are the reference, and
+the compiled drain (``drain`` in ``repro/core/_kernels.c``), which
+``tests/coherence/test_access_paths.py`` and ``tests/core/
+test_native_drain.py`` hold to them state for state.
+:meth:`TiledCMP.access` and :meth:`TiledCMP.access_scalar` run the handlers
+for one access; :meth:`TiledCMP.access_batch` runs a slice of a trace chunk
+with all per-access address math (page translation, block/home/local
+derivation, tracked-cache selection) numpy-precomputed and the core-range
+check hoisted to one chunk-level validation.  It then takes one of two
+paths, chosen from what it can observe and bit-identical in every
+statistic:
 
-* the **fast path** — the vectorized drain, every access of the chunk in
-  trace order — when every directory slice is a plain table-backed
-  directory (Cuckoo, Sparse, Skewed or In-Cache, :class:`~repro.
-  directories.table.TableDirectory`) with a full bit vector (it exposes
-  ``drain_handles()``);
+* the **compiled drain** — one C call for the chunk, every access in trace
+  order — when the library built (:mod:`repro.core.native`) and every
+  directory slice is a plain table-backed directory (Cuckoo, Sparse,
+  Skewed or In-Cache, :class:`~repro.directories.table.TableDirectory`)
+  with a full bit vector (it exposes ``drain_handles()``), for at most 64
+  tracked caches;
 * the **handler loop** — each access through the handlers — otherwise:
-  the stashed cuckoo, Duplicate-Tag and Tagless organizations and rich
-  sharer encodings.
+  the stashed cuckoo, Duplicate-Tag and Tagless organizations, rich sharer
+  encodings, and every system on a host where the library cannot build.
 
 Internally the protocol operates on integer MESI codes
 (:data:`repro.cache.cache.STATE_TO_CODE`); the :class:`~repro.cache.cache.
@@ -68,6 +73,7 @@ from repro.coherence.messages import (
     TrafficStats,
 )
 from repro.coherence.paging import PageMapper
+from repro.core import native
 from repro.core.cuckoo_hash import _INDICES_CACHE_LIMIT
 from repro.directories.base import Directory, DirectoryStats, Invalidation, UpdateResult
 from repro.directories.sharers import FullBitVector
@@ -87,65 +93,65 @@ _BATCH_ACCESSES = _obs_counter(
 )
 _BATCH_DRAINED = _obs_counter(
     "sim.batch.drained",
-    help="accesses executed by the vectorized drain",
+    help="accesses executed by the compiled drain",
 )
-# Drain telemetry (DESIGN.md "The vectorized drain pipeline"): the
-# fast-path / handler-loop split plus the vector drain's per-class
-# retirement counts, all bumped once per chunk from chunk-local
-# accumulators.
+# Drain telemetry (DESIGN.md "The compiled kernels"): the compiled-drain /
+# handler-loop split plus the drain's per-class counts, all bumped once per
+# chunk from the counts the drain returns.
 _DRAIN_VECTOR = _obs_counter(
     "sim.drain.vector_resolved",
-    help="drained accesses resolved by the vectorized drain pipeline",
+    help="accesses resolved by the compiled drain",
 )
 _DRAIN_SCALAR = _obs_counter(
     "sim.drain.scalar_fallback",
-    help="accesses executed by the handler loop instead of the fast path "
-    "(stash, duplicate-tag, tagless or rich sharer encodings)",
+    help="accesses executed by the handler loop instead of the compiled drain "
+    "(stash, duplicate-tag, tagless or rich sharer encodings, or no library)",
 )
-_DRAIN_CLS_HITS = _obs_counter(
-    "sim.drain.class_hits",
-    help="drained accesses that were cache hits needing no directory",
-)
-_DRAIN_CLS_UPGRADES = _obs_counter(
-    "sim.drain.class_upgrades",
-    help="write-hit S/E->M upgrades resolved in the drain",
-)
-_DRAIN_CLS_READ_DIRHIT = _obs_counter(
-    "sim.drain.class_read_dirhit",
-    help="read misses that hit an existing directory entry",
-)
-_DRAIN_CLS_READ_INSERT = _obs_counter(
-    "sim.drain.class_read_insert",
-    help="read misses that allocated a fresh directory entry",
-)
-_DRAIN_CLS_WRITE_MISS = _obs_counter(
-    "sim.drain.class_write_miss",
-    help="write misses resolved in the drain",
-)
-_DRAIN_CLS_WALKS = _obs_counter(
-    "sim.drain.class_walks",
-    help="insertions that found every candidate full: a displacement walk "
-    "(cuckoo) or an LRU eviction (sparse, skewed), scalar by design",
+# The drain's per-class counters, in the order of its totals' last columns.
+_DRAIN_CLASSES = tuple(
+    _obs_counter(f"sim.drain.class_{name}", help=text)
+    for name, text in (
+        ("hits", "drained accesses that were cache hits needing no directory"),
+        ("upgrades", "write-hit S->M upgrades resolved in the drain"),
+        ("read_dirhit", "read misses that hit an existing directory entry"),
+        ("read_insert", "read misses that allocated a fresh directory entry"),
+        ("write_miss", "write misses resolved in the drain"),
+        ("walks", "insertions that found every candidate full: a displacement "
+         "walk (cuckoo) or an LRU eviction (sparse, skewed)"),
+    )
 )
 
-# Hot-path message constants: hoisted enum members and their byte costs so
-# the inlined traffic recording does no enum attribute traversal.
-_GET_SHARED = MessageType.GET_SHARED
-_GET_MODIFIED = MessageType.GET_MODIFIED
-_PUT_SHARED = MessageType.PUT_SHARED
-_PUT_MODIFIED = MessageType.PUT_MODIFIED
-_DATA = MessageType.DATA
-_INVALIDATE = MessageType.INVALIDATE
-_INV_ACK = MessageType.INV_ACK
-_FWD_GET = MessageType.FWD_GET
-_GET_SHARED_BYTES = MESSAGE_BYTES_BY_TYPE[_GET_SHARED]
-_GET_MODIFIED_BYTES = MESSAGE_BYTES_BY_TYPE[_GET_MODIFIED]
-_PUT_SHARED_BYTES = MESSAGE_BYTES_BY_TYPE[_PUT_SHARED]
-_PUT_MODIFIED_BYTES = MESSAGE_BYTES_BY_TYPE[_PUT_MODIFIED]
-_DATA_BYTES = MESSAGE_BYTES_BY_TYPE[_DATA]
-_INVALIDATE_BYTES = MESSAGE_BYTES_BY_TYPE[_INVALIDATE]
-_INV_ACK_BYTES = MESSAGE_BYTES_BY_TYPE[_INV_ACK]
-_FWD_GET_BYTES = MESSAGE_BYTES_BY_TYPE[_FWD_GET]
+# The message types the drain counts, in the order of its totals.
+_DRAIN_MESSAGES = (
+    MessageType.GET_SHARED, MessageType.GET_MODIFIED, MessageType.DATA,
+    MessageType.INVALIDATE, MessageType.INV_ACK, MessageType.PUT_MODIFIED,
+    MessageType.PUT_SHARED, MessageType.FWD_GET,
+)
+
+#: The compiled drain, or ``None`` where the library did not load (then
+#: every chunk takes the handler loop).  Nothing but the loader sets it.
+_drain = getattr(native.KERNELS, "drain", None)
+#: Which drain serves supported systems: ``"compiled"`` or ``"handlers"``.
+DRAIN = "handlers" if _drain is None else "compiled"
+
+
+def _frame_lists(cache: SetAssociativeCache) -> tuple:
+    """A cache's flat state as the compiled drain reads it."""
+    return (
+        cache._location, cache._tags, cache._states, cache._dirty,
+        cache._stamps, cache._set_counts,
+    )
+
+
+def _add_cache_counts(cache: SetAssociativeCache, counts: List[int]) -> None:
+    """Add one cache's (or bank's) drain counts and take its new clock."""
+    hits, misses, evictions, dirty_evictions, invalidations, cache._clock = counts
+    stats = cache._stats
+    stats.hits += hits
+    stats.misses += misses
+    stats.evictions += evictions
+    stats.dirty_evictions += dirty_evictions
+    stats.invalidations_received += invalidations
 
 
 @dataclass(frozen=True)
@@ -231,11 +237,8 @@ class TiledCMP:
         self._core_of: List[int] = [
             self.core_of_cache(cache_id) for cache_id in range(num_tracked)
         ]
-        self._hop_matrix = np.asarray(self._hop_table, dtype=np.int64)
-        # Fast-path support decision, resolved lazily on the first chunk
-        # (see _drain_vector_config): None = unresolved, False =
-        # unsupported, else the shared-or-per-slice hash family marker
-        # tuple.
+        # Whether the compiled drain serves this system, resolved on the
+        # first chunk (see _drain_support): None = unresolved, False = no.
         self._drain_vector_support: object = None
 
     # -- geometry / accessors ------------------------------------------------
@@ -274,12 +277,12 @@ class TiledCMP:
     def home_slice(self, block: int) -> int:
         """Home tile of a block (static address interleaving).
 
-        NOTE: ``access_scalar``, ``_evict_notify``, ``_drain_batch_vector``
-        and ``PageMapper.translate_blocks`` (behind ``access_batch``)
-        compute this rule (and :meth:`slice_local_address`; the drain also
-        :meth:`global_address`, for forced-invalidation victims) directly
-        against the slice count; change the interleaving everywhere
-        together.
+        NOTE: ``access_scalar``, ``_evict_notify``, the compiled drain
+        (``repro/core/_kernels.c``) and ``PageMapper.translate_blocks``
+        (behind ``access_batch``) compute this rule (and
+        :meth:`slice_local_address`; the drain also :meth:`global_address`,
+        for forced-invalidation victims) directly against the slice count;
+        change the interleaving everywhere together.
         """
         return block % self._num_slices
 
@@ -434,14 +437,14 @@ class TiledCMP:
         access.  Equivalent to calling :meth:`access_scalar` per element.
 
         Execution then takes one of two paths (module docstring, and
-        DESIGN.md "Hot-path data layout"), bit-identical in every statistic
+        DESIGN.md "The compiled kernels"), bit-identical in every statistic
         and in all directory/cache state:
 
-        * **fast path** — every access of the slice through the vectorized
-          drain in trace order (:meth:`_drain_batch_vector`).  Taken
-          whenever every slice exposes ``drain_handles()``: the Cuckoo,
-          Sparse, Skewed and In-Cache organizations with a full bit
-          vector.
+        * **compiled drain** — the whole slice in one call, in trace order
+          (:meth:`_drain_compiled`).  Taken whenever the library loaded and
+          :meth:`_drain_support` approves the system: every slice exposes
+          ``drain_handles()`` (the Cuckoo, Sparse, Skewed and In-Cache
+          organizations with a full bit vector).
         * **handler loop** — every access through :meth:`_access_block`.
         """
         cores = np.asarray(cores)
@@ -474,14 +477,15 @@ class TiledCMP:
         self._accesses += count
         _BATCH_CHUNKS.inc()
         _BATCH_ACCESSES.add(count)
-        vector_config = self._drain_vector_config()
-        if vector_config is not None:
+        support = self._drain_support() if _drain is not None else None
+        if support is not None:
             with _TRACER.span("drain_vector"):
-                self._drain_batch_vector(
-                    block_array, locals_array, homes_array,
-                    cache_id_array, write_array, vector_config,
+                self._drain_compiled(
+                    support, block_array, locals_array, homes_array,
+                    cache_id_array, write_array,
                 )
             _BATCH_DRAINED.add(count)
+            _DRAIN_VECTOR.add(count)
         else:
             access_block = self._access_block
             with _TRACER.span("drain_scalar"):
@@ -494,681 +498,148 @@ class TiledCMP:
             _DRAIN_SCALAR.add(count)
         return count
 
-    def _drain_vector_config(self) -> Optional[tuple]:
-        """Support decision for the fast path, resolved once.
+    def _drain_support(self) -> Optional[tuple]:
+        """Whether the compiled drain serves this system, resolved once.
 
-        Returns ``None`` when any slice lacks the inlined-directory drain
-        handles (organizations not backed by the one directory table, stash
-        variants, rich sharer encodings), else a one-element tuple holding
-        the hash family shared by every slice — or ``None`` inside the
-        tuple when the slices hash differently and the pre-pass must group
-        by home.
-        The directories never change after construction, so the decision
-        is cached; the per-chunk state (stats objects, table arrays) is
-        re-fetched from ``drain_handles`` on every drained chunk.
+        It does when every slice exposes ``drain_handles()`` (a plain
+        table-backed directory with a full bit vector: not the stash
+        variant, a rich sharer encoding or another organization), the
+        slices' tables have equal way counts, and at most 64 caches are
+        tracked, so a sharer mask fits 64 bits.  Then it returns ``(family,
+        hops)``: the hash family every slice shares, or ``None`` when they
+        differ and each home hashes its own addresses, and the hop table as
+        an int64 array.  The directories never change after construction,
+        so the decision is made on the first chunk and cached.
         """
         support = self._drain_vector_support
         if support is None:
             support = False
-            if all(
-                getattr(directory, "drain_handles", lambda: None)() is not None
-                for directory in self._directories
-            ):
-                families = [
-                    directory.table.hash_family
-                    for directory in self._directories
-                ]
-                keys = [family.batch_key() for family in families]
-                shared = (
-                    families[0]
-                    if keys[0] is not None
-                    and all(key == keys[0] for key in keys)
-                    else None
+            directories = self._directories
+            if (
+                len(self._tracked) <= 64
+                and all(
+                    getattr(directory, "drain_handles", lambda: None)() is not None
+                    for directory in directories
                 )
-                support = (shared,)
+                and len({directory.table.num_ways for directory in directories}) == 1
+            ):
+                families = [directory.table.hash_family for directory in directories]
+                keys = [family.batch_key() for family in families]
+                shared = keys[0] is not None and all(key == keys[0] for key in keys)
+                support = (
+                    families[0] if shared else None,
+                    np.asarray(self._hop_table, dtype=np.int64),
+                )
             self._drain_vector_support = support
         return support or None
 
-    def _drain_batch_vector(
+    def _drain_compiled(
         self,
-        blocks_a: np.ndarray,
-        locals_a: np.ndarray,
-        homes_a: np.ndarray,
-        caches_a: np.ndarray,
-        writes_a: np.ndarray,
-        vector_config: tuple,
+        support: tuple,
+        blocks: np.ndarray,
+        locals_: np.ndarray,
+        homes: np.ndarray,
+        caches: np.ndarray,
+        writes: np.ndarray,
     ) -> None:
-        """Vectorized drain pipeline (DESIGN.md "The vectorized drain pipeline").
+        """Run a chunk through the compiled drain, then add up its counts.
 
-        Runs every access of a chunk in trace order, bit-identical to
-        running the handlers (:meth:`_access_block`) per access
-        (``tests/coherence/test_access_paths.py`` asserts this at every
-        chunk shape, under tight tables too), restructured around a numpy
-        pre-pass so the per-access protocol loop touches no hash function,
-        no hop table, no LRU clock, no bank model and almost no traffic or
-        statistics bookkeeping:
-
-        * **Exact stamps.**  Every access advances its cache's LRU clock by
-          exactly one (a hit touches, a miss fills), so the stamp access
-          ``i`` writes is its cache's clock at entry plus its rank among
-          that cache's accesses in the chunk, whatever the protocol does in
-          between.  One stable sort by cache computes every stamp; each
-          clock is settled once, at the flush.
-        * **Batch hashing.**  Every slice-local address is hashed across
-          all directory ways in one vectorized call
-          (``HashFamily.batch_indices``) — one call for the whole chunk
-          when every slice shares a hash family, else one per home group.
-          The insert path then reads precomputed candidate rows instead
-          of probing the per-table indices cache.
-        * **All-miss accounting.**  Traffic (request + response hops,
-          message counts, bytes), per-home directory lookups and per-cache
-          miss counts are computed vectorized under the assumption that
-          every access misses.  A hit only records its chunk position; the
-          flush *corrects* the baselines from those positions in a few
-          vectorized reductions, so neither class pays per-access
-          accounting.
-        * **Bank decoupling.**  The shared-L2 bank model reads nothing
-          from the protocol and feeds nothing back into it, so bank
-          updates are recorded as ``(block, home, write)`` events in trace
-          order and replayed in a dedicated pass after the protocol loop.
-
-        * **One LRU branch.**  Sparse and Skewed tables (the LRU insert
-          policy) stamp their slot at every directory hit and vacant
-          insert; a cuckoo table skips the stamp and advances its
-          round-robin start way instead.  An insert that finds every
-          candidate full goes to one helper either way: the table's
-          displacement walk (:meth:`~repro.core.cuckoo_hash.
-          CuckooHashTable.walk`, compiled where it builds), or the LRU
-          eviction through ``insert_absent``.
-
-        Trace order is preserved throughout — conflicting accesses
-        (same block, same (cache, set), same directory slot) simply
-        execute in their original relative order, which makes the
-        reordering-safety argument trivial.  Displacement walks, LRU
-        evictions, forced invalidations and write upgrades with remote
-        sharers stay on the scalar helper paths by construction; stash
-        variants and rich sharer encodings never reach this method
-        (:meth:`_drain_vector_config`).
+        The drain (``core/_kernels.c``) executes every access in trace
+        order with the handlers' semantics, over the caches' flat lists
+        and each slice's ``drain_handles()``.  Its ``trace`` rows are the
+        five access fields, then one row per way of candidate indices,
+        hashed here in one vectorized call (``HashFamily.
+        batch_indices_array``; one per home when the slices hash
+        differently).  ``counts`` has a row per tracked cache, per slice,
+        per shared-L2 bank and one of totals, in the column order of
+        ``_kernels.c``: the clocks and start ways go in, and the chunk's
+        statistics come out, added to the statistics objects here.
         """
-        (shared_family,) = vector_config
-        # Module-level protocol constants rebound as locals: the loop
-        # below reads them on every access, and LOAD_FAST beats the
-        # global lookup by enough to matter at this iteration count.
-        state_m = STATE_MODIFIED
-        state_e = STATE_EXCLUSIVE
-        state_s = STATE_SHARED
-        bitvec_cls = FullBitVector
-        putm_bytes = _PUT_MODIFIED_BYTES
-        puts_bytes = _PUT_SHARED_BYTES
-        inv_bytes = _INVALIDATE_BYTES
-        ack_bytes = _INV_ACK_BYTES
-        fwd_bytes = _FWD_GET_BYTES
-        getm_bytes = _GET_MODIFIED_BYTES
-        gets_bytes = _GET_SHARED_BYTES
-        data_bytes = _DATA_BYTES
-        tracked = self._tracked
-        num_tracked = len(tracked)
-        num_ways = tracked[0].num_ways
-        num_slices = self._num_slices
-        directories = self._directories
-        core_of = self._core_of
-        hop_table = self._hop_table
-        hop_rows = [hop_table[core] for core in core_of]
-        track = self._track_traffic
-        traffic = self._traffic
-        messages = traffic.messages
-        hops_acc = 0
-        bytes_acc = 0
-        cache_arrs = [
-            (
-                cache._location, cache._tags, cache._states, cache._dirty,
-                cache._stamps, cache._set_counts,
-            )
-            for cache in tracked
-        ]
-        locations_get = [cache._location.get for cache in tracked]
-        states_of = [cache._states for cache in tracked]
-        dirty_of = [cache._dirty for cache in tracked]
-        stamps_of = [cache._stamps for cache in tracked]
-        evict_delta = [0] * num_tracked
-        dirty_evict_delta = [0] * num_tracked
-
-        banks = self._l2_banks
-        use_banks = banks is not None
-
-        num_homes = len(directories)
-        bundles = [directory.drain_handles() for directory in directories]
-        first_dir = directories[0]
-        dir_lookup_bits = first_dir._lookup_tag_bits
-        dir_payload_bits = first_dir._payload_bits
-        dir_entry_bits = first_dir._entry_bits
-        dir_caches = first_dir._num_caches
-        d_table = [b[0] for b in bundles]
-        d_loc = [b[1] for b in bundles]
-        d_keys = [b[2] for b in bundles]
-        d_val = [b[3] for b in bundles]
-        d_wo = [b[4] for b in bundles]
-        d_pool = [b[5] for b in bundles]
-        d_stats = [b[6] for b in bundles]
-        # Cuckoo tables: the indices cache walks read.  LRU tables (sparse,
-        # skewed): per-way stamp arrays, stamped from the table's own clock.
-        # Each list holds None for the other policy.
-        d_ic = [table._indices_cache for table in d_table]
-        d_st = [table._stamps for table in d_table]
-        ic_limit = _INDICES_CACHE_LIMIT
-        d_loc_get = [locator.get for locator in d_loc]
-        # Shadowed round-robin insertion cursor, written back at flush
-        # (resynced after a displacement walk, which rotates it inside
-        # the table).  LRU tables keep it at way 0: fixed way order.
-        d_sw = [table._start_way for table in d_table]
-        # Two counters are derived at flush instead of tracked in-loop:
-        # sharer additions equal lookup hits (every drain path that finds
-        # an entry adds a sharer bit), and the table-size delta equals
-        # vacant-slot inserts minus entry removals (all-full inserts
-        # maintain ``table._size`` themselves, in the walk or
-        # ``insert_absent``).
-        a_lh = [0] * num_homes
-        a_i1 = [0] * num_homes
-        a_sr = [0] * num_homes
-        a_er = [0] * num_homes
-        a_io = [0] * num_homes
-        # Live traffic counters: only the unpredictable events (evictions,
-        # invalidations, owner downgrades) add to these in-loop; the
-        # all-miss baseline covers the rest.
-        n_inv = n_ack = n_putM = n_putS = n_fwd = 0
-        # Per-class retirement counters (sim.drain.*): in-branch for the
-        # cheap-to-count classes, derived at flush for the rest.
-        n_rdh = n_walk = 0
-        # Chunk positions of the hits that need no directory (reads, and
-        # writes in E or M) and of the S -> M upgrades: the flush corrects
-        # the all-miss baselines from them.
-        hits: List[int] = []
-        upgrades: List[int] = []
-        hit_app = hits.append
-
-        # -- vectorized pre-pass -------------------------------------------
-        count = int(blocks_a.size)
-        sets_a = blocks_a % tracked[0].num_sets
-        # (1) Exact stamps: group the chunk by cache (stable, so trace
-        # order holds within a group) and offset each group's ranks by its
-        # cache's clock at entry.
-        cache_counts = np.bincount(caches_a, minlength=num_tracked)
-        clock0 = np.fromiter(
-            (cache._clock for cache in tracked), dtype=np.int64, count=num_tracked
-        )
-        stamps_a = np.empty(count, dtype=np.int64)
-        stamps_a[np.argsort(caches_a, kind="stable")] = np.arange(
-            1, count + 1, dtype=np.int64
-        ) + np.repeat(clock0 - (np.cumsum(cache_counts) - cache_counts), cache_counts)
-        db = blocks_a.tolist()
-        dl = locals_a.tolist()
-        dh = homes_a.tolist()
-        dc = caches_a.tolist()
-        dw = writes_a.tolist()
-        ds = sets_a.tolist()
-        dbase = (sets_a * num_ways).tolist()
-        dst = stamps_a.tolist()
-        # (2) Batch-hash the slice-local addresses across all ways.
-        if shared_family is not None:
-            cand_rows: List = shared_family.batch_indices(locals_a)
+        family, hops = support
+        tracked, directories, banks = self._tracked, self._directories, self._l2_banks
+        tables = [directory.table for directory in directories]
+        num_caches, num_homes = len(tracked), len(tables)
+        trace = np.empty((5 + tables[0].num_ways, blocks.size), dtype=np.int64)
+        trace[:5] = blocks, locals_, homes, caches, writes
+        if family is not None:
+            trace[5:] = family.batch_indices_array(locals_)
         else:
-            cand_rows = [None] * count
-            order = np.argsort(homes_a, kind="stable")
-            sorted_homes = homes_a[order]
-            boundaries = np.flatnonzero(np.diff(sorted_homes)) + 1
-            for group in np.split(order, boundaries):
-                home_g = int(homes_a[group[0]])
-                rows = directories[home_g].table.hash_family.batch_indices(
-                    locals_a[group]
+            for home, table in enumerate(tables):
+                members = np.flatnonzero(homes == home)
+                trace[5:, members] = table.hash_family.batch_indices_array(
+                    locals_[members]
                 )
-                for offset, member in enumerate(group.tolist()):
-                    cand_rows[member] = rows[offset]
-        # (3) Request and response hop counts for the whole chunk.
-        hop_matrix = self._hop_matrix
-        cores_a = (caches_a >> 1) if self._l1_tracked else caches_a
-        h_rsp_a = hop_matrix[homes_a, cores_a]
-        h_sum_a = hop_matrix[cores_a, homes_a] + h_rsp_a
-        # (4) Bank events accumulate per home in trace order for the replay
-        # pass — the banks are independent state machines, so each home's
-        # event list replays with its bank's arrays bound once.  Events are
-        # packed as ``block << 1 | is_write`` to keep the per-miss record a
-        # plain int instead of a tuple allocation.
-        if use_banks:
-            ev_by_home: List[List[int]] = [[] for _ in banks]
-            ev_app = [events.append for events in ev_by_home]
-
-        def insert_full(home: int, local_addr: int, sharer_set, indices) -> None:
-            # Every candidate full: the table's displacement walk, entered
-            # directly from the start-way shadow (or, on an LRU table, the
-            # eviction in insert_absent), plus direct stats and the forced
-            # invalidation through the live traffic counters.
-            nonlocal n_walk, hops_acc, bytes_acc, n_inv, n_ack
-            n_walk += 1
-            table = d_table[home]
-            ic = d_ic[home]
-            if ic is None:
-                result = table.insert_absent(local_addr, sharer_set, indices)
-                attempts = result.attempts
-                victim_key = result.evicted_key
-                victim_set = result.evicted_value
-            else:
-                if len(ic) < ic_limit:
-                    ic[local_addr] = indices
-                table._start_way = d_sw[home]
-                attempts, victim_key, victim_set = table.walk(local_addr, sharer_set)
-                d_sw[home] = table._start_way
-            stats = d_stats[home]
-            stats.insertions += 1
-            stats.insertion_attempts += attempts
-            stats.attempt_histogram[attempts] += 1
-            stats.bits_written += attempts * dir_entry_bits
-            if victim_key is None:
-                return
-            # Forced invalidation of the victim entry's sharers (the walk's
-            # last displaced entry, or the LRU candidate).
-            victim_block = victim_key * num_slices + home
-            victims = victim_set._mask
-            stats.forced_invalidations += 1
-            stats.forced_invalidation_messages += bin(victims).count("1")
-            while victims:
-                low = victims & -victims
-                victims -= low
-                sharer = low.bit_length() - 1
-                if track:
-                    sharer_core = core_of[sharer]
-                    n_inv += 1
-                    hops_acc += hop_table[home][sharer_core]
-                    bytes_acc += inv_bytes
-                    n_ack += 1
-                    hops_acc += hop_table[sharer_core][home]
-                    bytes_acc += ack_bytes
-                tracked[sharer].invalidate(victim_block)
-
-        def insert_new(home: int, local_addr: int, mask: int, indices) -> None:
-            # TableDirectory._insert_new_entry over the drain's handles: a
-            # pooled sharer set takes the first vacant candidate of the
-            # pre-hashed row, then the one LRU branch (stamp the slot, or
-            # move the round-robin cursor and seed the indices cache); a
-            # full row goes to insert_full.
-            pool = d_pool[home]
-            sharer_set = pool.pop() if pool else bitvec_cls(dir_caches)
-            sharer_set._mask = mask
-            keys_h = d_keys[home]
-            for way in d_wo[home][d_sw[home]]:
-                idx = indices[way]
-                if keys_h[way][idx] == -1:
-                    keys_h[way][idx] = local_addr
-                    d_val[home][way][idx] = sharer_set
-                    d_loc[home][local_addr] = (way, idx)
-                    lru = d_st[home]
-                    if lru is None:
-                        d_sw[home] = way
-                        ic = d_ic[home]
-                        if len(ic) < ic_limit:
-                            ic[local_addr] = indices
-                    else:
-                        d_table[home]._clock += 1
-                        lru[way][idx] = d_table[home]._clock
-                    a_i1[home] += 1
-                    return
-            insert_full(home, local_addr, sharer_set, indices)
-
-        def acquire_excl(
-            local_addr: int, home: int, block: int, cache_id: int, indices
-        ) -> None:
-            # Inlined TableDirectory.acquire_exclusive for an S -> M
-            # upgrade, *without* the lookup count (the all-miss baseline
-            # already accounts it).  The entry is normally present; a walk
-            # that evicted its own key leaves it absent, and then it is
-            # inserted like a write miss's.
-            nonlocal hops_acc, bytes_acc, n_inv, n_ack
-            wbit = 1 << cache_id
-            loc = d_loc[home].get(local_addr)
-            if loc is None:
-                insert_new(home, local_addr, wbit, indices)
-                return
-            a_lh[home] += 1
-            way, idx = loc
-            lru = d_st[home]
-            if lru is not None:
-                d_table[home]._clock += 1
-                lru[way][idx] = d_table[home]._clock
-            sharer_set = d_val[home][way][idx]
-            prior = sharer_set._mask
-            others = prior & ~wbit
-            if not others:
-                sharer_set._mask = prior | wbit
-                return
-            sharer_set._mask = wbit
-            a_io[home] += 1
-            a_sr[home] += bin(others).count("1")
-            while others:
-                low = others & -others
-                others -= low
-                sharer = low.bit_length() - 1
-                if track:
-                    sharer_core = core_of[sharer]
-                    n_inv += 1
-                    hops_acc += hop_table[home][sharer_core]
-                    bytes_acc += inv_bytes
-                    n_ack += 1
-                    hops_acc += hop_table[sharer_core][home]
-                    bytes_acc += ack_bytes
-                tracked[sharer].invalidate(block)
-
-        # -- the protocol loop (trace order) ---------------------------------
-        # Direct unpacking in the for header keeps the result tuple's
-        # refcount at one so zip can recycle it instead of allocating a
-        # fresh tuple per access.
-        for (
-            position, block, local_addr, home, cache_id, is_write,
-            set_index, base, stamp, indices,
-        ) in zip(range(count), db, dl, dh, dc, dw, ds, dbase, dst, cand_rows):
-            frame = locations_get[cache_id](block)
-            if frame is not None:
-                # Hit: stamp recency, run any write-upgrade protocol, and
-                # leave the accounting to the flush.
-                stamps_of[cache_id][frame] = stamp
-                if is_write:
-                    dirty_of[cache_id][frame] = True
-                    states = states_of[cache_id]
-                    if states[frame] == state_s:
-                        # S -> M: GET_M is sent (the baseline lookup and
-                        # request hop stand) but no DATA comes back.
-                        upgrades.append(position)
-                        acquire_excl(local_addr, home, block, cache_id, indices)
-                        states[frame] = state_m
-                        continue
-                    # Silent E -> M (M stays M): no directory traffic.
-                    states[frame] = state_m
-                hit_app(position)
-                continue
-
-            # Miss: queue the bank event, run the directory protocol, fill
-            # inline.  Traffic and lookup counts are covered by the
-            # all-miss baseline.
-            if use_banks:
-                ev_app[home](block << 1 | is_write)
-            if is_write:
-                # Inlined acquire_exclusive: insert an absent entry, or
-                # invalidate the other sharers of a present one.
-                wbit = 1 << cache_id
-                loc = d_loc_get[home](local_addr)
-                if loc is None:
-                    insert_new(home, local_addr, wbit, indices)
-                else:
-                    a_lh[home] += 1
-                    way, idx = loc
-                    lru = d_st[home]
-                    if lru is not None:
-                        d_table[home]._clock += 1
-                        lru[way][idx] = d_table[home]._clock
-                    sharer_set = d_val[home][way][idx]
-                    prior = sharer_set._mask
-                    others = prior & ~wbit
-                    if not others:
-                        sharer_set._mask = prior | wbit
-                    else:
-                        sharer_set._mask = wbit
-                        a_io[home] += 1
-                        a_sr[home] += bin(others).count("1")
-                        while others:
-                            low = others & -others
-                            others -= low
-                            sharer = low.bit_length() - 1
-                            if track:
-                                sharer_core = core_of[sharer]
-                                n_inv += 1
-                                hops_acc += hop_table[home][sharer_core]
-                                bytes_acc += inv_bytes
-                                n_ack += 1
-                                hops_acc += hop_table[sharer_core][home]
-                                bytes_acc += ack_bytes
-                            tracked[sharer].invalidate(block)
-                new_state = state_m
-                fill_dirty = True
-            else:
-                loc = d_loc_get[home](local_addr)
-                if loc is not None:
-                    # Directory hit: add the sharer bit, downgrade any
-                    # M/E owner among the prior sharers.
-                    n_rdh += 1
-                    a_lh[home] += 1
-                    way, idx = loc
-                    lru = d_st[home]
-                    if lru is not None:
-                        d_table[home]._clock += 1
-                        lru[way][idx] = d_table[home]._clock
-                    sharer_set = d_val[home][way][idx]
-                    prior = sharer_set._mask
-                    wbit = 1 << cache_id
-                    sharer_set._mask = prior | wbit
-                    remaining = prior & ~wbit
-                    # MESI invariant: an M/E owner holds the block
-                    # exclusively, so a downgrade is only possible
-                    # when exactly one prior sharer remains — the
-                    # multi-sharer scan would find only S copies.
-                    if remaining and not (remaining & (remaining - 1)):
-                        sharer = remaining.bit_length() - 1
-                        owner_frame = locations_get[sharer](block)
-                        if owner_frame is not None:
-                            owner_states = states_of[sharer]
-                            owner_state = owner_states[owner_frame]
-                            if owner_state >= state_e:
-                                if track:
-                                    sharer_core = core_of[sharer]
-                                    n_fwd += 1
-                                    hops_acc += hop_table[home][sharer_core]
-                                    bytes_acc += fwd_bytes
-                                    if owner_state == state_m:
-                                        n_putM += 1
-                                        hops_acc += hop_table[sharer_core][home]
-                                        bytes_acc += putm_bytes
-                                owner_states[owner_frame] = state_s
-                    new_state = state_s
-                else:
-                    # Directory miss on a read: allocate the entry with
-                    # this cache as the sole (Exclusive) sharer, using
-                    # the pre-pass candidate row.
-                    insert_new(home, local_addr, 1 << cache_id, indices)
-                    new_state = state_e
-                fill_dirty = False
-
-            # Inline fill: the exact-stamp twin of fill_miss_code.
-            location, tags, states, dirty, stamps, counts = cache_arrs[cache_id]
-            if counts[set_index] < num_ways:
-                frame = tags.index(-1, base, base + num_ways)
-                counts[set_index] += 1
-            else:
-                if num_ways == 2:
-                    frame = base if stamps[base] <= stamps[base + 1] else base + 1
-                else:
-                    row = stamps[base : base + num_ways]
-                    frame = base + row.index(min(row))
-                victim = tags[frame]
-                victim_dirty = dirty[frame]
-                evict_delta[cache_id] += 1
-                if victim_dirty:
-                    dirty_evict_delta[cache_id] += 1
-                del location[victim]
-                victim_home = victim % num_slices
-                if track:
-                    hops_acc += hop_rows[cache_id][victim_home]
-                    if victim_dirty:
-                        n_putM += 1
-                        bytes_acc += putm_bytes
-                    else:
-                        n_putS += 1
-                        bytes_acc += puts_bytes
-                # Inlined remove_sharer (evict notify).
-                victim_local = victim // num_slices
-                loc = d_loc_get[victim_home](victim_local)
-                if loc is not None:
-                    way, idx = loc
-                    sharer_set = d_val[victim_home][way][idx]
-                    remaining = sharer_set._mask & ~(1 << cache_id)
-                    sharer_set._mask = remaining
-                    a_sr[victim_home] += 1
-                    if not remaining:
-                        del d_loc[victim_home][victim_local]
-                        d_keys[victim_home][way][idx] = -1
-                        d_val[victim_home][way][idx] = None
-                        a_er[victim_home] += 1
-                        d_pool[victim_home].append(sharer_set)
-            tags[frame] = block
-            states[frame] = new_state
-            dirty[frame] = fill_dirty
-            stamps[frame] = stamp
-            location[block] = frame
-
-        # -- bank replay: the decoupled shared-L2 model, one independent
-        # pass per bank with its arrays bound once -------------------------
-        if use_banks:
-            bank_sets = banks[0].num_sets
-            bank_ways = banks[0].num_ways
-            for home, events in enumerate(ev_by_home):
-                if not events:
-                    continue
-                bank = banks[home]
-                b_location = bank._location
-                b_get = b_location.get
-                b_tags = bank._tags
-                b_states = bank._states
-                b_dirty = bank._dirty
-                b_stamps = bank._stamps
-                b_counts = bank._set_counts
-                b_clock = bank._clock
-                b_hits = b_misses = b_evicts = b_dirty_evicts = 0
-                for event in events:
-                    block = event >> 1
-                    b_clock += 1
-                    b_frame = b_get(block)
-                    if b_frame is not None:
-                        b_hits += 1
-                        b_stamps[b_frame] = b_clock
-                        if event & 1:
-                            b_dirty[b_frame] = True
-                        continue
-                    b_misses += 1
-                    b_set = block % bank_sets
-                    b_base = b_set * bank_ways
-                    if b_counts[b_set] < bank_ways:
-                        b_frame = b_tags.index(-1, b_base, b_base + bank_ways)
-                        b_counts[b_set] += 1
-                    else:
-                        b_row = b_stamps[b_base : b_base + bank_ways]
-                        b_frame = b_base + b_row.index(min(b_row))
-                        b_evicts += 1
-                        if b_dirty[b_frame]:
-                            b_dirty_evicts += 1
-                        del b_location[b_tags[b_frame]]
-                    b_tags[b_frame] = block
-                    b_states[b_frame] = state_s
-                    b_dirty[b_frame] = False
-                    b_stamps[b_frame] = b_clock
-                    b_location[block] = b_frame
-                bank._clock = b_clock
-                stats = bank._stats
-                stats.hits += b_hits
-                stats.misses += b_misses
-                stats.evictions += b_evicts
-                stats.dirty_evictions += b_dirty_evicts
-
-        # -- flush: baselines minus corrections, plus the live counters ----
-        hit_idx = np.array(hits, dtype=np.int64)
-        up_idx = np.array(upgrades, dtype=np.int64)
-        s_up = len(upgrades)
-        cw = int(np.count_nonzero(writes_a[hit_idx]))
-        rh = len(hits) - cw
-        hits_by_cache = (
-            np.bincount(caches_a[hit_idx], minlength=num_tracked)
-            + np.bincount(caches_a[up_idx], minlength=num_tracked)
-        ).tolist()
-        for cache_id, accesses in enumerate(cache_counts.tolist()):
-            if accesses:
-                cache = tracked[cache_id]
-                cache.advance_clock(accesses)
-                stats = cache._stats
-                stats.hits += hits_by_cache[cache_id]
-                stats.misses += accesses - hits_by_cache[cache_id]
-                stats.evictions += evict_delta[cache_id]
-                stats.dirty_evictions += dirty_evict_delta[cache_id]
-        # Every access but a hit that needs no directory looks up its home.
-        lookups_by_home = (
-            np.bincount(homes_a, minlength=num_homes)
-            - np.bincount(homes_a[hit_idx], minlength=num_homes)
-        ).tolist()
-        for home in range(num_homes):
-            table = d_table[home]
-            if table._start_way != d_sw[home]:
-                table._start_way = d_sw[home]
-            lk = lookups_by_home[home]
-            sr = a_sr[home]
-            if lk or sr:
-                lh = a_lh[home]
-                er = a_er[home]
-                i1 = a_i1[home]
-                stats = d_stats[home]
-                stats.lookups += lk
-                stats.lookup_hits += lh
-                stats.lookup_misses += lk - lh
-                stats.sharer_additions += lh
-                stats.sharer_removals += sr
-                stats.entry_removals += er
-                stats.invalidate_all_operations += a_io[home]
-                stats.bits_read += (
-                    lk * dir_lookup_bits + lh * dir_payload_bits
-                )
-                stats.bits_written += (
-                    (lh + sr) * dir_payload_bits + i1 * dir_entry_bits
-                )
-                if i1:
-                    stats.insertions += i1
-                    stats.insertion_attempts += i1
-                    stats.attempt_histogram[1] += i1
-                if i1 != er:
-                    table._size += i1 - er
-        writes_total = int(np.count_nonzero(writes_a))
-        reads_total = count - writes_total
-        if track:
-            # A hit sends neither request nor response; an S -> M upgrade
-            # sends its GET_M but gets no DATA back.
-            n_getS = reads_total - rh
-            n_getM = writes_total - cw
-            n_data = count - rh - cw - s_up
-            hops_acc += (
-                int(h_sum_a.sum())
-                - int(h_sum_a[hit_idx].sum())
-                - int(h_rsp_a[up_idx].sum())
+        # A table row ends in its attempt histogram; the totals row has 15.
+        width = max(15, 11 + max(table.max_attempts for table in tables))
+        counts = np.zeros((num_caches + 2 * num_homes + 1, width), dtype=np.int64)
+        table_rows = counts[num_caches : num_caches + num_homes]
+        bank_rows = counts[num_caches + num_homes : -1]
+        counts[:num_caches, 5] = [cache._clock for cache in tracked]
+        table_rows[:, 8] = [table._start_way for table in tables]
+        table_rows[:, 9] = [table._clock for table in tables]
+        if banks is not None:
+            bank_rows[:, 5] = [bank._clock for bank in banks]
+        geometry = tracked[0]
+        _drain(
+            tuple(_frame_lists(cache) for cache in tracked),
+            tuple(directory.drain_handles() for directory in directories),
+            None if banks is None else tuple(_frame_lists(bank) for bank in banks),
+            (
+                geometry.num_sets, geometry.num_ways,
+                banks[0].num_sets if banks else 1, banks[0].num_ways if banks else 1,
+                1 if self._l1_tracked else 0, self._track_traffic,
+                FullBitVector, num_caches, _INDICES_CACHE_LIMIT,
+            ),
+            trace,
+            hops,
+            counts,
+        )
+        for cache, row in zip(tracked, counts[:num_caches, :6].tolist()):
+            _add_cache_counts(cache, row)
+        for bank, row in zip(banks or (), bank_rows[:, :6].tolist()):
+            _add_cache_counts(bank, row)
+        histograms = table_rows[:, 10:]
+        for home, attempts in zip(*np.nonzero(histograms)):
+            directories[home].stats.attempt_histogram[int(attempts)] += int(
+                histograms[home, attempts]
             )
-            bytes_acc += (
-                n_getS * gets_bytes + n_getM * getm_bytes + n_data * data_bytes
+        for directory, table, row, inserted, attempted in zip(
+            directories, tables, table_rows[:, :10].tolist(),
+            histograms.sum(axis=1).tolist(),
+            (histograms @ np.arange(histograms.shape[1])).tolist(),
+        ):
+            (
+                lookups, hits, removals, entry_removals, invalidate_all, forced,
+                forced_messages, size, table._start_way, table._clock,
+            ) = row
+            table._size += size
+            payload_bits = directory._payload_bits
+            stats = directory.stats
+            stats.lookups += lookups
+            stats.lookup_hits += hits
+            stats.lookup_misses += lookups - hits
+            stats.sharer_additions += hits
+            stats.sharer_removals += removals
+            stats.entry_removals += entry_removals
+            stats.invalidate_all_operations += invalidate_all
+            stats.forced_invalidations += forced
+            stats.forced_invalidation_messages += forced_messages
+            stats.insertions += inserted
+            stats.insertion_attempts += attempted
+            stats.bits_read += lookups * directory._lookup_tag_bits + hits * payload_bits
+            stats.bits_written += (
+                (hits + removals) * payload_bits + attempted * directory._entry_bits
             )
-            if n_getS:
-                messages[_GET_SHARED] += n_getS
-            if n_getM:
-                messages[_GET_MODIFIED] += n_getM
-            if n_data:
-                messages[_DATA] += n_data
-            if n_inv:
-                messages[_INVALIDATE] += n_inv
-            if n_ack:
-                messages[_INV_ACK] += n_ack
-            if n_putM:
-                messages[_PUT_MODIFIED] += n_putM
-            if n_putS:
-                messages[_PUT_SHARED] += n_putS
-            if n_fwd:
-                messages[_FWD_GET] += n_fwd
-            traffic.hops += hops_acc
-            traffic.bytes_transferred += bytes_acc
-        _DRAIN_VECTOR.add(count)
-        _DRAIN_CLS_HITS.add(rh + cw)
-        _DRAIN_CLS_UPGRADES.add(s_up)
-        _DRAIN_CLS_READ_DIRHIT.add(n_rdh)
-        _DRAIN_CLS_READ_INSERT.add(reads_total - rh - n_rdh)
-        _DRAIN_CLS_WRITE_MISS.add(writes_total - cw - s_up)
-        _DRAIN_CLS_WALKS.add(n_walk)
+        totals = counts[-1].tolist()
+        if self._track_traffic:
+            traffic = self._traffic
+            for message, count in zip(_DRAIN_MESSAGES, totals):
+                if count:
+                    traffic.messages[message] += count
+                    traffic.bytes_transferred += count * MESSAGE_BYTES_BY_TYPE[message]
+            traffic.hops += totals[8]
+        for counter, count in zip(_DRAIN_CLASSES, totals[9:15]):
+            counter.add(count)
 
     def _access_block(
         self, block: int, local: int, home: int, cache_id: int, is_write: bool
@@ -1184,14 +655,7 @@ class TiledCMP:
             bank = self._l2_banks[home]
             if bank.touch_code(block, is_write) < 0:
                 bank.fill_miss_code(block)
-        if is_write:
-            self._handle_write_miss(
-                block, local, home, cache_id, cache, self._directories[home]
-            )
-        else:
-            self._handle_read_miss(
-                block, local, home, cache_id, cache, self._directories[home]
-            )
+        self._handle_miss(block, local, home, cache_id, cache, is_write)
 
     # -- protocol actions ----------------------------------------------------------
     def _write_hit_upgrade(
@@ -1209,77 +673,40 @@ class TiledCMP:
             cache.set_state_code(block, STATE_MODIFIED)
             return
         # S -> M upgrade: the home must invalidate the other sharers.
-        core = self._core_of[cache_id]
-        if self._track_traffic:
-            traffic = self._traffic
-            traffic.messages[_GET_MODIFIED] += 1
-            traffic.hops += self._hop_table[core][home]
-            traffic.bytes_transferred += _GET_MODIFIED_BYTES
+        self._record(MessageType.GET_MODIFIED, self._core_of[cache_id], home)
         result = self._directories[home].acquire_exclusive(local, cache_id)
         self._apply_coherence_invalidations(block, result, home, requester=cache_id)
         if result.invalidations:
             self._apply_forced_invalidations(result.invalidations, home)
         cache.set_state_code(block, STATE_MODIFIED)
 
-    def _handle_write_miss(
+    def _handle_miss(
         self,
         block: int,
         local: int,
         home: int,
         cache_id: int,
         cache: SetAssociativeCache,
-        directory: Directory,
+        is_write: bool,
     ) -> None:
+        """A read or write miss: the request, the directory, the data, the fill."""
         core = self._core_of[cache_id]
-        track = self._track_traffic
-        if track:
-            traffic = self._traffic
-            hop_table = self._hop_table
-            traffic.messages[_GET_MODIFIED] += 1
-            traffic.hops += hop_table[core][home]
-            traffic.bytes_transferred += _GET_MODIFIED_BYTES
-        result = directory.acquire_exclusive(local, cache_id)
-        self._apply_coherence_invalidations(block, result, home, requester=cache_id)
-        if result.invalidations:
-            self._apply_forced_invalidations(result.invalidations, home)
-        if track:
-            traffic.messages[_DATA] += 1
-            traffic.hops += hop_table[home][core]
-            traffic.bytes_transferred += _DATA_BYTES
-        victim = cache.fill_miss_code(block, STATE_MODIFIED, True)
-        if victim >= 0:
-            self._evict_notify(victim, cache_id, core, cache.victim_dirty)
-
-    def _handle_read_miss(
-        self,
-        block: int,
-        local: int,
-        home: int,
-        cache_id: int,
-        cache: SetAssociativeCache,
-        directory: Directory,
-    ) -> None:
-        core = self._core_of[cache_id]
-        track = self._track_traffic
-        if track:
-            traffic = self._traffic
-            hop_table = self._hop_table
-            traffic.messages[_GET_SHARED] += 1
-            traffic.hops += hop_table[core][home]
-            traffic.bytes_transferred += _GET_SHARED_BYTES
-        found, prior_sharers, result = directory.lookup_add(local, cache_id)
-        if found:
-            self._downgrade_owner(block, prior_sharers, home, requester=cache_id)
-            new_state = STATE_SHARED
+        directory = self._directories[home]
+        if is_write:
+            self._record(MessageType.GET_MODIFIED, core, home)
+            result = directory.acquire_exclusive(local, cache_id)
+            self._apply_coherence_invalidations(block, result, home, requester=cache_id)
+            new_state = STATE_MODIFIED
         else:
-            new_state = STATE_EXCLUSIVE
+            self._record(MessageType.GET_SHARED, core, home)
+            found, prior_sharers, result = directory.lookup_add(local, cache_id)
+            if found:
+                self._downgrade_owner(block, prior_sharers, home, requester=cache_id)
+            new_state = STATE_SHARED if found else STATE_EXCLUSIVE
         if result.invalidations:
             self._apply_forced_invalidations(result.invalidations, home)
-        if track:
-            traffic.messages[_DATA] += 1
-            traffic.hops += hop_table[home][core]
-            traffic.bytes_transferred += _DATA_BYTES
-        victim = cache.fill_miss_code(block, new_state, False)
+        self._record(MessageType.DATA, home, core)
+        victim = cache.fill_miss_code(block, new_state, is_write)
         if victim >= 0:
             self._evict_notify(victim, cache_id, core, cache.victim_dirty)
 
@@ -1342,19 +769,11 @@ class TiledCMP:
         both miss handlers share this path so eviction traffic accounting
         cannot diverge between reads and writes.
         """
-        num_slices = self._num_slices
-        victim_home = victim % num_slices
-        if self._track_traffic:
-            traffic = self._traffic
-            traffic.hops += self._hop_table[core][victim_home]
-            if victim_dirty:
-                traffic.messages[_PUT_MODIFIED] += 1
-                traffic.bytes_transferred += _PUT_MODIFIED_BYTES
-            else:
-                traffic.messages[_PUT_SHARED] += 1
-                traffic.bytes_transferred += _PUT_SHARED_BYTES
+        victim_home = victim % self._num_slices
+        message = MessageType.PUT_MODIFIED if victim_dirty else MessageType.PUT_SHARED
+        self._record(message, core, victim_home)
         self._directories[victim_home].remove_sharer(
-            victim // num_slices, cache_id
+            victim // self._num_slices, cache_id
         )
 
     # -- consistency checking (used by the tests) ---------------------------------
@@ -1433,13 +852,9 @@ class TiledCMP:
 
     # -- helpers ---------------------------------------------------------------------
     def _record(self, message_type: MessageType, source: int, destination: int) -> None:
+        """Count one message of the handlers' traffic (TrafficStats.record)."""
         if not self._track_traffic:
             return
-        # Inlined TrafficStats.record: the counters are plain attributes
-        # (the message dict is initialised with every type, so no .get
-        # fallback is needed).  The per-miss request/data/eviction messages
-        # inline this body directly at their call sites; this method serves
-        # the invalidation and downgrade paths.
         traffic = self._traffic
         traffic.messages[message_type] += 1
         traffic.hops += self._hop_table[source][destination]

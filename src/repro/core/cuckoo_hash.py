@@ -65,9 +65,9 @@ tables keep no indices cache.
 
 The displacement walk
 ---------------------
-:meth:`CuckooHashTable.walk` is the one entry point to the walk, for the
-handlers (through :meth:`~CuckooHashTable.insert_absent`) and for the
-vectorized drain alike.  It runs the compiled walk of
+:meth:`CuckooHashTable.walk` is the handlers' entry point to the walk
+(through :meth:`~CuckooHashTable.insert_absent`); the compiled drain calls
+the compiled walk as a plain C function.  It runs the compiled walk of
 :mod:`repro.core.native` when that built and loaded, else
 :func:`_walk_python`, which is the reference both are tested against.
 Both run over the way lists, the locator and the indices cache above, so
@@ -141,7 +141,7 @@ def _walk_python(keys, values, locator, indices_cache, way_fns, key, value, way,
 
 
 #: The displacement walk :meth:`CuckooHashTable.walk` runs.
-_walk = native.load_walk() or _walk_python
+_walk = getattr(native.KERNELS, "walk", None) or _walk_python
 #: Which walk that is: ``"compiled"`` or ``"python"`` (information only;
 #: the loader decides, and nothing else selects a walk).
 WALK = "python" if _walk is _walk_python else "compiled"

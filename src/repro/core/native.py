@@ -1,11 +1,13 @@
-"""Build and load the compiled displacement walk (``_cuckoo_walk.c``).
+"""Build and load the compiled kernels (``_kernels.c``).
 
-The cuckoo table's displacement walk (:func:`repro.core.cuckoo_hash.
-_walk_python`) is the simulator's costliest loop at tight provisionings,
-so it also ships as a small CPython extension written against the C API.
-There is no build step and no switch:
+The simulator's two hottest loops also ship as one small CPython extension
+written against the C API: the cuckoo table's displacement walk (reference:
+:func:`repro.core.cuckoo_hash._walk_python`) and the protocol drain that
+runs a trace chunk in order (reference: the handlers of
+:class:`repro.coherence.system.TiledCMP`).  There is no build step and no
+switch:
 
-* :func:`load_walk` compiles the source with the interpreter's own
+* :func:`load` compiles the source with the interpreter's own
   compile-and-link line and include directory (:mod:`sysconfig`) the first
   time it is needed, into the per-user cache the default result store
   also lives in (``~/.cache/repro-cuckoo/``; a temp directory when that is
@@ -19,9 +21,12 @@ There is no build step and no switch:
   directory that is not the user's own (or that others can write) is
   never used.
 * Any failure (no compiler, no ``Python.h``, a compile or a load error)
-  returns ``None`` and the table keeps the Python walk.  Either way one
-  info-level line on the ``repro.core.native`` logger says which walk
-  loaded, or why the compiled one did not.
+  returns ``None``: the tables keep the Python walk and every system the
+  handler loop.  Either way one info-level line on the
+  ``repro.core.native`` logger says what loaded, or why nothing did.
+
+:data:`KERNELS` is the module loaded at import, shared by every caller, and
+:data:`STATUS` the line logged about it, kept for later reporting.
 """
 
 from __future__ import annotations
@@ -35,24 +40,25 @@ import subprocess
 import sysconfig
 import tempfile
 from pathlib import Path
-from typing import Callable, List, Optional
+from types import ModuleType
+from typing import List, Optional, Tuple
 
-__all__ = ["SOURCE", "build_command", "load_walk"]
+__all__ = ["KERNELS", "SOURCE", "STATUS", "build_command", "load"]
 
-_MODULE = "_cuckoo_walk"
+_MODULE = "_kernels"
 
-#: The C source of the walk, shipped beside this module.
+#: The C source of the kernels, shipped beside this module.
 SOURCE = Path(__file__).with_name(_MODULE + ".c")
 
 _LOG = logging.getLogger("repro.core.native")
 
 
 class _BuildError(RuntimeError):
-    """The walk cannot be built on this host (any directory would fail)."""
+    """The kernels cannot be built on this host (any directory would fail)."""
 
 
 def _library_dirs() -> List[Path]:
-    """Where a built walk may live, in order of preference."""
+    """Where a built library may live, in order of preference."""
     uid = os.getuid() if hasattr(os, "getuid") else "user"
     return [
         Path.home() / ".cache" / "repro-cuckoo",
@@ -78,7 +84,7 @@ def build_command(output: Path, source: Path = SOURCE) -> List[str]:
 
 
 def _library_name() -> str:
-    """``_cuckoo_walk-<hash><EXT_SUFFIX>``: source, command and ABI hashed.
+    """``_kernels-<hash><EXT_SUFFIX>``: source, command and ABI hashed.
 
     The command is hashed with placeholder paths, so every checkout of the
     same source shares one library.
@@ -141,11 +147,12 @@ def _import(path: Path):
     return module
 
 
-def load_walk() -> Optional[Callable]:
-    """The compiled walk, built on first use; ``None`` if it cannot load.
+def load() -> Tuple[Optional[ModuleType], str]:
+    """The compiled kernels, built on first use, and a line saying so.
 
-    Logs one info-level line either way: the library loaded, or the reason
-    the Python walk stays in use.
+    Returns ``(kernels, status)``: the loaded module, or ``None`` if it
+    cannot load, and the one info-level line logged either way (the library
+    loaded, or the reason the Python walk and the handler loop stay in use).
     """
     try:
         name = _library_name()
@@ -159,12 +166,20 @@ def load_walk() -> Optional[Callable]:
             except OSError as error:  # not writable here: try the next one
                 failures.append(f"{directory}: {error}")
                 continue
-            walk = _import(path).walk
-            _LOG.info("compiled cuckoo walk loaded from %s", path)
-            return walk
+            kernels = _import(path)
+            status = f"compiled walk and drain loaded from {path}"
+            _LOG.info(status)
+            return kernels, status
         raise _BuildError("; ".join(failures))
-    except Exception as error:  # any failure keeps the reference walk
-        _LOG.info(
-            "compiled cuckoo walk unavailable, using the Python walk: %s", error
+    except Exception as error:  # any failure keeps the reference paths
+        status = (
+            "compiled kernels unavailable, using the Python walk and the "
+            f"handler loop: {error}"
         )
-        return None
+        _LOG.info(status)
+        return None, status
+
+
+#: The kernels every caller shares (``walk`` and ``drain``), or ``None``, and
+#: the line :func:`load` logged about them.
+KERNELS, STATUS = load()

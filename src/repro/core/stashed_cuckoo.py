@@ -31,7 +31,6 @@ from repro.core.cuckoo_directory import CuckooDirectory
 from repro.core.cuckoo_hash import InsertOutcome
 from repro.directories.base import (
     SHARERS_UPDATED,
-    Directory,
     Invalidation,
     LookupResult,
     UpdateResult,
@@ -106,16 +105,13 @@ class StashedCuckooDirectory(CuckooDirectory):
         return super().tracked_addresses() + list(self._stash)
 
     # -- operations -------------------------------------------------------------
-    # The stash participates through the virtual lookup/add_sharer/
-    # remove_sharer methods, so the superclass's fused single-probe
-    # shortcuts (which consult the main table directly) must be undone in
-    # favour of the generic compositions.
-    lookup_add = Directory.lookup_add
-    acquire_exclusive = Directory.acquire_exclusive
+    # The stash participates through the lookup/add_sharer/remove_sharer
+    # overrides, which the inherited lookup_add and acquire_exclusive
+    # compositions call.
 
     def drain_handles(self) -> None:
-        """The vectorized drain's inlined operations never consult the
-        stash, so a stashed system runs the handler loop."""
+        """The compiled drain's operations never consult the stash, so a
+        stashed system runs the handler loop."""
         return None
 
     def lookup(self, address: int) -> LookupResult:

@@ -13,7 +13,7 @@ constructors choose:
   way indexed by ``address % num_sets``, LRU way evicted at once.
 
 :class:`TableDirectory` is the one implementation of the directory
-operations over that table, and the one source of the vectorized drain's
+operations over that table, and the one source of the compiled drain's
 handles (:meth:`TableDirectory.drain_handles`).
 
 Statistics follow the paper's accounting rules (Section 5.2):
@@ -83,20 +83,9 @@ class TableDirectory(Directory):
         self._entry_bits = 1 + tag_bits + sharer_cls.storage_bits(
             num_caches, **sharer_kwargs
         )
-        # Per-operation bit costs, precomputed for the hot paths, and
-        # prebound table accessors (the table object is never replaced).
+        # Per-operation bit costs, precomputed once.
         self._lookup_tag_bits = table.num_ways * tag_bits
         self._payload_bits = self._entry_bits - tag_bits
-        self._table_get = table.get
-        self._table_touch = table.touch
-        self._table_get_slot = table.get_slot
-        # UpdateResult is frozen, so the common insertion outcomes (a new
-        # entry placed in N attempts with no forced invalidation) are
-        # preallocated and shared; only evicting inserts build a result.
-        self._insert_results: list = [None] + [
-            UpdateResult(inserted_new_entry=True, attempts=attempts)
-            for attempts in range(1, table.max_attempts + 1)
-        ]
         # Sharer sets freed when an entry's last sharer leaves are recycled
         # for the next insertion: entry turnover is the dominant allocation
         # of a warmed simulation, and a set is only pooled once it is empty,
@@ -143,7 +132,7 @@ class TableDirectory(Directory):
         # A lookup reads the tags of all ways in parallel plus the matching
         # entry's sharer bits — the same cost as a set-associative lookup.
         stats.bits_read += self._lookup_tag_bits
-        sharers = self._table_get(address)
+        sharers = self._table.get(address)
         if sharers is None:
             stats.lookup_misses += 1
             return LOOKUP_MISS
@@ -153,7 +142,7 @@ class TableDirectory(Directory):
 
     def add_sharer(self, address: int, cache_id: int) -> UpdateResult:
         self._check_cache(cache_id)
-        existing = self._table_touch(address)
+        existing = self._table.touch(address)
         if existing is not None:
             existing.add(cache_id)
             stats = self._stats
@@ -161,65 +150,6 @@ class TableDirectory(Directory):
             stats.bits_written += self._payload_bits
             return SHARERS_UPDATED
         return self._insert_new_entry(address, cache_id)
-
-    def lookup_add(self, address: int, cache_id: int):
-        """Fused lookup + add_sharer: one table probe for the read-miss path.
-
-        Counters are bit-identical to ``lookup()`` followed by
-        ``add_sharer()``; only the second candidate scan disappears.
-        """
-        if not 0 <= cache_id < self._num_caches:
-            self._check_cache(cache_id)
-        stats = self._stats
-        stats.lookups += 1
-        stats.bits_read += self._lookup_tag_bits
-        existing = self._table_touch(address)
-        if existing is not None:
-            payload_bits = self._payload_bits
-            stats.lookup_hits += 1
-            stats.bits_read += payload_bits
-            prior = existing.sharers()
-            existing.add(cache_id)
-            stats.sharer_additions += 1
-            stats.bits_written += payload_bits
-            return True, prior, SHARERS_UPDATED
-        stats.lookup_misses += 1
-        return False, frozenset(), self._insert_new_entry(address, cache_id)
-
-    def acquire_exclusive(self, address: int, cache_id: int) -> UpdateResult:
-        """Fused write path: one table probe instead of one per sharer.
-
-        Statistics and directory state are bit-identical to the base
-        implementation (lookup, add the writer, then remove every other
-        sharer), which probes the table once per removed sharer.
-        """
-        if not 0 <= cache_id < self._num_caches:
-            self._check_cache(cache_id)
-        stats = self._stats
-        stats.lookups += 1
-        stats.bits_read += self._lookup_tag_bits
-        existing = self._table_touch(address)
-        if existing is None:
-            stats.lookup_misses += 1
-            return self._insert_new_entry(address, cache_id)
-        stats.lookup_hits += 1
-        entry_payload_bits = self._payload_bits
-        stats.bits_read += entry_payload_bits
-        prior = existing.sharers()
-        existing.add(cache_id)
-        stats.sharer_additions += 1
-        stats.bits_written += entry_payload_bits
-        to_invalidate = frozenset(c for c in prior if c != cache_id)
-        if to_invalidate:
-            stats.invalidate_all_operations += 1
-            # The writer stays a member throughout, so the entry never
-            # transiently empties and is never deallocated here.
-            for other in to_invalidate:
-                existing.remove(other)
-                stats.sharer_removals += 1
-                stats.bits_written += entry_payload_bits
-            return UpdateResult(coherence_invalidations=to_invalidate)
-        return SHARERS_UPDATED
 
     def _insert_new_entry(self, address: int, cache_id: int) -> UpdateResult:
         """Allocate a fresh entry for ``address`` with ``cache_id`` as sharer."""
@@ -238,50 +168,42 @@ class TableDirectory(Directory):
         # insert_absent outcome).
         stats.bits_written += attempts * self._entry_bits
 
+        invalidations = ()
         if result.evicted:
             evicted_sharers: SharerSet = result.evicted_value
             invalidation = Invalidation(
                 address=result.evicted_key, caches=evicted_sharers.sharers()
             )
             self._record_forced_invalidation(invalidation)
-            return UpdateResult(
-                inserted_new_entry=True,
-                attempts=attempts,
-                invalidations=(invalidation,),
-            )
-        return self._insert_results[attempts]
+            invalidations = (invalidation,)
+        return UpdateResult(
+            inserted_new_entry=True, attempts=attempts, invalidations=invalidations
+        )
 
     def drain_handles(self) -> Optional[tuple]:
-        """Internal-state bundle for the vectorized drain's inlined directory ops.
+        """This slice's state as the compiled drain reads it, or ``None``.
 
-        The fast path's miss drain (``TiledCMP._drain_batch_vector``)
-        inlines ``lookup_add``/``acquire_exclusive``/``remove_sharer`` over
-        these structures, manipulating the table's locator, way arrays and
-        LRU stamps and the sharer bit masks directly and flushing the
-        statistics once per chunk — bit-identical to the method calls,
-        minus the per-access call overhead.  Only the plain full-bit-vector
-        encoding qualifies: richer sharer encodings, and subclasses that
-        change an inlined operation (the stashed variant overrides this),
-        return ``None``, and their systems run the handler loop
-        (``TiledCMP.access_batch``).
+        The drain (``TiledCMP._drain_compiled``) runs this directory's
+        operations over the table's locator, way lists, LRU stamps
+        (``None`` under the cuckoo policy), indices cache (``None`` under
+        LRU), way functions and walk bound, and the sharer pool.  Only the
+        plain full bit vector qualifies: richer sharer encodings, and
+        subclasses that change an operation (the stashed variant overrides
+        this), return ``None``, and their systems run the handler loop.
         """
         if self._sharer_cls is not FullBitVector:
             return None
         table = self._table
         return (
-            table,
-            table._locator,
-            table._keys,
-            table._values,
-            table._way_orders,
+            table._locator, table._keys, table._values, table._stamps,
+            table._indices_cache, table._way_fns, table._max_attempts,
             self._sharer_pool,
-            self._stats,
         )
 
     def remove_sharer(self, address: int, cache_id: int) -> None:
         if not 0 <= cache_id < self._num_caches:
             self._check_cache(cache_id)
-        slot = self._table_get_slot(address)
+        slot = self._table.get_slot(address)
         if slot is None:
             return
         way, index, sharers = slot

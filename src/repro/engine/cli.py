@@ -72,7 +72,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.engine.runner import ParallelRunner
 from repro.engine.spec import (
@@ -491,8 +491,20 @@ def _setup_telemetry(args: argparse.Namespace) -> None:
     json_lines = bool(getattr(args, "log_json", False))
     if level or json_lines:
         obs.setup_logging(level=level or "info", json_lines=json_lines)
+        # The loader logged at import, before this configuration existed.
+        obs.get_logger("repro.core.native").info(
+            "walk: %(walk)s, drain: %(drain)s (%(library)s)", _kernels()
+        )
     if getattr(args, "metrics_out", None) or not getattr(args, "quiet", False):
         obs.enable()
+
+
+def _kernels() -> Dict[str, str]:
+    """Which displacement walk and drain run here, and the loader's line."""
+    from repro.coherence import system
+    from repro.core import cuckoo_hash, native
+
+    return {"walk": cuckoo_hash.WALK, "drain": system.DRAIN, "library": native.STATUS}
 
 
 def _make_runner(args: argparse.Namespace) -> ParallelRunner:
@@ -553,7 +565,7 @@ def _finish_telemetry(
             print(obs.render_phase_breakdown(totals), file=sys.stderr)
     metrics_out = getattr(args, "metrics_out", None)
     if metrics_out:
-        meta = {"command": args.command}
+        meta = {"command": args.command, "native": _kernels()}
         if runner is not None and runner.monitor is not None:
             meta["sweep"] = runner.monitor.snapshot()
         path = obs.export.write_snapshot(metrics_out, meta=meta)

@@ -6,6 +6,8 @@ import abc
 import math
 from typing import Callable, List, Sequence, Tuple
 
+import numpy as np
+
 __all__ = ["HashFunction", "HashFamily"]
 
 
@@ -98,31 +100,24 @@ class HashFamily(abc.ABC):
     def batch_indices(self, addresses: Sequence[int]) -> List[Tuple[int, ...]]:
         """Candidate indices for a batch of addresses, one tuple per address.
 
-        Equivalent to ``[tuple(self.indices(a)) for a in addresses]`` but
-        overridable with vectorized implementations (numpy in the skewing
-        and strong families), which is what makes precomputing the Figure 7
-        sweep's candidate indices cheap.
+        Equivalent to ``[tuple(self.indices(a)) for a in addresses]``: the
+        rows of :meth:`batch_indices_array` as tuples (the Figure 7 sweep
+        precomputes its candidate indices this way).
         """
-        functions = self.way_functions()
-        return [tuple(fn(address) for fn in functions) for address in addresses]
+        return list(zip(*self.batch_indices_array(addresses).tolist()))
 
-    def batch_indices_array(self, addresses):
-        """Candidate indices as a ``(num_ways, n)`` numpy int64 array.
+    def batch_indices_array(self, addresses) -> np.ndarray:
+        """Candidate indices as a ``(num_ways, n)`` int64 array.
 
-        Array-shaped twin of :meth:`batch_indices` for the batched miss
-        drain, which slices per-way columns instead of per-address tuples.
-        The generic implementation transposes :meth:`batch_indices`;
-        vectorized families override it to skip the tuple round-trip.
-        Returns ``None`` when numpy is unavailable.
+        The compiled drain reads one such array per chunk.  This generic
+        version calls the way functions per address; the skewing, strong
+        and modulo families override it with numpy arithmetic.
         """
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - numpy is baked in
-            return None
-        rows = self.batch_indices(addresses)
-        if not rows:
-            return np.empty((self._num_ways, 0), dtype=np.int64)
-        return np.asarray(rows, dtype=np.int64).T
+        values = np.asarray(addresses, dtype=np.int64).tolist()
+        return np.array(
+            [[fn(value) for value in values] for fn in self.way_functions()],
+            dtype=np.int64,
+        ).reshape(self._num_ways, len(values))
 
     def batch_key(self) -> object:
         """Value-identity key: equal keys guarantee identical index functions.

@@ -10,8 +10,6 @@ of two) and a single way.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
-
 import numpy as np
 
 from repro.hashing.base import HashFamily
@@ -28,11 +26,10 @@ class ModuloHashFamily(HashFamily):
             raise ValueError("address must be non-negative")
         return address % self._num_sets
 
-    def batch_indices(self, addresses: Sequence[int]) -> List[Tuple[int, ...]]:
+    def batch_indices_array(self, addresses) -> np.ndarray:
         """One vectorized modulo, repeated across the ways."""
-        num_ways = self._num_ways
-        sets = (np.asarray(addresses, dtype=np.int64) % self._num_sets).tolist()
-        return [(index,) * num_ways for index in sets]
+        sets = np.asarray(addresses, dtype=np.int64) % self._num_sets
+        return np.tile(sets, (self._num_ways, 1))
 
     def batch_key(self) -> object:
         """Modulo indices are fully determined by the geometry."""

@@ -28,12 +28,9 @@ by :meth:`SkewingHashFamily.way_function` — matter.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is baked into the image
-    _np = None
+import numpy as np
 
 from repro.hashing.base import HashFamily
 
@@ -85,7 +82,7 @@ class SkewingHashFamily(HashFamily):
         self._offset_bits = offset_bits
         self._sigma_tables = self._build_sigma_tables()
         # Numpy copies of the sigma tables, built lazily on the first
-        # batch_indices_array call (only the batched drain needs them).
+        # batch_indices_array call.
         self._sigma_arrays = None
         # The fused indexer, generated once per family: every directory
         # slice of a system shares one family and asks for it.
@@ -192,47 +189,23 @@ class SkewingHashFamily(HashFamily):
         self._indices_fn = namespace["_all_indices"]
         return self._indices_fn
 
-    def batch_indices(self, addresses: Sequence[int]) -> List[Tuple[int, ...]]:
-        """Vectorized candidate indices: three shifts + two table gathers."""
+    def batch_indices_array(self, addresses) -> np.ndarray:
+        """Vectorized candidate indices: three shifts, two table gathers."""
         bits = self.index_bits
-        if _np is None or bits == 0 or not self._sigma_tables:
-            return super().batch_indices(addresses)
-        blocks = _np.asarray(addresses, dtype=_np.int64) >> self._offset_bits
-        mask = (1 << bits) - 1
-        field1 = blocks & mask
-        field2 = (blocks >> bits) & mask
-        field3 = (blocks >> (2 * bits)) & mask
-        tables = [_np.asarray(table, dtype=_np.int64) for table in self._sigma_tables]
-        per_way = [
-            tables[way][field1] ^ tables[way // 2][field2] ^ field3
-            for way in range(self._num_ways)
-        ]
-        return list(zip(*(column.tolist() for column in per_way)))
-
-    def batch_indices_array(self, addresses):
-        """Array twin of :meth:`batch_indices`: ``(num_ways, n)`` int64."""
-        bits = self.index_bits
-        if _np is None:
-            return None
         if bits == 0 or not self._sigma_tables:
             return super().batch_indices_array(addresses)
-        blocks = _np.asarray(addresses, dtype=_np.int64) >> self._offset_bits
+        blocks = np.asarray(addresses, dtype=np.int64) >> self._offset_bits
         mask = (1 << bits) - 1
         field1 = blocks & mask
         field2 = (blocks >> bits) & mask
         field3 = (blocks >> (2 * bits)) & mask
         tables = self._sigma_arrays
         if tables is None:
-            tables = [
-                _np.asarray(table, dtype=_np.int64)
-                for table in self._sigma_tables
-            ]
+            tables = [np.asarray(table, dtype=np.int64) for table in self._sigma_tables]
             self._sigma_arrays = tables
-        out = _np.empty((self._num_ways, blocks.size), dtype=_np.int64)
+        out = np.empty((self._num_ways, blocks.size), dtype=np.int64)
         for way in range(self._num_ways):
-            _np.bitwise_xor(
-                tables[way][field1], tables[way // 2][field2], out=out[way]
-            )
+            np.bitwise_xor(tables[way][field1], tables[way // 2][field2], out=out[way])
             out[way] ^= field3
         return out
 

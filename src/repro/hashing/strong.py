@@ -14,20 +14,17 @@ is also provided for tests that want a reference.
 
 The scalar mixer is inlined into the per-way closures returned by
 :meth:`StrongHashFamily.way_function` (the cuckoo walk's hot path), and
-:meth:`StrongHashFamily.batch_indices` runs the same finaliser over numpy
-``uint64`` arrays — bit-identical to the scalar path because ``uint64``
+:meth:`StrongHashFamily.batch_indices_array` runs the same finaliser over
+numpy ``uint64`` arrays — bit-identical to the scalar path because ``uint64``
 arithmetic wraps exactly like the explicit 64-bit masking.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is baked into the image
-    _np = None
+import numpy as np
 
 from repro.hashing.base import HashFamily
 
@@ -108,46 +105,23 @@ class StrongHashFamily(HashFamily):
         exec("\n".join(lines), namespace)  # noqa: S102 - constants only
         return namespace["_all_indices"]
 
-    def batch_indices(self, addresses: Sequence[int]) -> List[Tuple[int, ...]]:
+    def batch_indices_array(self, addresses) -> np.ndarray:
         """Vectorized SplitMix64 over ``uint64`` arrays, one pass per way."""
-        if _np is None:
-            return super().batch_indices(addresses)
-        values = _np.asarray(addresses, dtype=_np.uint64)
-        sets = _np.uint64(self._num_sets)
-        mult1 = _np.uint64(_MIX_MULT_1)
-        mult2 = _np.uint64(_MIX_MULT_2)
-        s30, s27, s31 = _np.uint64(30), _np.uint64(27), _np.uint64(31)
-        per_way = []
-        with _np.errstate(over="ignore"):
-            for seed in self._seeds:
-                mixed = values ^ _np.uint64(seed)
-                mixed = mixed ^ (mixed >> s30)
-                mixed = mixed * mult1
-                mixed = mixed ^ (mixed >> s27)
-                mixed = mixed * mult2
-                mixed = mixed ^ (mixed >> s31)
-                per_way.append((mixed % sets).tolist())
-        return list(zip(*per_way))
-
-    def batch_indices_array(self, addresses):
-        """Array twin of :meth:`batch_indices`: ``(num_ways, n)`` int64."""
-        if _np is None:
-            return None
-        values = _np.asarray(addresses, dtype=_np.uint64)
-        sets = _np.uint64(self._num_sets)
-        mult1 = _np.uint64(_MIX_MULT_1)
-        mult2 = _np.uint64(_MIX_MULT_2)
-        s30, s27, s31 = _np.uint64(30), _np.uint64(27), _np.uint64(31)
-        out = _np.empty((self._num_ways, values.size), dtype=_np.int64)
-        with _np.errstate(over="ignore"):
+        values = np.asarray(addresses, dtype=np.uint64)
+        sets = np.uint64(self._num_sets)
+        mult1 = np.uint64(_MIX_MULT_1)
+        mult2 = np.uint64(_MIX_MULT_2)
+        s30, s27, s31 = np.uint64(30), np.uint64(27), np.uint64(31)
+        out = np.empty((self._num_ways, values.size), dtype=np.int64)
+        with np.errstate(over="ignore"):
             for way, seed in enumerate(self._seeds):
-                mixed = values ^ _np.uint64(seed)
+                mixed = values ^ np.uint64(seed)
                 mixed = mixed ^ (mixed >> s30)
                 mixed = mixed * mult1
                 mixed = mixed ^ (mixed >> s27)
                 mixed = mixed * mult2
                 mixed = mixed ^ (mixed >> s31)
-                out[way] = (mixed % sets).astype(_np.int64)
+                out[way] = mixed % sets
         return out
 
     def batch_key(self) -> object:

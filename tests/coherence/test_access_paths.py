@@ -1,11 +1,12 @@
 """Differential suite: every ``access_batch`` path against the handlers.
 
 The handlers (``TiledCMP._access_block`` and the ``_handle_*`` methods) are
-the one definition of the MESI protocol.  ``access_batch`` either runs them
-per access (the handler loop) or, when every slice is a plain table-backed
-directory (cuckoo, sparse, skewed, in-cache) with a full bit vector, takes
-the fast path: every access of the chunk through the vectorized drain in
-trace order.  This suite holds both to the handlers:
+the reference definition of the MESI protocol.  ``access_batch`` either
+runs them per access (the handler loop) or, when the compiled kernels
+loaded and every slice is a plain table-backed directory (cuckoo, sparse,
+skewed, in-cache) with a full bit vector, runs every access of the chunk
+in trace order through the compiled drain.  This suite holds both to the
+handlers (``tests/core/test_native_drain.py`` adds random geometries):
 
 * **reference** — ``access()`` per access on a fresh system;
 * **candidate** — ``access_batch`` at chunk sizes 1, 3, 17 and 4096, plus a
@@ -19,13 +20,16 @@ trace order.  This suite holds both to the handlers:
   table internals with their LRU stamps) and a clean ``check_inclusion``
   after every chunk (except on the long-walk cases, where inclusion is
   known not to hold);
-* **walks** — the tight cuckoo cases also run under both displacement
-  walks, the compiled one and the Python reference, with equal deep state.
+* **walks** — the tight cuckoo cases also run the handlers under the
+  Python reference walk against ``access_batch`` (whose drain walks in C),
+  with equal deep state.
 
 The obs counters prove which path ran: chunks of every size of the plain
 table-backed organizations (cuckoo, sparse, skewed, in-cache) reach the
-vector drain, while the stash, duplicate-tag, tagless and rich sharer
-encodings run the handler loop.  Nothing here selects a path by hand.
+compiled drain where the library loaded, while the stash, duplicate-tag,
+tagless and rich sharer encodings (and every organization on a host
+without the library) run the handler loop.  Nothing here selects a path by
+hand.
 """
 
 import numpy as np
@@ -33,6 +37,7 @@ import pytest
 
 from repro import obs
 from repro.cache.cache import STATE_MODIFIED
+from repro.coherence import system as system_module
 from repro.coherence.paging import PageMapper
 from repro.coherence.system import MemoryAccess, TiledCMP
 from repro.config import CacheConfig, CacheLevel, SystemConfig
@@ -419,7 +424,7 @@ def test_chunk_sizes_match_handlers(organization, level, counters):
         handled = (
             after["sim.drain.scalar_fallback"] - before["sim.drain.scalar_fallback"]
         )
-        if ORGANIZATIONS[organization][1]:
+        if ORGANIZATIONS[organization][1] and system_module.DRAIN == "compiled":
             assert vector == len(stream) and handled == 0
         else:
             assert handled == len(stream) and vector == 0
@@ -467,21 +472,19 @@ def test_tight_cuckoo_forced_invalidations_mid_chunk_match_handlers(organization
 @pytest.mark.parametrize("level", LEVELS, ids=["L1", "L2"])
 @pytest.mark.parametrize("organization", ["cuckoo-tight", *INCLUSION_GAP])
 def test_long_walks_match_under_both_walks(organization, level, monkeypatch):
-    """The live walk (compiled where it builds) and the Python reference walk
-    leave identical deep state, through the handlers and the drain."""
+    """The handlers under the Python reference walk and ``access_batch``
+    (the compiled drain, which calls the compiled walk, where the library
+    loaded) leave identical deep state."""
     stream = _stream(organization)
-    states = []
-    for walk in (cuckoo_hash._walk, cuckoo_hash._walk_python):
-        monkeypatch.setattr(cuckoo_hash, "_walk", walk)
-        reference = _make_system(organization, level)
-        _run_reference(reference, stream)
-        drained = _make_system(organization, level)
-        _run_chunked(drained, stream, 512, check=False)
-        states.append((_deep_state(reference), _deep_state(drained)))
-    assert states[0] == states[1]
-    assert states[0][0] == states[0][1]
+    drained = _make_system(organization, level)
+    _run_chunked(drained, stream, 512, check=False)
+    monkeypatch.setattr(cuckoo_hash, "_walk", cuckoo_hash._walk_python)
+    reference = _make_system(organization, level)
+    _run_reference(reference, stream)
+    assert _deep_state(drained) == _deep_state(reference)
 
 
+@pytest.mark.skipif(system_module.DRAIN != "compiled", reason="compiled drain not loaded")
 def test_hit_run_retires_in_the_drain(counters):
     """A pure-hit chunk retires every access as a drain hit."""
     core, block = 1, 7 * 64

@@ -1,12 +1,13 @@
 """The compiled displacement walk against the Python reference walk.
 
-``repro.core.native`` builds ``_cuckoo_walk.c`` on first import and the
-table runs it where it loads; ``cuckoo_hash._walk_python`` stays the
+``repro.core.native`` builds ``_kernels.c`` on first import and the table
+runs its walk where it loads; ``cuckoo_hash._walk_python`` stays the
 reference.  These tests drive both walks on twin tables, check the
 compiled walk's reference counting and bounds checks, and check that the
-loader falls back to the Python walk (and says why) when it cannot build.
-Walks are switched by setting ``cuckoo_hash._walk``, as nothing else
-selects one.
+loader builds both kernels, or falls back to the Python walk and the
+handler loop (and says why) when it cannot build.  Walks are switched by
+setting ``cuckoo_hash._walk``, as nothing else selects one; the compiled
+drain calls the compiled walk directly (``test_native_drain.py``).
 """
 
 import logging
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.coherence import system
 from repro.core import cuckoo_hash, native
 from repro.core.cuckoo_hash import CuckooHashTable
 from repro.hashing.skewing import SkewingHashFamily
@@ -33,7 +35,7 @@ if cuckoo_hash.WALK == "compiled":
 
 
 def _can_build():
-    """Why the compiled walk cannot build here, or ``None`` if it can."""
+    """Why the compiled kernels cannot build here, or ``None`` if they can."""
     compiler = native.build_command(Path("out"))[0]
     if shutil.which(compiler) is None:
         return f"no C compiler ({compiler})"
@@ -73,12 +75,15 @@ def _state(table):
 
 
 def test_compiled_walk_loads_where_it_can_build():
-    """A host with a C compiler and ``Python.h`` must run the compiled walk."""
+    """A host with a C compiler and ``Python.h`` must run the compiled walk
+    and the compiled drain."""
     missing = _can_build()
     if missing is not None:
         pytest.skip(missing)
     assert cuckoo_hash.WALK == "compiled"
     assert cuckoo_hash._walk is not PYTHON
+    assert system.DRAIN == "compiled"
+    assert system._drain is native.KERNELS.drain
 
 
 # Insert (optionally through a drain-style tuple row) or remove one key.
@@ -164,13 +169,15 @@ def test_loader_builds_into_a_fresh_cache(tmp_path, monkeypatch, caplog):
         pytest.skip(missing)
     monkeypatch.setenv("HOME", str(tmp_path))
     with caplog.at_level(logging.INFO, logger="repro.core.native"):
-        walk = native.load_walk()
-    assert walk is not None
+        kernels, status = native.load()
+    assert kernels is not None and callable(kernels.drain)
+    walk = kernels.walk
     cache = tmp_path / ".cache" / "repro-cuckoo"
     built = os.listdir(cache)
-    assert len(built) == 1 and built[0].startswith("_cuckoo_walk-")
+    assert len(built) == 1 and built[0].startswith("_kernels-")
     assert built[0].endswith(sysconfig.get_config_var("EXT_SUFFIX") or ".so")
     assert f"loaded from {cache}" in caplog.text
+    assert status in caplog.text
     # The rebuilt walk is the compiled walk: it agrees with the reference.
     twins = [_table(2, 2, 9, strong=False) for _ in range(2)]
     for table, table_walk in zip(twins, (walk, PYTHON)):
@@ -182,7 +189,8 @@ def test_loader_builds_into_a_fresh_cache(tmp_path, monkeypatch, caplog):
 
 
 def test_loader_falls_back_without_a_compiler(tmp_path, monkeypatch, caplog):
-    """A missing compiler leaves the Python walk in use and says why."""
+    """A missing compiler leaves the Python walk and the handler loop in
+    use and says why."""
     monkeypatch.setenv("HOME", str(tmp_path))
     real = sysconfig.get_config_var
     missing = str(tmp_path / "no-such-cc")
@@ -194,8 +202,8 @@ def test_loader_falls_back_without_a_compiler(tmp_path, monkeypatch, caplog):
 
     monkeypatch.setattr(sysconfig, "get_config_var", config)
     with caplog.at_level(logging.INFO, logger="repro.core.native"):
-        assert native.load_walk() is None
-    assert "using the Python walk" in caplog.text
+        assert native.load()[0] is None
+    assert "using the Python walk and the handler loop" in caplog.text
     assert missing in caplog.text
     cache = tmp_path / ".cache" / "repro-cuckoo"
     assert not cache.exists() or os.listdir(cache) == []

@@ -6,6 +6,8 @@ import json
 import pytest
 
 from repro import obs
+from repro.coherence import system
+from repro.core import cuckoo_hash, native
 from repro.engine.cli import main
 from repro.engine.results import RunResult
 from repro.engine.spec import RunSpec
@@ -26,6 +28,11 @@ def clean_obs_state():
 @pytest.fixture
 def store_path(tmp_path):
     return str(tmp_path / "results.jsonl")
+
+
+#: The span the drain of a cuckoo point runs under: the compiled drain's
+#: where the library loaded, else the handler loop's.
+DRAIN_SPAN = "drain_vector" if system.DRAIN == "compiled" else "drain_scalar"
 
 
 def _sweep_argv(store_path, *extra):
@@ -53,14 +60,17 @@ class TestMetricsOut:
         assert counters["sim.run.measured_accesses"] == 1500
         assert counters["sim.batch.chunks"] >= 1
         assert counters["store.puts"] == 1
-        # A cuckoo point: every chunk takes the fast path, the vectorized
-        # drain ("drain_vector").
+        # A cuckoo point: every chunk takes the compiled drain
+        # ("drain_vector") where the library loaded.
         phases = document["phases"]
-        assert "drain_vector" in phases
+        assert DRAIN_SPAN in phases
         assert "translate" in phases
         assert "batch_kernel" not in phases
         sweep = document["meta"]["sweep"]
         assert sweep["total"] == 1 and sweep["done"] == 1
+        assert document["meta"]["native"] == {
+            "walk": cuckoo_hash.WALK, "drain": system.DRAIN, "library": native.STATUS,
+        }
         assert "metrics written to" in capsys.readouterr().err
 
     def test_quiet_without_metrics_out_keeps_telemetry_off(self, capsys, store_path):
@@ -76,7 +86,7 @@ class TestProgressOutput:
         # capsys streams are not TTYs, so the renderer emits plain lines.
         assert "1/1" in err
         assert "Phase breakdown" in err
-        assert "drain_vector" in err
+        assert DRAIN_SPAN in err
 
     def test_quiet_suppresses_progress(self, capsys, store_path):
         assert main(_sweep_argv(store_path, "--quiet")) == 0
@@ -98,6 +108,19 @@ class TestLoggingFlags:
         assert simulated
         assert simulated[0]["workload"] == "Oracle"
         assert "spec" in simulated[0]
+
+    def test_log_level_info_names_the_walk_and_drain(self, capsys, store_path):
+        """The loader logs before the CLI configures logging, so the CLI
+        repeats which kernels run once logging is up."""
+        argv = _sweep_argv(store_path, "--quiet", "--log-level", "info")
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        line = f"walk: {cuckoo_hash.WALK}, drain: {system.DRAIN} ({native.STATUS})"
+        assert line in err
+        if system.DRAIN == "compiled":
+            assert "compiled walk and drain loaded from" in line
+        else:
+            assert "unavailable" in line
 
 
 class TestWorkerAndCostFields:

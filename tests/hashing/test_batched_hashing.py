@@ -1,11 +1,12 @@
 """Equivalence tests for the batched / fused hashing fast paths.
 
 ``index(way, address)`` is the reference; ``way_function``,
-``indices_function`` and ``batch_indices`` are performance variants that
-must agree with it everywhere (the cuckoo table and Figure 7 rely on
-that interchangeability).
+``indices_function``, ``batch_indices`` and ``batch_indices_array`` are
+performance variants that must agree with it everywhere (the cuckoo table,
+the compiled drain and Figure 7 rely on that interchangeability).
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -46,10 +47,26 @@ def test_all_fast_paths_match_reference_index(name, make, addresses):
         assert list(batched[position]) == reference
 
 
+@pytest.mark.parametrize("name,make", FAMILIES, ids=[n for n, _ in FAMILIES])
+@given(addresses=addresses_strategy)
+@settings(max_examples=40, deadline=None)
+def test_batch_indices_array_matches_batch_indices(name, make, addresses):
+    """The drain's (num_ways, n) int64 array holds the same rows as
+    ``batch_indices``, address by address, for numpy and list input."""
+    family = make()
+    rows = family.batch_indices(addresses)
+    for source in (addresses, np.asarray(addresses, dtype=np.int64)):
+        array = family.batch_indices_array(source)
+        assert array.dtype == np.int64 and array.flags.c_contiguous
+        assert array.shape == (family.num_ways, len(addresses))
+        assert [tuple(column) for column in array.T.tolist()] == rows
+
+
 def test_batch_indices_empty_input():
     family = StrongHashFamily(4, 512)
     assert family.batch_indices([]) == []
     assert SkewingHashFamily(4, 512).batch_indices([]) == []
+    assert ModuloHashFamily(3, 6).batch_indices_array([]).shape == (3, 0)
 
 
 def test_default_batch_indices_used_by_generic_families():
