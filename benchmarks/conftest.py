@@ -21,7 +21,7 @@ simulation.  The per-figure numbers answer "how long does regenerating
 this figure take *now*", not "how expensive is this figure cold";
 ``bench_engine_parallel`` deliberately bypasses the shared store for its
 cold/warm and serial/parallel comparisons.  Delete the cache directory —
-or run ``repro-run cache --clear`` with ``$REPRO_RESULT_STORE`` pointed
+or run ``repro-run cache clear`` with ``$REPRO_RESULT_STORE`` pointed
 at it — to force cold runs.
 """
 

@@ -235,7 +235,7 @@ def timelines_to_csv(
             if values.ndim == 1:
                 values = values.reshape(-1, 1)
             for index, row in enumerate(values.tolist()):
-                accesses = "" if cadence is None else str((index + 1) * cadence)
+                accesses = str((index + 1) * cadence)
                 for lane, value in enumerate(row):
                     writer.writerow([label, name, lane, index, accesses, repr(value)])
     return buffer.getvalue()

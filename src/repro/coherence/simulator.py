@@ -56,9 +56,6 @@ _MEASURED_ACCESSES = _obs_counter(
 _OCC_SAMPLES = _obs_counter(
     "sim.run.occupancy_samples", help="directory occupancy samples taken"
 )
-_SAMPLED_WINDOWS = _obs_counter(
-    "sim.run.sampled_windows", help="SMARTS measurement windows completed"
-)
 _TIMELINE_SAMPLES = _obs_counter(
     "sim.run.timeline_samples", help="full timeline channel samples taken"
 )
@@ -143,12 +140,11 @@ class TraceSimulator:
     def system(self) -> TiledCMP:
         return self._system
 
-    def _make_timeline(self, mode: str = "interval") -> Timeline:
+    def _make_timeline(self) -> Timeline:
         return Timeline(
             occupancy_interval=self._sample_interval,
             interval=self._timeline_interval,
             banks=len(self._system.directories),
-            mode=mode,
         )
 
     def run(
@@ -283,165 +279,6 @@ class TraceSimulator:
                 gc.enable()
 
         return self._build_result(measured, timeline)
-
-    def run_sampled(
-        self,
-        chunks: Iterable[TraceChunk],
-        measure_window: int,
-        skip_window: int,
-        max_windows: Optional[int] = None,
-    ) -> Tuple[SimulationResult, int]:
-        """SMARTS-style systematic sampling over a chunked trace.
-
-        The stream is consumed as alternating windows: ``skip_window``
-        accesses executed for state only (caches, directories and the page
-        mapper all advance, but statistics are discarded), then
-        ``measure_window`` accesses measured.  Statistics from all measured
-        windows are merged, so the returned
-        :class:`SimulationResult` covers *only* the measured windows —
-        every skipped access doubles as functional warming for the window
-        that follows it, which is what makes sparse sampling of a long
-        trace representative.
-
-        The constructor's ``warmup_accesses`` is not applied here (each
-        window brings its own warming); windows end when ``max_windows``
-        is reached or the trace runs dry.  A partially measured final
-        window is discarded — including its pending occupancy samples.
-        Returns ``(result, windows_measured)``.
-
-        When a ``timeline_interval`` was configured, the full channel set
-        samples once per *completed* window (mode ``"window"``): the
-        per-window statistics reset makes a finer cadence meaningless for
-        cumulative counters, and one point per window is exactly the
-        federated per-window summary the merge reports.
-        """
-        if measure_window <= 0:
-            raise ValueError("measure_window must be positive")
-        if skip_window < 0:
-            raise ValueError("skip_window must be non-negative")
-        if max_windows is not None and max_windows <= 0:
-            raise ValueError("max_windows must be positive")
-        system = self._system
-        access_batch = system.access_batch
-        interval = self._sample_interval
-
-        merged = None  # DirectoryStats of all measured windows
-        per_slice: Optional[List] = None
-        traffic = TrafficStats()
-        hits = 0
-        cache_accesses = 0
-        measured_total = 0
-        windows = 0
-        timeline = self._make_timeline(mode="window")
-
-        measuring = skip_window == 0
-        remaining = measure_window if measuring else skip_window
-        if measuring:
-            system.reset_stats()
-            timeline.mark_reset()
-        until_sample = interval
-        # Occupancy samples buffer per window and flush only when the
-        # window completes, preserving the discard-partial-window rule.
-        window_samples: List[float] = []
-        done = False
-
-        iterator = iter(chunks)
-        while True:
-            with _TRACER.span("trace_production"):
-                chunk = next(iterator, None)
-            if chunk is None:
-                break
-            cores, addresses, writes, instrs = _chunk_arrays(*chunk)
-            length = len(cores)
-            offset = 0
-            while offset < length:
-                span = min(length - offset, remaining)
-                if measuring and span > until_sample:
-                    span = until_sample
-                access_batch(cores, addresses, writes, instrs, offset, offset + span)
-                offset += span
-                remaining -= span
-                if measuring:
-                    until_sample -= span
-                    _MEASURED_ACCESSES.add(span)
-                    if until_sample == 0:
-                        with _TRACER.span("occupancy_sampling"):
-                            window_samples.append(system.sample_occupancy())
-                        _OCC_SAMPLES.inc()
-                        until_sample = interval
-                else:
-                    _WARMUP_ACCESSES.add(span)
-                if remaining == 0:
-                    if measuring:
-                        # Window complete: fold its statistics into the totals.
-                        window_stats = system.directory_stats()
-                        merged = (
-                            window_stats if merged is None else merged.merge(window_stats)
-                        )
-                        # Snapshot (merge into a fresh object), never alias the
-                        # live stats: the next skip window keeps mutating them.
-                        slices = [
-                            DirectoryStats().merge(d.stats) for d in system.directories
-                        ]
-                        if per_slice is None:
-                            per_slice = slices
-                        else:
-                            per_slice = [
-                                acc.merge(cur) for acc, cur in zip(per_slice, slices)
-                            ]
-                        traffic = traffic.merge(system.traffic)
-                        hits += sum(c.stats.hits for c in system.tracked_caches)
-                        cache_accesses += sum(
-                            c.stats.accesses for c in system.tracked_caches
-                        )
-                        if not window_samples:
-                            window_samples.append(system.sample_occupancy())
-                        timeline.record_occupancy_many(window_samples)
-                        window_samples = []
-                        if timeline.enabled:
-                            with _TRACER.span("timeline_sampling"):
-                                timeline.sample(system)
-                            _TIMELINE_SAMPLES.inc()
-                        measured_total += measure_window
-                        windows += 1
-                        _SAMPLED_WINDOWS.inc()
-                        if max_windows is not None and windows >= max_windows:
-                            done = True
-                            break
-                        measuring = skip_window == 0
-                        remaining = skip_window if skip_window else measure_window
-                        if measuring:
-                            system.reset_stats()
-                            timeline.mark_reset()
-                            until_sample = interval
-                    else:
-                        measuring = True
-                        remaining = measure_window
-                        system.reset_stats()
-                        timeline.mark_reset()
-                        until_sample = interval
-            if done:
-                break
-
-        hit_rate = hits / cache_accesses if cache_accesses else 0.0
-        occupancy_samples = timeline.occupancy_list()
-        average_occupancy = (
-            sum(occupancy_samples) / len(occupancy_samples) if occupancy_samples else 0.0
-        )
-        if merged is None:
-            merged = DirectoryStats()
-            per_slice = [DirectoryStats() for _ in system.directories]
-        timeline.publish_gauges()
-        result = SimulationResult(
-            accesses=measured_total,
-            directory_stats=merged,
-            per_slice_stats=list(per_slice or []),
-            traffic=traffic,
-            cache_hit_rate=hit_rate,
-            average_occupancy=average_occupancy,
-            timeline=timeline,
-        )
-        return result, windows
 
     def _build_result(self, measured: int, timeline: Timeline) -> SimulationResult:
         """Assemble the measurement-window statistics (shared by both loops)."""

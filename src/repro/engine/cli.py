@@ -16,8 +16,7 @@ Installed as the ``repro-run`` console script and runnable as
 ``trace``
     The trace subsystem: ``record`` a workload's stream to a compact
     ``.npz`` trace file, show a recording's ``info``, or ``replay`` a
-    recording through the engine (optionally with SMARTS-style systematic
-    sampling).
+    recording through the engine.
 ``mix``
     Run multi-programmed mix scenarios ("8xApache+8xocean") through the
     engine, sweeping configurations and directory organizations.
@@ -49,7 +48,6 @@ Examples
     repro-run trace record Oracle --out traces/oracle.npz --scale 16
     repro-run trace info traces/oracle.npz --verify
     repro-run trace replay traces/oracle.npz
-    repro-run trace replay traces/oracle.npz --sample-measure 1000 --sample-skip 9000
     repro-run mix 8xApache+8xocean 8xOracle+8xQry17 --scale 32
     repro-run report fig08 --store /tmp/results.jsonl
     repro-run report fig10 --reference
@@ -71,8 +69,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.runner import ParallelRunner
 from repro.engine.spec import (
@@ -83,6 +82,7 @@ from repro.engine.spec import (
     RunSpec,
 )
 from repro.engine.store import ResultStore, SealedStoreError, default_store_path
+from repro.obs.progress import ProgressRenderer, SweepMonitor
 
 __all__ = ["main", "build_parser"]
 
@@ -313,18 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--measure-accesses", type=int, default=None,
         help="measured accesses (default: all the trace holds beyond warm-up)",
     )
-    replay_parser.add_argument(
-        "--sample-measure", type=int, default=None, metavar="N",
-        help="SMARTS sampling: accesses measured per window (bypasses the store)",
-    )
-    replay_parser.add_argument(
-        "--sample-skip", type=int, default=0, metavar="N",
-        help="SMARTS sampling: unmeasured warming accesses before each window",
-    )
-    replay_parser.add_argument(
-        "--sample-windows", type=int, default=None, metavar="K",
-        help="SMARTS sampling: maximum measured windows (default: trace length)",
-    )
     _add_engine_options(replay_parser)
 
     mix_parser = subparsers.add_parser(
@@ -467,12 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSONL destination for 'export' / source for 'import'",
     )
     cache_parser.add_argument("--store", default=None, metavar="PATH")
-    cache_parser.add_argument(
-        "--clear", action="store_true", help="same as the 'clear' action"
-    )
-    cache_parser.add_argument(
-        "--compact", action="store_true", help="same as the 'compact' action"
-    )
     return parser
 
 
@@ -507,9 +489,11 @@ def _kernels() -> Dict[str, str]:
     return {"walk": cuckoo_hash.WALK, "drain": system.DRAIN, "library": native.STATUS}
 
 
-def _make_runner(args: argparse.Namespace) -> ParallelRunner:
-    from repro.obs.progress import ProgressRenderer, SweepMonitor
-
+def _make_runner(
+    args: argparse.Namespace,
+) -> Tuple[ParallelRunner, Optional[ProgressRenderer]]:
+    """The command's runner and its progress renderer (``None`` under
+    ``--quiet``)."""
     store = None
     if not args.no_store:
         store = ResultStore(args.store) if args.store else ResultStore()
@@ -524,7 +508,7 @@ def _make_runner(args: argparse.Namespace) -> ParallelRunner:
     renderer = None
     progress = None
     tick = None
-    if not args.quiet or getattr(args, "metrics_out", None):
+    if not args.quiet or args.metrics_out:
         monitor = SweepMonitor()
     if not args.quiet:
         renderer = ProgressRenderer()
@@ -541,35 +525,78 @@ def _make_runner(args: argparse.Namespace) -> ParallelRunner:
         progress=progress,
         monitor=monitor,
         tick=tick,
-        timeline_interval=getattr(args, "timeline_interval", None),
+        timeline_interval=args.timeline_interval,
     )
-    runner.cli_renderer = renderer
-    return runner
+    return runner, renderer
 
 
 def _finish_telemetry(
-    args: argparse.Namespace, runner: Optional[ParallelRunner] = None
+    args: argparse.Namespace,
+    runner: ParallelRunner,
+    renderer: Optional[ProgressRenderer],
 ) -> None:
     """End-of-command telemetry: close the progress line, print the phase
     breakdown, write the ``--metrics-out`` snapshot."""
     from repro import obs
 
-    if runner is not None:
-        renderer = getattr(runner, "cli_renderer", None)
-        monitor = runner.monitor
-        if renderer is not None and monitor is not None and monitor.total:
-            renderer.finish(monitor)
-    if not getattr(args, "quiet", False):
+    monitor = runner.monitor
+    if renderer is not None and monitor is not None and monitor.total:
+        renderer.finish(monitor)
+    if not args.quiet:
         totals = obs.TRACER.totals()
         if totals:
             print(obs.render_phase_breakdown(totals), file=sys.stderr)
-    metrics_out = getattr(args, "metrics_out", None)
-    if metrics_out:
+    if args.metrics_out:
         meta = {"command": args.command, "native": _kernels()}
-        if runner is not None and runner.monitor is not None:
-            meta["sweep"] = runner.monitor.snapshot()
-        path = obs.export.write_snapshot(metrics_out, meta=meta)
+        if monitor is not None:
+            meta["sweep"] = monitor.snapshot()
+        path = obs.export.write_snapshot(args.metrics_out, meta=meta)
         print(f"metrics written to {path}", file=sys.stderr)
+
+
+@contextmanager
+def _engine(args: argparse.Namespace) -> Iterator[ParallelRunner]:
+    """The runner lifecycle of every simulating command: telemetry set-up,
+    the runner and its renderer, then the closing telemetry."""
+    _setup_telemetry(args)
+    runner, renderer = _make_runner(args)
+    yield runner
+    _finish_telemetry(args, runner, renderer)
+
+
+def _run_grid(args: argparse.Namespace, specs: Sequence[RunSpec]) -> int:
+    """Run ``specs`` through the engine and print the sweep table and the
+    engine summary; exits 1 if any point failed."""
+    with _engine(args) as runner:
+        report = runner.run(specs)
+    print(_sweep_table(specs, report))
+    _print_engine_summary(runner, report)
+    return 0 if report.ok else 1
+
+
+def _scale(args: argparse.Namespace) -> int:
+    return args.scale if args.scale is not None else DEFAULT_SCALE
+
+
+def _measure_accesses(args: argparse.Namespace) -> int:
+    if args.measure_accesses is not None:
+        return args.measure_accesses
+    return DEFAULT_MEASURE_ACCESSES
+
+
+def _grid_kwargs(experiment, args: argparse.Namespace) -> Dict[str, object]:
+    """The ``--workloads``/``--scale``/``--measure-accesses``/``--seed``
+    values given that ``experiment``'s grid accepts."""
+    return {
+        option: value
+        for option, value in (
+            ("workloads", args.workloads),
+            ("scale", args.scale),
+            ("measure_accesses", args.measure_accesses),
+            ("seed", args.seed),
+        )
+        if option in experiment.options and value is not None
+    }
 
 
 def _unknown_workloads_message(names: Optional[Sequence[str]]) -> Optional[str]:
@@ -618,17 +645,7 @@ def _cmd_profile(names: List[str], args: argparse.Namespace) -> int:
     for name in names:
         experiment = EXPERIMENTS[name]
         if experiment.grid is not None:
-            grid_kwargs = {
-                option: value
-                for option, value in (
-                    ("workloads", args.workloads),
-                    ("scale", args.scale),
-                    ("measure_accesses", args.measure_accesses),
-                    ("seed", args.seed),
-                )
-                if option in experiment.options and value is not None
-            }
-            spec = experiment.grid(**grid_kwargs).specs[0]
+            spec = experiment.grid(**_grid_kwargs(experiment, args)).specs[0]
             label = spec.label()
 
             def target(spec=spec):
@@ -674,28 +691,26 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.profile:
         return _cmd_profile(names, args)
 
-    _setup_telemetry(args)
-    runner = _make_runner(args)
     failures = 0
-    for name in names:
-        experiment = EXPERIMENTS[name]
-        print(f"== {experiment.title}", file=sys.stderr)
-        try:
-            _result, table = run_experiment(
-                name,
-                runner=runner,
-                workloads=args.workloads,
-                scale=args.scale,
-                measure_accesses=args.measure_accesses,
-                seed=args.seed,
-            )
-        except Exception as exc:
-            failures += 1
-            print(f"{name} failed: {exc}", file=sys.stderr)
-            continue
-        print(table)
-        print()
-    _finish_telemetry(args, runner)
+    with _engine(args) as runner:
+        for name in names:
+            experiment = EXPERIMENTS[name]
+            print(f"== {experiment.title}", file=sys.stderr)
+            try:
+                _result, table = run_experiment(
+                    name,
+                    runner=runner,
+                    workloads=args.workloads,
+                    scale=args.scale,
+                    measure_accesses=args.measure_accesses,
+                    seed=args.seed,
+                )
+            except Exception as exc:
+                failures += 1
+                print(f"{name} failed: {exc}", file=sys.stderr)
+                continue
+            print(table)
+            print()
     _print_engine_summary(runner)
     return 1 if failures else 0
 
@@ -749,23 +764,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             ways=args.ways,
             provisioning=args.provisionings,
             seed=args.seeds,
-            scale=args.scale if args.scale is not None else DEFAULT_SCALE,
-            measure_accesses=(
-                args.measure_accesses
-                if args.measure_accesses is not None
-                else DEFAULT_MEASURE_ACCESSES
-            ),
+            scale=_scale(args),
+            measure_accesses=_measure_accesses(args),
         )
     except (TypeError, ValueError) as exc:
         print(f"invalid sweep: {exc}", file=sys.stderr)
         return 2
-    _setup_telemetry(args)
-    runner = _make_runner(args)
-    report = runner.run(grid)
-    _finish_telemetry(args, runner)
-    print(_sweep_table(grid.specs, report))
-    _print_engine_summary(runner, report)
-    return 0 if report.ok else 1
+    return _run_grid(args, grid.specs)
 
 
 def _print_engine_summary(runner: ParallelRunner, report=None) -> None:
@@ -793,18 +798,13 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
         print(workload_error, file=sys.stderr)
         return 2
     workload = get_workload(args.workload)
-    scale = args.scale if args.scale is not None else DEFAULT_SCALE
+    scale = _scale(args)
     system = scaled_system(
         CacheLevel(args.tracked_level), num_cores=args.num_cores, scale=scale
     )
     accesses = args.accesses
     if accesses is None:
-        measure = (
-            args.measure_accesses
-            if args.measure_accesses is not None
-            else DEFAULT_MEASURE_ACCESSES
-        )
-        accesses = accesses_for_run(workload, system, measure)
+        accesses = accesses_for_run(workload, system, _measure_accesses(args))
     out = args.out
     if out is None:
         out = (
@@ -813,8 +813,6 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
     header = TraceRecorder().record(
         workload, system, out, accesses, seed=args.seed, scale=scale
     )
-    from pathlib import Path
-
     size = Path(out).stat().st_size
     print(f"recorded {out} ({size} bytes)")
     print(header.describe())
@@ -843,7 +841,9 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_replay(args: argparse.Namespace) -> int:
-    from repro.traces import TraceFile
+    from repro.config import CacheLevel
+    from repro.experiments.common import scaled_system
+    from repro.traces import TraceFile, TraceReplayWorkload
 
     try:
         trace = TraceFile(args.path)
@@ -851,29 +851,6 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     header = trace.header
-    _setup_telemetry(args)
-
-    if args.sample_measure is not None:
-        if args.measure_accesses is not None:
-            print(
-                "--measure-accesses does not apply to sampled replays; "
-                "bound the run with --sample-windows instead",
-                file=sys.stderr,
-            )
-            return 2
-        return _replay_sampled(args, trace)
-    if args.sample_skip or args.sample_windows is not None:
-        print(
-            "--sample-skip/--sample-windows need --sample-measure; "
-            "refusing to run an unsampled replay instead",
-            file=sys.stderr,
-        )
-        return 2
-
-    from repro.config import CacheLevel
-    from repro.experiments.common import scaled_system
-    from repro.traces import TraceReplayWorkload
-
     # The recorded stream is scale-specific, so the replay system always
     # uses the recording's scale (scale-less API recordings get the default).
     scale = header.scale if header.scale is not None else DEFAULT_SCALE
@@ -905,77 +882,7 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
         trace=str(trace.path),
         trace_fingerprint=header.fingerprint,
     )
-    runner = _make_runner(args)
-    report = runner.run([spec])
-    _finish_telemetry(args, runner)
-    print(_sweep_table([spec], report))
-    _print_engine_summary(runner, report)
-    return 0 if report.ok else 1
-
-
-def _replay_sampled(args: argparse.Namespace, trace: "object") -> int:
-    """``trace replay --sample-measure``: direct sampled run, no store."""
-    from repro.analysis.tables import format_percentage, render_table
-    from repro.config import CacheLevel
-    from repro.engine.execute import directory_factory_for_spec
-    from repro.experiments.common import scaled_system
-    from repro.traces import SampledTrace, TraceReplayWorkload
-
-    header = trace.header
-    scale = header.scale if header.scale is not None else DEFAULT_SCALE
-    system = scaled_system(
-        CacheLevel(args.tracked_level), num_cores=header.num_cores, scale=scale
-    )
-    spec = RunSpec(
-        workload=header.workload,
-        tracked_level=args.tracked_level,
-        organization=args.organization,
-        ways=args.ways,
-        provisioning=args.provisioning,
-        num_cores=header.num_cores,
-        scale=scale,
-        seed=header.seed,
-    )
-    factory = directory_factory_for_spec(spec, system)
-    sampled = SampledTrace(
-        TraceReplayWorkload(trace),
-        measure_window=args.sample_measure,
-        skip_window=args.sample_skip,
-        max_windows=args.sample_windows,
-    ).run(
-        system,
-        factory,
-        seed=header.seed,
-        occupancy_sample_interval=spec.occupancy_sample_interval,
-        timeline_interval=getattr(args, "timeline_interval", None),
-    )
-    result = sampled.result
-    rows = [
-        ["Windows measured", sampled.windows],
-        ["Accesses measured", result.accesses],
-        ["Sampled fraction", format_percentage(sampled.sampled_fraction, digits=1)],
-        ["Avg insertion attempts", f"{result.average_insertion_attempts:.3f}"],
-        ["Forced invalidation rate",
-         format_percentage(result.forced_invalidation_rate, digits=3)],
-        ["Avg occupancy (vs capacity)",
-         format_percentage(result.average_occupancy, digits=1)],
-        ["Cache hit rate", format_percentage(result.cache_hit_rate, digits=1)],
-    ]
-    print(
-        render_table(
-            ["Metric", "Value"], rows,
-            title=f"Sampled replay of {header.workload} "
-            f"({args.sample_measure} measure / {args.sample_skip} skip)",
-        )
-    )
-    if result.timeline is not None and result.timeline.enabled:
-        # Sampled replays bypass the store, so this is the only place the
-        # window-cadence timeline surfaces: one sample per measured window.
-        print()
-        print("Counter timeline (one sample per measured window):")
-        print(result.timeline.render())
-    _finish_telemetry(args)
-    return 0
+    return _run_grid(args, [spec])
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -1013,12 +920,8 @@ def _cmd_mix(args: argparse.Namespace) -> int:
                 ways=ways,
                 provisioning=provisioning,
                 seed=seed,
-                scale=args.scale if args.scale is not None else DEFAULT_SCALE,
-                measure_accesses=(
-                    args.measure_accesses
-                    if args.measure_accesses is not None
-                    else DEFAULT_MEASURE_ACCESSES
-                ),
+                scale=_scale(args),
+                measure_accesses=_measure_accesses(args),
             )
             for mix_spec in args.mixes
             for level in args.tracked_levels
@@ -1030,13 +933,7 @@ def _cmd_mix(args: argparse.Namespace) -> int:
     except (TypeError, ValueError) as exc:
         print(f"invalid mix sweep: {exc}", file=sys.stderr)
         return 2
-    _setup_telemetry(args)
-    runner = _make_runner(args)
-    report = runner.run(grid)
-    _finish_telemetry(args, runner)
-    print(_sweep_table(grid.specs, report))
-    _print_engine_summary(runner, report)
-    return 0 if report.ok else 1
+    return _run_grid(args, grid.specs)
 
 
 def _deliver(text: str, out: Optional[str]) -> None:
@@ -1044,8 +941,6 @@ def _deliver(text: str, out: Optional[str]) -> None:
     if out is None:
         print(text)
         return
-    from pathlib import Path
-
     path = Path(out)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + ("\n" if not text.endswith("\n") else ""))
@@ -1144,17 +1039,7 @@ def _cmd_report_timeline(args: argparse.Namespace, name: str) -> int:
             file=sys.stderr,
         )
         return 2
-    grid_kwargs = {
-        option: value
-        for option, value in (
-            ("workloads", args.workloads),
-            ("scale", args.scale),
-            ("measure_accesses", args.measure_accesses),
-            ("seed", args.seed),
-        )
-        if option in experiment.options and value is not None
-    }
-    grid = experiment.grid(**grid_kwargs)
+    grid = experiment.grid(**_grid_kwargs(experiment, args))
     store = ResultStore(_report_store_path(args))
     labeled = []
     for spec in grid:
@@ -1324,15 +1209,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    flag_action = "clear" if args.clear else ("compact" if args.compact else None)
-    if flag_action and args.action != "show" and flag_action != args.action:
-        print(
-            f"conflicting cache requests: action {args.action!r} vs --{flag_action}",
-            file=sys.stderr,
-        )
-        return 2
     store = ResultStore(args.store) if args.store else ResultStore()
-    action = flag_action or args.action
+    action = args.action
     if action == "clear":
         entries = len(store)
         store.clear()

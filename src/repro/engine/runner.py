@@ -15,22 +15,28 @@ segfault, ``os._exit``, the OOM killer) therefore fails exactly that
 point, with the worker's exit code or signal; a replacement worker takes
 the points that had not started, and the grid finishes.
 
-Telemetry crosses the process boundary in two streams, both optional:
+That pipe is the pool's only channel, and the parent is the store's only
+writer:
 
-* **Live progress** — workers push small ``(kind, pid, ts, label)``
-  events (``online``/``start``/``heartbeat``/``done``) onto a
-  ``multiprocessing.Queue`` installed by the pool initializer; the parent
-  drains it between completions into a
-  :class:`~repro.obs.progress.SweepMonitor` (per-worker last-seen,
-  points/s, ETA) and calls the ``tick`` callback so the CLI's renderer
-  can repaint.  Validated under both ``fork`` and ``spawn``.
-* **Metrics and spans** — when telemetry is enabled
-  (:func:`repro.obs.enable`), each worker outcome carries the worker's
+* **Results.**  The outcome a worker sends back carries the full result
+  and its timeline payload; the parent stores it with ``put``, sidecar
+  included, exactly as a serial run does.
+* **Live progress.**  The runner feeds a
+  :class:`~repro.obs.progress.SweepMonitor` from its own exchanges: a
+  worker's row appears when it is spawned, takes the point's label when
+  the point is sent, and counts the point when the outcome comes back (the
+  label clears then, or when the worker dies).  A stalled point therefore
+  shows as a growing last-seen age.  The ``tick`` callback lets the CLI's
+  renderer repaint in between.
+* **Metrics and spans.**  When telemetry is enabled
+  (:func:`repro.obs.enable`), each outcome also carries the worker's
   cumulative registry/tracer snapshot; the parent keeps the latest
   snapshot per pid (workers live for the whole pool, so cumulative ==
   final) and folds them into its own global registry/tracer after the
   pool drains.  Only summaries cross the boundary — never per-access
   data.
+
+Validated under both ``fork`` and ``spawn``.
 """
 
 from __future__ import annotations
@@ -38,22 +44,20 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait
-from queue import Empty
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Union
 
 from repro import obs
-from repro.engine.execute import execute_payload, execute_spec
+from repro.engine.execute import execute_payload
 from repro.engine.results import RunFailure, RunResult
 from repro.engine.spec import RunGrid, RunSpec
 from repro.engine.store import ResultStore
 from repro.obs.logging import apply_logging_state, logging_state
 from repro.obs.metrics import REGISTRY
-from repro.obs.progress import SweepMonitor, make_event
+from repro.obs.progress import SweepMonitor
 from repro.obs.timeline import Timeline
 from repro.obs.tracing import TRACER
 
@@ -73,110 +77,24 @@ WORKERS_ENV_VAR = "REPRO_ENGINE_WORKERS"
 #: is one of ``"cached"``, ``"simulated"``, ``"failed"``.
 ProgressCallback = Callable[[str, int, int, RunSpec], None]
 
-#: Default seconds between worker heartbeats while a point simulates.
-DEFAULT_HEARTBEAT_INTERVAL = 2.0
-
 # -- worker-side plumbing (module level so fork AND spawn can pickle it) ----
 
-#: The event queue this worker reports to (installed by ``_worker_init``).
-_worker_queue = None
-#: Label of the point this worker is currently simulating, read by the
-#: heartbeat thread.  A mutable cell, not a rebound global, so the thread
-#: sees updates without locking (single writer, torn reads impossible for
-#: a str slot).
-_worker_label = {"current": ""}
-#: Store path this worker persists results to (installed by ``_worker_init``);
-#: ``None`` keeps persistence in the parent.
-_worker_store_path = None
-#: This worker's lazily opened write-only store handle.
-_worker_store = None
 
-
-def _persist_in_worker(result: RunResult) -> bool:
-    """Append ``result`` to this worker's own WAL of the shared store.
-
-    Each worker appends to its own ``<store>.segments/wal-w<pid>.jsonl``,
-    so the parent only has to *note* the result — no record crosses the
-    process boundary twice.  Returns ``False`` (parent persists instead) if this
-    worker has no store or the append failed; persistence problems must
-    never cost a finished simulation.
-    """
-    global _worker_store
-    if _worker_store_path is None:
-        return False
-    try:
-        if _worker_store is None:
-            _worker_store = ResultStore(
-                _worker_store_path, writer=f"w{os.getpid()}", preload=False
-            )
-        _worker_store.put(result)
-        return True
-    except Exception:
-        return False
-
-
-def _put_event(queue, kind: str, label: str = "") -> None:
-    """Best-effort event send: telemetry must never kill a simulation."""
-    try:
-        queue.put_nowait(make_event(kind, os.getpid(), label))
-    except Exception:
-        pass
-
-
-def _heartbeat_loop(queue, interval: float) -> None:
-    while True:
-        time.sleep(interval)
-        _put_event(queue, "heartbeat", _worker_label["current"])
-
-
-def _worker_init(
-    queue, obs_state, log_state, heartbeat_interval: float, store_path=None
-) -> None:
-    """Pool initializer: replicate parent telemetry state, start heartbeats."""
-    global _worker_queue, _worker_store_path, _worker_store
-    _worker_queue = queue
-    _worker_store_path = store_path
-    _worker_store = None
+def _worker_init(obs_state, log_state) -> None:
+    """Replicate the parent's telemetry and logging state in a pool worker."""
     obs.apply_state(obs_state)
     if log_state is not None:
         apply_logging_state(log_state)
-    if queue is not None:
-        # The immediate "online" event doubles as the first beat, so worker
-        # liveness is observable before the first point completes.
-        _put_event(queue, "online")
-        if heartbeat_interval > 0:
-            thread = threading.Thread(
-                target=_heartbeat_loop,
-                args=(queue, heartbeat_interval),
-                daemon=True,
-            )
-            thread.start()
 
 
 def _execute_payload_observed(payload: Dict[str, object]) -> Dict[str, object]:
-    """Worker entry: :func:`execute_payload` plus progress + telemetry.
+    """Worker entry: :func:`execute_payload` plus the worker's telemetry.
 
     Kept separate from ``execute_payload`` so the execution path stays
     pure (and serial runs don't double-report telemetry they already
     accumulated in-process).
     """
-    queue = _worker_queue
-    label = str(payload.get("workload", ""))
-    if queue is not None:
-        _worker_label["current"] = label
-        _put_event(queue, "start", label)
     outcome = execute_payload(payload)
-    if outcome.get("status") == "ok" and _worker_store_path is not None:
-        result = RunResult.from_dict(outcome["result"])
-        timeline_payload = outcome.get("timeline")
-        if timeline_payload is not None:
-            result = result.with_timeline(Timeline.from_payload(timeline_payload))
-        if _persist_in_worker(result):
-            # The parent notes the result instead of re-writing it.
-            outcome["persisted"] = True
-    if queue is not None:
-        _worker_label["current"] = ""
-        _put_event(queue, "done", label)
     if REGISTRY.enabled or TRACER.enabled:
         # Cumulative snapshot: the parent keeps the latest per pid.
         outcome["telemetry"] = {
@@ -320,14 +238,12 @@ class ParallelRunner:
         available (cheap on Linux) and ``spawn`` elsewhere.
     monitor:
         Optional :class:`~repro.obs.progress.SweepMonitor` fed with point
-        completions and (on pooled runs) worker events.
+        completions and (on pooled runs) the runner's exchanges with each
+        worker.
     tick:
         Optional zero-argument callback invoked whenever the live state
-        may have changed (point done, events drained) — the CLI hangs its
-        throttled progress renderer here.
-    heartbeat_interval:
-        Seconds between worker heartbeats; ``0`` disables the heartbeat
-        thread (the online/start/done events still flow).
+        may have changed (a point finished, a pass of the pool's wait loop
+        ended) — the CLI hangs its throttled progress renderer here.
     timeline_interval:
         When set, every grid this runner executes collects an
         interval-sampled counter timeline (:mod:`repro.obs.timeline`) at
@@ -344,7 +260,6 @@ class ParallelRunner:
         start_method: Optional[str] = None,
         monitor: Optional[SweepMonitor] = None,
         tick: Optional[Callable[[], None]] = None,
-        heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         timeline_interval: Optional[int] = None,
     ) -> None:
         if workers is not None and workers <= 0:
@@ -361,7 +276,6 @@ class ParallelRunner:
         self._start_method = start_method
         self._monitor = monitor
         self._tick = tick
-        self._heartbeat_interval = heartbeat_interval
 
     @property
     def workers(self) -> int:
@@ -440,13 +354,7 @@ class ParallelRunner:
             report.results[result.spec.key()] = result
             report.simulated += 1
             if self._store is not None:
-                if outcome.get("persisted"):
-                    # A pool worker already appended this record to its own
-                    # WAL (and sidecar); only the catalog note comes home —
-                    # never the bytes twice.
-                    self._store.note_external(result)
-                else:
-                    self._store.put(result)
+                self._store.put(result)
             self._emit("simulated", report, total, result.spec)
         else:
             spec = RunSpec.from_dict(outcome["spec"])
@@ -470,19 +378,9 @@ class ParallelRunner:
         context = multiprocessing.get_context(self._start_method)
         pool_size = min(self.workers, len(pending))
         todo: Deque[Dict[str, object]] = deque(spec.to_dict() for spec in pending)
-        # The event queue only exists when someone is watching; without a
-        # monitor the workers still replicate obs/logging state but skip the
-        # heartbeat machinery entirely.
-        queue = context.Queue() if self._monitor is not None else None
         telemetry: Dict[int, Dict[str, object]] = {}
-        store_path = str(self._store.path) if self._store is not None else None
-        initargs = (
-            queue,
-            obs.state(),
-            logging_state(),
-            self._heartbeat_interval,
-            store_path,
-        )
+        initargs = (obs.state(), logging_state())
+        monitor = self._monitor
         workers: List[_Worker] = []
         try:
             while todo or any(worker.payload is not None for worker in workers):
@@ -492,13 +390,20 @@ class ParallelRunner:
                         workers.remove(worker)
                         worker.join()
                 while todo and len(workers) < pool_size:
-                    workers.append(_Worker(context, self._worker_entry, initargs))
+                    worker = _Worker(context, self._worker_entry, initargs)
+                    workers.append(worker)
+                    if monitor is not None:
+                        monitor.worker_spawned(worker.process.pid)
                 for worker in workers:
                     if worker.payload is None and todo:
                         worker.payload = todo.popleft()
                         worker.conn.send(worker.payload)
-                # Wait for an outcome or a death; the timeout keeps worker
-                # events and the progress display flowing in between.
+                        if monitor is not None:
+                            monitor.point_sent(
+                                worker.process.pid, str(worker.payload["workload"])
+                            )
+                # Wait for an outcome or a death; the timeout keeps the
+                # progress display flowing in between.
                 busy = [w for w in workers if w.payload is not None]
                 ready = set(
                     wait(
@@ -521,18 +426,15 @@ class ParallelRunner:
                         self._record_death(worker, report, total)
                         continue
                     worker.payload = None
+                    if monitor is not None:
+                        monitor.point_returned(worker.process.pid)
                     self._take_telemetry(outcome, telemetry)
                     self._record_outcome(outcome, report, total)
-                self._drain_events(queue)
                 if self._tick is not None:
                     self._tick()
         finally:
             for worker in workers:
                 worker.ask_to_stop()
-            # Drain before joining: a worker exits only once its queue
-            # feeder has flushed, and feeders deliver asynchronously, so a
-            # non-blocking sweep here would also drop trailing events.
-            self._drain_events(queue, timeout=0.2)
             for worker in workers:
                 worker.join()
         for snapshot in telemetry.values():
@@ -542,6 +444,8 @@ class ParallelRunner:
     def _record_death(self, worker: _Worker, report: GridReport, total: int) -> None:
         """Fail the point a dead worker held, with its exit code or signal."""
         worker.join()
+        if self._monitor is not None:
+            self._monitor.worker_died(worker.process.pid)
         cause = _death_cause(worker.process.exitcode)
         spec = RunSpec.from_dict(worker.payload)
         report.failures[spec.key()] = RunFailure(
@@ -549,22 +453,6 @@ class ParallelRunner:
             error=f"worker {worker.process.pid} died mid-point ({cause})",
         )
         self._emit("failed", report, total, spec)
-
-    def _drain_events(self, queue, timeout: float = 0.0) -> None:
-        """Feed queued worker events to the monitor, waiting ≤ ``timeout``."""
-        if queue is None:
-            return
-        monitor = self._monitor
-        deadline = time.monotonic() + timeout
-        while True:
-            wait_for = deadline - time.monotonic()
-            try:
-                event = (
-                    queue.get(timeout=wait_for) if wait_for > 0 else queue.get_nowait()
-                )
-            except (Empty, OSError, EOFError):
-                return
-            monitor.record_worker_event(event)
 
     @staticmethod
     def _take_telemetry(

@@ -5,15 +5,18 @@ count hits and misses, and counter timelines live in ``.npz`` sidecars.
 On disk a store is nothing but JSONL write-ahead logs (WALs):
 
 * **Write path.** ``put`` appends one line ``{"key", "ts", "result"}`` to
-  the store path; ``ts`` is a ``time_ns`` commit stamp that orders records
-  across writers.  Appends are flushed immediately (a concurrent reader
-  sees them) but fsynced in *groups* — the first write, then every
+  the store path under ``flock``, so separate processes can share one
+  store; ``ts`` is a ``time_ns`` commit stamp that orders records across
+  writers.  Appends are flushed immediately (a concurrent reader sees
+  them) but fsynced in *groups* — the first write, then every
   :data:`FSYNC_BATCH` records or :data:`FSYNC_INTERVAL` seconds, whichever
-  comes first.  :meth:`ResultStore.flush` forces the sync point.
-* **Per-writer WALs.** A store opened with a ``writer`` name appends to
-  its own ``<store>.segments/wal-<writer>.jsonl`` instead, so pool workers
-  put concurrently without interleaving lines.  (The directory keeps the
-  name earlier versions gave it.)
+  comes first.  :meth:`ResultStore.flush` forces the sync point.  The pool
+  runner's parent process is its only writer: workers send their results
+  home and never open the store.
+* **Per-writer WALs, read only.** Earlier versions' pool workers each
+  appended to their own ``<store>.segments/wal-<writer>.jsonl``, and a
+  store written only by a pool holds nothing else.  Those files are still
+  read, resolved and compacted; nothing writes them any more.
 * **Last-wins, decided once.** An open reads the main WAL, then every
   per-writer WAL in name order, and :meth:`ResultStore._note` keeps the
   record with the greatest ``(ts, scan ordinal)`` per key.  Lines without
@@ -152,7 +155,7 @@ def default_store_path() -> Path:
 
 
 def segments_dir(path: Union[str, Path]) -> Path:
-    """Where a store at ``path`` keeps its per-writer WALs."""
+    """Where a store at ``path`` holds the per-writer WALs of earlier versions."""
     path = Path(path)
     return path.with_name(path.name + ".segments")
 
@@ -218,10 +221,11 @@ def _wal_usage(path: Path) -> Tuple[int, int]:
 def store_exists(path: Union[str, Path]) -> bool:
     """Whether anything of a store exists at ``path``.
 
-    That is its main WAL or any per-writer WAL — a store written only by
-    pool workers holds nothing but ``<store>.segments/wal-<writer>.jsonl``
-    files — or the manifest of a sealed store, so that opening one fails
-    loudly instead of reading as absent.
+    That is its main WAL or any per-writer WAL — a store that an earlier
+    version wrote only from pool workers holds nothing but
+    ``<store>.segments/wal-<writer>.jsonl`` files — or the manifest of a
+    sealed store, so that opening one fails loudly instead of reading as
+    absent.
     """
     path = Path(path)
     return (segments_dir(path) / _SEALED_MANIFEST).exists() or any(
@@ -253,30 +257,13 @@ def iter_store_results(path: Union[str, Path]) -> Iterator[RunResult]:
 
 
 class ResultStore:
-    """Content-addressed cache of :class:`RunResult` records.
+    """Content-addressed cache of :class:`RunResult` records at ``path``
+    (default: :func:`default_store_path`)."""
 
-    ``writer`` names a concurrent writer: its appends go to a private WAL
-    ``<store>.segments/wal-<writer>.jsonl`` instead of the store path, so
-    any number of writers can put into one store without interleaving.
-    ``preload=False`` skips reading the existing catalog — the right mode
-    for write-only handles such as pool workers.
-    """
-
-    def __init__(
-        self,
-        path: Union[str, Path, None] = None,
-        *,
-        writer: str = "",
-        preload: bool = True,
-    ) -> None:
+    def __init__(self, path: Union[str, Path, None] = None) -> None:
         self._path = Path(path) if path is not None else default_store_path()
         if (segments_dir(self._path) / _SEALED_MANIFEST).exists():
             raise SealedStoreError(self._path)
-        self._writer = writer
-        if writer:
-            self._wal_path = segments_dir(self._path) / f"wal-{writer}.jsonl"
-        else:
-            self._wal_path = self._path
         # Catalog: key -> (ts, ordinal, payload) of the winning record.
         self._catalog: Dict[str, Tuple[int, int, Dict[str, object]]] = {}
         self._ordinal = 0
@@ -286,8 +273,7 @@ class ResultStore:
         self.misses = 0
         self.writes = 0
         self.malformed = 0
-        if preload:
-            self._load()
+        self._load()
 
     def _load(self) -> None:
         for wal_path in _wal_paths(self._path):
@@ -324,10 +310,6 @@ class ResultStore:
     @property
     def path(self) -> Path:
         return self._path
-
-    @property
-    def writer(self) -> str:
-        return self._writer
 
     def __len__(self) -> int:
         return len(self._catalog)
@@ -439,8 +421,8 @@ class ResultStore:
         ts = time.time_ns()
         line = json.dumps({"key": key, "ts": ts, "result": record}) + "\n"
         with _TRACER.span("store_io"):
-            self._wal_path.parent.mkdir(parents=True, exist_ok=True)
-            with self._wal_path.open("a", encoding="utf-8") as handle:
+            self._path.parent.mkdir(parents=True, exist_ok=True)
+            with self._path.open("a", encoding="utf-8") as handle:
                 with _flock(handle):
                     handle.write(line)
                     handle.flush()
@@ -465,20 +447,11 @@ class ResultStore:
                 written = save_timeline(self.timeline_path(key), timeline)
             _STORE_PUT_BYTES.add(written)
 
-    def note_external(self, result: RunResult) -> None:
-        """Catalog a result another writer already persisted to this store.
-
-        The pool runner's workers append to their own WALs; the parent
-        calls this with the result that crossed the queue so its open
-        handle serves it without re-writing a byte.
-        """
-        self._note(result.spec.key(), time.time_ns(), result.to_dict())
-
     def flush(self) -> None:
-        """Force the group-commit fsync point for this writer's WAL."""
-        if self._unsynced == 0 or not self._wal_path.exists():
+        """Force the group-commit fsync point for this handle's appends."""
+        if self._unsynced == 0 or not self._path.exists():
             return
-        with self._wal_path.open("a", encoding="utf-8") as handle:
+        with self._path.open("a", encoding="utf-8") as handle:
             os.fsync(handle.fileno())
         self._unsynced = 0
         self._last_fsync = time.monotonic()
@@ -513,17 +486,18 @@ class ResultStore:
         """Fold every WAL of the store into one record per live key.
 
         The store is append-only, so re-running a point leaves superseded
-        records behind, and pool workers leave a WAL each.  The live
-        records are written in commit order to a sibling temp file,
-        fsynced and :func:`os.replace`\\ d over the store path, so a crash
-        mid-write leaves the original intact; only then are the
+        records behind, and earlier versions' pool workers left a WAL
+        each.  The live records are written in commit order to a sibling
+        temp file, fsynced and :func:`os.replace`\\ d over the store path,
+        so a crash mid-write leaves the original intact; only then are the
         per-writer WALs unlinked (and ``<store>.segments/`` with them, when
         nothing else is in it), and a crash before that leaves duplicates
         that last-wins resolves on the next open.  Timeline sidecars whose
         key is no longer live are removed in the same pass.
 
-        Compaction assumes no concurrent writers (it deletes their WALs);
-        run it from the CLI between sweeps, not during one.
+        Compaction assumes no concurrent writers (an append racing the
+        replace would be lost); run it from the CLI between sweeps, not
+        during one.
         """
         self._prune_timelines()
         wals = [wal for wal in _wal_paths(self._path) if wal.exists()]
@@ -622,7 +596,6 @@ class ResultStore:
             "entries": len(self._catalog),
             "wal_records": records,
             "wal_bytes": size,
-            "writer": self._writer,
         }
 
     def _prune_timelines(self) -> None:

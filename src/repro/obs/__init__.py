@@ -36,7 +36,7 @@ from repro.obs.logging import (
     setup_logging,
 )
 from repro.obs.metrics import REGISTRY, MetricsRegistry, counter, gauge, histogram
-from repro.obs.progress import ProgressRenderer, SweepMonitor, make_event
+from repro.obs.progress import ProgressRenderer, SweepMonitor
 from repro.obs.tracing import TRACER, Tracer, render_phase_breakdown, span
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "gauge",
     "histogram",
     "span",
-    "make_event",
     "render_phase_breakdown",
     "enable",
     "disable",

@@ -1,61 +1,43 @@
-"""Sweep progress events, worker heartbeats, and the throttled renderer.
+"""Sweep progress: the live monitor and the throttled renderer.
 
-Pool workers cannot print progress themselves (their stderr interleaves)
-and the parent cannot see inside a worker that has gone quiet, so
-progress flows as small picklable event tuples over a
-``multiprocessing.Queue``:
+Pool workers cannot print progress themselves (their stderr interleaves),
+so the pool runner (:class:`~repro.engine.runner.ParallelRunner`) reports
+for them.  It hands each worker one point at a time over the worker's own
+pipe, so its own exchanges say everything progress needs: when a worker
+was spawned, which point it holds, when that point came back and when the
+worker died.
 
-``(kind, pid, timestamp, label)`` with kinds
-
-* ``"online"``    — worker initialized (its first beat)
-* ``"start"``     — worker began simulating ``label``
-* ``"heartbeat"`` — periodic liveness beat while a point simulates
-* ``"done"``      — worker finished ``label``
-
-:class:`SweepMonitor` folds those events (plus the parent's own
-completion bookkeeping) into per-worker last-seen ages, an overall
-points-per-second rate and an ETA.  :class:`ProgressRenderer` turns a
-monitor into terminal output: a single ``\\r``-rewritten bar when stderr
-is a TTY, plain throttled lines when it is not (CI logs), nothing at all
-under ``--quiet``.  Rendering is throttled so a 10^5-point sweep costs
-dozens of lines, not 10^5.
+:class:`SweepMonitor` folds those exchanges (plus the runner's completion
+bookkeeping) into per-worker rows — the point a worker holds, the points
+it finished and the age of the runner's last exchange with it, so a
+stalled point shows as a growing age — an overall points-per-second rate
+and an ETA.  :class:`ProgressRenderer` turns a monitor into terminal
+output: a single ``\\r``-rewritten bar when stderr is a TTY, plain
+throttled lines when it is not (CI logs), nothing at all under
+``--quiet``.  Rendering is throttled so a 10^5-point sweep costs dozens
+of lines, not 10^5.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from typing import Dict, IO, List, Optional, Tuple
+from typing import Dict, IO, List, Optional
 
 __all__ = [
-    "WorkerEvent",
-    "make_event",
     "SweepMonitor",
     "ProgressRenderer",
     "format_progress_line",
     "format_eta",
 ]
 
-#: (kind, pid, timestamp, label)
-WorkerEvent = Tuple[str, int, float, str]
-
-EVENT_KINDS = ("online", "start", "heartbeat", "done")
-
-
-def make_event(kind: str, pid: int, label: str = "") -> WorkerEvent:
-    """Build a queue-ready worker event stamped with the current time."""
-    if kind not in EVENT_KINDS:
-        raise ValueError(f"unknown worker event kind: {kind!r}")
-    return (kind, pid, time.time(), label)
-
 
 class _WorkerState:
-    __slots__ = ("pid", "last_seen", "beats", "current_label", "points_done")
+    __slots__ = ("pid", "last_seen", "current_label", "points_done")
 
-    def __init__(self, pid: int, now: float) -> None:
+    def __init__(self, pid: int) -> None:
         self.pid = pid
-        self.last_seen = now
-        self.beats = 1
+        self.last_seen = time.time()
         self.current_label = ""
         self.points_done = 0
 
@@ -84,20 +66,33 @@ class SweepMonitor:
         self.finished_at = None
         self._workers.clear()
 
-    def record_worker_event(self, event: WorkerEvent) -> None:
-        kind, pid, timestamp, label = event
+    # The pool runner's exchanges with its workers.
+    def _exchange(self, pid: int) -> _WorkerState:
         state = self._workers.get(pid)
         if state is None:
-            state = _WorkerState(pid, timestamp)
-            self._workers[pid] = state
-        else:
-            state.last_seen = max(state.last_seen, timestamp)
-            state.beats += 1
-        if kind == "start":
-            state.current_label = label
-        elif kind == "done":
+            state = self._workers[pid] = _WorkerState(pid)
+        state.last_seen = time.time()
+        return state
+
+    def worker_spawned(self, pid: int) -> None:
+        """A worker process started: its row appears."""
+        self._exchange(pid)
+
+    def point_sent(self, pid: int, label: str) -> None:
+        """The runner handed worker ``pid`` the point ``label``."""
+        self._exchange(pid).current_label = label
+
+    def point_returned(self, pid: int) -> None:
+        """Worker ``pid`` sent back the outcome of the point it held."""
+        state = self._exchange(pid)
+        state.current_label = ""
+        state.points_done += 1
+
+    def worker_died(self, pid: int) -> None:
+        """Worker ``pid`` died; the point it held is no longer running."""
+        state = self._workers.get(pid)
+        if state is not None:
             state.current_label = ""
-            state.points_done += 1
 
     def point_finished(self, event: str) -> None:
         """Count one completed point; ``event`` is the runner's progress
@@ -151,7 +146,6 @@ class SweepMonitor:
             rows.append(
                 {
                     "pid": pid,
-                    "beats": state.beats,
                     "last_seen_age": max(0.0, now - state.last_seen),
                     "current": state.current_label,
                     "points_done": state.points_done,

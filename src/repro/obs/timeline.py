@@ -35,7 +35,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -228,10 +228,6 @@ class _Column:
         self._buffer[self._length] = value
         self._length += 1
 
-    def extend(self, values: Iterable) -> None:
-        for value in values:
-            self.append(value)
-
     def values(self) -> np.ndarray:
         """The filled prefix (a view; copy before mutating)."""
         return self._buffer[: self._length]
@@ -253,11 +249,6 @@ class Timeline:
         default (and free) configuration.
     banks:
         Directory-slice count; the width of ``occupancy_banks``.
-    mode:
-        ``"interval"`` when samples land every ``interval`` accesses
-        (``run``/``run_chunks``), ``"window"`` when each sample is one
-        completed SMARTS measurement window (``run_sampled``, where
-        statistics reset per window).
     """
 
     def __init__(
@@ -265,7 +256,6 @@ class Timeline:
         occupancy_interval: int,
         interval: Optional[int] = None,
         banks: int = 1,
-        mode: str = "interval",
     ) -> None:
         if occupancy_interval <= 0:
             raise ValueError("occupancy_interval must be positive")
@@ -273,12 +263,9 @@ class Timeline:
             raise ValueError("interval must be positive")
         if banks <= 0:
             raise ValueError("banks must be positive")
-        if mode not in ("interval", "window"):
-            raise ValueError(f"mode must be 'interval' or 'window', got {mode!r}")
         self.occupancy_interval = int(occupancy_interval)
         self.interval = int(interval) if interval is not None else None
         self.banks = int(banks)
-        self.mode = mode
         self._columns: Dict[str, _Column] = {}
         for spec in CHANNEL_SPECS:
             if spec.cadence != "occupancy" and interval is None:
@@ -295,9 +282,6 @@ class Timeline:
 
     def record_occupancy(self, value: float) -> None:
         self._columns["occupancy"].append(value)
-
-    def record_occupancy_many(self, values: Iterable[float]) -> None:
-        self._columns["occupancy"].extend(values)
 
     def sample(self, system) -> None:
         """Take one full-channel sample from a live ``TiledCMP``.
@@ -318,12 +302,6 @@ class Timeline:
         )
         self._chain_base = chains
 
-    def mark_reset(self) -> None:
-        """Note a statistics reset (SMARTS window boundary): cumulative
-        counters restart from zero, so the chain-histogram baseline must
-        restart with them."""
-        self._chain_base = [0] * ATTEMPT_CHAIN_BINS
-
     # -- access --------------------------------------------------------------
     def channel_names(self) -> List[str]:
         """Active channels, in declaration order."""
@@ -343,9 +321,7 @@ class Timeline:
         return column.values()
 
     def channel_cadence(self, name: str) -> Optional[int]:
-        """Accesses between samples of ``name`` (``None`` in window mode)."""
-        if self.mode != "interval":
-            return None
+        """Accesses between samples of ``name``."""
         if _SPECS_BY_NAME[name].cadence == "occupancy":
             return self.occupancy_interval
         return self.interval
@@ -364,7 +340,6 @@ class Timeline:
             self.occupancy_interval != other.occupancy_interval
             or self.interval != other.interval
             or self.banks != other.banks
-            or self.mode != other.mode
             or self.channel_names() != other.channel_names()
         ):
             return False
@@ -383,7 +358,6 @@ class Timeline:
             "occupancy_interval": self.occupancy_interval,
             "interval": self.interval,
             "banks": self.banks,
-            "mode": self.mode,
             "columns": {
                 name: np.array(self._columns[name].values())
                 for name in self.channel_names()
@@ -400,7 +374,6 @@ class Timeline:
             occupancy_interval=payload["occupancy_interval"],
             interval=payload["interval"],
             banks=payload["banks"],
-            mode=payload.get("mode", "interval"),
         )
         for name, values in payload["columns"].items():
             column = timeline._columns.get(name)
@@ -439,10 +412,7 @@ class Timeline:
         spec = _SPECS_BY_NAME[name]
         if values.ndim > 1:
             values = values.mean(axis=1) if spec.kind == "gauge" else values.sum(axis=1)
-        # In window mode statistics reset at every window boundary, so each
-        # cumulative sample is already a per-window total — differencing
-        # would subtract unrelated windows.
-        if spec.kind == "cumulative" and values.size and self.mode == "interval":
+        if spec.kind == "cumulative" and values.size:
             values = np.diff(values, prepend=0.0)
         return values
 
@@ -463,10 +433,7 @@ class Timeline:
             if series.size == 0:
                 rows.append((name, 0, "", "", "", "(no samples)"))
                 continue
-            if _SPECS_BY_NAME[name].kind == "cumulative":
-                suffix = "/interval" if self.mode == "interval" else "/window"
-            else:
-                suffix = ""
+            suffix = "/interval" if _SPECS_BY_NAME[name].kind == "cumulative" else ""
             rows.append(
                 (
                     f"{name}{suffix}",
@@ -506,7 +473,7 @@ class Timeline:
             }
         return {
             "schema": SCHEMA,
-            "mode": self.mode,
+            "mode": "interval",  # constant; earlier readers expect the field
             "occupancy_interval": self.occupancy_interval,
             "interval": self.interval,
             "banks": self.banks,
@@ -515,7 +482,7 @@ class Timeline:
 
     def to_csv(self) -> str:
         """Tidy CSV: ``channel,lane,sample,accesses,value`` (one row per
-        lane per sample; ``accesses`` is empty in window mode)."""
+        lane per sample)."""
         lines = ["channel,lane,sample,accesses,value"]
         for name in self.channel_names():
             cadence = self.channel_cadence(name)
@@ -523,7 +490,7 @@ class Timeline:
             if values.ndim == 1:
                 values = values.reshape(-1, 1)
             for index, row in enumerate(values.tolist()):
-                accesses = "" if cadence is None else str((index + 1) * cadence)
+                accesses = str((index + 1) * cadence)
                 for lane, value in enumerate(row):
                     lines.append(f"{name},{lane},{index},{accesses},{value!r}")
         return "\n".join(lines) + "\n"
@@ -578,7 +545,7 @@ def save_timeline(path: Union[str, Path], timeline: Timeline) -> int:
         "occupancy_interval": timeline.occupancy_interval,
         "interval": timeline.interval,
         "banks": timeline.banks,
-        "mode": timeline.mode,
+        "mode": "interval",  # constant; earlier readers expect the field
         "columns": {},
     }
     arrays: Dict[str, np.ndarray] = {}
@@ -621,7 +588,6 @@ def load_timeline(path: Union[str, Path]) -> Timeline:
             "occupancy_interval": meta["occupancy_interval"],
             "interval": meta["interval"],
             "banks": meta["banks"],
-            "mode": meta.get("mode", "interval"),
             "columns": columns,
         }
     )

@@ -1,4 +1,4 @@
-"""Trace capture, replay, multi-programmed mixes, and sampled simulation.
+"""Trace capture, replay and multi-programmed mixes.
 
 This package decouples *input preparation* from *experimentation*:
 
@@ -11,10 +11,7 @@ This package decouples *input preparation* from *experimentation*:
   recording back through the simulator, bit-identical to live generation;
 * :mod:`~repro.traces.mix` — :class:`MixWorkload` composes
   multi-programmed scenarios (disjoint core groups, disjoint address
-  bands, proportional deterministic interleave);
-* :mod:`~repro.traces.sampling` — :class:`SampledTrace` applies
-  SMARTS-style alternating skip/measure windows with measured-window-only
-  statistics.
+  bands, proportional deterministic interleave).
 
 Everything here implements or consumes the ordinary
 :class:`~repro.workloads.base.Workload` interface, so the engine
@@ -26,7 +23,6 @@ from repro.traces.format import TRACE_FORMAT_VERSION, TraceFile, TraceHeader, wr
 from repro.traces.mix import PROGRAM_STRIDE_BITS, MixWorkload, parse_mix
 from repro.traces.recorder import TraceRecorder, accesses_for_run
 from repro.traces.replay import TraceReplayWorkload
-from repro.traces.sampling import SampledRun, SampledTrace
 
 __all__ = [
     "TRACE_FORMAT_VERSION",
@@ -39,6 +35,4 @@ __all__ = [
     "MixWorkload",
     "parse_mix",
     "PROGRAM_STRIDE_BITS",
-    "SampledRun",
-    "SampledTrace",
 ]

@@ -3,7 +3,7 @@
 :class:`TraceReplayWorkload` adapts a :class:`~repro.traces.format.TraceFile`
 to the :class:`~repro.workloads.base.Workload` interface, so everything
 that consumes workloads — :func:`repro.experiments.common.run_workload`,
-the engine's :func:`~repro.engine.execute.execute_spec`, mixes, sampling —
+the engine's :func:`~repro.engine.execute.execute_spec`, mixes —
 replays recordings through the exact same machinery that drives live
 generation.  Replay streams memory-mapped array slices straight into
 :meth:`~repro.coherence.simulator.TraceSimulator.run_chunks`; for the same

@@ -17,9 +17,9 @@ handlers (``tests/core/test_native_drain.py`` adds random geometries):
   and tight tables that force invalidations, including cuckoo walks longer
   than the ways;
 * **checks** — equal deep state (statistics, flat cache arrays, residency,
-  table internals with their LRU stamps) and a clean ``check_inclusion``
-  after every chunk (except on the long-walk cases, where inclusion is
-  known not to hold);
+  table internals with their LRU stamps), an INV_ACK for every INVALIDATE
+  sent, and a clean ``check_inclusion`` after every chunk (except on the
+  long-walk cases, where inclusion is known not to hold);
 * **walks** — the tight cuckoo cases also run the handlers under the
   Python reference walk against ``access_batch`` (whose drain walks in C),
   with equal deep state.
@@ -38,6 +38,7 @@ import pytest
 from repro import obs
 from repro.cache.cache import STATE_MODIFIED
 from repro.coherence import system as system_module
+from repro.coherence.messages import MessageType
 from repro.coherence.paging import PageMapper
 from repro.coherence.system import MemoryAccess, TiledCMP
 from repro.config import CacheConfig, CacheLevel, SystemConfig
@@ -260,13 +261,23 @@ def _stream(organization):
 # -- execution and deep state -----------------------------------------------------
 
 
+def _assert_invalidations_acked(system):
+    """Every INVALIDATE the directory sent has come back as an INV_ACK."""
+    messages = system.traffic.messages
+    assert messages.get(MessageType.INVALIDATE, 0) == messages.get(
+        MessageType.INV_ACK, 0
+    )
+
+
 def _run_reference(system, stream):
     for core, address, is_write, is_instr in stream:
         system.access(MemoryAccess(core, address, is_write, is_instr))
+        _assert_invalidations_acked(system)
 
 
 def _checked_batch(system, fields, start, stop, check=True):
     system.access_batch(*fields, start, stop)
+    _assert_invalidations_acked(system)
     if check:
         assert system.check_inclusion() == []
 
@@ -442,6 +453,24 @@ def test_split_at_every_offset_matches_handlers(organization, level):
         _checked_batch(system, fields, 0, offset, check)
         _checked_batch(system, fields, offset, len(stream), check)
         assert _deep_state(system) == reference, f"split at {offset}"
+
+
+@pytest.mark.parametrize("level", LEVELS, ids=["L1", "L2"])
+@pytest.mark.parametrize("organization", list(ORGANIZATIONS))
+def test_streams_send_invalidations_and_each_is_acked(organization, level):
+    """The INVALIDATE/INV_ACK pairing checked after every chunk is not
+    vacuous: each case's stream sends invalidations on both paths (forced
+    ones too, on the tight tables), and every one comes back acked."""
+    stream = _stream(organization)
+    reference = _make_system(organization, level)
+    _run_reference(reference, stream)
+    drained = _make_system(organization, level)
+    _run_chunked(drained, stream, 4096, check=False)
+    for system in (reference, drained):
+        assert system.traffic.messages.get(MessageType.INVALIDATE, 0) > 0
+        _assert_invalidations_acked(system)
+        if organization in TIGHT:
+            assert system.directory_stats().forced_invalidations > 0
 
 
 @pytest.mark.parametrize("level", LEVELS, ids=["L1", "L2"])

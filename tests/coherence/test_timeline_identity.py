@@ -205,44 +205,3 @@ class TestTimelineContents:
         assert result.average_occupancy == (
             sum(result.occupancy_samples) / len(result.occupancy_samples)
         )
-
-
-class TestSampledWindows:
-    def test_window_mode_samples_once_per_completed_window(self):
-        stream = _stream(17, 2000)
-        system = TiledCMP(_config(), _roomy_factory)
-        simulator = TraceSimulator(
-            system, occupancy_sample_interval=100, timeline_interval=50
-        )
-        result, windows = simulator.run_sampled(
-            _chunks(stream, 17), measure_window=300, skip_window=200,
-            max_windows=3,
-        )
-        timeline = result.timeline
-        assert windows == 3
-        assert timeline.mode == "window"
-        assert timeline.num_samples("insertions") == windows
-        # Window stats reset per window: every per-window total is fresh.
-        assert (timeline.channel("insertions") >= 0).all()
-        assert timeline.channel("insertions").sum() == (
-            result.directory_stats.insertions
-        )
-
-    def test_sampled_statistics_unchanged_by_timeline(self):
-        stream = _stream(19, 2000)
-
-        def run_sampled(timeline_interval):
-            system = TiledCMP(_config(), _roomy_factory)
-            simulator = TraceSimulator(
-                system, occupancy_sample_interval=100,
-                timeline_interval=timeline_interval,
-            )
-            return simulator.run_sampled(
-                _chunks(stream, 19), measure_window=250, skip_window=250,
-                max_windows=3,
-            )
-
-        off, windows_off = run_sampled(None)
-        on, windows_on = run_sampled(50)
-        assert windows_off == windows_on
-        assert _stats_fingerprint(off) == _stats_fingerprint(on)

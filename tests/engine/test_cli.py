@@ -80,6 +80,6 @@ def test_cache_inspect_and_clear(capsys, store_path):
     assert main(["cache", "--store", store_path]) == 0
     assert "entries: 1" in capsys.readouterr().out
 
-    assert main(["cache", "--store", store_path, "--clear"]) == 0
+    assert main(["cache", "clear", "--store", store_path]) == 0
     assert "cleared 1" in capsys.readouterr().out
     assert len(ResultStore(store_path)) == 0

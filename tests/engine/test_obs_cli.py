@@ -73,6 +73,32 @@ class TestMetricsOut:
         }
         assert "metrics written to" in capsys.readouterr().err
 
+    def test_pooled_sweep_counts_each_put_once_in_the_parent(
+        self, capsys, tmp_path, store_path
+    ):
+        dump = tmp_path / "metrics.json"
+        argv = [
+            "sweep", "--workloads", "Oracle", "--tracked-levels", "L1,L2",
+            "--seeds", "0,1", "--scale", "64", "--measure-accesses", "1500",
+            "--store", store_path, "--workers", "2", "--quiet",
+            "--metrics-out", str(dump),
+        ]
+        assert main(argv) == 0
+        document = json.loads(dump.read_text())
+        counters = document["metrics"]["counters"]
+        # Worker metrics and spans are absorbed; the puts happen in the parent.
+        assert counters["sim.run.measured_accesses"] == 4 * 1500
+        assert counters["store.puts"] == 4
+        assert DRAIN_SPAN in document["phases"]
+        sweep = document["meta"]["sweep"]
+        assert sweep["simulated"] == 4
+        rows = sweep["workers"]
+        assert len(rows) == 2
+        assert sum(row["points_done"] for row in rows) == 4
+        assert all(row["current"] == "" for row in rows)
+        assert "beats" not in rows[0]
+        assert len(ResultStore(store_path)) == 4
+
     def test_quiet_without_metrics_out_keeps_telemetry_off(self, capsys, store_path):
         assert main(_sweep_argv(store_path, "--quiet")) == 0
         assert obs.REGISTRY.counter("sim.batch.chunks").value == 0

@@ -303,7 +303,9 @@ class TestCompare:
 
 
 class TestPoolOnlyStore:
-    """A store written only by pool workers has no main WAL file at all."""
+    """Earlier versions' pool workers each appended to their own
+    ``<store>.segments/wal-w<pid>.jsonl``, so a store written only by a pool
+    has no main WAL file at all.  Such stores must still read and compact."""
 
     @pytest.fixture
     def pool_store(self, capsys, store_path):
@@ -314,9 +316,17 @@ class TestPoolOnlyStore:
         ]
         assert main(argv) == 0
         capsys.readouterr()
+        # Lay the pool's lines out as those versions did: each in the WAL of
+        # the worker that simulated it, and no main WAL.
         segdir = Path(store_path + ".segments")
-        assert not Path(store_path).exists()
-        assert list(segdir.glob("wal-*.jsonl"))
+        segdir.mkdir()
+        with open(store_path, encoding="utf-8") as handle:
+            for line in handle:
+                wal = segdir / f"wal-w{json.loads(line)['result']['worker']}.jsonl"
+                with wal.open("a", encoding="utf-8") as out:
+                    out.write(line)
+        Path(store_path).unlink()
+        assert len(list(segdir.glob("wal-*.jsonl"))) == 2
         return store_path
 
     def test_report_all_reads_per_writer_wals(self, capsys, pool_store):

@@ -10,7 +10,7 @@ import pytest
 from repro.engine import runner as runner_module
 from repro.engine.runner import EngineError, ParallelRunner
 from repro.engine.spec import RunGrid, RunSpec
-from repro.engine.store import ResultStore
+from repro.engine.store import ResultStore, segments_dir
 from repro.obs.progress import SweepMonitor
 
 
@@ -158,17 +158,16 @@ class _ExitingRunner(ParallelRunner):
 
 
 class _KillingMonitor(SweepMonitor):
-    """SIGKILLs the worker as soon as it reports starting ``victim``."""
+    """SIGKILLs the worker as soon as the runner hands it ``victim``."""
 
     def __init__(self, victim):
         super().__init__()
         self.victim = victim
         self.killed = None
 
-    def record_worker_event(self, event):
-        super().record_worker_event(event)
-        kind, pid, _ts, label = event
-        if kind == "start" and label == self.victim and self.killed is None:
+    def point_sent(self, pid, label):
+        super().point_sent(pid, label)
+        if label == self.victim and self.killed is None:
             os.kill(pid, signal.SIGKILL)
             self.killed = pid
 
@@ -209,6 +208,8 @@ def _assert_only_victim_failed(report, grid, victim, cause, store_path, monitor)
     assert reopened.get(victim) is None
     assert monitor.finished_at is not None
     assert monitor.done == len(grid) and monitor.failed == 1
+    # The dead worker's row no longer claims the point it held.
+    assert all(row["current"] == "" for row in monitor.workers())
 
 
 @pytest.mark.parametrize("start_method", START_METHODS)
@@ -239,3 +240,52 @@ class TestDyingWorker:
         _assert_only_victim_failed(
             report, grid, victim, "signal SIGKILL", store_path, monitor
         )
+
+
+# -- the parent as the store's only writer -----------------------------------
+
+
+def _store_files(tmp_path):
+    """Every file under ``tmp_path`` except timeline sidecars, relative."""
+    return sorted(
+        str(path.relative_to(tmp_path))
+        for path in tmp_path.rglob("*")
+        if path.is_file() and path.suffix != ".npz"
+    )
+
+
+@pytest.mark.parametrize("start_method", START_METHODS)
+class TestOneWriter:
+    def test_pooled_sweep_leaves_one_store_file(self, tmp_path, start_method):
+        store_path = tmp_path / "results.jsonl"
+        grid = _grid()
+        report = ParallelRunner(
+            workers=2, store=ResultStore(store_path), start_method=start_method,
+            timeline_interval=500,
+        ).run(grid)
+        assert report.ok and report.simulated == len(grid)
+        assert len(report.worker_pids) == 2
+        assert _store_files(tmp_path) == ["results.jsonl"]
+        assert not segments_dir(store_path).exists()
+        reopened = ResultStore(store_path)
+        assert all(reopened.get(spec) is not None for spec in grid)
+
+    def test_serial_and_pooled_sidecars_are_byte_identical(
+        self, tmp_path, start_method
+    ):
+        grid = _grid()
+        stores = {}
+        for name, workers in (("serial", 1), ("pooled", 2)):
+            stores[name] = ResultStore(tmp_path / name / "results.jsonl")
+            report = ParallelRunner(
+                workers=workers, store=stores[name], start_method=start_method,
+                timeline_interval=500,
+            ).run(grid)
+            assert report.ok and report.simulated == len(grid)
+        serial, pooled = stores["serial"], stores["pooled"]
+        for spec in grid:
+            key = spec.key()
+            assert pooled.get(spec) == serial.get(spec)
+            assert serial.timeline_path(key).read_bytes() == (
+                pooled.timeline_path(key).read_bytes()
+            )

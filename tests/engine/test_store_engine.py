@@ -2,9 +2,10 @@
 
 The single-WAL behaviours (JSONL durability, compaction byte-identity, hit
 and miss accounting) are pinned by ``test_store.py``; this module covers
-what per-writer WALs add on top — last-wins across WALs, export/import,
-concurrent writers, torn-write recovery — and the loud failure on a store
-an earlier version sealed into columnar segments.
+what the per-writer WALs of earlier versions add on top — last-wins across
+WALs, compaction — plus export/import, concurrent writers on one WAL,
+torn-write recovery, and the loud failure on a store an earlier version
+sealed into columnar segments.
 """
 
 import json
@@ -27,6 +28,7 @@ from repro.engine.store import (
     SealedStoreError,
     iter_store_records,
     segments_dir,
+    store_exists,
 )
 
 _SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
@@ -51,6 +53,22 @@ def _result(spec, **overrides):
     return RunResult(**base)
 
 
+def _put_in_writer_wal(path, writer, result, ts=None):
+    """Append ``result`` to a per-writer WAL as earlier versions' pool
+    workers did: ``<store>.segments/wal-<writer>.jsonl``, one stamped line
+    (stamped now unless ``ts`` is given)."""
+    wal = segments_dir(path) / f"wal-{writer}.jsonl"
+    wal.parent.mkdir(parents=True, exist_ok=True)
+    line = {
+        "key": result.spec.key(),
+        "ts": time.time_ns() if ts is None else ts,
+        "result": result.to_dict(),
+    }
+    with wal.open("a", encoding="utf-8") as handle:
+        handle.write(json.dumps(line) + "\n")
+    return wal
+
+
 # -- last-wins across WALs ----------------------------------------------------
 class TestLastWinsAcrossWals:
     """The newest commit stamp wins, whichever WAL it sits in."""
@@ -58,7 +76,7 @@ class TestLastWinsAcrossWals:
     def test_writer_wal_supersedes_older_main_record(self, tmp_path):
         path = tmp_path / "results.jsonl"
         ResultStore(path).put(_result(_spec(), accesses=1))
-        ResultStore(path, writer="w1", preload=False).put(_result(_spec(), accesses=2))
+        _put_in_writer_wal(path, "w1", _result(_spec(), accesses=2))
 
         reopened = ResultStore(path)
         assert len(reopened) == 1
@@ -69,7 +87,7 @@ class TestLastWinsAcrossWals:
         # The main WAL is read first, so scan order alone would pick the
         # writer's record: the commit stamp must decide.
         path = tmp_path / "results.jsonl"
-        ResultStore(path, writer="w1", preload=False).put(_result(_spec(), accesses=1))
+        _put_in_writer_wal(path, "w1", _result(_spec(), accesses=1))
         ResultStore(path).put(_result(_spec(), accesses=2))
 
         assert ResultStore(path).get(_spec()).accesses == 2
@@ -90,7 +108,7 @@ class TestLastWinsAcrossWals:
         assert ResultStore(path).get(_spec()).accesses == 7
         assert [p["accesses"] for _k, p in iter_store_records(path)] == [7]
 
-        ResultStore(path, writer="w1", preload=False).put(_result(_spec(), accesses=9))
+        _put_in_writer_wal(path, "w1", _result(_spec(), accesses=9))
         reopened = ResultStore(path)
         assert len(reopened) == 1
         assert reopened.get(_spec()).accesses == 9
@@ -99,7 +117,7 @@ class TestLastWinsAcrossWals:
         path = tmp_path / "results.jsonl"
         ResultStore(path).put(_result(_spec(), accesses=1))
         ResultStore(path).compact()
-        ResultStore(path, writer="w1", preload=False).put(_result(_spec(), accesses=2))
+        _put_in_writer_wal(path, "w1", _result(_spec(), accesses=2))
         report = ResultStore(path).compact()
         assert report.entries_kept == 1
         assert report.lines_removed == 1
@@ -113,9 +131,7 @@ class TestLastWinsAcrossWals:
     def test_compaction_removes_the_emptied_segments_dir(self, tmp_path):
         path = tmp_path / "results.jsonl"
         for writer, workload in (("w1", "Oracle"), ("w2", "DB2")):
-            ResultStore(path, writer=writer, preload=False).put(
-                _result(_spec(workload=workload))
-            )
+            _put_in_writer_wal(path, writer, _result(_spec(workload=workload)))
         assert segments_dir(path).is_dir()
         ResultStore(path).compact()
         assert not segments_dir(path).exists()
@@ -123,7 +139,7 @@ class TestLastWinsAcrossWals:
 
     def test_compaction_keeps_a_segments_dir_holding_a_foreign_file(self, tmp_path):
         path = tmp_path / "results.jsonl"
-        ResultStore(path, writer="w1", preload=False).put(_result(_spec()))
+        _put_in_writer_wal(path, "w1", _result(_spec()))
         foreign = segments_dir(path) / "notes.txt"
         foreign.write_text("not a WAL", encoding="utf-8")
         ResultStore(path).compact()
@@ -151,6 +167,111 @@ class TestLastWinsAcrossWals:
         assert reopened.export_jsonl(exported) == 2
         lines = exported.read_text(encoding="utf-8").splitlines()
         assert lines[-1] == json.dumps({"key": "deadbeef", "result": payload})
+
+
+# -- per-writer WALs are read, never written ----------------------------------
+class TestWriterWalsAreReadOnly:
+    """Stores from versions whose pool workers wrote ``wal-<writer>.jsonl``
+    files resolve, clear, export and fold here; nothing appends to them."""
+
+    def test_newest_stamp_wins_between_writer_wals(self, tmp_path):
+        # wal-w1 is scanned before wal-w2, so scan order alone would keep
+        # w2's older record: the stamp decides between writer WALs too.
+        path = tmp_path / "results.jsonl"
+        _put_in_writer_wal(path, "w2", _result(_spec(), accesses=1), ts=1_000)
+        _put_in_writer_wal(path, "w1", _result(_spec(), accesses=2), ts=2_000)
+
+        reopened = ResultStore(path)
+        assert len(reopened) == 1
+        assert reopened.get(_spec()).accesses == 2
+        assert [p["accesses"] for _k, p in iter_store_records(path)] == [2]
+
+    def test_puts_append_to_the_main_wal_only(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        wal = _put_in_writer_wal(path, "w1", _result(_spec(), accesses=1))
+        before = wal.read_bytes()
+
+        store = ResultStore(path)
+        store.put(_result(_spec(), accesses=2))
+        store.put(_result(_spec(seed=3)))
+        store.flush()
+
+        assert wal.read_bytes() == before
+        assert [p.name for p in segments_dir(path).iterdir()] == ["wal-w1.jsonl"]
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 2
+        reopened = ResultStore(path)
+        assert len(reopened) == 2
+        assert reopened.get(_spec()).accesses == 2
+
+    def test_torn_tail_of_a_writer_wal_is_skipped_then_folded_away(self, tmp_path):
+        # A worker killed mid-append left half a line at the end of its WAL.
+        path = tmp_path / "results.jsonl"
+        wal = _put_in_writer_wal(path, "w1", _result(_spec()))
+        torn = json.dumps({
+            "key": _spec(seed=5).key(), "ts": time.time_ns(),
+            "result": _result(_spec(seed=5)).to_dict(),
+        })
+        with wal.open("a", encoding="utf-8") as handle:
+            handle.write(torn[: len(torn) // 2])
+
+        store = ResultStore(path)
+        assert store.keys() == [_spec().key()]
+        report = store.compact()
+        assert (report.entries_kept, report.lines_removed) == (1, 1)
+        assert not segments_dir(path).exists()
+        assert [r.spec for r in ResultStore(path).iter_results()] == [_spec()]
+
+    def test_stats_count_every_wal_until_compaction(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        ResultStore(path).put(_result(_spec(), accesses=1))
+        wals = [
+            _put_in_writer_wal(path, "w1", _result(_spec(), accesses=2)),
+            _put_in_writer_wal(path, "w2", _result(_spec(seed=4))),
+        ]
+
+        stats = ResultStore(path).stats()
+        assert set(stats) == {"path", "entries", "wal_records", "wal_bytes"}
+        assert (stats["entries"], stats["wal_records"]) == (2, 3)
+        assert stats["wal_bytes"] == path.stat().st_size + sum(
+            wal.stat().st_size for wal in wals
+        )
+
+        ResultStore(path).compact()
+        folded = ResultStore(path).stats()
+        assert (folded["entries"], folded["wal_records"]) == (2, 2)
+        assert folded["wal_bytes"] == path.stat().st_size
+
+    def test_clear_removes_writer_wals(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        _put_in_writer_wal(path, "w1", _result(_spec()))
+        _put_in_writer_wal(path, "w2", _result(_spec(seed=2)))
+        assert store_exists(path)
+
+        store = ResultStore(path)
+        assert len(store) == 2
+        store.clear()
+        assert len(store) == 0
+        assert not segments_dir(path).exists()
+        assert not store_exists(path)
+        assert len(ResultStore(path)) == 0
+
+    def test_export_import_moves_a_pool_only_store_into_one_file(self, tmp_path):
+        old = tmp_path / "old.jsonl"
+        _put_in_writer_wal(old, "w1", _result(_spec(), accesses=1), ts=1_000)
+        _put_in_writer_wal(old, "w2", _result(_spec(seed=6)), ts=2_000)
+        _put_in_writer_wal(old, "w2", _result(_spec(), accesses=3), ts=3_000)
+        assert not old.exists()
+
+        exported = tmp_path / "export.jsonl"
+        assert ResultStore(old).export_jsonl(exported) == 2
+        new = tmp_path / "new.jsonl"
+        assert ResultStore(new).import_jsonl(exported) == (2, 0)
+
+        assert not segments_dir(new).exists()
+        assert len(new.read_text(encoding="utf-8").splitlines()) == 2
+        reopened = ResultStore(new)
+        assert reopened.get(_spec()).accesses == 3
+        assert reopened.get(_spec(seed=6)) is not None
 
 
 # -- export / import ----------------------------------------------------------
@@ -242,7 +363,7 @@ class TestRotTolerance:
 
 # -- concurrent writers -------------------------------------------------------
 def _torture_worker(path_str, writer_id, count):
-    store = ResultStore(Path(path_str), writer=f"t{writer_id}", preload=False)
+    store = ResultStore(Path(path_str))
     for i in range(count):
         store.put(_result(_spec(seed=writer_id * 1_000 + i)))
     store.flush()
@@ -277,6 +398,7 @@ class TestMultiWriter:
         assert len(records) == len(expected)  # every key exactly once
         assert sum(1 for _ in store.iter_results()) == len(expected)
         assert store.malformed == 0
+        assert not segments_dir(path).exists()  # one WAL, shared under flock
 
     def test_kill_mid_put_keeps_every_complete_line(self, tmp_path):
         path = tmp_path / "results.jsonl"
@@ -388,7 +510,6 @@ class TestSealedStore:
     def test_open_names_the_export_import_route(self, sealed):
         for open_store in (
             ResultStore,
-            lambda path: ResultStore(path, writer="w1", preload=False),
             lambda path: list(iter_store_records(path)),
         ):
             with pytest.raises(SealedStoreError) as info:

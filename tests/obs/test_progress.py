@@ -1,34 +1,23 @@
-"""Sweep progress: monitor accounting, heartbeats across fork and spawn,
-throttled rendering."""
+"""Sweep progress: monitor accounting, the worker rows the pool runner
+feeds under fork and spawn, throttled rendering."""
 
 import io
 import multiprocessing
+import threading
 import time
 
 import pytest
 
 from repro import obs
-from repro.engine.runner import ParallelRunner
+from repro.engine.runner import ParallelRunner, _execute_payload_observed
 from repro.engine.spec import RunGrid
+from repro.engine.store import ResultStore
 from repro.obs.progress import (
     ProgressRenderer,
     SweepMonitor,
     format_eta,
     format_progress_line,
-    make_event,
 )
-
-
-class TestMakeEvent:
-    def test_event_shape(self):
-        before = time.time()
-        kind, pid, timestamp, label = make_event("start", 1234, "Oracle")
-        assert (kind, pid, label) == ("start", 1234, "Oracle")
-        assert before <= timestamp <= time.time()
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            make_event("explode", 1)
 
 
 class TestSweepMonitor:
@@ -44,24 +33,69 @@ class TestSweepMonitor:
         assert monitor.simulated == 2
         assert monitor.failed == 1
 
-    def test_worker_events_build_health_rows(self):
+    def test_runner_exchanges_build_health_rows(self):
         monitor = SweepMonitor()
         monitor.begin(2)
-        monitor.record_worker_event(make_event("online", 10))
-        monitor.record_worker_event(make_event("start", 10, "Oracle"))
-        monitor.record_worker_event(make_event("heartbeat", 10, "Oracle"))
-        monitor.record_worker_event(make_event("done", 10, "Oracle"))
+        monitor.worker_spawned(10)
+        assert monitor.workers() == [
+            {"pid": 10, "last_seen_age": pytest.approx(0.0, abs=1.0),
+             "current": "", "points_done": 0}
+        ]
+        monitor.point_sent(10, "Oracle")
+        assert monitor.workers()[0]["current"] == "Oracle"
+        monitor.point_returned(10)
         assert monitor.worker_count() == 1
         (row,) = monitor.workers()
         assert row["pid"] == 10
-        assert row["beats"] == 4
         assert row["points_done"] == 1
-        assert row["current"] == ""  # cleared by "done"
+        assert row["current"] == ""  # cleared by the returned outcome
 
-    def test_start_sets_current_label(self):
+    def test_death_clears_the_label_without_counting_the_point(self):
         monitor = SweepMonitor()
-        monitor.record_worker_event(make_event("start", 7, "ocean"))
-        assert monitor.workers()[0]["current"] == "ocean"
+        monitor.worker_spawned(7)
+        monitor.point_sent(7, "ocean")
+        monitor.worker_died(7)
+        (row,) = monitor.workers()
+        assert row["current"] == "" and row["points_done"] == 0
+
+    def test_last_seen_age_grows_until_the_next_exchange(self):
+        monitor = SweepMonitor()
+        monitor.worker_spawned(3)
+        monitor.point_sent(3, "DB2")
+        monitor._workers[3].last_seen -= 30.0  # a point stalled for 30 s
+        assert monitor.workers()[0]["last_seen_age"] >= 30.0
+        monitor.point_returned(3)
+        assert monitor.workers()[0]["last_seen_age"] < 30.0
+
+    def test_a_dead_worker_keeps_the_points_it_finished(self):
+        monitor = SweepMonitor()
+        monitor.worker_spawned(5)
+        for label in ("Oracle", "DB2"):
+            monitor.point_sent(5, label)
+            monitor.point_returned(5)
+        monitor.point_sent(5, "ocean")
+        monitor.worker_died(5)
+        (row,) = monitor.workers()
+        assert row["points_done"] == 2 and row["current"] == ""
+
+    def test_death_of_an_unknown_worker_adds_no_row(self):
+        monitor = SweepMonitor()
+        monitor.worker_died(99)
+        assert monitor.workers() == [] and monitor.worker_count() == 0
+
+    def test_begin_drops_the_previous_grids_rows(self):
+        monitor = SweepMonitor()
+        monitor.worker_spawned(1)
+        monitor.point_sent(1, "Oracle")
+        monitor.begin(3)
+        assert monitor.workers() == []
+        assert "workers" not in format_progress_line(monitor)
+
+    def test_rows_are_ordered_by_pid(self):
+        monitor = SweepMonitor()
+        for pid in (30, 10, 20):
+            monitor.worker_spawned(pid)
+        assert [row["pid"] for row in monitor.workers()] == [10, 20, 30]
 
     def test_eta_none_until_rate_exists(self):
         monitor = SweepMonitor(total=10)
@@ -152,8 +186,9 @@ def _available_start_methods():
 
 @pytest.mark.parametrize("start_method", _available_start_methods())
 class TestPooledHeartbeats:
-    """End-to-end: events and telemetry cross the pool boundary under both
-    start methods (spawn re-imports everything; fork inherits)."""
+    """End-to-end: the runner feeds worker rows from its pipe exchanges, and
+    telemetry crosses the pool boundary, under both start methods (spawn
+    re-imports everything; fork inherits)."""
 
     def _grid(self):
         return RunGrid.product(
@@ -164,29 +199,26 @@ class TestPooledHeartbeats:
             seed=[0, 1],
         )
 
-    def test_heartbeats_and_worker_events_arrive(self, start_method):
+    def test_runner_feeds_one_row_per_worker(self, start_method):
         monitor = SweepMonitor()
         runner = ParallelRunner(
-            workers=2,
-            monitor=monitor,
-            start_method=start_method,
-            heartbeat_interval=0.05,
+            workers=2, monitor=monitor, start_method=start_method
         )
         report = runner.run(self._grid())
         assert report.ok and report.simulated == 4
-        assert 1 <= monitor.worker_count() <= 2
-        for row in monitor.workers():
-            assert row["beats"] >= 1  # the "online" event is the first beat
+        rows = monitor.workers()
+        assert [row["pid"] for row in rows] == sorted(
+            int(pid) for pid in report.worker_pids
+        )
+        assert sum(row["points_done"] for row in rows) == report.simulated
+        assert all(row["current"] == "" for row in rows)
         assert monitor.done == 4
         assert monitor.finished_at is not None
 
     def test_worker_telemetry_absorbed_into_parent(self, start_method):
         obs.enable()
         runner = ParallelRunner(
-            workers=2,
-            monitor=SweepMonitor(),
-            start_method=start_method,
-            heartbeat_interval=0.05,
+            workers=2, monitor=SweepMonitor(), start_method=start_method
         )
         report = runner.run(self._grid())
         assert report.ok
@@ -207,3 +239,53 @@ class TestPooledHeartbeats:
         runner = ParallelRunner(workers=2, start_method=start_method)
         report = runner.run(self._grid())
         assert report.ok and report.simulated == 4
+
+    def test_cached_points_reach_no_worker_row(self, start_method, tmp_path):
+        store = ResultStore(tmp_path / "results.jsonl")
+        grid = list(self._grid())
+        ParallelRunner(workers=1, store=store).run(grid[:2])
+        monitor = SweepMonitor()
+        report = ParallelRunner(
+            workers=2, store=store, monitor=monitor, start_method=start_method
+        ).run(grid)
+        assert report.ok and (report.cached, report.simulated) == (2, 2)
+        assert (monitor.cached, monitor.simulated) == (2, 2)
+        rows = monitor.workers()
+        assert 1 <= len(rows) <= 2
+        assert sum(row["points_done"] for row in rows) == 2
+
+    def test_pool_runs_without_helper_threads(self, start_method):
+        # The monitor is fed from the pipe exchanges alone: no thread in a
+        # worker, none started in the parent while the pool runs.
+        before = {thread.ident for thread in threading.enumerate()}
+        started = set()
+        ticks = []
+
+        def tick():
+            ticks.append(1)
+            started.update(
+                thread.ident for thread in threading.enumerate()
+                if thread.ident not in before
+            )
+
+        runner = _SingleThreadedRunner(
+            workers=2, monitor=SweepMonitor(), start_method=start_method,
+            tick=tick,
+        )
+        report = runner.run(self._grid())
+        assert report.ok, [str(f) for f in report.failures.values()]
+        assert report.simulated == 4
+        assert ticks and not started
+
+
+def _single_threaded_entry(payload):
+    """Pool entry that fails its point if the worker runs a second thread."""
+    threads = threading.active_count()
+    if threads != 1:
+        return {"status": "error", "spec": payload,
+                "error": f"worker runs {threads} threads"}
+    return _execute_payload_observed(payload)
+
+
+class _SingleThreadedRunner(ParallelRunner):
+    _worker_entry = staticmethod(_single_threaded_entry)

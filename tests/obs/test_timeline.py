@@ -5,6 +5,8 @@ integration (sampling points, kernel identity) lives in
 ``tests/coherence/test_timeline_identity.py``.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -68,8 +70,6 @@ class TestConstruction:
             Timeline(occupancy_interval=100, interval=0)
         with pytest.raises(ValueError):
             Timeline(occupancy_interval=100, banks=0)
-        with pytest.raises(ValueError):
-            Timeline(occupancy_interval=100, mode="bogus")
 
     def test_disabled_timeline_only_collects_occupancy(self):
         timeline = Timeline(occupancy_interval=100)
@@ -109,37 +109,12 @@ class TestCollection:
         chains = timeline.channel("attempt_chains")
         assert chains.tolist() == [[8, 2, 1, 0, 0]] * 3
 
-    def test_mark_reset_restarts_the_chain_baseline(self):
-        timeline = Timeline(occupancy_interval=100, interval=50, banks=2)
-        system = FakeSystem()
-        timeline.sample(system)
-        timeline.mark_reset()
-        system.ticks = 0  # the simulated machine's stats reset too
-        timeline.sample(system)
-        chains = timeline.channel("attempt_chains")
-        assert chains.tolist() == [[8, 2, 1, 0, 0], [8, 2, 1, 0, 0]]
-
-    def test_window_mode_has_no_cadence(self):
-        timeline = Timeline(occupancy_interval=100, interval=50, mode="window")
-        assert timeline.channel_cadence("occupancy") is None
-        assert timeline.channel_cadence("insertions") is None
-
 
 class TestDisplaySeries:
     def test_cumulative_channels_render_interval_deltas(self):
         timeline = _collected(samples=3)
         # insertions go 10, 20, 30 cumulatively -> 10/interval each.
         assert timeline.display_series("insertions").tolist() == [10.0, 10.0, 10.0]
-
-    def test_window_mode_keeps_per_window_totals(self):
-        timeline = Timeline(occupancy_interval=100, interval=50, banks=2, mode="window")
-        system = FakeSystem()
-        for _ in range(3):
-            timeline.sample(system)
-            timeline.mark_reset()
-        # Window stats reset between samples; differencing would produce
-        # nonsense, so the per-window totals must pass through unchanged.
-        assert timeline.display_series("insertions").tolist() == [10.0, 20.0, 30.0]
 
     def test_vector_channels_collapse(self):
         timeline = _collected(banks=2, samples=2)
@@ -278,3 +253,21 @@ class TestExports:
         assert len(banks_rows) == 4  # 2 samples x 2 lanes
         # accesses column carries the sample's cadence position
         assert banks_rows[0].split(",")[3] == "50"
+
+    def test_every_channel_has_a_cadence(self):
+        timeline = _collected(banks=2, samples=3)
+        for name in timeline.channel_names():
+            assert timeline.channel_cadence(name) in (50, 100)
+        rows = [line.split(",") for line in timeline.to_csv().splitlines()[1:]]
+        for channel, _lane, sample, accesses, _value in rows:
+            cadence = timeline.channel_cadence(channel)
+            assert int(accesses) == (int(sample) + 1) * cadence
+
+    def test_sidecar_meta_keeps_the_interval_mode_field(self, tmp_path):
+        # Earlier versions' readers still look for the field.
+        path = tmp_path / "tl.npz"
+        save_timeline(path, _collected())
+        with np.load(path) as archive:
+            meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
+        assert meta["mode"] == "interval"
+        assert "mode" not in _collected().to_payload()
