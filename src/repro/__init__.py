@@ -12,15 +12,17 @@ Public API overview
     :class:`~repro.core.CuckooHashTable` and
     :class:`~repro.core.CuckooDirectory` — the paper's contribution.
 ``repro.directories``
-    Baseline organizations (Duplicate-Tag, Sparse, Skewed, In-Cache,
-    Tagless) and sharer-set encodings.
+    The simulated baselines (Sparse, Skewed) and the full-bit-vector
+    sharer set every organization stores.
 ``repro.cache`` / ``repro.coherence``
     The tiled-CMP substrate: set-associative caches, the MESI protocol,
     address-interleaved directory slices and the trace simulator.
 ``repro.workloads``
     Synthetic Table 2 workload generators.
 ``repro.energy``
-    The analytical energy/area scaling model behind Figures 4 and 13.
+    The analytical energy/area scaling model behind Figures 4 and 13, the
+    only place Duplicate-Tag, Tagless, In-Cache and the coarse and
+    hierarchical sharer encodings appear (as in the paper).
 ``repro.experiments``
     One driver per paper figure.
 
@@ -48,11 +50,8 @@ from repro.coherence import MemoryAccess, SimulationResult, TiledCMP, TraceSimul
 from repro.directories import (
     Directory,
     DirectoryStats,
-    DuplicateTagDirectory,
-    InCacheDirectory,
     SkewedDirectory,
     SparseDirectory,
-    TaglessDirectory,
 )
 
 __version__ = "1.4.0"
@@ -70,11 +69,8 @@ __all__ = [
     "CuckooDirectory",
     "Directory",
     "DirectoryStats",
-    "DuplicateTagDirectory",
     "SparseDirectory",
     "SkewedDirectory",
-    "InCacheDirectory",
-    "TaglessDirectory",
     "MemoryAccess",
     "TiledCMP",
     "TraceSimulator",

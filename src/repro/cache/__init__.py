@@ -2,9 +2,9 @@
 
 The coherence directory's behaviour is driven entirely by which blocks the
 private caches hold, so the library contains a faithful (if timing-free)
-cache model: set-associative arrays with pluggable replacement policies,
-write-back dirty tracking, and MESI block states that the coherence layer
-manages.  Evictions are surfaced to the caller because the directory must
+cache model: set-associative arrays with LRU replacement (the paper's
+cache policy), write-back dirty tracking, and MESI block states that the
+coherence layer manages.  Evictions are surfaced to the caller because the directory must
 observe them (Section 5.2: "Dirty and clean evictions from the private
 caches are tracked by the directory").
 """
@@ -21,13 +21,6 @@ from repro.cache.cache import (
     CoherenceState,
     SetAssociativeCache,
 )
-from repro.cache.replacement import (
-    FifoPolicy,
-    LruPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    make_policy,
-)
 
 __all__ = [
     "AccessResult",
@@ -40,9 +33,4 @@ __all__ = [
     "STATE_MODIFIED",
     "STATE_TO_CODE",
     "CODE_TO_STATE",
-    "ReplacementPolicy",
-    "LruPolicy",
-    "FifoPolicy",
-    "RandomPolicy",
-    "make_policy",
 ]

@@ -12,15 +12,16 @@ Storage layout (array-native)
 -----------------------------
 Frame state lives in flat parallel arrays indexed by ``set * ways + way``:
 ``_tags`` (block address or ``_EMPTY``), ``_states`` (small-int MESI
-codes), ``_dirty`` flags and ``_stamps`` (LRU recency).  A reverse map
+codes), ``_dirty`` flags and ``_stamps`` (LRU recency: a per-cache clock
+stamps a frame on every touch and fill, and a full set evicts its
+minimum-stamp frame; LRU is the paper's cache policy).  A reverse map
 ``_location`` (block address -> flat frame index) finds hits in one dict
 probe, and a per-set occupancy count lets the fill path skip the
 free-frame scan once a set is full (the steady state of every simulation).
 There is no per-frame wrapper object: the hot path reads and writes plain
 list slots.  The compiled drain (``repro/core/_kernels.c``) reads and writes
-these lists, ``_location`` and ``_clock`` directly, assuming the inline LRU
-policy, the only one :class:`~repro.coherence.system.TiledCMP` builds; keep
-the layout and the drain in sync.
+these lists, ``_location`` and ``_clock`` directly; keep the layout and the
+drain in sync.
 
 The MESI states are encoded as integers on the hot path (``STATE_*``
 module constants); the :class:`CoherenceState` enum remains the public
@@ -35,7 +36,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterator, List, Optional
 
-from repro.cache.replacement import LruPolicy, ReplacementPolicy
 from repro.config import CacheConfig
 
 __all__ = [
@@ -198,8 +198,6 @@ class SetAssociativeCache:
         "_name",
         "_num_sets",
         "_num_ways",
-        "_policy",
-        "_lru_inline",
         "_tags",
         "_states",
         "_dirty",
@@ -208,24 +206,15 @@ class SetAssociativeCache:
         "_set_counts",
         "_location",
         "_stats",
-        "_all_ways",
         "victim_dirty",
         "_victim_state_code",
     )
 
-    def __init__(
-        self,
-        config: CacheConfig,
-        name: str = "cache",
-        policy: Optional[ReplacementPolicy] = None,
-    ) -> None:
+    def __init__(self, config: CacheConfig, name: str = "cache") -> None:
         self._config = config
         self._name = name
         self._num_sets = config.num_sets
         self._num_ways = config.associativity
-        self._policy = policy or LruPolicy(self._num_sets, self._num_ways)
-        if self._policy.num_sets != self._num_sets or self._policy.num_ways != self._num_ways:
-            raise ValueError("replacement policy geometry does not match the cache")
         num_frames = self._num_sets * self._num_ways
         # Flat parallel frame arrays, indexed by set * ways + way.
         self._tags: List[int] = [_EMPTY] * num_frames
@@ -237,15 +226,7 @@ class SetAssociativeCache:
         # scan once a set is full (the steady state of a warmed simulation).
         self._set_counts: List[int] = [0] * self._num_sets
         self._stats = CacheStats()
-        # Shared "every way occupied" list handed to select_victim so the
-        # generic-policy fill path does not rebuild range(num_ways).
-        self._all_ways = list(range(self._num_ways))
-        # When the policy is exactly LruPolicy, recency is kept in the
-        # cache's own flat stamp array (bump a clock, stamp a slot, pick
-        # the min-stamp frame) and the policy object is never consulted.
-        # Any other policy (or LruPolicy subclass) gets the generic
-        # per-(set, way) calls.
-        self._lru_inline = type(self._policy) is LruPolicy
+        # LRU recency per frame: bump the clock, stamp the frame.
         self._stamps: List[int] = [0] * num_frames
         self._clock = 0
         # Victim side-channel for fill_code (valid after it returns >= 0).
@@ -345,12 +326,8 @@ class SetAssociativeCache:
         self._stats.hits += 1
         if write:
             self._dirty[index] = True
-        if self._lru_inline:
-            self._clock += 1
-            self._stamps[index] = self._clock
-        else:
-            way = index % self._num_ways
-            self._policy.on_access(index // self._num_ways, way)
+        self._clock += 1
+        self._stamps[index] = self._clock
         return self._states[index]
 
     def fill(
@@ -392,11 +369,8 @@ class SetAssociativeCache:
             self._states[index] = state_code
             if dirty:
                 self._dirty[index] = True
-            if self._lru_inline:
-                self._clock += 1
-                self._stamps[index] = self._clock
-            else:
-                self._policy.on_access(index // self._num_ways, index % self._num_ways)
+            self._clock += 1
+            self._stamps[index] = self._clock
             return -1
         return self.fill_miss_code(address, state_code, dirty)
 
@@ -423,26 +397,19 @@ class SetAssociativeCache:
             self._dirty[index] = dirty
             location[address] = index
             self._set_counts[set_index] += 1
-            if self._lru_inline:
-                self._clock += 1
-                self._stamps[index] = self._clock
-            else:
-                self._policy.on_fill(set_index, index - base)
+            self._clock += 1
+            self._stamps[index] = self._clock
             return -1
 
-        # Full set: evict the replacement victim and recycle its frame.
-        if self._lru_inline:
-            stamps = self._stamps
-            if num_ways == 2:
-                # Two-way sets (the tracked L1s): a single comparison, with
-                # the same way-order tie-break as index(min(row)).
-                index = base if stamps[base] <= stamps[base + 1] else base + 1
-            else:
-                row = stamps[base : base + num_ways]
-                index = base + row.index(min(row))
+        # Full set: evict the LRU victim and recycle its frame.
+        stamps = self._stamps
+        if num_ways == 2:
+            # Two-way sets (the tracked L1s): a single comparison, with
+            # the same way-order tie-break as index(min(row)).
+            index = base if stamps[base] <= stamps[base + 1] else base + 1
         else:
-            # Copy: a policy may legally mutate its occupied_ways arg.
-            index = base + self._policy.select_victim(set_index, list(self._all_ways))
+            row = stamps[base : base + num_ways]
+            index = base + row.index(min(row))
         victim_address = tags[index]
         victim_dirty = self._dirty[index]
         stats = self._stats
@@ -456,11 +423,8 @@ class SetAssociativeCache:
         self._states[index] = state_code
         self._dirty[index] = dirty
         location[address] = index
-        if self._lru_inline:
-            self._clock += 1
-            self._stamps[index] = self._clock
-        else:
-            self._policy.on_fill(set_index, index - base)
+        self._clock += 1
+        stamps[index] = self._clock
         return victim_address
 
     def invalidate(self, address: int) -> bool:
@@ -468,10 +432,7 @@ class SetAssociativeCache:
         index = self._location.pop(address, None)
         if index is None:
             return False
-        if self._lru_inline:
-            self._stamps[index] = 0
-        else:
-            self._policy.on_invalidate(index // self._num_ways, index % self._num_ways)
+        self._stamps[index] = 0
         self._tags[index] = _EMPTY
         self._states[index] = STATE_INVALID
         self._dirty[index] = False

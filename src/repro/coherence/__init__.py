@@ -15,8 +15,8 @@ configurations of the paper are supported:
 
 The directory organization is pluggable: any
 :class:`~repro.directories.base.Directory` factory can be used, which is
-how the experiments swap Sparse/Skewed/Duplicate-Tag/Cuckoo organizations
-over identical access streams.
+how the experiments swap Sparse/Skewed/Cuckoo organizations over
+identical access streams.
 """
 
 from repro.coherence.interconnect import MeshInterconnect

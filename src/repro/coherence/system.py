@@ -19,8 +19,8 @@ Two configurations are supported, matching Section 5:
   observes (this substitution is recorded in DESIGN.md).
 
 The directory organization is supplied as a factory so identical access
-streams can be replayed against Sparse, Skewed, Duplicate-Tag, Tagless or
-Cuckoo organizations.
+streams can be replayed against the Sparse, Skewed and Cuckoo
+organizations.
 
 Execution paths
 ---------------
@@ -39,13 +39,13 @@ statistic:
 
 * the **compiled drain** — one C call for the chunk, every access in trace
   order — when the library built (:mod:`repro.core.native`) and every
-  directory slice is a plain table-backed directory (Cuckoo, Sparse,
-  Skewed or In-Cache, :class:`~repro.directories.table.TableDirectory`)
-  with a full bit vector (it exposes ``drain_handles()``), for at most 64
-  tracked caches;
+  directory slice is a plain table-backed directory (Cuckoo, Sparse or
+  Skewed, :class:`~repro.directories.table.TableDirectory`; it exposes
+  ``drain_handles()``), for at most 64 tracked caches: every system an
+  experiment builds;
 * the **handler loop** — each access through the handlers — otherwise:
-  the stashed cuckoo, Duplicate-Tag and Tagless organizations, rich sharer
-  encodings, and every system on a host where the library cannot build.
+  the stashed cuckoo, and every system on a host where the library cannot
+  build.
 
 Internally the protocol operates on integer MESI codes
 (:data:`repro.cache.cache.STATE_TO_CODE`); the :class:`~repro.cache.cache.
@@ -54,6 +54,7 @@ CoherenceState` enum appears only at the public cache API boundary.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
@@ -105,7 +106,7 @@ _DRAIN_VECTOR = _obs_counter(
 _DRAIN_SCALAR = _obs_counter(
     "sim.drain.scalar_fallback",
     help="accesses executed by the handler loop instead of the compiled drain "
-    "(stash, duplicate-tag, tagless or rich sharer encodings, or no library)",
+    "(the stashed cuckoo directory, or no library)",
 )
 # The drain's per-class counters, in the order of its totals' last columns.
 _DRAIN_CLASSES = tuple(
@@ -443,8 +444,7 @@ class TiledCMP:
         * **compiled drain** — the whole slice in one call, in trace order
           (:meth:`_drain_compiled`).  Taken whenever the library loaded and
           :meth:`_drain_support` approves the system: every slice exposes
-          ``drain_handles()`` (the Cuckoo, Sparse, Skewed and In-Cache
-          organizations with a full bit vector).
+          ``drain_handles()`` (the Cuckoo, Sparse and Skewed organizations).
         * **handler loop** — every access through :meth:`_access_block`.
         """
         cores = np.asarray(cores)
@@ -502,9 +502,8 @@ class TiledCMP:
         """Whether the compiled drain serves this system, resolved once.
 
         It does when every slice exposes ``drain_handles()`` (a plain
-        table-backed directory with a full bit vector: not the stash
-        variant, a rich sharer encoding or another organization), the
-        slices' tables have equal way counts, and at most 64 caches are
+        table-backed directory: not the stash variant), the slices' tables
+        have equal way counts, and at most 64 caches are
         tracked, so a sharer mask fits 64 bits.  Then it returns ``(family,
         hops)``: the hash family every slice shares, or ``None`` when they
         differ and each home hashes its own addresses, and the hop table as
@@ -785,15 +784,18 @@ class TiledCMP:
 
         * **inclusion** — its home directory slice reports every cache
           that holds it (no silently untracked copies);
-        * **exact sharers** — an organization that reports exact sharer
-          sets (:attr:`Directory.reports_exact_sharers`) names exactly the
-          caches holding it; inexact encodings may report supersets;
+        * **exact sharers** — the home names exactly the caches holding it;
         * **SWMR** — at most one cache holds it in M or E, and an M/E copy
           excludes every other copy.
 
-        A fourth runs over the directory side: an exact organization that
-        lists its entries (:meth:`Directory.tracked_addresses`) must hold
-        **no stale entry**, one for a block no tracked cache holds.
+        Three more run over each slice's entries
+        (:meth:`Directory.tracked_addresses`):
+
+        * **no stale entry** — one for a block no tracked cache holds;
+        * **one entry per block** — no address is listed twice, as when
+          a stash and the table both hold it;
+        * **a true count** — :meth:`Directory.entry_count` equals the
+          number of entries listed.
 
         The check is observation-only: its directory lookups count into
         scratch statistics that are discarded.
@@ -817,7 +819,7 @@ class TiledCMP:
                         f"block {block:#x} resident in caches {sorted(untracked)} "
                         f"but not tracked by its home directory"
                     )
-                elif directory.reports_exact_sharers and reported != resident:
+                elif reported != resident:
                     violations.append(
                         f"block {block:#x} reported in caches {sorted(reported)} "
                         f"but resident in {sorted(resident)}"
@@ -833,13 +835,20 @@ class TiledCMP:
                         f"{owners}, copies in {sorted(resident)}"
                     )
             for slice_id, directory in enumerate(self._directories):
-                tracked = (
-                    directory.tracked_addresses()
-                    if directory.reports_exact_sharers
-                    else None
-                )
-                for local in sorted(tracked or ()):
+                tracked = Counter(directory.tracked_addresses())
+                listed = sum(tracked.values())
+                if directory.entry_count() != listed:
+                    violations.append(
+                        f"directory slice {slice_id} counts "
+                        f"{directory.entry_count()} entries but lists {listed}"
+                    )
+                for local in sorted(tracked):
                     block = self.global_address(local, slice_id)
+                    if tracked[local] > 1:
+                        violations.append(
+                            f"block {block:#x} held in {tracked[local]} entries "
+                            f"of its home directory"
+                        )
                     if block not in holders:
                         violations.append(
                             f"block {block:#x} tracked by its home directory "

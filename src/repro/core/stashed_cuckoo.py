@@ -25,7 +25,7 @@ and how little it matters at the paper's chosen 1x/1.5x design points.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Type
+from typing import List, Optional
 
 from repro.core.cuckoo_directory import CuckooDirectory
 from repro.core.cuckoo_hash import InsertOutcome
@@ -35,7 +35,7 @@ from repro.directories.base import (
     LookupResult,
     UpdateResult,
 )
-from repro.directories.sharers import FullBitVector, SharerSet
+from repro.directories.sharers import FullBitVector
 from repro.hashing.base import HashFamily
 
 __all__ = ["StashedCuckooDirectory"]
@@ -56,10 +56,7 @@ class StashedCuckooDirectory(CuckooDirectory):
         num_ways: int = 4,
         stash_entries: int = 4,
         hash_family: Optional[HashFamily] = None,
-        sharer_cls: Type[SharerSet] = FullBitVector,
         max_insertion_attempts: int = 32,
-        tag_bits: int = 36,
-        **sharer_kwargs,
     ) -> None:
         if stash_entries < 0:
             raise ValueError("stash_entries must be non-negative")
@@ -68,14 +65,11 @@ class StashedCuckooDirectory(CuckooDirectory):
             num_sets=num_sets,
             num_ways=num_ways,
             hash_family=hash_family,
-            sharer_cls=sharer_cls,
             max_insertion_attempts=max_insertion_attempts,
-            tag_bits=tag_bits,
-            **sharer_kwargs,
         )
         self._stash_entries = stash_entries
-        # address -> SharerSet, in insertion order (oldest first).
-        self._stash: "OrderedDict[int, SharerSet]" = OrderedDict()
+        # address -> sharer set, in insertion order (oldest first).
+        self._stash: "OrderedDict[int, FullBitVector]" = OrderedDict()
         self._stash_insertions = 0
 
     # -- geometry -----------------------------------------------------------
@@ -129,7 +123,7 @@ class StashedCuckooDirectory(CuckooDirectory):
         if stashed is not None:
             stashed.add(cache_id)
             self._stats.sharer_additions += 1
-            self._stats.bits_written += self.entry_bits - self._tag_bits
+            self._stats.bits_written += self._payload_bits
             return SHARERS_UPDATED
 
         existing = self._table.get(address)
@@ -143,7 +137,7 @@ class StashedCuckooDirectory(CuckooDirectory):
         if self._sharer_pool:
             sharers = self._sharer_pool.pop()
         else:
-            sharers = self._sharer_cls(self._num_caches, **self._sharer_kwargs)
+            sharers = FullBitVector(self._num_caches)
         sharers.add(cache_id)
         result = self._table.insert(address, sharers)
         self._stats.insertions += 1
@@ -167,7 +161,7 @@ class StashedCuckooDirectory(CuckooDirectory):
         if stashed is not None:
             stashed.remove(cache_id)
             self._stats.sharer_removals += 1
-            self._stats.bits_written += self.entry_bits - self._tag_bits
+            self._stats.bits_written += self._payload_bits
             if stashed.is_empty():
                 del self._stash[address]
                 self._stats.entry_removals += 1
@@ -178,7 +172,7 @@ class StashedCuckooDirectory(CuckooDirectory):
         self._drain_stash()
 
     # -- internals ------------------------------------------------------------
-    def _park_in_stash(self, address: int, sharers: SharerSet):
+    def _park_in_stash(self, address: int, sharers: FullBitVector):
         """Store an overflow victim; invalidate the oldest entry if full."""
         invalidations = ()
         if self._stash_entries == 0:

@@ -28,27 +28,15 @@ from __future__ import annotations
 import abc
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 __all__ = [
-    "DirectoryEntry",
     "DirectoryStats",
     "LookupResult",
     "UpdateResult",
     "Invalidation",
     "Directory",
 ]
-
-
-@dataclass
-class DirectoryEntry:
-    """One tracked block: its address (tag) and its sharer set."""
-
-    address: int
-    sharers: "object"  # SharerSet; typed loosely to avoid an import cycle.
-
-    def is_empty(self) -> bool:
-        return self.sharers.is_empty()
 
 
 @dataclass(frozen=True)
@@ -239,6 +227,16 @@ class Directory(abc.ABC):
     def entry_count(self) -> int:
         """Number of live (non-empty) entries currently stored."""
 
+    @abc.abstractmethod
+    def tracked_addresses(self) -> List[int]:
+        """Every address holding a live entry, once per entry.
+
+        The coherence layer's consistency check reads it to find stale
+        entries (entries for blocks that no tracked cache holds any more),
+        addresses listed twice, and an :meth:`entry_count` that disagrees
+        with the list.
+        """
+
     @property
     @abc.abstractmethod
     def capacity(self) -> int:
@@ -276,8 +274,8 @@ class Directory(abc.ABC):
         Returns ``(found, prior_sharers, update_result)`` where
         ``prior_sharers`` is the sharer set reported *before* ``cache_id``
         was added.  Statistics and state changes are exactly those of
-        calling :meth:`lookup` then :meth:`add_sharer`; organizations with
-        a hashed tag store override this to probe once instead of twice.
+        calling :meth:`lookup` then :meth:`add_sharer`, which every
+        organization inherits; the compiled drain fuses the two on its own.
         """
         existing = self.lookup(address)
         result = self.add_sharer(address, cache_id)
@@ -307,25 +305,6 @@ class Directory(abc.ABC):
         channel reads it uniformly across organizations.
         """
         return 0
-
-    @property
-    def reports_exact_sharers(self) -> bool:
-        """Whether :meth:`lookup` names exactly the caches holding a block.
-
-        Inexact organizations (coarse sharer encodings, filter-based tagless
-        designs) may report supersets and keep this default.
-        """
-        return False
-
-    def tracked_addresses(self) -> Optional[List[int]]:
-        """Every address holding a live entry, or ``None`` if not listable.
-
-        Exact organizations override this so the coherence layer's
-        consistency check can find stale entries: entries for blocks that
-        no tracked cache holds any more.  ``None`` (the default) means the
-        check is skipped for this organization.
-        """
-        return None
 
     @property
     def stats(self) -> DirectoryStats:

@@ -1,57 +1,27 @@
-"""Sharer-set representations.
+"""The sharer set of one directory entry: a full bit vector.
 
 A directory entry must record *which* private caches hold a block.  The
-paper (Sections 3.2, 3.3 and 5.6) considers several encodings whose storage
-and access cost differ dramatically as the number of caches grows:
+simulated directories store the paper's exact encoding, one presence bit
+per cache (Sections 3.2 and 5.2): the entry width grows linearly with the
+cache count.  The paper compares the coarse, limited-pointer and
+hierarchical encodings only analytically (Figures 4 and 13), and
+:mod:`repro.energy.model` costs them there.
 
-* **Full bit vector** — one presence bit per cache; exact, but the entry
-  width grows linearly with the cache count.
-* **Coarse vector** — the SGI-Origin style scheme [Gupta et al. '90,
-  Laudon & Lenoski '97]: a few exact pointers that fall back to a
-  coarse-grained region vector on overflow.  Entry width grows only
-  logarithmically (the paper budgets ``2*log2(#caches)`` bits).
-* **Limited pointers** — a fixed number of exact pointers with a
-  broadcast fallback on overflow.
-* **Hierarchical vector** — a first-level coarse vector over groups plus
-  second-level exact sub-vectors, modelling the two-level organizations
-  of Wallach and Guo et al.
-
-All representations implement :class:`SharerSet`.  ``sharers()`` returns
-the set of caches that must receive an invalidation; inexact encodings
-return a superset of the true sharers (never a subset), which preserves
-coherence correctness at the cost of extra invalidation traffic.  Each
-class also reports its storage width so the energy/area model can cost
-directory entries without duplicating encoding rules.
-
-Every representation stores its membership as one Python integer used as
-a bitmask (bit *i* set == cache *i* holds the block) — exactly the
-presence-bit vector the hardware stores.  Membership tests are a shift
-and an AND, add/remove are single OR/AND-NOT operations, and the
-simulator's per-access mutations allocate nothing.  The ``sharers()`` /
-``exact_sharers()`` frozenset views are materialised only when a caller
-actually needs to fan invalidations out.
+The set stores its membership as one Python integer used as a bitmask
+(bit *i* set == cache *i* holds the block) — exactly the presence-bit
+vector the hardware stores.  Membership tests are a shift and an AND,
+add/remove are single OR/AND-NOT operations, and the simulator's
+per-access mutations allocate nothing.  The ``sharers()`` frozenset view
+is materialised only when a caller actually needs to fan invalidations
+out.  The compiled drain (``repro/core/_kernels.c``) builds sets as
+``FullBitVector(num_caches)`` and reads and writes ``_mask`` directly.
 """
 
 from __future__ import annotations
 
-import abc
-import math
-from functools import lru_cache
 from typing import FrozenSet, Iterator, List
 
-__all__ = [
-    "SharerSet",
-    "FullBitVector",
-    "CoarseVector",
-    "LimitedPointer",
-    "HierarchicalVector",
-    "sharer_format",
-]
-
-
-@lru_cache(maxsize=None)
-def _ceil_log2(value: int) -> int:
-    return max(1, math.ceil(math.log2(value))) if value > 1 else 1
+__all__ = ["FullBitVector"]
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -69,8 +39,8 @@ except AttributeError:  # pragma: no cover - exercised on older interpreters
         return bin(mask).count("1")
 
 
-class SharerSet(abc.ABC):
-    """Abstract sharer-set representation for one directory entry."""
+class FullBitVector:
+    """Exact full bit-vector sharer set: one presence bit per cache."""
 
     def __init__(self, num_caches: int) -> None:
         if num_caches <= 0:
@@ -78,13 +48,12 @@ class SharerSet(abc.ABC):
         self._num_caches = num_caches
         self._mask = 0
 
-    # -- core mutation -----------------------------------------------------
+    # -- mutation ------------------------------------------------------------
     def add(self, cache_id: int) -> None:
         """Record that ``cache_id`` holds the block."""
         if not 0 <= cache_id < self._num_caches:
             self._check_cache(cache_id)
         self._mask |= 1 << cache_id
-        self._on_change()
 
     def remove(self, cache_id: int) -> None:
         """Record that ``cache_id`` no longer holds the block.
@@ -96,35 +65,33 @@ class SharerSet(abc.ABC):
         if not 0 <= cache_id < self._num_caches:
             self._check_cache(cache_id)
         self._mask &= ~(1 << cache_id)
-        self._on_change()
 
     def clear(self) -> None:
         """Drop all sharers (entry invalidated)."""
         self._mask = 0
-        self._on_change()
 
-    # -- queries -----------------------------------------------------------
+    # -- queries -------------------------------------------------------------
     def member_mask(self) -> int:
-        """The true sharers as a presence bitmask (LSB = cache 0)."""
+        """The sharers as a presence bitmask (LSB = cache 0)."""
         return self._mask
 
-    def exact_sharers(self) -> FrozenSet[int]:
-        """The true sharers (ground truth kept for bookkeeping)."""
-        return frozenset(_iter_bits(self._mask))
-
-    @abc.abstractmethod
     def sharers(self) -> FrozenSet[int]:
-        """Caches that must receive an invalidation.
-
-        Exact encodings return exactly the members; inexact encodings may
-        return a superset but never omit a member.
-        """
+        """The caches that hold the block (and must receive an invalidation)."""
+        mask = self._mask
+        if not mask & (mask - 1):  # zero or one sharer (the common cases)
+            return frozenset((mask.bit_length() - 1,)) if mask else frozenset()
+        members = []
+        while mask:
+            low = mask & -mask
+            members.append(low.bit_length() - 1)
+            mask ^= low
+        return frozenset(members)
 
     def is_empty(self) -> bool:
         return not self._mask
 
     def count(self) -> int:
-        """Number of true sharers."""
+        """Number of sharers."""
         return _popcount(self._mask)
 
     def contains(self, cache_id: int) -> bool:
@@ -135,25 +102,16 @@ class SharerSet(abc.ABC):
     def num_caches(self) -> int:
         return self._num_caches
 
-    @property
-    def is_exact(self) -> bool:
-        """True when ``sharers()`` equals the true sharer set."""
-        return self.sharers() == self.exact_sharers()
+    def as_bits(self) -> List[int]:
+        """The presence bit vector, LSB = cache 0 (useful for tests)."""
+        return [(self._mask >> i) & 1 for i in range(self._num_caches)]
 
-    def spurious_invalidations(self) -> int:
-        """Number of non-sharers that would receive an invalidation."""
-        return len(self.sharers() - self.exact_sharers())
-
-    # -- storage accounting (used by the energy/area model) -----------------
     @classmethod
-    @abc.abstractmethod
-    def storage_bits(cls, num_caches: int, **kwargs: int) -> int:
+    def storage_bits(cls, num_caches: int) -> int:
         """Entry width in bits for a system with ``num_caches`` caches."""
+        return num_caches
 
     # -- helpers -------------------------------------------------------------
-    def _on_change(self) -> None:
-        """Hook for subclasses that maintain encoded state."""
-
     def _check_cache(self, cache_id: int) -> None:
         if not 0 <= cache_id < self._num_caches:
             raise IndexError(
@@ -169,230 +127,3 @@ class SharerSet(abc.ABC):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         ids = ",".join(str(i) for i in _iter_bits(self._mask))
         return f"{type(self).__name__}«{ids}»"
-
-
-class FullBitVector(SharerSet):
-    """Exact full bit-vector: one presence bit per cache.
-
-    ``add``/``remove``/``sharers`` are re-implemented without the
-    ``_on_change`` hook dispatch and generator machinery of the base class:
-    this is the encoding every simulation-driven experiment stores per
-    directory entry, so its three mutators sit directly on the coherence
-    hot path.
-    """
-
-    def add(self, cache_id: int) -> None:
-        if not 0 <= cache_id < self._num_caches:
-            self._check_cache(cache_id)
-        self._mask |= 1 << cache_id
-
-    def remove(self, cache_id: int) -> None:
-        if not 0 <= cache_id < self._num_caches:
-            self._check_cache(cache_id)
-        self._mask &= ~(1 << cache_id)
-
-    def sharers(self) -> FrozenSet[int]:
-        mask = self._mask
-        if not mask & (mask - 1):  # zero or one sharer (the common cases)
-            return frozenset((mask.bit_length() - 1,)) if mask else frozenset()
-        members = []
-        while mask:
-            low = mask & -mask
-            members.append(low.bit_length() - 1)
-            mask ^= low
-        return frozenset(members)
-
-    def as_bits(self) -> List[int]:
-        """The presence bit vector, LSB = cache 0 (useful for tests)."""
-        return [(self._mask >> i) & 1 for i in range(self._num_caches)]
-
-    @classmethod
-    def storage_bits(cls, num_caches: int, **kwargs: int) -> int:
-        return num_caches
-
-
-class CoarseVector(SharerSet):
-    """Exact-pointer representation with coarse-vector overflow.
-
-    The entry holds ``num_pointers`` exact cache pointers.  When more
-    caches share the block than fit in the pointers, the representation
-    switches to a coarse bit vector where each bit covers
-    ``region_size = num_caches / vector_bits`` caches, as in the SGI
-    Origin's DIR-format fallback.  The paper's "Sparse Coarse" and
-    "Cuckoo Coarse" designs budget ``2 * log2(num_caches)`` bits per entry,
-    which is the default geometry here.
-    """
-
-    def __init__(
-        self,
-        num_caches: int,
-        num_pointers: int | None = None,
-        vector_bits: int | None = None,
-    ) -> None:
-        super().__init__(num_caches)
-        pointer_bits = _ceil_log2(num_caches)
-        if num_pointers is None:
-            num_pointers = 2
-        if vector_bits is None:
-            vector_bits = max(1, min(num_caches, num_pointers * pointer_bits))
-        if num_pointers <= 0:
-            raise ValueError("num_pointers must be positive")
-        if vector_bits <= 0:
-            raise ValueError("vector_bits must be positive")
-        self._num_pointers = num_pointers
-        self._vector_bits = min(vector_bits, num_caches)
-        self._region_size = math.ceil(num_caches / self._vector_bits)
-        # region_masks[r] covers the caches of region r, clipped to the
-        # cache count; built once so the coarse fan-out is a few ORs.
-        region_size = self._region_size
-        self._region_masks = []
-        for start in range(0, num_caches, region_size):
-            width = min(region_size, num_caches - start)
-            self._region_masks.append(((1 << width) - 1) << start)
-
-    @property
-    def num_pointers(self) -> int:
-        return self._num_pointers
-
-    @property
-    def region_size(self) -> int:
-        return self._region_size
-
-    @property
-    def is_coarse(self) -> bool:
-        """Whether the entry has overflowed into the coarse encoding."""
-        return _popcount(self._mask) > self._num_pointers
-
-    def sharers(self) -> FrozenSet[int]:
-        if not self.is_coarse:
-            return frozenset(_iter_bits(self._mask))
-        covered = 0
-        region_size = self._region_size
-        region_masks = self._region_masks
-        for cache_id in _iter_bits(self._mask):
-            covered |= region_masks[cache_id // region_size]
-        return frozenset(_iter_bits(covered))
-
-    @classmethod
-    def storage_bits(cls, num_caches: int, **kwargs: int) -> int:
-        """Default budget: two exact pointers, i.e. ``2*log2(num_caches)`` bits."""
-        num_pointers = kwargs.get("num_pointers", 2)
-        return num_pointers * _ceil_log2(num_caches)
-
-
-class LimitedPointer(SharerSet):
-    """Limited-pointer representation with broadcast overflow (Dir-i-B)."""
-
-    def __init__(self, num_caches: int, num_pointers: int = 4) -> None:
-        super().__init__(num_caches)
-        if num_pointers <= 0:
-            raise ValueError("num_pointers must be positive")
-        self._num_pointers = num_pointers
-
-    @property
-    def num_pointers(self) -> int:
-        return self._num_pointers
-
-    @property
-    def is_broadcast(self) -> bool:
-        return _popcount(self._mask) > self._num_pointers
-
-    def sharers(self) -> FrozenSet[int]:
-        if self.is_broadcast:
-            return frozenset(range(self._num_caches))
-        return frozenset(_iter_bits(self._mask))
-
-    @classmethod
-    def storage_bits(cls, num_caches: int, **kwargs: int) -> int:
-        num_pointers = kwargs.get("num_pointers", 4)
-        # One overflow ("broadcast") bit plus the pointers themselves.
-        return 1 + num_pointers * _ceil_log2(num_caches)
-
-
-class HierarchicalVector(SharerSet):
-    """Two-level hierarchical sharer vector.
-
-    The first level is a bit vector over ``num_groups`` groups of caches;
-    each set first-level bit conceptually points at a second-level exact
-    sub-vector over the caches of that group.  The invalidation target set
-    is exact (both levels together identify the precise sharers); the
-    storage saving comes from allocating second-level vectors only for
-    groups that actually contain sharers, at the cost of replicating the
-    tag for each allocated second-level entry — which the energy/area
-    model accounts for separately.
-    """
-
-    def __init__(self, num_caches: int, num_groups: int | None = None) -> None:
-        super().__init__(num_caches)
-        if num_groups is None:
-            num_groups = max(1, int(round(math.sqrt(num_caches))))
-        if num_groups <= 0:
-            raise ValueError("num_groups must be positive")
-        self._num_groups = min(num_groups, num_caches)
-        self._group_size = math.ceil(num_caches / self._num_groups)
-
-    @property
-    def num_groups(self) -> int:
-        return self._num_groups
-
-    @property
-    def group_size(self) -> int:
-        return self._group_size
-
-    def groups_in_use(self) -> FrozenSet[int]:
-        """First-level groups that currently contain at least one sharer."""
-        group_size = self._group_size
-        return frozenset(cache_id // group_size for cache_id in _iter_bits(self._mask))
-
-    def sharers(self) -> FrozenSet[int]:
-        return frozenset(_iter_bits(self._mask))
-
-    @classmethod
-    def storage_bits(cls, num_caches: int, **kwargs: int) -> int:
-        """First-level group vector plus one second-level sub-vector.
-
-        This is the per-entry width of the primary directory entry; the
-        extra replicated-tag cost of additional second-level entries is
-        modelled in :mod:`repro.energy`.
-        """
-        num_groups = kwargs.get(
-            "num_groups", max(1, int(round(math.sqrt(num_caches))))
-        )
-        group_size = math.ceil(num_caches / num_groups)
-        return num_groups + group_size
-
-    @classmethod
-    def second_level_bits(cls, num_caches: int, **kwargs: int) -> int:
-        """Width of one second-level sub-vector."""
-        num_groups = kwargs.get(
-            "num_groups", max(1, int(round(math.sqrt(num_caches))))
-        )
-        return math.ceil(num_caches / num_groups)
-
-
-_FORMATS = {
-    "full": FullBitVector,
-    "coarse": CoarseVector,
-    "limited": LimitedPointer,
-    "hierarchical": HierarchicalVector,
-}
-
-
-@lru_cache(maxsize=None)
-def sharer_format(name: str):
-    """Look up a sharer-set class by its short name.
-
-    Valid names: ``full``, ``coarse``, ``limited``, ``hierarchical``.
-    The lookup is memoized so the energy/area model can resolve formats
-    per entry without paying the error-path string formatting.
-    """
-    try:
-        return _FORMATS[name]
-    except KeyError:
-        valid = ", ".join(sorted(_FORMATS))
-        raise ValueError(f"unknown sharer format {name!r}; expected one of {valid}")
-
-
-def make_sharer_set(name: str, num_caches: int, **kwargs: int) -> SharerSet:
-    """Instantiate a sharer set by format name."""
-    return sharer_format(name)(num_caches, **kwargs)

@@ -17,10 +17,9 @@ least recently used candidate is the victim.
 
 from __future__ import annotations
 
-from typing import Optional, Type
+from typing import Optional
 
 from repro.core.cuckoo_hash import CuckooHashTable
-from repro.directories.sharers import FullBitVector, SharerSet
 from repro.directories.table import TableDirectory
 from repro.hashing.base import HashFamily
 
@@ -41,11 +40,8 @@ class SkewedDirectory(TableDirectory):
         num_sets: int,
         num_ways: int = 4,
         hash_family: Optional[HashFamily] = None,
-        sharer_cls: Type[SharerSet] = FullBitVector,
-        tag_bits: int = 36,
-        **sharer_kwargs,
     ) -> None:
         table = CuckooHashTable(
             num_ways, num_sets, hash_family, max_attempts=1, lru=True
         )
-        super().__init__(num_caches, table, sharer_cls, tag_bits, **sharer_kwargs)
+        super().__init__(num_caches, table)

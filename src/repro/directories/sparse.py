@@ -18,11 +18,7 @@ victimises its least recently used entry.
 
 from __future__ import annotations
 
-import math
-from typing import Type
-
 from repro.core.cuckoo_hash import CuckooHashTable
-from repro.directories.sharers import FullBitVector, SharerSet
 from repro.directories.table import TableDirectory
 from repro.hashing.modulo import ModuloHashFamily
 
@@ -38,55 +34,11 @@ class SparseDirectory(TableDirectory):
         Number of private caches tracked (width of the sharer sets).
     num_sets, num_ways:
         Geometry of the tag store.  Capacity is ``num_sets * num_ways``.
-    sharer_cls:
-        Sharer-set representation (default: exact full bit vector).
-    tag_bits:
-        Stored tag width, used only for the bits-read/bits-written
-        accounting surfaced in :class:`DirectoryStats`.
     """
 
-    def __init__(
-        self,
-        num_caches: int,
-        num_sets: int,
-        num_ways: int,
-        sharer_cls: Type[SharerSet] = FullBitVector,
-        tag_bits: int = 36,
-        **sharer_kwargs,
-    ) -> None:
+    def __init__(self, num_caches: int, num_sets: int, num_ways: int) -> None:
         table = CuckooHashTable(
             num_ways, num_sets, ModuloHashFamily(num_ways, num_sets),
             max_attempts=1, lru=True,
         )
-        super().__init__(num_caches, table, sharer_cls, tag_bits, **sharer_kwargs)
-
-    def set_index(self, address: int) -> int:
-        return address % self.num_sets
-
-    @classmethod
-    def with_provisioning(
-        cls,
-        num_caches: int,
-        tracked_frames: int,
-        num_ways: int,
-        provisioning: float,
-        sharer_cls: Type[SharerSet] = FullBitVector,
-        tag_bits: int = 36,
-        **sharer_kwargs,
-    ) -> "SparseDirectory":
-        """Build a Sparse directory sized at ``provisioning`` times the
-        worst-case number of tracked blocks (the paper's 2x / 8x points)."""
-        if provisioning <= 0:
-            raise ValueError("provisioning must be positive")
-        capacity = max(num_ways, int(round(tracked_frames * provisioning)))
-        num_sets = max(1, capacity // num_ways)
-        # Round the set count to a power of two, as a hardware indexer would.
-        num_sets = 2 ** max(0, round(math.log2(num_sets)))
-        return cls(
-            num_caches=num_caches,
-            num_sets=num_sets,
-            num_ways=num_ways,
-            sharer_cls=sharer_cls,
-            tag_bits=tag_bits,
-            **sharer_kwargs,
-        )
+        super().__init__(num_caches, table)

@@ -9,8 +9,8 @@ constructors choose:
   hashes, displacement walk when every candidate is full;
 * **Skewed** (:mod:`repro.directories.skewed`): skewing hashes, LRU
   candidate evicted at once;
-* **Sparse** (:mod:`repro.directories.sparse`, and In-Cache with it): every
-  way indexed by ``address % num_sets``, LRU way evicted at once.
+* **Sparse** (:mod:`repro.directories.sparse`): every way indexed by
+  ``address % num_sets``, LRU way evicted at once.
 
 :class:`TableDirectory` is the one implementation of the directory
 operations over that table, and the one source of the compiled drain's
@@ -30,7 +30,7 @@ Statistics follow the paper's accounting rules (Section 5.2):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Type
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.directories.base import (
     LOOKUP_MISS,
@@ -40,12 +40,16 @@ from repro.directories.base import (
     LookupResult,
     UpdateResult,
 )
-from repro.directories.sharers import FullBitVector, SharerSet
+from repro.directories.sharers import FullBitVector
 
 if TYPE_CHECKING:  # repro.core imports this module
     from repro.core.cuckoo_hash import CuckooHashTable
 
-__all__ = ["TableDirectory"]
+__all__ = ["TAG_BITS", "TableDirectory"]
+
+#: Stored tag width of every entry, used only for the bits-read/written
+#: accounting in :class:`~repro.directories.base.DirectoryStats`.
+TAG_BITS = 36
 
 
 class TableDirectory(Directory):
@@ -57,35 +61,18 @@ class TableDirectory(Directory):
         Number of tracked private caches (sharer-set width).
     table:
         The tag store, built by the organization's constructor with its
-        hash family and insert policy.
-    sharer_cls:
-        Sharer-set representation stored in each entry; any of the classes
-        in :mod:`repro.directories.sharers`.
-    tag_bits:
-        Stored tag width, used for the bits-read/written accounting.
+        hash family and insert policy.  Each entry's value is a
+        :class:`~repro.directories.sharers.FullBitVector`.
     """
 
-    def __init__(
-        self,
-        num_caches: int,
-        table: "CuckooHashTable",
-        sharer_cls: Type[SharerSet] = FullBitVector,
-        tag_bits: int = 36,
-        **sharer_kwargs,
-    ) -> None:
+    def __init__(self, num_caches: int, table: "CuckooHashTable") -> None:
         super().__init__(num_caches)
         self._table = table
-        self._sharer_cls = sharer_cls
-        self._sharer_kwargs = sharer_kwargs
-        self._tag_bits = tag_bits
-        # Entry width is fixed by the constructor arguments; computed once
-        # so the per-operation bit accounting does not re-derive it.
-        self._entry_bits = 1 + tag_bits + sharer_cls.storage_bits(
-            num_caches, **sharer_kwargs
-        )
-        # Per-operation bit costs, precomputed once.
-        self._lookup_tag_bits = table.num_ways * tag_bits
-        self._payload_bits = self._entry_bits - tag_bits
+        # Entry width (valid bit, tag, sharer vector) and the per-operation
+        # bit costs, computed once so the accounting does not re-derive them.
+        self._entry_bits = 1 + TAG_BITS + FullBitVector.storage_bits(num_caches)
+        self._lookup_tag_bits = table.num_ways * TAG_BITS
+        self._payload_bits = self._entry_bits - TAG_BITS
         # Sharer sets freed when an entry's last sharer leaves are recycled
         # for the next insertion: entry turnover is the dominant allocation
         # of a warmed simulation, and a set is only pooled once it is empty,
@@ -102,10 +89,6 @@ class TableDirectory(Directory):
         return self._table.num_sets
 
     @property
-    def reports_exact_sharers(self) -> bool:
-        return self._sharer_cls is FullBitVector
-
-    @property
     def capacity(self) -> int:
         return self._table.capacity
 
@@ -116,7 +99,7 @@ class TableDirectory(Directory):
 
     @property
     def entry_bits(self) -> int:
-        """Width of one directory entry (valid bit + tag + sharer encoding)."""
+        """Width of one directory entry (valid bit + tag + sharer vector)."""
         return self._entry_bits
 
     def entry_count(self) -> int:
@@ -156,7 +139,7 @@ class TableDirectory(Directory):
         if self._sharer_pool:
             sharers = self._sharer_pool.pop()
         else:
-            sharers = self._sharer_cls(self._num_caches, **self._sharer_kwargs)
+            sharers = FullBitVector(self._num_caches)
         sharers.add(cache_id)
         result = self._table.insert_absent(address, sharers)
         stats = self._stats
@@ -170,7 +153,7 @@ class TableDirectory(Directory):
 
         invalidations = ()
         if result.evicted:
-            evicted_sharers: SharerSet = result.evicted_value
+            evicted_sharers: FullBitVector = result.evicted_value
             invalidation = Invalidation(
                 address=result.evicted_key, caches=evicted_sharers.sharers()
             )
@@ -181,18 +164,15 @@ class TableDirectory(Directory):
         )
 
     def drain_handles(self) -> Optional[tuple]:
-        """This slice's state as the compiled drain reads it, or ``None``.
+        """This slice's state as the compiled drain reads it.
 
         The drain (``TiledCMP._drain_compiled``) runs this directory's
         operations over the table's locator, way lists, LRU stamps
         (``None`` under the cuckoo policy), indices cache (``None`` under
-        LRU), way functions and walk bound, and the sharer pool.  Only the
-        plain full bit vector qualifies: richer sharer encodings, and
-        subclasses that change an operation (the stashed variant overrides
-        this), return ``None``, and their systems run the handler loop.
+        LRU), way functions and walk bound, and the sharer pool.  A
+        subclass that changes an operation returns ``None`` instead (the
+        stashed variant does), and its systems run the handler loop.
         """
-        if self._sharer_cls is not FullBitVector:
-            return None
         table = self._table
         return (
             table._locator, table._keys, table._values, table._stamps,

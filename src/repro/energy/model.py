@@ -127,11 +127,11 @@ class ScalingScenario:
 def _sharer_bits(encoding: str, num_caches: int) -> float:
     """Per-entry sharer-encoding width for ``num_caches`` caches.
 
-    Memoized (together with :func:`repro.directories.sharers._ceil_log2`
-    and :func:`~repro.directories.sharers.sharer_format`) so the Figure 13
-    sweep — which costs every organization at every core count — resolves
-    each (encoding, cache-count) width once instead of recomputing
-    ``math.log2`` per entry."""
+    The only definition of the full, coarse and hierarchical encodings'
+    widths: the simulated directories store only the full bit vector.
+    Memoized so the Figure 13 sweep — which costs every organization at
+    every core count — resolves each (encoding, cache-count) width once
+    instead of recomputing ``math.log2`` per entry."""
     if num_caches <= 0:
         raise ValueError("num_caches must be positive")
     log_caches = max(1.0, math.ceil(math.log2(num_caches)))

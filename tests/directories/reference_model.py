@@ -11,7 +11,7 @@ statistics.  ``lookup_add`` and ``acquire_exclusive`` are the generic
 compositions of :class:`~repro.directories.base.Directory`.
 """
 
-from typing import List, Optional, Type
+from typing import List, Optional
 
 from repro.directories.base import (
     LOOKUP_MISS,
@@ -21,7 +21,7 @@ from repro.directories.base import (
     LookupResult,
     UpdateResult,
 )
-from repro.directories.sharers import FullBitVector, SharerSet
+from repro.directories.sharers import FullBitVector
 from repro.hashing.base import HashFamily
 from repro.hashing.skewing import SkewingHashFamily
 
@@ -31,7 +31,7 @@ class _SetEntry:
 
     __slots__ = ("address", "sharers", "stamp")
 
-    def __init__(self, address: int, sharers: SharerSet, stamp: int) -> None:
+    def __init__(self, address: int, sharers: FullBitVector, stamp: int) -> None:
         self.address = address
         self.sharers = sharers
         self.stamp = stamp
@@ -45,23 +45,17 @@ class ReferenceSparseDirectory(Directory):
         num_caches: int,
         num_sets: int,
         num_ways: int,
-        sharer_cls: Type[SharerSet] = FullBitVector,
         tag_bits: int = 36,
-        **sharer_kwargs,
     ) -> None:
         super().__init__(num_caches)
         if num_sets <= 0 or num_ways <= 0:
             raise ValueError("num_sets and num_ways must be positive")
         self._num_sets = num_sets
         self._num_ways = num_ways
-        self._sharer_cls = sharer_cls
-        self._sharer_kwargs = sharer_kwargs
         self._tag_bits = tag_bits
         self._sets: List[List[_SetEntry]] = [[] for _ in range(num_sets)]
         self._clock = 0
-        self._entry_bits = 1 + tag_bits + sharer_cls.storage_bits(
-            num_caches, **sharer_kwargs
-        )
+        self._entry_bits = 1 + tag_bits + num_caches
 
     @property
     def capacity(self) -> int:
@@ -114,7 +108,7 @@ class ReferenceSparseDirectory(Directory):
             invalidations.append(invalidation)
             self._record_forced_invalidation(invalidation)
 
-        sharers = self._sharer_cls(self._num_caches, **self._sharer_kwargs)
+        sharers = FullBitVector(self._num_caches)
         sharers.add(cache_id)
         new_entry = _SetEntry(address=address, sharers=sharers, stamp=0)
         self._touch(new_entry)
@@ -154,7 +148,7 @@ class _WayEntry:
 
     __slots__ = ("address", "sharers", "stamp")
 
-    def __init__(self, address: int, sharers: SharerSet, stamp: int) -> None:
+    def __init__(self, address: int, sharers: FullBitVector, stamp: int) -> None:
         self.address = address
         self.sharers = sharers
         self.stamp = stamp
@@ -169,9 +163,7 @@ class ReferenceSkewedDirectory(Directory):
         num_sets: int,
         num_ways: int = 4,
         hash_family: Optional[HashFamily] = None,
-        sharer_cls: Type[SharerSet] = FullBitVector,
         tag_bits: int = 36,
-        **sharer_kwargs,
     ) -> None:
         super().__init__(num_caches)
         if num_sets <= 0 or num_ways <= 0:
@@ -181,8 +173,6 @@ class ReferenceSkewedDirectory(Directory):
         self._hashes = hash_family or SkewingHashFamily(num_ways, num_sets)
         if self._hashes.num_ways != num_ways or self._hashes.num_sets != num_sets:
             raise ValueError("hash family geometry does not match the directory")
-        self._sharer_cls = sharer_cls
-        self._sharer_kwargs = sharer_kwargs
         self._tag_bits = tag_bits
         # ways[w][s] -> entry or None
         self._ways: List[List[Optional[_WayEntry]]] = [
@@ -190,9 +180,7 @@ class ReferenceSkewedDirectory(Directory):
         ]
         self._live_entries = 0
         self._clock = 0
-        self._entry_bits = 1 + tag_bits + sharer_cls.storage_bits(
-            num_caches, **sharer_kwargs
-        )
+        self._entry_bits = 1 + tag_bits + num_caches
         self._way_fns = self._hashes.way_functions()
 
     @property
@@ -258,7 +246,7 @@ class ReferenceSkewedDirectory(Directory):
             slot = (way, set_index)
 
         way, set_index = slot
-        sharers = self._sharer_cls(self._num_caches, **self._sharer_kwargs)
+        sharers = FullBitVector(self._num_caches)
         sharers.add(cache_id)
         entry = _WayEntry(address=address, sharers=sharers, stamp=0)
         self._touch(entry)

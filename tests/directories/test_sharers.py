@@ -1,243 +1,136 @@
-"""Tests for the sharer-set representations."""
+"""Tests for the sharer set (the full bit vector).
+
+Every behaviour is checked at three widths: 16 caches, 64 (the most a
+compiled-drain mask holds; cache 63 is its top bit) and 128 (a mask wider
+than a machine word, which only the handler loop serves).  Where a test
+adds caches it includes the highest id, so the top bit of each width is
+exercised.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.directories.sharers import (
-    CoarseVector,
-    FullBitVector,
-    HierarchicalVector,
-    LimitedPointer,
-    make_sharer_set,
-    sharer_format,
-)
+from repro.directories.sharers import FullBitVector
 
-ALL_CLASSES = [FullBitVector, CoarseVector, LimitedPointer, HierarchicalVector]
+WIDTHS = (16, 64, 128)
 
 
-@pytest.mark.parametrize("cls", ALL_CLASSES)
+@pytest.mark.parametrize("num_caches", WIDTHS)
 class TestCommonBehaviour:
-    def test_starts_empty(self, cls):
-        sharers = cls(16)
+    def test_starts_empty(self, num_caches):
+        sharers = FullBitVector(num_caches)
         assert sharers.is_empty()
         assert sharers.count() == 0
         assert sharers.sharers() == frozenset()
+        assert sharers.member_mask() == 0
 
-    def test_add_and_contains(self, cls):
-        sharers = cls(16)
+    def test_add_and_contains(self, num_caches):
+        top = num_caches - 1
+        sharers = FullBitVector(num_caches)
         sharers.add(3)
-        assert sharers.contains(3)
+        sharers.add(top)
+        assert sharers.contains(3) and sharers.contains(top)
+        assert not sharers.contains(top - 1)
         assert not sharers.is_empty()
-        assert 3 in sharers.sharers()
+        assert sharers.sharers() == frozenset({3, top})
+        assert sharers.member_mask() == (1 << 3) | (1 << top)
 
-    def test_remove_returns_to_empty(self, cls):
-        sharers = cls(16)
+    def test_remove_returns_to_empty(self, num_caches):
+        top = num_caches - 1
+        sharers = FullBitVector(num_caches)
         sharers.add(5)
+        sharers.add(top)
+        sharers.remove(top)
         sharers.remove(5)
         assert sharers.is_empty()
 
-    def test_remove_non_member_is_noop(self, cls):
-        sharers = cls(16)
+    def test_remove_non_member_is_noop(self, num_caches):
+        sharers = FullBitVector(num_caches)
         sharers.add(1)
         sharers.remove(7)
+        sharers.remove(num_caches - 1)
         assert sharers.count() == 1
 
-    def test_double_add_is_idempotent(self, cls):
-        sharers = cls(16)
-        sharers.add(2)
-        sharers.add(2)
+    def test_double_add_is_idempotent(self, num_caches):
+        top = num_caches - 1
+        sharers = FullBitVector(num_caches)
+        sharers.add(top)
+        sharers.add(top)
         assert sharers.count() == 1
 
-    def test_clear(self, cls):
-        sharers = cls(16)
-        for cache in (0, 3, 9):
+    def test_clear(self, num_caches):
+        sharers = FullBitVector(num_caches)
+        for cache in (0, 3, 9, num_caches - 1):
             sharers.add(cache)
         sharers.clear()
         assert sharers.is_empty()
         assert sharers.sharers() == frozenset()
 
-    def test_sharers_is_superset_of_true_members(self, cls):
-        """Inexact encodings may over-approximate but never drop a sharer."""
-        sharers = cls(16)
-        members = {1, 4, 7, 11, 14}
+    def test_sharers_are_exactly_the_members(self, num_caches):
+        sharers = FullBitVector(num_caches)
+        members = {1, 4, 7, 11, 14, num_caches - 1}
         for cache in members:
             sharers.add(cache)
-        assert members <= set(sharers.sharers())
+        assert sharers.sharers() == frozenset(members)
 
-    def test_out_of_range_cache_rejected(self, cls):
-        sharers = cls(8)
+    def test_out_of_range_cache_rejected(self, num_caches):
+        sharers = FullBitVector(num_caches)
         with pytest.raises(IndexError):
-            sharers.add(8)
+            sharers.add(num_caches)
         with pytest.raises(IndexError):
             sharers.remove(-1)
+        with pytest.raises(IndexError):
+            sharers.contains(num_caches)
 
-    def test_storage_bits_positive(self, cls):
-        assert cls.storage_bits(16) > 0
+    def test_storage_is_one_bit_per_cache(self, num_caches):
+        assert FullBitVector.storage_bits(num_caches) == num_caches
 
-    def test_iteration_yields_sorted_members(self, cls):
-        sharers = cls(16)
-        for cache in (9, 2, 5):
+    def test_iteration_yields_sorted_members(self, num_caches):
+        sharers = FullBitVector(num_caches)
+        for cache in (num_caches - 1, 9, 2, 5):
             sharers.add(cache)
-        assert list(sharers) == [2, 5, 9]
+        assert list(sharers) == [2, 5, 9, num_caches - 1]
 
-    def test_len_matches_count(self, cls):
-        sharers = cls(16)
+    def test_len_matches_count(self, num_caches):
+        sharers = FullBitVector(num_caches)
         sharers.add(0)
-        sharers.add(15)
+        sharers.add(num_caches - 1)
         assert len(sharers) == sharers.count() == 2
 
-    def test_rejects_zero_caches(self, cls):
-        with pytest.raises(ValueError):
-            cls(0)
-
-
-class TestFullBitVector:
-    def test_is_always_exact(self):
-        sharers = FullBitVector(32)
-        for cache in range(0, 32, 3):
-            sharers.add(cache)
-        assert sharers.is_exact
-        assert sharers.spurious_invalidations() == 0
-
-    def test_as_bits(self):
-        sharers = FullBitVector(4)
+    def test_as_bits(self, num_caches):
+        sharers = FullBitVector(num_caches)
         sharers.add(0)
         sharers.add(2)
-        assert sharers.as_bits() == [1, 0, 1, 0]
-
-    def test_storage_is_one_bit_per_cache(self):
-        assert FullBitVector.storage_bits(128) == 128
-
-
-class TestCoarseVector:
-    def test_exact_below_pointer_limit(self):
-        sharers = CoarseVector(16, num_pointers=2)
-        sharers.add(3)
-        sharers.add(9)
-        assert not sharers.is_coarse
-        assert sharers.is_exact
-
-    def test_coarse_after_overflow(self):
-        sharers = CoarseVector(16, num_pointers=2, vector_bits=4)
-        for cache in (0, 5, 10):
-            sharers.add(cache)
-        assert sharers.is_coarse
-        reported = sharers.sharers()
-        assert {0, 5, 10} <= reported
-        assert len(reported) >= 3
-
-    def test_coarse_regions_cover_whole_region_of_each_sharer(self):
-        sharers = CoarseVector(16, num_pointers=1, vector_bits=4)  # regions of 4
-        sharers.add(1)
-        sharers.add(9)
-        reported = sharers.sharers()
-        assert reported == frozenset({0, 1, 2, 3, 8, 9, 10, 11})
-
-    def test_returns_to_exact_when_sharers_leave(self):
-        sharers = CoarseVector(16, num_pointers=2)
-        for cache in (0, 5, 10):
-            sharers.add(cache)
-        sharers.remove(10)
-        assert not sharers.is_coarse
-        assert sharers.sharers() == frozenset({0, 5})
-
-    def test_storage_budget_is_two_log_caches(self):
-        assert CoarseVector.storage_bits(1024) == 2 * 10
-        assert CoarseVector.storage_bits(16) == 2 * 4
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            CoarseVector(16, num_pointers=0)
-        with pytest.raises(ValueError):
-            CoarseVector(16, vector_bits=0)
+        sharers.add(num_caches - 1)
+        bits = sharers.as_bits()
+        assert len(bits) == num_caches
+        assert [i for i, bit in enumerate(bits) if bit] == [0, 2, num_caches - 1]
 
 
-class TestLimitedPointer:
-    def test_exact_until_pointer_overflow(self):
-        sharers = LimitedPointer(32, num_pointers=2)
-        sharers.add(4)
-        sharers.add(9)
-        assert not sharers.is_broadcast
-        assert sharers.sharers() == frozenset({4, 9})
-
-    def test_broadcast_after_overflow(self):
-        sharers = LimitedPointer(8, num_pointers=2)
-        for cache in (0, 1, 2):
-            sharers.add(cache)
-        assert sharers.is_broadcast
-        assert sharers.sharers() == frozenset(range(8))
-
-    def test_spurious_invalidation_count(self):
-        sharers = LimitedPointer(8, num_pointers=1)
-        sharers.add(0)
-        sharers.add(1)
-        assert sharers.spurious_invalidations() == 6
-
-    def test_storage_bits_includes_broadcast_bit(self):
-        assert LimitedPointer.storage_bits(16, num_pointers=4) == 1 + 4 * 4
-
-
-class TestHierarchicalVector:
-    def test_sharers_are_exact(self):
-        sharers = HierarchicalVector(64, num_groups=8)
-        for cache in (0, 17, 63):
-            sharers.add(cache)
-        assert sharers.is_exact
-
-    def test_groups_in_use(self):
-        sharers = HierarchicalVector(64, num_groups=8)  # groups of 8
-        sharers.add(0)
-        sharers.add(9)
-        sharers.add(10)
-        assert sharers.groups_in_use() == frozenset({0, 1})
-
-    def test_default_group_count_is_sqrt(self):
-        sharers = HierarchicalVector(64)
-        assert sharers.num_groups == 8
-
-    def test_storage_bits_smaller_than_full_vector_at_scale(self):
-        assert HierarchicalVector.storage_bits(1024) < FullBitVector.storage_bits(1024)
-
-    def test_second_level_bits(self):
-        assert HierarchicalVector.second_level_bits(64, num_groups=8) == 8
-
-
-class TestFactories:
-    def test_sharer_format_lookup(self):
-        assert sharer_format("full") is FullBitVector
-        assert sharer_format("coarse") is CoarseVector
-        assert sharer_format("limited") is LimitedPointer
-        assert sharer_format("hierarchical") is HierarchicalVector
-
-    def test_sharer_format_unknown(self):
-        with pytest.raises(ValueError):
-            sharer_format("bogus")
-
-    def test_make_sharer_set(self):
-        sharers = make_sharer_set("limited", 16, num_pointers=2)
-        assert isinstance(sharers, LimitedPointer)
-        assert sharers.num_pointers == 2
+def test_rejects_zero_caches():
+    with pytest.raises(ValueError):
+        FullBitVector(0)
 
 
 @given(
     operations=st.lists(
-        st.tuples(st.sampled_from(["add", "remove"]), st.integers(0, 15)),
+        st.tuples(st.sampled_from(["add", "remove"]), st.integers(0, 127)),
         max_size=60,
     )
 )
 @settings(max_examples=100, deadline=None)
-@pytest.mark.parametrize("cls", ALL_CLASSES)
-def test_property_sharers_never_miss_a_true_member(cls, operations):
-    """After any operation sequence, reported sharers ⊇ true members."""
-    sharers = cls(16)
+@pytest.mark.parametrize("num_caches", WIDTHS)
+def test_property_sharers_never_miss_a_true_member(num_caches, operations):
+    """After any operation sequence, the sharers are the true members."""
+    sharers = FullBitVector(num_caches)
     reference = set()
     for op, cache in operations:
+        cache %= num_caches  # 128 is a multiple of every width: uniform ids
         if op == "add":
             sharers.add(cache)
             reference.add(cache)
         else:
             sharers.remove(cache)
             reference.discard(cache)
-    assert reference <= set(sharers.sharers())
+    assert sharers.sharers() == frozenset(reference)
     assert sharers.count() == len(reference)
-    assert sharers.exact_sharers() == frozenset(reference)

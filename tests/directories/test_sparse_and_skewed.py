@@ -4,7 +4,7 @@ import pytest
 
 from repro.directories.skewed import SkewedDirectory
 from repro.directories.sparse import SparseDirectory
-from repro.directories.sharers import CoarseVector
+from repro.directories.table import TAG_BITS
 from repro.hashing.strong import StrongHashFamily
 
 
@@ -46,27 +46,9 @@ class TestSparseDirectory:
         result = directory.add_sharer(2, 1)  # conflicts with block 0 (set 0)
         assert result.invalidations[0].caches == frozenset({0, 3})
 
-    def test_with_provisioning_capacity(self):
-        directory = SparseDirectory.with_provisioning(
-            num_caches=8, tracked_frames=1024, num_ways=8, provisioning=2.0
-        )
-        assert directory.capacity == pytest.approx(2048, rel=0.5)
-        assert directory.num_ways == 8
-        # Power-of-two set count.
-        assert directory.num_sets & (directory.num_sets - 1) == 0
-
-    def test_with_provisioning_rejects_bad_factor(self):
-        with pytest.raises(ValueError):
-            SparseDirectory.with_provisioning(
-                num_caches=8, tracked_frames=64, num_ways=8, provisioning=0
-            )
-
-    def test_entry_bits_with_coarse_encoding(self):
-        full = SparseDirectory(num_caches=64, num_sets=16, num_ways=4)
-        coarse = SparseDirectory(
-            num_caches=64, num_sets=16, num_ways=4, sharer_cls=CoarseVector
-        )
-        assert coarse.entry_bits < full.entry_bits
+    def test_entry_bits_are_valid_tag_and_full_vector(self):
+        directory = SparseDirectory(num_caches=64, num_sets=16, num_ways=4)
+        assert directory.entry_bits == 1 + TAG_BITS + 64
 
     def test_insertion_always_one_attempt(self):
         directory = SparseDirectory(num_caches=2, num_sets=8, num_ways=2)

@@ -192,6 +192,86 @@ class TestOrganizationModels:
             TaglessModel(bits_per_frame=0)
 
 
+# Figure 13's core counts in the Shared-L2 scenario (two tracked L1s per
+# core) and the sharer-encoding width each stores per entry: the full
+# vector one bit per cache, the coarse vector 2 * ceil(log2 caches), the
+# hierarchical vector two levels of ceil(sqrt(caches)) bits each.
+ENCODING_WIDTHS = [
+    # cores, full, coarse, hierarchical
+    (16, 32, 10, 12),
+    (32, 64, 12, 16),
+    (64, 128, 14, 24),
+    (128, 256, 16, 32),
+    (256, 512, 18, 46),
+    (512, 1024, 20, 64),
+    (1024, 2048, 22, 92),
+]
+
+
+def _sharer_width(encoding, cores):
+    """The sharer bits of one Sparse entry: its width less valid bit and tag."""
+    scenario = ScalingScenario.shared_l2()
+    entry = SparseModel("s", encoding=encoding).entry_bits(scenario, cores)
+    return entry - 1 - scenario.tag_bits()
+
+
+@pytest.mark.parametrize("cores,full,coarse,hierarchical", ENCODING_WIDTHS)
+class TestSharerEncodingWidths:
+    def test_full_vector_is_one_bit_per_cache(self, cores, full, coarse, hierarchical):
+        assert _sharer_width("full", cores) == full
+
+    def test_coarse_vector_is_two_log_caches(self, cores, full, coarse, hierarchical):
+        assert _sharer_width("coarse", cores) == coarse
+
+    def test_hierarchical_vector_is_two_root_caches(self, cores, full, coarse, hierarchical):
+        assert _sharer_width("hierarchical", cores) == hierarchical
+        assert hierarchical < full
+
+
+class TestAnalyticalOrganizations:
+    """The Figure 4 and 13 organizations that exist only as cost models."""
+
+    def test_unknown_sharer_encoding_rejected(self):
+        with pytest.raises(ValueError):
+            SparseModel("bad", encoding="bogus").entry_bits(ScalingScenario.shared_l2(), 16)
+
+    def test_in_cache_stores_one_full_vector_per_l2_frame(self):
+        model = InCacheModel()
+        scenario = ScalingScenario.shared_l2()
+        for cores in (16, 256):
+            vector = scenario.num_caches(cores)
+            assert model.storage_bits(scenario, cores) == L2.num_frames * vector
+
+    def test_duplicate_tag_stores_one_tag_per_tracked_frame(self):
+        model = DuplicateTagModel()
+        for scenario in (ScalingScenario.shared_l2(), ScalingScenario.private_l2()):
+            expected = scenario.frames_per_slice() * (scenario.tag_bits() + 1)
+            assert model.storage_bits(scenario, 16) == expected
+            assert model.storage_bits(scenario, 1024) == expected
+
+    def test_duplicate_tag_lookup_searches_every_mirrored_way(self):
+        model = DuplicateTagModel()
+        scenario = ScalingScenario.shared_l2()
+        for cores in (16, 256):
+            ways = scenario.tracked_cache.associativity * scenario.num_caches(cores)
+            searched = cam_search_energy(ways * scenario.tag_bits(), scenario.params)
+            assert model.operation_energies(scenario, cores)["invalidate_all"] == searched
+
+    def test_tagless_lookup_reads_one_sharer_row_per_probe(self):
+        model = TaglessModel(num_probes=3)
+        scenario = ScalingScenario.shared_l2()
+        for cores in (16, 256):
+            row = 3 * scenario.num_caches(cores)
+            read = sram_read_energy(row, scenario.params)
+            assert model.operation_energies(scenario, cores)["invalidate_all"] == read
+
+    def test_tagless_rejects_bad_parameters(self):
+        with pytest.raises(ValueError):
+            TaglessModel(bits_per_frame=-1.0)
+        with pytest.raises(ValueError):
+            TaglessModel(num_probes=0)
+
+
 class TestScalingTable:
     def test_table_structure(self):
         scenario = ScalingScenario.shared_l2()

@@ -13,6 +13,15 @@ from repro.config import (
     DirectoryConfig,
     SystemConfig,
 )
+from repro.experiments.fig09_provisioning import (
+    PRIVATE_L2_GEOMETRIES,
+    SHARED_L2_GEOMETRIES,
+)
+
+#: Every Figure 9 design: (system, ways, provisioning, paper label).
+FIGURE9_DESIGNS = [
+    (SHARED_L2_16CORE, *geometry) for geometry in SHARED_L2_GEOMETRIES
+] + [(PRIVATE_L2_16CORE, *geometry) for geometry in PRIVATE_L2_GEOMETRIES]
 
 
 class TestCacheConfig:
@@ -131,6 +140,26 @@ class TestDirectoryConfig:
     def test_for_provisioning_rejects_non_positive(self):
         with pytest.raises(ValueError):
             DirectoryConfig.for_provisioning(SHARED_L2_16CORE, ways=4, provisioning=0)
+
+    @pytest.mark.parametrize(
+        "system,ways,provisioning,label",
+        FIGURE9_DESIGNS,
+        ids=[
+            f"{'shared' if system is SHARED_L2_16CORE else 'private'}-{label.split(' (')[0]}"
+            .replace(" ", "")
+            for system, _ways, _provisioning, label in FIGURE9_DESIGNS
+        ],
+    )
+    def test_for_provisioning_builds_each_figure9_design(
+        self, system, ways, provisioning, label
+    ):
+        """The engine's one sizing rule gives every design of Figure 9 the
+        ways x sets that its paper label names."""
+        label_ways, label_sets = (int(n) for n in label.split(" (")[0].split(" x "))
+        config = DirectoryConfig.for_provisioning(
+            system, ways=ways, provisioning=provisioning
+        )
+        assert (config.ways, config.sets) == (label_ways, label_sets)
 
 
 class TestPaperEventMix:
