@@ -465,7 +465,8 @@ class SetAssociativeCache:
             self._states[index] = STATE_INVALID
             self._dirty[index] = False
         self._location.clear()
-        self._set_counts = [0] * self._num_sets
+        # In place: the compiled drain holds this list (TiledCMP._prepare_drain).
+        self._set_counts[:] = [0] * self._num_sets
         return addresses
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

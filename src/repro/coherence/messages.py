@@ -43,9 +43,9 @@ def message_bytes(message_type: MessageType) -> int:
     return _CONTROL_BYTES
 
 
-#: Precomputed wire size per message type, covering every member; the
-#: traffic recorders (here and the inlined one in TiledCMP._record) index
-#: it unconditionally a few times per access.
+#: Precomputed wire size per message type, covering every member;
+#: :meth:`TrafficStats.record` and ``TiledCMP._drain_compiled`` index it
+#: unconditionally.
 MESSAGE_BYTES_BY_TYPE: Dict[MessageType, int] = {
     t: message_bytes(t) for t in MessageType
 }

@@ -6,27 +6,23 @@ number of warm-up accesses are executed with statistics discarded, then a
 measurement window is executed during which directory statistics,
 occupancy samples, cache hit rates and traffic are collected.
 
-Two entry points drive the same measurement logic:
-
-* :meth:`TraceSimulator.run` consumes a stream of
-  :class:`~repro.coherence.system.MemoryAccess` objects (the original,
-  fully general interface);
-* :meth:`TraceSimulator.run_chunks` consumes *trace chunks* — tuples of
-  parallel ``(cores, addresses, is_writes, is_instructions)`` sequences
-  produced by :meth:`~repro.workloads.base.Workload.trace_chunks` — and
-  feeds whole sub-slices into
-  :meth:`~repro.coherence.system.TiledCMP.access_batch`.  Chunks are cut
-  only where the measurement semantics demand it (the warm-up boundary,
-  occupancy-sample points, the measurement end), so the per-access math
-  runs vectorised and no per-element Python conversion happens here.
-
-Both paths execute accesses in the same order with the same warm-up and
-sampling semantics, so their results are bit-identical.
+One measurement loop, :meth:`TraceSimulator.run_chunks`, consumes *trace
+chunks* — tuples of parallel ``(cores, addresses, is_writes,
+is_instructions)`` sequences produced by :meth:`~repro.workloads.base.
+Workload.trace_chunks` — and feeds whole sub-slices into :meth:`~repro.
+coherence.system.TiledCMP.access_batch`.  Chunks are cut only where the
+measurement semantics demand it (the warm-up boundary, occupancy-sample
+points, the measurement end), so the per-access math runs vectorised and
+no per-element Python conversion happens here.  :meth:`TraceSimulator.run`
+takes a stream of :class:`~repro.coherence.system.MemoryAccess` objects
+and runs it through the same loop, cut into chunks by
+:func:`chunk_accesses`.
 """
 
 from __future__ import annotations
 
 import gc
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -39,14 +35,14 @@ from repro.obs.metrics import counter as _obs_counter
 from repro.obs.timeline import Timeline
 from repro.obs.tracing import TRACER as _TRACER
 
-__all__ = ["SimulationResult", "TraceSimulator", "TraceChunk"]
+__all__ = ["SimulationResult", "TraceSimulator", "TraceChunk", "chunk_accesses"]
 
 # Phase spans are opened per chunk / per sample point — never per access
 # (DESIGN.md "Observability").  ``trace_production`` times the workload
-# generator (or replay mmap) producing the next chunk; ``translate``,
-# ``drain_vector`` (the fast path) and ``drain_scalar`` (the handler loop)
-# are opened inside ``TiledCMP.access_batch``;
-# ``occupancy_sampling`` times the directory occupancy probes.
+# generator (or replay mmap) producing the next chunk; ``translate`` and
+# ``drain_vector`` (the compiled drain) are opened inside
+# ``TiledCMP.access_batch``; ``occupancy_sampling`` times the directory
+# occupancy probes.
 _WARMUP_ACCESSES = _obs_counter(
     "sim.run.warmup_accesses", help="accesses executed during warm-up"
 )
@@ -78,6 +74,31 @@ def _chunk_arrays(cores, addresses, writes, instrs):
         np.asarray(writes),
         np.asarray(instrs),
     )
+
+
+def chunk_accesses(
+    accesses: Iterable[MemoryAccess], chunk_size: int = 4096
+) -> Iterator[TraceChunk]:
+    """Cut a stream of accesses into trace chunks of ``chunk_size`` (lists).
+
+    The last chunk holds the tail of a finite stream.  Accesses are pulled
+    one at a time, so the stream is consumed exactly as far as the chunks
+    handed out.
+    """
+    cores: list = []
+    addresses: list = []
+    writes: list = []
+    instrs: list = []
+    for access in accesses:
+        cores.append(access.core)
+        addresses.append(access.address)
+        writes.append(access.is_write)
+        instrs.append(access.is_instruction)
+        if len(cores) >= chunk_size:
+            yield cores, addresses, writes, instrs
+            cores, addresses, writes, instrs = [], [], [], []
+    if cores:
+        yield cores, addresses, writes, instrs
 
 
 @dataclass
@@ -152,54 +173,33 @@ class TraceSimulator:
         trace: Iterable[MemoryAccess],
         max_accesses: Optional[int] = None,
     ) -> SimulationResult:
-        """Execute the trace and return measurement-window statistics.
+        """Execute a stream of accesses; returns measurement-window statistics.
 
-        ``max_accesses`` bounds the *measured* accesses (the warm-up is on
-        top of it); an unbounded generator trace therefore still
-        terminates.  The iterator is consumed exactly up to the last
-        executed access (no prefetching), so callers may keep using its
-        tail afterwards.
+        :meth:`run_chunks` over the stream cut into chunks
+        (:func:`chunk_accesses`).  ``max_accesses`` bounds the *measured*
+        accesses (the warm-up is on top of it), so an unbounded generator
+        trace still terminates, and the stream is consumed exactly up to
+        the last executed access, so callers may keep using its tail.
         """
-        system = self._system
-        warmup = self._warmup
-        interval = self._sample_interval
-        tl_interval = self._timeline_interval
-        timeline = self._make_timeline()
-        measured = 0
-        iterator: Iterator[MemoryAccess] = iter(trace)
-
-        for position, access in enumerate(iterator):
-            if position == warmup:
-                system.reset_stats()
-            system.access(access)
-            if position >= warmup:
-                measured += 1
-                if measured % interval == 0:
-                    timeline.record_occupancy(system.sample_occupancy())
-                if tl_interval is not None and measured % tl_interval == 0:
-                    timeline.sample(system)
-                    _TIMELINE_SAMPLES.inc()
-                if max_accesses is not None and measured >= max_accesses:
-                    break
-
-        return self._build_result(measured, timeline)
+        if max_accesses is not None:
+            trace = itertools.islice(trace, self._warmup + max(1, max_accesses))
+        return self.run_chunks(chunk_accesses(trace), max_accesses)
 
     def run_chunks(
         self,
         chunks: Iterable[TraceChunk],
         max_accesses: Optional[int] = None,
     ) -> SimulationResult:
-        """Execute a chunked trace; semantics identical to :meth:`run`.
+        """Execute a chunked trace and return measurement-window statistics.
 
         Each chunk is executed through the system's batched front-end in
         sub-slices that end exactly at the warm-up boundary, at every
         occupancy-sample point, at every timeline-sample point and at the
         measurement end, so warm-up and sampling behave per-access even
         though execution is batched.  The timeline only ever observes the
-        system at these sub-slice boundaries, and ``access_batch`` is
-        bit-identical to the per-access handlers at any chunk boundary
-        whichever path it takes, so enabling it cannot change any measured
-        statistic and the timeline equals the per-access one.
+        system at these sub-slice boundaries, and ``access_batch`` gives the
+        same state at any chunk boundary, so enabling it cannot change any
+        measured statistic and the timeline equals the per-access one.
         """
         system = self._system
         access_batch = system.access_batch
@@ -281,7 +281,7 @@ class TraceSimulator:
         return self._build_result(measured, timeline)
 
     def _build_result(self, measured: int, timeline: Timeline) -> SimulationResult:
-        """Assemble the measurement-window statistics (shared by both loops)."""
+        """Assemble the measurement-window statistics."""
         system = self._system
         # Always take at least one occupancy sample so short runs report a
         # meaningful average instead of zero; same guarantee for the full

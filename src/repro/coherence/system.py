@@ -22,34 +22,26 @@ The directory organization is supplied as a factory so identical access
 streams can be replayed against the Sparse, Skewed and Cuckoo
 organizations.
 
-Execution paths
----------------
-The protocol has two definitions: the handlers (:meth:`TiledCMP.
-_access_block` and the ``_handle_*`` methods), which are the reference, and
-the compiled drain (``drain`` in ``repro/core/_kernels.c``), which
-``tests/coherence/test_access_paths.py`` and ``tests/core/
-test_native_drain.py`` hold to them state for state.
-:meth:`TiledCMP.access` and :meth:`TiledCMP.access_scalar` run the handlers
-for one access; :meth:`TiledCMP.access_batch` runs a slice of a trace chunk
-with all per-access address math (page translation, block/home/local
-derivation, tracked-cache selection) numpy-precomputed and the core-range
-check hoisted to one chunk-level validation.  It then takes one of two
-paths, chosen from what it can observe and bit-identical in every
-statistic:
+Execution
+---------
+The simulator defines the protocol once: the compiled drain (``drain`` in
+``repro/core/_kernels.c``, built by :mod:`repro.core.native`).
+:meth:`TiledCMP.access_batch` runs a slice of a trace chunk with all
+per-access address math (page translation, block/home/local derivation,
+tracked-cache selection) numpy-precomputed and the core-range check hoisted
+to one chunk-level validation, then hands the whole slice to the drain, which
+runs every access in trace order; :meth:`TiledCMP.access` is a one-access
+batch.  The drain runs every directory slice the simulator builds: a Cuckoo,
+Sparse or Skewed table (:class:`~repro.directories.table.TableDirectory`),
+the Cuckoo table with an overflow stash included.  A system it cannot run is
+refused at construction, with :class:`ValueError`: more than 64 tracked
+caches (a sharer mask is 64 bits), slices whose tables differ in way count,
+or a slice that is not table-backed.  The handler loop the drain is tested
+against lives in ``tests/coherence/reference_protocol.py``.
 
-* the **compiled drain** — one C call for the chunk, every access in trace
-  order — when the library built (:mod:`repro.core.native`) and every
-  directory slice is a plain table-backed directory (Cuckoo, Sparse or
-  Skewed, :class:`~repro.directories.table.TableDirectory`; it exposes
-  ``drain_handles()``), for at most 64 tracked caches: every system an
-  experiment builds;
-* the **handler loop** — each access through the handlers — otherwise:
-  the stashed cuckoo, and every system on a host where the library cannot
-  build.
-
-Internally the protocol operates on integer MESI codes
-(:data:`repro.cache.cache.STATE_TO_CODE`); the :class:`~repro.cache.cache.
-CoherenceState` enum appears only at the public cache API boundary.
+The protocol operates on integer MESI codes (:data:`repro.cache.cache.
+STATE_TO_CODE`); the :class:`~repro.cache.cache.CoherenceState` enum appears
+only at the public cache API boundary.
 """
 
 from __future__ import annotations
@@ -60,24 +52,16 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.cache.cache import (
-    STATE_EXCLUSIVE,
-    STATE_MODIFIED,
-    STATE_SHARED,
-    SetAssociativeCache,
-)
+from repro.cache.cache import STATE_EXCLUSIVE, SetAssociativeCache
 from repro.config import CacheLevel, SystemConfig
 from repro.coherence.interconnect import MeshInterconnect
-from repro.coherence.messages import (
-    MESSAGE_BYTES_BY_TYPE,
-    MessageType,
-    TrafficStats,
-)
+from repro.coherence.messages import MESSAGE_BYTES_BY_TYPE, MessageType, TrafficStats
 from repro.coherence.paging import PageMapper
 from repro.core import native
 from repro.core.cuckoo_hash import _INDICES_CACHE_LIMIT
-from repro.directories.base import Directory, DirectoryStats, Invalidation, UpdateResult
+from repro.directories.base import Directory, DirectoryStats
 from repro.directories.sharers import FullBitVector
+from repro.directories.table import TableDirectory
 from repro.obs.metrics import counter as _obs_counter
 from repro.obs.tracing import TRACER as _TRACER
 
@@ -96,17 +80,12 @@ _BATCH_DRAINED = _obs_counter(
     "sim.batch.drained",
     help="accesses executed by the compiled drain",
 )
-# Drain telemetry (DESIGN.md "The compiled kernels"): the compiled-drain /
-# handler-loop split plus the drain's per-class counts, all bumped once per
-# chunk from the counts the drain returns.
+# Drain telemetry (DESIGN.md "The compiled kernels"): the accesses the
+# drain resolved plus its per-class counts, all bumped once per chunk from
+# the counts the drain returns.
 _DRAIN_VECTOR = _obs_counter(
     "sim.drain.vector_resolved",
     help="accesses resolved by the compiled drain",
-)
-_DRAIN_SCALAR = _obs_counter(
-    "sim.drain.scalar_fallback",
-    help="accesses executed by the handler loop instead of the compiled drain "
-    "(the stashed cuckoo directory, or no library)",
 )
 # The drain's per-class counters, in the order of its totals' last columns.
 _DRAIN_CLASSES = tuple(
@@ -129,11 +108,9 @@ _DRAIN_MESSAGES = (
     MessageType.PUT_SHARED, MessageType.FWD_GET,
 )
 
-#: The compiled drain, or ``None`` where the library did not load (then
-#: every chunk takes the handler loop).  Nothing but the loader sets it.
-_drain = getattr(native.KERNELS, "drain", None)
-#: Which drain serves supported systems: ``"compiled"`` or ``"handlers"``.
-DRAIN = "handlers" if _drain is None else "compiled"
+#: The first attempt-histogram column of a table's counts row (T_HISTOGRAM
+#: in ``_kernels.c``); the columns before it are the table's counters.
+_TABLE_HISTOGRAM = 13
 
 
 def _frame_lists(cache: SetAssociativeCache) -> tuple:
@@ -194,6 +171,11 @@ class TiledCMP:
             page_bytes=config.page_bytes, seed=page_mapper_seed
         )
         num_cores = config.num_cores
+        if config.num_tracked_caches > 64:
+            raise ValueError(
+                f"the compiled drain tracks at most 64 caches (a sharer mask is "
+                f"64 bits); this system tracks {config.num_tracked_caches}"
+            )
 
         # Tracked private caches: index == tracked cache id.
         self._tracked: List[SetAssociativeCache] = []
@@ -222,25 +204,66 @@ class TiledCMP:
             directory_factory(num_tracked, slice_id)
             for slice_id in range(config.num_directory_slices)
         ]
-        self._mesh = MeshInterconnect(num_cores)
         self._traffic = TrafficStats()
         self._accesses = 0
-        # Hot-path state hoisted out of the per-access methods: the tracked
-        # level as a plain bool, the slice count, and an all-pairs hop table
-        # (cores² entries) so traffic recording is two list indexings.
         self._l1_tracked = config.tracked_level is CacheLevel.L1
         self._num_cores = num_cores
         self._num_slices = len(self._directories)
-        self._hop_table: List[List[int]] = [
-            [self._mesh.hops(source, destination) for destination in range(num_cores)]
-            for source in range(num_cores)
-        ]
-        self._core_of: List[int] = [
-            self.core_of_cache(cache_id) for cache_id in range(num_tracked)
-        ]
-        # Whether the compiled drain serves this system, resolved on the
-        # first chunk (see _drain_support): None = unresolved, False = no.
-        self._drain_vector_support: object = None
+        self._prepare_drain()
+
+    def _prepare_drain(self) -> None:
+        """Take the compiled drain's arguments once, or refuse the system.
+
+        The drain runs over the caches' flat lists and each slice's
+        ``drain_handles()``, which keep their identity for the life of the
+        system, so they are gathered here with the all-pairs hop table
+        (cores² entries) and the hash family every slice shares (``None``
+        when they differ, and each home hashes its own addresses): O(caches
+        + slices), with no hashing.  A slice the drain cannot run raises
+        :class:`ValueError` (module docstring; ``__init__`` has already
+        refused more than 64 tracked caches).
+        """
+        tracked, directories, banks = self._tracked, self._directories, self._l2_banks
+        for slice_id, directory in enumerate(directories):
+            if not isinstance(directory, TableDirectory):
+                raise ValueError(
+                    f"directory slice {slice_id} ({type(directory).__name__}) is not "
+                    "table-backed; the compiled drain runs only table directories"
+                )
+        tables = [directory.table for directory in directories]
+        ways = sorted({table.num_ways for table in tables})
+        if len(ways) > 1:
+            raise ValueError(
+                f"the compiled drain needs one way count in every slice; these "
+                f"slices' tables have {ways} ways"
+            )
+        families = [table.hash_family for table in tables]
+        key = families[0].batch_key()
+        shared = key is not None and all(f.batch_key() == key for f in families)
+        self._family = families[0] if shared else None
+        self._tables = tables
+        mesh = MeshInterconnect(self._num_cores)
+        cores = range(self._num_cores)
+        self._hops = np.array(
+            [[mesh.hops(source, destination) for destination in cores] for source in cores],
+            dtype=np.int64,
+        )
+        # A table row ends in its attempt histogram; the totals row has 15.
+        self._counts_width = max(
+            15, _TABLE_HISTOGRAM + 1 + max(table.max_attempts for table in tables)
+        )
+        geometry = tracked[0]
+        self._drain_args = (
+            tuple(_frame_lists(cache) for cache in tracked),
+            tuple(directory.drain_handles() for directory in directories),
+            None if banks is None else tuple(_frame_lists(bank) for bank in banks),
+            (
+                geometry.num_sets, geometry.num_ways,
+                banks[0].num_sets if banks else 1, banks[0].num_ways if banks else 1,
+                1 if self._l1_tracked else 0, self._track_traffic,
+                FullBitVector, len(tracked), _INDICES_CACHE_LIMIT,
+            ),
+        )
 
     # -- geometry / accessors ------------------------------------------------
     @property
@@ -278,12 +301,12 @@ class TiledCMP:
     def home_slice(self, block: int) -> int:
         """Home tile of a block (static address interleaving).
 
-        NOTE: ``access_scalar``, ``_evict_notify``, the compiled drain
-        (``repro/core/_kernels.c``) and ``PageMapper.translate_blocks``
-        (behind ``access_batch``) compute this rule (and
-        :meth:`slice_local_address`; the drain also :meth:`global_address`,
-        for forced-invalidation victims) directly against the slice count;
-        change the interleaving everywhere together.
+        NOTE: the compiled drain (``repro/core/_kernels.c``) and
+        ``PageMapper.translate_blocks`` (behind ``access_batch``) compute
+        this rule (and :meth:`slice_local_address`; the drain also
+        :meth:`global_address`, for forced-invalidation victims) directly
+        against the slice count; change the interleaving everywhere
+        together.
         """
         return block % self._num_slices
 
@@ -393,30 +416,10 @@ class TiledCMP:
 
     # -- the access path ---------------------------------------------------------
     def access(self, access: MemoryAccess) -> None:
-        """Execute one memory access through the coherence protocol."""
-        core = access.core
-        if not 0 <= core < self._num_cores:
-            raise IndexError(f"core {core} out of range")
-        self.access_scalar(core, access.address, access.is_write, access.is_instruction)
-
-    def access_scalar(
-        self, core: int, address: int, is_write: bool, is_instruction: bool
-    ) -> None:
-        """Execute one access given as plain scalars.
-
-        Behaviourally identical to :meth:`access`, except that ``core`` is
-        trusted: range validation lives in :meth:`access` and in the
-        chunk-level validation of :meth:`access_batch`, not here.
-        """
-        self._accesses += 1
-        block = self._page_mapper.translate(address) >> self._offset_bits
-        if self._l1_tracked:
-            cache_id = core * 2 + (0 if is_instruction else 1)
-        else:
-            cache_id = core
-        num_slices = self._num_slices
-        self._access_block(
-            block, block // num_slices, block % num_slices, cache_id, is_write
+        """Execute one memory access: a one-access :meth:`access_batch`."""
+        self.access_batch(
+            (access.core,), (access.address,), (access.is_write,),
+            (access.is_instruction,),
         )
 
     def access_batch(
@@ -433,19 +436,10 @@ class TiledCMP:
         The chunk fields may be numpy arrays (trace replays, vectorised
         generators) or plain sequences.  Address math runs vectorised over
         the whole slice — page translation, block/home/local derivation and
-        tracked-cache selection — so the per-access loop does none; the
-        ``0 <= core < num_cores`` check runs once per slice instead of per
-        access.  Equivalent to calling :meth:`access_scalar` per element.
-
-        Execution then takes one of two paths (module docstring, and
-        DESIGN.md "The compiled kernels"), bit-identical in every statistic
-        and in all directory/cache state:
-
-        * **compiled drain** — the whole slice in one call, in trace order
-          (:meth:`_drain_compiled`).  Taken whenever the library loaded and
-          :meth:`_drain_support` approves the system: every slice exposes
-          ``drain_handles()`` (the Cuckoo, Sparse and Skewed organizations).
-        * **handler loop** — every access through :meth:`_access_block`.
+        tracked-cache selection — and the ``0 <= core < num_cores`` check
+        runs once per slice, so a malformed trace fails before any of it
+        executes.  Then the compiled drain runs the slice in one call, in
+        trace order (:meth:`_drain_compiled`).
         """
         cores = np.asarray(cores)
         if stop is None:
@@ -454,8 +448,6 @@ class TiledCMP:
         if count <= 0:
             return 0
         seg_cores = cores[start:stop]
-        # Chunk-level validation, hoisted out of the per-access path: a
-        # malformed trace fails before any of the slice executes.
         if int(seg_cores.min()) < 0 or int(seg_cores.max()) >= self._num_cores:
             raise IndexError(
                 f"core out of range [0, {self._num_cores}) in trace chunk"
@@ -477,64 +469,16 @@ class TiledCMP:
         self._accesses += count
         _BATCH_CHUNKS.inc()
         _BATCH_ACCESSES.add(count)
-        support = self._drain_support() if _drain is not None else None
-        if support is not None:
-            with _TRACER.span("drain_vector"):
-                self._drain_compiled(
-                    support, block_array, locals_array, homes_array,
-                    cache_id_array, write_array,
-                )
-            _BATCH_DRAINED.add(count)
-            _DRAIN_VECTOR.add(count)
-        else:
-            access_block = self._access_block
-            with _TRACER.span("drain_scalar"):
-                for args in zip(
-                    block_array.tolist(), locals_array.tolist(),
-                    homes_array.tolist(), cache_id_array.tolist(),
-                    write_array.tolist(),
-                ):
-                    access_block(*args)
-            _DRAIN_SCALAR.add(count)
+        with _TRACER.span("drain_vector"):
+            self._drain_compiled(
+                block_array, locals_array, homes_array, cache_id_array, write_array
+            )
+        _BATCH_DRAINED.add(count)
+        _DRAIN_VECTOR.add(count)
         return count
-
-    def _drain_support(self) -> Optional[tuple]:
-        """Whether the compiled drain serves this system, resolved once.
-
-        It does when every slice exposes ``drain_handles()`` (a plain
-        table-backed directory: not the stash variant), the slices' tables
-        have equal way counts, and at most 64 caches are
-        tracked, so a sharer mask fits 64 bits.  Then it returns ``(family,
-        hops)``: the hash family every slice shares, or ``None`` when they
-        differ and each home hashes its own addresses, and the hop table as
-        an int64 array.  The directories never change after construction,
-        so the decision is made on the first chunk and cached.
-        """
-        support = self._drain_vector_support
-        if support is None:
-            support = False
-            directories = self._directories
-            if (
-                len(self._tracked) <= 64
-                and all(
-                    getattr(directory, "drain_handles", lambda: None)() is not None
-                    for directory in directories
-                )
-                and len({directory.table.num_ways for directory in directories}) == 1
-            ):
-                families = [directory.table.hash_family for directory in directories]
-                keys = [family.batch_key() for family in families]
-                shared = keys[0] is not None and all(key == keys[0] for key in keys)
-                support = (
-                    families[0] if shared else None,
-                    np.asarray(self._hop_table, dtype=np.int64),
-                )
-            self._drain_vector_support = support
-        return support or None
 
     def _drain_compiled(
         self,
-        support: tuple,
         blocks: np.ndarray,
         locals_: np.ndarray,
         homes: np.ndarray,
@@ -544,33 +488,33 @@ class TiledCMP:
         """Run a chunk through the compiled drain, then add up its counts.
 
         The drain (``core/_kernels.c``) executes every access in trace
-        order with the handlers' semantics, over the caches' flat lists
-        and each slice's ``drain_handles()``.  Its ``trace`` rows are the
-        five access fields, then one row per way of candidate indices,
-        hashed here in one vectorized call (``HashFamily.
+        order over the arguments :meth:`_prepare_drain` took.  Its
+        ``trace`` rows are the five access fields, then one row per way of
+        candidate indices, hashed here in one vectorized call (``HashFamily.
         batch_indices_array``; one per home when the slices hash
         differently).  ``counts`` has a row per tracked cache, per slice,
         per shared-L2 bank and one of totals, in the column order of
         ``_kernels.c``: the clocks and start ways go in, and the chunk's
-        statistics come out, added to the statistics objects here.
+        statistics come out, added to the statistics objects here.  A
+        table row's stash hits, parks and re-inserts fold into its bits
+        read and written and its stash insertions.
         """
-        family, hops = support
         tracked, directories, banks = self._tracked, self._directories, self._l2_banks
-        tables = [directory.table for directory in directories]
+        tables = self._tables
         num_caches, num_homes = len(tracked), len(tables)
         trace = np.empty((5 + tables[0].num_ways, blocks.size), dtype=np.int64)
         trace[:5] = blocks, locals_, homes, caches, writes
-        if family is not None:
-            trace[5:] = family.batch_indices_array(locals_)
+        if self._family is not None:
+            trace[5:] = self._family.batch_indices_array(locals_)
         else:
             for home, table in enumerate(tables):
                 members = np.flatnonzero(homes == home)
                 trace[5:, members] = table.hash_family.batch_indices_array(
                     locals_[members]
                 )
-        # A table row ends in its attempt histogram; the totals row has 15.
-        width = max(15, 11 + max(table.max_attempts for table in tables))
-        counts = np.zeros((num_caches + 2 * num_homes + 1, width), dtype=np.int64)
+        counts = np.zeros(
+            (num_caches + 2 * num_homes + 1, self._counts_width), dtype=np.int64
+        )
         table_rows = counts[num_caches : num_caches + num_homes]
         bank_rows = counts[num_caches + num_homes : -1]
         counts[:num_caches, 5] = [cache._clock for cache in tracked]
@@ -578,41 +522,29 @@ class TiledCMP:
         table_rows[:, 9] = [table._clock for table in tables]
         if banks is not None:
             bank_rows[:, 5] = [bank._clock for bank in banks]
-        geometry = tracked[0]
-        _drain(
-            tuple(_frame_lists(cache) for cache in tracked),
-            tuple(directory.drain_handles() for directory in directories),
-            None if banks is None else tuple(_frame_lists(bank) for bank in banks),
-            (
-                geometry.num_sets, geometry.num_ways,
-                banks[0].num_sets if banks else 1, banks[0].num_ways if banks else 1,
-                1 if self._l1_tracked else 0, self._track_traffic,
-                FullBitVector, num_caches, _INDICES_CACHE_LIMIT,
-            ),
-            trace,
-            hops,
-            counts,
-        )
+        native.KERNELS.drain(*self._drain_args, trace, self._hops, counts)
         for cache, row in zip(tracked, counts[:num_caches, :6].tolist()):
             _add_cache_counts(cache, row)
         for bank, row in zip(banks or (), bank_rows[:, :6].tolist()):
             _add_cache_counts(bank, row)
-        histograms = table_rows[:, 10:]
+        histograms = table_rows[:, _TABLE_HISTOGRAM:]
         for home, attempts in zip(*np.nonzero(histograms)):
             directories[home].stats.attempt_histogram[int(attempts)] += int(
                 histograms[home, attempts]
             )
         for directory, table, row, inserted, attempted in zip(
-            directories, tables, table_rows[:, :10].tolist(),
+            directories, tables, table_rows[:, :_TABLE_HISTOGRAM].tolist(),
             histograms.sum(axis=1).tolist(),
             (histograms @ np.arange(histograms.shape[1])).tolist(),
         ):
             (
                 lookups, hits, removals, entry_removals, invalidate_all, forced,
                 forced_messages, size, table._start_way, table._clock,
+                stash_hits, parks, reinserts,
             ) = row
             table._size += size
             payload_bits = directory._payload_bits
+            entry_bits = directory._entry_bits
             stats = directory.stats
             stats.lookups += lookups
             stats.lookup_hits += hits
@@ -625,10 +557,18 @@ class TiledCMP:
             stats.forced_invalidation_messages += forced_messages
             stats.insertions += inserted
             stats.insertion_attempts += attempted
-            stats.bits_read += lookups * directory._lookup_tag_bits + hits * payload_bits
-            stats.bits_written += (
-                (hits + removals) * payload_bits + attempted * directory._entry_bits
+            # A stash hit reads the whole entry and no table tags.
+            stats.bits_read += (
+                (lookups - stash_hits) * directory._lookup_tag_bits
+                + (hits - stash_hits) * payload_bits
+                + stash_hits * entry_bits
             )
+            stats.bits_written += (
+                (hits + removals) * payload_bits
+                + (attempted + parks + reinserts) * entry_bits
+            )
+            if parks:
+                directory._stash_insertions += parks
         totals = counts[-1].tolist()
         if self._track_traffic:
             traffic = self._traffic
@@ -639,141 +579,6 @@ class TiledCMP:
             traffic.hops += totals[8]
         for counter, count in zip(_DRAIN_CLASSES, totals[9:15]):
             counter.add(count)
-
-    def _access_block(
-        self, block: int, local: int, home: int, cache_id: int, is_write: bool
-    ) -> None:
-        """Execute one access whose address math is already resolved."""
-        cache = self._tracked[cache_id]
-        state = cache.touch_code(block, is_write)
-        if state >= 0:
-            if is_write and state != STATE_MODIFIED:
-                self._write_hit_upgrade(block, local, home, cache_id, cache, state)
-            return
-        if self._l2_banks is not None:
-            bank = self._l2_banks[home]
-            if bank.touch_code(block, is_write) < 0:
-                bank.fill_miss_code(block)
-        self._handle_miss(block, local, home, cache_id, cache, is_write)
-
-    # -- protocol actions ----------------------------------------------------------
-    def _write_hit_upgrade(
-        self,
-        block: int,
-        local: int,
-        home: int,
-        cache_id: int,
-        cache: SetAssociativeCache,
-        state: int,
-    ) -> None:
-        """Write hit in E or S state (M write hits never reach here)."""
-        if state == STATE_EXCLUSIVE:
-            # Silent E -> M upgrade; no directory interaction needed.
-            cache.set_state_code(block, STATE_MODIFIED)
-            return
-        # S -> M upgrade: the home must invalidate the other sharers.
-        self._record(MessageType.GET_MODIFIED, self._core_of[cache_id], home)
-        result = self._directories[home].acquire_exclusive(local, cache_id)
-        self._apply_coherence_invalidations(block, result, home, requester=cache_id)
-        if result.invalidations:
-            self._apply_forced_invalidations(result.invalidations, home)
-        cache.set_state_code(block, STATE_MODIFIED)
-
-    def _handle_miss(
-        self,
-        block: int,
-        local: int,
-        home: int,
-        cache_id: int,
-        cache: SetAssociativeCache,
-        is_write: bool,
-    ) -> None:
-        """A read or write miss: the request, the directory, the data, the fill."""
-        core = self._core_of[cache_id]
-        directory = self._directories[home]
-        if is_write:
-            self._record(MessageType.GET_MODIFIED, core, home)
-            result = directory.acquire_exclusive(local, cache_id)
-            self._apply_coherence_invalidations(block, result, home, requester=cache_id)
-            new_state = STATE_MODIFIED
-        else:
-            self._record(MessageType.GET_SHARED, core, home)
-            found, prior_sharers, result = directory.lookup_add(local, cache_id)
-            if found:
-                self._downgrade_owner(block, prior_sharers, home, requester=cache_id)
-            new_state = STATE_SHARED if found else STATE_EXCLUSIVE
-        if result.invalidations:
-            self._apply_forced_invalidations(result.invalidations, home)
-        self._record(MessageType.DATA, home, core)
-        victim = cache.fill_miss_code(block, new_state, is_write)
-        if victim >= 0:
-            self._evict_notify(victim, cache_id, core, cache.victim_dirty)
-
-    def _downgrade_owner(
-        self, block: int, sharers, home: int, requester: int
-    ) -> None:
-        """On a read miss, an M/E owner must be downgraded to S."""
-        for sharer in sharers:
-            if sharer == requester:
-                continue
-            owner_cache = self._tracked[sharer]
-            state = owner_cache.state_code_of(block)
-            if state >= STATE_EXCLUSIVE:  # MODIFIED or EXCLUSIVE
-                self._record(MessageType.FWD_GET, home, self._core_of[sharer])
-                if state == STATE_MODIFIED:
-                    self._record(
-                        MessageType.PUT_MODIFIED, self._core_of[sharer], home
-                    )
-                owner_cache.set_state_code(block, STATE_SHARED)
-
-    def _apply_coherence_invalidations(
-        self, block: int, result: UpdateResult, home: int, requester: int
-    ) -> None:
-        """Invalidate the accessed block in every other reported sharer."""
-        for sharer in result.coherence_invalidations:
-            if sharer == requester:
-                continue
-            self._record(MessageType.INVALIDATE, home, self._core_of[sharer])
-            self._tracked[sharer].invalidate(block)
-            self._record(MessageType.INV_ACK, self._core_of[sharer], home)
-
-    def _apply_forced_invalidations(
-        self, invalidations: Sequence[Invalidation], home: int
-    ) -> None:
-        """Invalidate blocks whose directory entries were victimised.
-
-        The directory has already dropped the entry; the private caches
-        must drop their copies to preserve the inclusion property between
-        the directory and the tracked caches.  Victim addresses arrive in
-        slice-local form and are translated back to global block addresses
-        before touching the caches.
-        """
-        for invalidation in invalidations:
-            block = self.global_address(invalidation.address, home)
-            for sharer in invalidation.caches:
-                self._record(
-                    MessageType.INVALIDATE, home, self._core_of[sharer]
-                )
-                self._tracked[sharer].invalidate(block)
-                self._record(
-                    MessageType.INV_ACK, self._core_of[sharer], home
-                )
-
-    def _evict_notify(
-        self, victim: int, cache_id: int, core: int, victim_dirty: bool
-    ) -> None:
-        """Notify the victim's home directory of a private-cache eviction.
-
-        ``core`` is the evicting cache's tile (the caller already has it);
-        both miss handlers share this path so eviction traffic accounting
-        cannot diverge between reads and writes.
-        """
-        victim_home = victim % self._num_slices
-        message = MessageType.PUT_MODIFIED if victim_dirty else MessageType.PUT_SHARED
-        self._record(message, core, victim_home)
-        self._directories[victim_home].remove_sharer(
-            victim // self._num_slices, cache_id
-        )
 
     # -- consistency checking (used by the tests) ---------------------------------
     def check_inclusion(self) -> List[str]:
@@ -858,13 +663,3 @@ class TiledCMP:
             for directory, stats in zip(self._directories, saved_stats):
                 directory._stats = stats
         return violations
-
-    # -- helpers ---------------------------------------------------------------------
-    def _record(self, message_type: MessageType, source: int, destination: int) -> None:
-        """Count one message of the handlers' traffic (TrafficStats.record)."""
-        if not self._track_traffic:
-            return
-        traffic = self._traffic
-        traffic.messages[message_type] += 1
-        traffic.hops += self._hop_table[source][destination]
-        traffic.bytes_transferred += MESSAGE_BYTES_BY_TYPE[message_type]

@@ -1,13 +1,16 @@
 /* The compiled kernels: the cuckoo displacement walk and the protocol drain.
  *
- * walk() is repro.core.cuckoo_hash._walk_python compiled; drain() runs a
- * chunk of accesses through the MESI protocol in trace order, as the
- * handlers of repro.coherence.system.TiledCMP do, and calls the walk as a
- * plain C function.  Those Python definitions stay the references.  Both
- * run over the simulator's own lists and dicts (caches' flat frame lists
- * and residency dicts; tables' way lists, locators, LRU stamps and indices
- * caches; sharer pools and sharer sets' _mask), so nothing changes layout.
- * repro.core.native builds this file on first import.
+ * drain() runs a chunk of accesses through the MESI protocol in trace order,
+ * over every directory slice the simulator builds (a Cuckoo, Sparse or
+ * Skewed table, and the Cuckoo table with an overflow stash); walk() is the
+ * displacement walk of CuckooHashTable.walk, which the drain calls as a
+ * plain C function.  They are the simulator's only definitions of both: the
+ * handler loop and the Python walk they are tested against live in
+ * tests/coherence/reference_protocol.py.  Both run over the simulator's own
+ * lists and dicts (caches' flat frame lists and residency dicts; tables' way
+ * lists, locators, LRU stamps and indices caches; sharer pools, stashes and
+ * sharer sets' _mask), so nothing changes layout.  repro.core.native builds
+ * this file on first import.
  *
  * Every argument is type-checked and every index bounds-checked, so corrupt
  * state raises TypeError or IndexError instead of writing outside a list
@@ -184,8 +187,11 @@ PyDoc_STRVAR(walk_doc,
 "walk(keys, values, locator, indices_cache, way_fns, key, value, way,\n"
 "     max_attempts) -> (attempts, way, evicted_key, evicted_value)\n"
 "\n"
-"The displacement walk of CuckooHashTable, compiled; see _walk_python in\n"
-"repro.core.cuckoo_hash for the reference and the return value.");
+"The displacement walk of CuckooHashTable: writes key over its candidate in\n"
+"way, then re-places each displaced entry in the next way round-robin, one\n"
+"attempt per placement, until an entry lands in a vacant slot or\n"
+"max_attempts placements are made.  Returns where the walk stopped and, for\n"
+"a cut-off walk, the entry it threw out (else None, None).");
 
 static PyObject *
 walk(PyObject *module, PyObject *args)
@@ -220,7 +226,8 @@ enum { INVALID, SHARED, EXCLUSIVE, MODIFIED };
  * (and bank), per table, and the chunk's totals. */
 enum { K_HITS, K_MISSES, K_EVICTIONS, K_DIRTY_EVICTIONS, K_INVALIDATIONS, K_CLOCK };
 enum { T_LOOKUPS, T_LOOKUP_HITS, T_REMOVALS, T_ENTRY_REMOVALS, T_INVALIDATE_ALL,
-       T_FORCED, T_FORCED_MESSAGES, T_SIZE, T_START_WAY, T_CLOCK, T_HISTOGRAM };
+       T_FORCED, T_FORCED_MESSAGES, T_SIZE, T_START_WAY, T_CLOCK, T_STASH_HITS,
+       T_PARKS, T_REINSERTS, T_HISTOGRAM };
 enum { N_GET_S, N_GET_M, N_DATA, N_INV, N_ACK, N_PUT_M, N_PUT_S, N_FWD, N_HOPS,
        N_HITS, N_UPGRADES, N_READ_DIRHIT, N_READ_INSERT, N_WRITE_MISS, N_WALKS,
        N_COLUMNS };
@@ -231,9 +238,10 @@ typedef struct {  /* a tracked cache or a shared-L2 bank */
     Py_ssize_t sets, ways;
 } Cache;
 
-typedef struct {  /* a directory slice: its table and sharer pool */
+typedef struct {  /* a directory slice: its table, sharer pool and any stash */
     PyObject *locator, *keys, *values, *lru, *indices, *way_fns, *pool;
-    Py_ssize_t ways, max_attempts;
+    PyObject *stash;  /* NULL for a plain table */
+    Py_ssize_t ways, max_attempts, stash_capacity;
     long long *out;
 } Table;
 
@@ -305,8 +313,12 @@ send(Drain *d, int type, Py_ssize_t from, Py_ssize_t to)
 }
 
 static int
-get_mask(PyObject *sharers, unsigned long long *mask)
+get_mask(Drain *d, PyObject *sharers, unsigned long long *mask)
 {
+    if (!PyObject_TypeCheck(sharers, (PyTypeObject *)d->sharer_cls)) {
+        PyErr_SetString(PyExc_TypeError, "a directory entry's value must be a sharer set");
+        return -1;
+    }
     PyObject *value = PyObject_GetAttr(sharers, mask_name);
     *mask = value ? PyLong_AsUnsignedLongLong(value) : (unsigned long long)-1;
     Py_XDECREF(value);
@@ -522,17 +534,128 @@ invalidate_sharers(Drain *d, Py_ssize_t h, unsigned long long mask, PyObject *bl
     return 0;
 }
 
+/* Home h lost the entry of key (borrowed, with its sharers): a forced
+ * invalidation of every sharer. */
+static int
+force_out(Drain *d, Py_ssize_t h, PyObject *key, PyObject *sharers)
+{
+    Table *t = &d->tables[h];
+    long long local = PyLong_AsLongLong(key);
+    unsigned long long mask;
+    PyObject *block;
+    if ((local == -1 && PyErr_Occurred()) || get_mask(d, sharers, &mask) < 0
+            || (block = PyLong_FromLongLong(local * d->num_tables + h)) == NULL)
+        return -1;
+    t->out[T_FORCED]++;
+    t->out[T_FORCED_MESSAGES] += __builtin_popcountll(mask);
+    int failed = invalidate_sharers(d, h, mask, block);
+    Py_DECREF(block);
+    return failed;
+}
+
+/* -- the stash: StashedCuckooDirectory, a dict in age order -- */
+
+/* The sharer set key holds in t's stash (borrowed): 1 when it is parked
+ * there, 0 when it is not or t has no stash, -1 on error. */
+static int
+stashed(Table *t, PyObject *key, PyObject **sharers)
+{
+    if (t->stash == NULL || PyDict_GET_SIZE(t->stash) == 0)
+        return 0;
+    if ((*sharers = PyDict_GetItemWithError(t->stash, key)) == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    return 1;
+}
+
+/* The entry a cut-off walk or an LRU eviction threw out of home h's table
+ * (borrowed): parked in the stash when there is one with any capacity,
+ * after forcing out its oldest entry if it is full, else forced out. */
+static int
+park(Drain *d, Py_ssize_t h, PyObject *key, PyObject *sharers)
+{
+    Table *t = &d->tables[h];
+    PyObject *oldest, *oldest_sharers;
+    Py_ssize_t position = 0;
+    if (t->stash == NULL || t->stash_capacity == 0)
+        return force_out(d, h, key, sharers);
+    if (PyDict_GET_SIZE(t->stash) >= t->stash_capacity
+            && PyDict_Next(t->stash, &position, &oldest, &oldest_sharers)) {
+        Py_INCREF(oldest);
+        Py_INCREF(oldest_sharers);
+        int failed = PyDict_DelItem(t->stash, oldest) < 0
+            || force_out(d, h, oldest, oldest_sharers) < 0;
+        Py_DECREF(oldest);
+        Py_DECREF(oldest_sharers);
+        if (failed)
+            return -1;
+    }
+    t->out[T_PARKS]++;
+    return PyDict_SetItem(t->stash, key, sharers);
+}
+
+/* The first vacant candidate slot of key from the start way: 1 with the
+ * slot, 0 when every candidate is full, -1 on error. */
+static int
+first_vacant(Table *t, PyObject *key, Py_ssize_t *way, Py_ssize_t *index)
+{
+    PyObject *index_obj, *keys, *slot;
+    int empty;
+    for (Py_ssize_t offset = 0; offset < t->ways; offset++) {
+        *way = ((Py_ssize_t)t->out[T_START_WAY] + offset) % t->ways;
+        if ((index_obj = candidate_index(t->indices, t->way_fns, key, *way)) == NULL)
+            return -1;
+        *index = PyNumber_AsSsize_t(index_obj, PyExc_IndexError);
+        Py_DECREF(index_obj);
+        if ((*index == -1 && PyErr_Occurred()) || (keys = row(t->keys, *way)) == NULL
+                || (slot = item(keys, *index)) == NULL || (empty = is_empty(slot)) < 0)
+            return -1;
+        if (empty)
+            return 1;
+    }
+    return 0;
+}
+
+/* Every stash entry with a vacant candidate goes back into the table,
+ * oldest first, each into its first vacant candidate from the start way,
+ * which moves there. */
+static int
+reinsert(Table *t)
+{
+    PyObject *keys, *key, *sharers;
+    Py_ssize_t n, way, index;
+    int failed = 0, vacant;
+    if (PyDict_GET_SIZE(t->stash) == 0)
+        return 0;
+    if ((keys = PyDict_Keys(t->stash)) == NULL)
+        return -1;
+    for (n = 0; !failed && n < PyList_GET_SIZE(keys); n++) {
+        key = PyList_GET_ITEM(keys, n);
+        vacant = first_vacant(t, key, &way, &index);
+        if (vacant > 0 && (sharers = PyDict_GetItemWithError(t->stash, key)) != NULL) {
+            Py_INCREF(sharers);
+            failed = place(t, way, index, key, sharers) < 0
+                || PyDict_DelItem(t->stash, key) < 0;
+            t->out[T_START_WAY] = way;
+            t->out[T_SIZE]++;
+            t->out[T_REINSERTS]++;
+        }
+        else
+            failed = vacant < 0 || PyErr_Occurred() != NULL;
+    }
+    Py_DECREF(keys);
+    return failed ? -1 : 0;
+}
+
 /* Every candidate of key is full: the displacement walk (cuckoo) or the
- * eviction of the least recently stamped candidate (LRU), then the forced
- * invalidation of the entry that left.  Steals sharers. */
+ * eviction of the least recently stamped candidate (LRU), then the entry
+ * that left is parked or forced out.  Steals sharers. */
 static int
 insert_full(Drain *d, Py_ssize_t h, PyObject *key, PyObject *sharers, Py_ssize_t i)
 {
     Table *t = &d->tables[h];
-    PyObject *victim = NULL, *victims = NULL, *block = NULL, *keys;
+    PyObject *victim = NULL, *victims = NULL, *keys;
     Py_ssize_t attempts = 1, way = (Py_ssize_t)t->out[T_START_WAY], best = 0;
-    long long stamp, oldest = 0, local;
-    unsigned long long mask;
+    long long stamp, oldest = 0;
     int failed = -1;
     d->totals[N_WALKS]++;
     if (t->lru == Py_None) {
@@ -566,26 +689,15 @@ insert_full(Drain *d, Py_ssize_t h, PyObject *key, PyObject *sharers, Py_ssize_t
             goto done;
     }
     t->out[T_HISTOGRAM + attempts]++;
-    if (victim != NULL) {
-        if (((local = PyLong_AsLongLong(victim)) == -1 && PyErr_Occurred())
-                || (block = PyLong_FromLongLong(local * d->num_tables + h)) == NULL
-                || get_mask(victims, &mask) < 0)
-            goto done;
-        t->out[T_FORCED]++;
-        t->out[T_FORCED_MESSAGES] += __builtin_popcountll(mask);
-        if (invalidate_sharers(d, h, mask, block) < 0)
-            goto done;
-    }
-    failed = 0;
+    failed = victim != NULL && park(d, h, victim, victims) < 0 ? -1 : 0;
 done:
     Py_DECREF(sharers);
     Py_XDECREF(victim);
     Py_XDECREF(victims);
-    Py_XDECREF(block);
     return failed;
 }
 
-/* TableDirectory._insert_new_entry: a pooled (or new) sharer set holding
+/* A new entry: a pooled (or new) sharer set holding
  * mask takes key's first vacant candidate from the start way (a cuckoo
  * table moves its start way there, an LRU table stamps the slot), else
  * insert_full. */
@@ -629,10 +741,10 @@ insert_new(Drain *d, Py_ssize_t h, PyObject *key, unsigned long long mask, Py_ss
 }
 
 /* The home's side of cache c's miss or upgrade (the caller counts the
- * lookup): TableDirectory.lookup_add for a read, which adds c and
- * downgrades an M/E owner, or acquire_exclusive for a write, which makes c
- * the only sharer and invalidates the rest; an absent entry is inserted
- * either way.  Returns the state c's copy takes, or -1 on error. */
+ * lookup).  The stash, if any, is consulted before the table.  A read adds c
+ * and downgrades an M/E owner; a write makes c the only sharer and
+ * invalidates the rest; an absent entry is inserted either way.  Returns
+ * the state c's copy takes, or -1 on error. */
 static int
 directory(Drain *d, Py_ssize_t h, PyObject *key, PyObject *block, Py_ssize_t c,
           Py_ssize_t i, int write)
@@ -642,7 +754,9 @@ directory(Drain *d, Py_ssize_t h, PyObject *key, PyObject *block, Py_ssize_t c,
     Py_ssize_t way, index, frame, owner;
     long long state;
     PyObject *sharers;
-    int found = locate(t, key, &way, &index);
+    int parked = stashed(t, key, &sharers), found = parked;
+    if (!parked)
+        found = locate(t, key, &way, &index);
     if (found < 0)
         return -1;
     if (!write)
@@ -650,13 +764,19 @@ directory(Drain *d, Py_ssize_t h, PyObject *key, PyObject *block, Py_ssize_t c,
     if (!found)
         return insert_new(d, h, key, bit, i) < 0 ? -1 : write ? MODIFIED : EXCLUSIVE;
     t->out[T_LOOKUP_HITS]++;
-    if ((sharers = touch(t, way, index)) == NULL || get_mask(sharers, &mask) < 0)
+    t->out[T_STASH_HITS] += parked;
+    if ((!parked && (sharers = touch(t, way, index)) == NULL)
+            || get_mask(d, sharers, &mask) < 0)
         return -1;
     others = mask & ~bit;
     TRY(set_mask(sharers, write && others ? bit : mask | bit));
     if (write) {
         t->out[T_INVALIDATE_ALL] += others != 0;
         t->out[T_REMOVALS] += __builtin_popcountll(others);
+        /* Each removal from a table entry runs the stash's re-insert scan;
+         * none frees a slot, so one scan does the work of all. */
+        if (others && !parked && t->stash && reinsert(t) < 0)
+            return -1;
         return invalidate_sharers(d, h, others, block) < 0 ? -1 : MODIFIED;
     }
     /* An M/E owner holds the block alone: only a sole prior sharer can need
@@ -679,16 +799,17 @@ directory(Drain *d, Py_ssize_t h, PyObject *key, PyObject *block, Py_ssize_t c,
     return SHARED;
 }
 
-/* Cache c's victim in frame has left (pick_frame): its PUT goes home, and
- * remove_sharer there frees the entry (pooling its sharer set) when c was
- * its last sharer. */
+/* Cache c's victim in frame has left (pick_frame): its PUT goes home, where
+ * c leaves the entry's sharers.  An entry whose last sharer leaves is freed
+ * and its sharer set pooled.  A removal the table serves, found or not,
+ * then runs the stash's re-insert scan; one from the stash does not. */
 static int
 evict(Drain *d, Py_ssize_t c, Py_ssize_t frame)
 {
     long long victim, dirty;
     unsigned long long mask = 1;
     Py_ssize_t way, index;
-    PyObject *key, *sharers = NULL, *keys, *values;
+    PyObject *key, *sharers = NULL, *keys, *values = NULL;
     TRY(load(d->caches[c].tags, frame, &victim));
     TRY(load(d->caches[c].dirty, frame, &dirty));
     if (victim < 0) {
@@ -699,26 +820,29 @@ evict(Drain *d, Py_ssize_t c, Py_ssize_t frame)
     send(d, dirty ? N_PUT_M : N_PUT_S, c >> d->core_shift, victim % d->num_tables);
     if ((key = PyLong_FromLongLong(victim / d->num_tables)) == NULL)
         return -1;
-    int found = locate(t, key, &way, &index), failed = found < 0;
-    if (found > 0) {
-        failed = (values = row(t->values, way)) == NULL
-            || (sharers = item(values, index)) == NULL || get_mask(sharers, &mask) < 0
-            || set_mask(sharers, mask &= ~(1ULL << c)) < 0;
-        t->out[T_REMOVALS]++;
-    }
+    int parked = stashed(t, key, &sharers), found = parked;
+    if (!parked && (found = locate(t, key, &way, &index)) > 0)
+        sharers = (values = row(t->values, way)) ? item(values, index) : NULL;
+    int failed = found < 0 || (found && (sharers == NULL || get_mask(d, sharers, &mask) < 0
+                                         || set_mask(sharers, mask &= ~(1ULL << c)) < 0));
+    t->out[T_REMOVALS] += found > 0;
     if (found > 0 && !failed && !mask) {
-        failed = (keys = row(t->keys, way)) == NULL || PyDict_DelItem(t->locator, key) < 0
-            || store_ll(keys, index, EMPTY_KEY) < 0 || PyList_Append(t->pool, sharers) < 0
-            || store(values, index, (Py_INCREF(Py_None), Py_None)) < 0;
+        failed = PyList_Append(t->pool, sharers) < 0 || (parked
+            ? PyDict_DelItem(t->stash, key) < 0
+            : (keys = row(t->keys, way)) == NULL || PyDict_DelItem(t->locator, key) < 0
+              || store_ll(keys, index, EMPTY_KEY) < 0
+              || store(values, index, (Py_INCREF(Py_None), Py_None)) < 0);
         t->out[T_ENTRY_REMOVALS]++;
-        t->out[T_SIZE]--;
+        t->out[T_SIZE] -= !parked;
     }
+    if (!parked && !failed && t->stash)
+        failed = reinsert(t) < 0;
     Py_DECREF(key);
     return failed ? -1 : 0;
 }
 
-/* Access i: TiledCMP._access_block.  The trace rows are block, slice-local
- * address, home, tracked cache and write flag, then the candidate rows. */
+/* Access i.  The trace rows are block, slice-local address, home, tracked
+ * cache and write flag, then the candidate rows. */
 static int
 run_access(Drain *d, Py_ssize_t i)
 {
@@ -813,27 +937,32 @@ parse_cache(PyObject *state, Py_ssize_t sets, Py_ssize_t ways, long long *out, C
 }
 
 /* A table's (locator, keys, values, LRU stamps or None, indices cache or
- * None, way functions, max attempts, sharer pool), borrowed. */
+ * None, way functions, max attempts, sharer pool), then a stashed cuckoo
+ * table's stash and capacity, borrowed. */
 static int
 parse_table(PyObject *state, Py_ssize_t ways, Py_ssize_t columns, long long *out,
             Table *t)
 {
     *t = (Table){.out = out};
     if (!PyTuple_Check(state) || !PyArg_ParseTuple(
-            state, "O!O!O!OOO!nO!", &PyDict_Type, &t->locator, &PyList_Type, &t->keys,
+            state, "O!O!O!OOO!nO!|O!n", &PyDict_Type, &t->locator, &PyList_Type, &t->keys,
             &PyList_Type, &t->values, &t->lru, &t->indices, &PyTuple_Type, &t->way_fns,
-            &t->max_attempts, &PyList_Type, &t->pool)
+            &t->max_attempts, &PyList_Type, &t->pool, &PyDict_Type, &t->stash,
+            &t->stash_capacity)
             || !(t->lru == Py_None || PyList_Check(t->lru))
-            || !(PyDict_Check(t->indices) || (t->indices == Py_None && t->lru != Py_None))) {
+            || !(PyDict_Check(t->indices) || (t->indices == Py_None && t->lru != Py_None))
+            || (t->stash && t->lru != Py_None)) {
         if (!PyErr_Occurred())
             PyErr_SetString(PyExc_TypeError, "a table's state is (dict, list, list, list or "
-                            "None, dict or None, tuple, int, list)");
+                            "None, dict or None, tuple, int, list), and a stashed cuckoo "
+                            "table's (dict, int) after it");
         return -1;
     }
     t->ways = PyTuple_GET_SIZE(t->way_fns);
     if (t->ways != ways || t->max_attempts < 1 || t->max_attempts >= columns - T_HISTOGRAM
-            || out[T_START_WAY] < 0 || out[T_START_WAY] >= ways) {
-        PyErr_SetString(PyExc_ValueError, "table ways, attempts or start way out of range");
+            || out[T_START_WAY] < 0 || out[T_START_WAY] >= ways || t->stash_capacity < 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "table ways, attempts, start way or stash capacity out of range");
         return -1;
     }
     return 0;
@@ -842,9 +971,9 @@ parse_table(PyObject *state, Py_ssize_t ways, Py_ssize_t columns, long long *out
 PyDoc_STRVAR(drain_doc,
 "drain(caches, tables, banks, config, trace, hops, counts)\n"
 "\n"
-"Run a chunk of accesses through the protocol in trace order, as the\n"
-"handlers would, adding its statistics to counts; see\n"
-"TiledCMP._drain_compiled in repro.coherence.system for the arguments.");
+"Run a chunk of accesses through the protocol in trace order, adding its\n"
+"statistics to counts; see TiledCMP._drain_compiled in\n"
+"repro.coherence.system for the arguments.");
 
 static PyObject *
 drain(PyObject *module, PyObject *args)
@@ -860,6 +989,10 @@ drain(PyObject *module, PyObject *args)
                           &bank_ways, &d.core_shift, &d.track, &d.sharer_cls, &d.width,
                           &d.indices_limit, &arrays[0], &arrays[1], &arrays[2]))
         return NULL;
+    if (!PyType_Check(d.sharer_cls)) {
+        PyErr_SetString(PyExc_TypeError, "the sharer set class must be a type");
+        return NULL;
+    }
     d.num_caches = PyTuple_GET_SIZE(caches);
     d.num_tables = PyTuple_GET_SIZE(tables);
     for (i = 0; i < 3; i++)

@@ -65,13 +65,12 @@ tables keep no indices cache.
 
 The displacement walk
 ---------------------
-:meth:`CuckooHashTable.walk` is the handlers' entry point to the walk
-(through :meth:`~CuckooHashTable.insert_absent`); the compiled drain calls
-the compiled walk as a plain C function.  It runs the compiled walk of
-:mod:`repro.core.native` when that built and loaded, else
-:func:`_walk_python`, which is the reference both are tested against.
-Both run over the way lists, the locator and the indices cache above, so
-the layout is the same either way; :data:`WALK` names the live one.
+:meth:`CuckooHashTable.walk` runs the compiled walk of :mod:`repro.core.
+native` (``walk`` in ``_kernels.c``), the one definition of the walk; the
+compiled drain calls the same C function.  It runs over the way lists, the
+locator and the indices cache above, so nothing changes layout.  The
+Python walk it is tested against lives in
+``tests/coherence/reference_protocol.py``.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ from repro.core import native
 from repro.hashing.base import HashFamily
 from repro.hashing.skewing import SkewingHashFamily
 
-__all__ = ["InsertOutcome", "InsertResult", "CuckooHashTable", "WALK"]
+__all__ = ["InsertOutcome", "InsertResult", "CuckooHashTable"]
 
 #: Vacant-slot sentinel in the flat key arrays (keys are non-negative).
 _EMPTY = -1
@@ -96,55 +95,6 @@ _EMPTY = -1
 #: iterate in insertion order), so a steady-state working set keeps its hot
 #: keys cached instead of being dumped wholesale and re-hashed from scratch.
 _INDICES_CACHE_LIMIT = 1 << 15
-
-
-def _walk_python(keys, values, locator, indices_cache, way_fns, key, value, way,
-                 max_attempts):
-    """The displacement walk: the reference for the compiled one.
-
-    Writes ``key`` over its candidate in ``way``, then re-places each
-    displaced entry in the next way round-robin, one attempt per
-    placement, until an entry lands in a vacant slot or ``max_attempts``
-    placements are made.  Each placement updates the placed key's locator
-    slot; a displaced entry's stale slot is overwritten when the walk
-    re-places it, or deleted when the cut-off walk discards it.
-
-    Returns ``(attempts, way, evicted_key, evicted_value)``: ``way`` is
-    where the walk stopped (the next insertion starts there), and the
-    evicted pair is ``None, None`` unless the walk was cut off and threw
-    its last displaced entry out of the table.
-    """
-    num_ways = len(way_fns)
-    attempts = 0
-    while attempts < max_attempts:
-        attempts += 1
-        # Displaced keys were inserted earlier, so their indices are
-        # almost always still cached.
-        cached = indices_cache.get(key)
-        index = cached[way] if cached is not None else way_fns[way](key)
-        way_keys = keys[way]
-        victim_key = way_keys[index]
-        way_values = values[way]
-        victim_value = way_values[index]
-        way_keys[index] = key
-        way_values[index] = value
-        locator[key] = (way, index)
-        if victim_key == _EMPTY:
-            return attempts, way, None, None
-        key = victim_key
-        value = victim_value
-        way += 1
-        if way == num_ways:
-            way = 0
-    del locator[key]
-    return attempts, way, key, value
-
-
-#: The displacement walk :meth:`CuckooHashTable.walk` runs.
-_walk = getattr(native.KERNELS, "walk", None) or _walk_python
-#: Which walk that is: ``"compiled"`` or ``"python"`` (information only;
-#: the loader decides, and nothing else selects a walk).
-WALK = "python" if _walk is _walk_python else "compiled"
 
 
 class InsertOutcome(str, Enum):
@@ -464,7 +414,7 @@ class CuckooHashTable:
         Cuckoo policy only: an LRU table has no indices cache and never
         walks.
         """
-        attempts, self._start_way, evicted_key, evicted_value = _walk(
+        attempts, self._start_way, evicted_key, evicted_value = native.KERNELS.walk(
             self._keys, self._values, self._locator, self._indices_cache,
             self._way_fns, key, value, self._start_way, self._max_attempts,
         )

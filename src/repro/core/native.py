@@ -1,11 +1,10 @@
 """Build and load the compiled kernels (``_kernels.c``).
 
-The simulator's two hottest loops also ship as one small CPython extension
-written against the C API: the cuckoo table's displacement walk (reference:
-:func:`repro.core.cuckoo_hash._walk_python`) and the protocol drain that
-runs a trace chunk in order (reference: the handlers of
-:class:`repro.coherence.system.TiledCMP`).  There is no build step and no
-switch:
+The simulator's protocol and displacement walk are defined once, as one
+small CPython extension written against the C API: the protocol drain
+that runs a trace chunk in order, and the cuckoo table's displacement walk
+(:meth:`repro.core.cuckoo_hash.CuckooHashTable.walk`).  They are required,
+and there is no build step and no switch:
 
 * :func:`load` compiles the source with the interpreter's own
   compile-and-link line and include directory (:mod:`sysconfig`) the first
@@ -20,10 +19,10 @@ switch:
   place, so a concurrent process never loads a partial library, and a
   directory that is not the user's own (or that others can write) is
   never used.
-* Any failure (no compiler, no ``Python.h``, a compile or a load error)
-  returns ``None``: the tables keep the Python walk and every system the
-  handler loop.  Either way one info-level line on the
-  ``repro.core.native`` logger says what loaded, or why nothing did.
+* A host that cannot build it (no compiler, no ``Python.h``, a compile or
+  a load error) fails at import with :class:`ImportError`, carrying the
+  compiler's last line of output.  One info-level line on the
+  ``repro.core.native`` logger says where the library loaded from.
 
 :data:`KERNELS` is the module loaded at import, shared by every caller, and
 :data:`STATUS` the line logged about it, kept for later reporting.
@@ -41,7 +40,7 @@ import sysconfig
 import tempfile
 from pathlib import Path
 from types import ModuleType
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 __all__ = ["KERNELS", "SOURCE", "STATUS", "build_command", "load"]
 
@@ -147,12 +146,13 @@ def _import(path: Path):
     return module
 
 
-def load() -> Tuple[Optional[ModuleType], str]:
+def load() -> Tuple[ModuleType, str]:
     """The compiled kernels, built on first use, and a line saying so.
 
-    Returns ``(kernels, status)``: the loaded module, or ``None`` if it
-    cannot load, and the one info-level line logged either way (the library
-    loaded, or the reason the Python walk and the handler loop stay in use).
+    Returns ``(kernels, status)``: the loaded module and the info-level line
+    logged about it.  Raises :class:`ImportError` when the library cannot
+    be built or loaded, with the reason (for a failed compile, the
+    compiler's last line of output).
     """
     try:
         name = _library_name()
@@ -171,15 +171,10 @@ def load() -> Tuple[Optional[ModuleType], str]:
             _LOG.info(status)
             return kernels, status
         raise _BuildError("; ".join(failures))
-    except Exception as error:  # any failure keeps the reference paths
-        status = (
-            "compiled kernels unavailable, using the Python walk and the "
-            f"handler loop: {error}"
-        )
-        _LOG.info(status)
-        return None, status
+    except Exception as error:
+        raise ImportError(f"cannot build the compiled kernels: {error}") from error
 
 
-#: The kernels every caller shares (``walk`` and ``drain``), or ``None``, and
-#: the line :func:`load` logged about them.
+#: The kernels every caller shares (``walk`` and ``drain``), and the line
+#: :func:`load` logged about them.
 KERNELS, STATUS = load()

@@ -20,12 +20,18 @@ as the natural extension point for studying that trade-off:
 The ablation benchmark ``benchmarks/bench_ablation_stash.py`` quantifies
 how much a small stash helps at aggressive (under-provisioned) sizings —
 and how little it matters at the paper's chosen 1x/1.5x design points.
+
+The operations below are the stash's public API.  A :class:`~repro.
+coherence.system.TiledCMP` runs the same semantics in the compiled drain,
+over the table's handles plus the stash and its capacity
+(:meth:`StashedCuckooDirectory.drain_handles`).  The stash is a plain
+dict, whose insertion order is age order, so the drain reads and writes it
+through the dict API.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.cuckoo_directory import CuckooDirectory
 from repro.core.cuckoo_hash import InsertOutcome
@@ -68,8 +74,9 @@ class StashedCuckooDirectory(CuckooDirectory):
             max_insertion_attempts=max_insertion_attempts,
         )
         self._stash_entries = stash_entries
-        # address -> sharer set, in insertion order (oldest first).
-        self._stash: "OrderedDict[int, FullBitVector]" = OrderedDict()
+        # address -> sharer set, in insertion order (oldest first).  The
+        # compiled drain holds this dict, so it is never replaced.
+        self._stash: Dict[int, FullBitVector] = {}
         self._stash_insertions = 0
 
     # -- geometry -----------------------------------------------------------
@@ -100,13 +107,12 @@ class StashedCuckooDirectory(CuckooDirectory):
 
     # -- operations -------------------------------------------------------------
     # The stash participates through the lookup/add_sharer/remove_sharer
-    # overrides, which the inherited lookup_add and acquire_exclusive
-    # compositions call.
+    # overrides, which the inherited acquire_exclusive composition calls.
 
-    def drain_handles(self) -> None:
-        """The compiled drain's operations never consult the stash, so a
-        stashed system runs the handler loop."""
-        return None
+    def drain_handles(self) -> tuple:
+        """The table's handles for the compiled drain, then the stash and
+        its capacity: the drain consults the stash before the table."""
+        return super().drain_handles() + (self._stash, self._stash_entries)
 
     def lookup(self, address: int) -> LookupResult:
         stashed = self._stash.get(address)
@@ -180,7 +186,8 @@ class StashedCuckooDirectory(CuckooDirectory):
             self._record_forced_invalidation(invalidation)
             return (invalidation,)
         if len(self._stash) >= self._stash_entries:
-            oldest_address, oldest_sharers = self._stash.popitem(last=False)
+            oldest_address = next(iter(self._stash))
+            oldest_sharers = self._stash.pop(oldest_address)
             invalidation = Invalidation(
                 address=oldest_address, caches=oldest_sharers.sharers()
             )

@@ -268,19 +268,6 @@ class Directory(abc.ABC):
             coherence_invalidations=to_invalidate,
         )
 
-    def lookup_add(self, address: int, cache_id: int):
-        """Fused ``lookup`` + ``add_sharer`` (the read-miss hot path).
-
-        Returns ``(found, prior_sharers, update_result)`` where
-        ``prior_sharers`` is the sharer set reported *before* ``cache_id``
-        was added.  Statistics and state changes are exactly those of
-        calling :meth:`lookup` then :meth:`add_sharer`, which every
-        organization inherits; the compiled drain fuses the two on its own.
-        """
-        existing = self.lookup(address)
-        result = self.add_sharer(address, cache_id)
-        return existing.found, existing.sharers, result
-
     def contains(self, address: int) -> bool:
         return self.lookup(address).found
 

@@ -30,7 +30,7 @@ Statistics follow the paper's accounting rules (Section 5.2):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List
 
 from repro.directories.base import (
     LOOKUP_MISS,
@@ -163,15 +163,14 @@ class TableDirectory(Directory):
             inserted_new_entry=True, attempts=attempts, invalidations=invalidations
         )
 
-    def drain_handles(self) -> Optional[tuple]:
+    def drain_handles(self) -> tuple:
         """This slice's state as the compiled drain reads it.
 
         The drain (``TiledCMP._drain_compiled``) runs this directory's
         operations over the table's locator, way lists, LRU stamps
         (``None`` under the cuckoo policy), indices cache (``None`` under
-        LRU), way functions and walk bound, and the sharer pool.  A
-        subclass that changes an operation returns ``None`` instead (the
-        stashed variant does), and its systems run the handler loop.
+        LRU), way functions and walk bound, and the sharer pool.  The
+        stashed variant appends its stash and capacity.
         """
         table = self._table
         return (

@@ -73,6 +73,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.core import native
 from repro.engine.runner import ParallelRunner
 from repro.engine.spec import (
     DEFAULT_MEASURE_ACCESSES,
@@ -474,19 +475,9 @@ def _setup_telemetry(args: argparse.Namespace) -> None:
     if level or json_lines:
         obs.setup_logging(level=level or "info", json_lines=json_lines)
         # The loader logged at import, before this configuration existed.
-        obs.get_logger("repro.core.native").info(
-            "walk: %(walk)s, drain: %(drain)s (%(library)s)", _kernels()
-        )
+        obs.get_logger("repro.core.native").info(native.STATUS)
     if getattr(args, "metrics_out", None) or not getattr(args, "quiet", False):
         obs.enable()
-
-
-def _kernels() -> Dict[str, str]:
-    """Which displacement walk and drain run here, and the loader's line."""
-    from repro.coherence import system
-    from repro.core import cuckoo_hash, native
-
-    return {"walk": cuckoo_hash.WALK, "drain": system.DRAIN, "library": native.STATUS}
 
 
 def _make_runner(
@@ -547,7 +538,7 @@ def _finish_telemetry(
         if totals:
             print(obs.render_phase_breakdown(totals), file=sys.stderr)
     if args.metrics_out:
-        meta = {"command": args.command, "native": _kernels()}
+        meta = {"command": args.command, "native": native.STATUS}
         if monitor is not None:
             meta["sweep"] = monitor.snapshot()
         path = obs.export.write_snapshot(args.metrics_out, meta=meta)

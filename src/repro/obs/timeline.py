@@ -19,7 +19,7 @@ Two cadences share one object:
 * every **other channel** samples at ``timeline_interval`` and only
   exists when the timeline is *enabled* (``RunSpec.timeline_interval``) —
   off by default, and sampling happens at chunk-boundary sub-slice cuts
-  only, so the handler loop and the vectorized drain feed the timeline
+  only, so wherever the chunks are cut the drain feeds the timeline
   identically and results stay bit-identical with the timeline on or off.
 
 Storage is columnar and quantized but **lossless**: integer channels are

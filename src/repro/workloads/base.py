@@ -8,6 +8,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from repro.coherence.simulator import chunk_accesses
 from repro.coherence.system import MemoryAccess
 from repro.config import SystemConfig
 
@@ -130,27 +131,15 @@ class Workload(abc.ABC):
         :meth:`~repro.coherence.simulator.TraceSimulator.run_chunks` via
         the batched front-end (:meth:`~repro.coherence.system.TiledCMP.
         access_batch`), which accepts numpy arrays and plain lists alike.
-        The default implementation batches :meth:`trace` into lists;
-        generators with a vectorisable structure (the synthetic
-        workloads, trace replays, mixes) override it to hand over whole
-        numpy chunks without building per-access objects.  The flattened
-        chunk stream is always access-for-access identical to
-        :meth:`trace` for the same ``(system, seed)``.
+        The default implementation batches :meth:`trace` into lists
+        (:func:`~repro.coherence.simulator.chunk_accesses`); generators
+        with a vectorisable structure (the synthetic workloads, trace
+        replays, mixes) override it to hand over whole numpy chunks without
+        building per-access objects.  The flattened chunk stream is always
+        access-for-access identical to :meth:`trace` for the same
+        ``(system, seed)``.
         """
-        cores: list = []
-        addresses: list = []
-        writes: list = []
-        instrs: list = []
-        for access in self.trace(system, seed):
-            cores.append(access.core)
-            addresses.append(access.address)
-            writes.append(access.is_write)
-            instrs.append(access.is_instruction)
-            if len(cores) >= chunk_size:
-                yield cores, addresses, writes, instrs
-                cores, addresses, writes, instrs = [], [], [], []
-        if cores:  # finite traces (tests) flush their tail chunk
-            yield cores, addresses, writes, instrs
+        return chunk_accesses(self.trace(system, seed), chunk_size)
 
     def _trace_via_chunks(
         self, system: SystemConfig, seed: int = 0

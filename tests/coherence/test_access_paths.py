@@ -1,47 +1,42 @@
-"""Differential suite: every ``access_batch`` path against the handlers.
+"""Differential suite: ``access_batch`` against the reference protocol.
 
-The handlers (``TiledCMP._access_block`` and the ``_handle_*`` methods) are
-the reference definition of the MESI protocol.  ``access_batch`` either
-runs them per access (the handler loop) or, when the compiled kernels
-loaded and every slice is a plain table-backed directory (cuckoo, sparse,
-skewed), runs every access of the chunk in trace order through the
-compiled drain.  This suite holds both to the handlers
-(``tests/core/test_native_drain.py`` adds random geometries):
+The simulator defines the MESI protocol once, as the compiled drain that
+``access_batch`` runs every chunk through.  This suite holds it to the
+handler loop of ``reference_protocol.py`` (``tests/core/test_native_drain.py``
+adds random geometries):
 
-* **reference** — ``access()`` per access on a fresh system;
+* **reference** — the handlers, one access at a time, on a fresh system;
 * **candidate** — ``access_batch`` at chunk sizes 1, 3, 17 and 4096, plus a
   two-chunk split at every offset (through ``start``/``stop``);
 * **cases** — every organization the library builds (cuckoo with the
   skewing and the strong hash, stashed cuckoo, sparse, skewed), the 3- and
   8-way tables of the paper's sweeps, both tracked levels, and tight
   tables that force invalidations, including cuckoo walks longer than the
-  ways;
-* **checks** — equal deep state (statistics, flat cache arrays, residency,
-  table internals with their LRU stamps), an INV_ACK for every INVALIDATE
-  sent, and a clean ``check_inclusion`` after every chunk (except on the
-  long-walk cases, where inclusion is known not to hold);
+  ways and stashes that park, overflow and re-insert;
+* **checks** — equal canonical state (``reference_protocol.
+  canonical_state``: statistics, cache frames, table slots with their LRU
+  stamps, stash entries), an INV_ACK for every INVALIDATE sent, and a
+  clean ``check_inclusion`` after every chunk (except on the long-walk
+  cases, where inclusion is known not to hold);
 * **walks** — the tight cuckoo cases also run the handlers under the
   Python reference walk against ``access_batch`` (whose drain walks in C),
-  with equal deep state.
+  with equal state.
 
-The obs counters prove which path ran: chunks of every size of the plain
-table-backed organizations (cuckoo, sparse, skewed) reach the compiled
-drain where the library loaded, while the stashed cuckoo (and every
-organization on a host without the library) runs the handler loop.
-Nothing here selects a path by hand.
+The obs counters prove that every access of every case, the stashed ones
+included, runs through the compiled drain.
 """
 
 import numpy as np
 import pytest
+from reference_protocol import Handlers, canonical_state, walk_python
 
 from repro import obs
 from repro.cache.cache import STATE_MODIFIED
-from repro.coherence import system as system_module
 from repro.coherence.messages import MessageType
 from repro.coherence.paging import PageMapper
 from repro.coherence.system import MemoryAccess, TiledCMP
 from repro.config import CacheConfig, CacheLevel, SystemConfig
-from repro.core import cuckoo_hash
+from repro.core import native
 from repro.core.cuckoo_directory import CuckooDirectory
 from repro.core.stashed_cuckoo import StashedCuckooDirectory
 from repro.directories.sharers import FullBitVector
@@ -180,8 +175,6 @@ ORGANIZATIONS = {
     "skewed": _skewed,
     "skewed-tight": _skewed_tight,
 }
-# The compiled drain never consults a stash: these run the handler loop.
-STASHED = ("stashed", "stashed-tight")
 TIGHT = ("cuckoo-tight", "cuckoo-tight-skewing", "cuckoo-tight-3way",
          "cuckoo-tight-walk3", "cuckoo-tight-walk32", "stashed-tight",
          "sparse-tight", "skewed-tight")
@@ -264,8 +257,9 @@ def _assert_invalidations_acked(system):
 
 
 def _run_reference(system, stream):
-    for core, address, is_write, is_instr in stream:
-        system.access(MemoryAccess(core, address, is_write, is_instr))
+    handlers = Handlers(system)
+    for access in stream:
+        handlers.access(*access)
         _assert_invalidations_acked(system)
 
 
@@ -284,106 +278,12 @@ def _run_chunked(system, stream, chunk_size, check=True):
         )
 
 
-def _snapshot(system):
-    directory = system.directory_stats()
-    return {
-        "accesses": system.accesses_processed,
-        "dir": (
-            directory.lookups,
-            directory.lookup_hits,
-            directory.lookup_misses,
-            directory.insertions,
-            directory.insertion_attempts,
-            dict(directory.attempt_histogram),
-            directory.sharer_additions,
-            directory.sharer_removals,
-            directory.entry_removals,
-            directory.forced_invalidations,
-            directory.forced_invalidation_messages,
-            directory.invalidate_all_operations,
-            directory.bits_read,
-            directory.bits_written,
-        ),
-        "entries": [d.entry_count() for d in system.directories],
-        "caches": [
-            (
-                c.stats.hits,
-                c.stats.misses,
-                c.stats.evictions,
-                c.stats.dirty_evictions,
-                c.stats.invalidations_received,
-            )
-            for c in system.tracked_caches
-        ],
-        "banks": None
-        if system.l2_banks is None
-        else [
-            (b.stats.hits, b.stats.misses, b.stats.evictions, b.stats.dirty_evictions)
-            for b in system.l2_banks
-        ],
-        "traffic": (
-            dict(system.traffic.messages),
-            system.traffic.hops,
-            system.traffic.bytes_transferred,
-        ),
-        "resident": [
-            sorted((a, c.state_of(a).value, c.probe(a).dirty) for a in c.resident_addresses())
-            for c in system.tracked_caches
-        ],
-    }
-
-
-def _flat_arrays(caches):
-    return [
-        (
-            list(c._tags), list(c._states), list(c._dirty), list(c._stamps),
-            list(c._set_counts), c._clock,
-        )
-        for c in caches
-    ]
-
-
-def _deep_directory_state(system):
-    """Table internals (LRU stamps, any stash) the public snapshot misses."""
-    out = []
-    for directory in system.directories:
-        table = directory.table
-        out.append(
-            (
-                [list(way_keys) for way_keys in table._keys],
-                [
-                    [None if v is None else v._mask for v in way_values]
-                    for way_values in table._values
-                ],
-                dict(table._locator),
-                table._size,
-                table._start_way,
-                None if table._stamps is None else [list(w) for w in table._stamps],
-                table._clock,
-                [
-                    (key, sharers._mask)
-                    for key, sharers in getattr(directory, "_stash", {}).items()
-                ],
-            )
-        )
-    return out
-
-
-def _deep_state(system):
-    return (
-        _snapshot(system),
-        _flat_arrays(system.tracked_caches),
-        _flat_arrays(system.l2_banks or ()),
-        _deep_directory_state(system),
-    )
-
-
 def _reference_state(organization, level, stream):
     system = _make_system(organization, level)
     _run_reference(system, stream)
     if organization not in INCLUSION_GAP:
         assert system.check_inclusion() == []
-    return _deep_state(system)
+    return canonical_state(system)
 
 
 @pytest.fixture
@@ -396,11 +296,7 @@ def counters():
         registry = obs.REGISTRY
         return {
             name: registry.counter(name).value
-            for name in (
-                "sim.drain.vector_resolved",
-                "sim.drain.scalar_fallback",
-                "sim.drain.class_hits",
-            )
+            for name in ("sim.drain.vector_resolved", "sim.drain.class_hits")
         }
 
     yield read
@@ -421,16 +317,10 @@ def test_chunk_sizes_match_handlers(organization, level, counters):
         before = counters()
         system = _make_system(organization, level)
         _run_chunked(system, stream, chunk_size, check)
-        assert _deep_state(system) == reference, f"chunk size {chunk_size}"
+        assert canonical_state(system) == reference, f"chunk size {chunk_size}"
         after = counters()
         vector = after["sim.drain.vector_resolved"] - before["sim.drain.vector_resolved"]
-        handled = (
-            after["sim.drain.scalar_fallback"] - before["sim.drain.scalar_fallback"]
-        )
-        if organization not in STASHED and system_module.DRAIN == "compiled":
-            assert vector == len(stream) and handled == 0
-        else:
-            assert handled == len(stream) and vector == 0
+        assert vector == len(stream)
 
 
 @pytest.mark.parametrize("level", LEVELS, ids=["L1", "L2"])
@@ -444,7 +334,7 @@ def test_split_at_every_offset_matches_handlers(organization, level):
         system = _make_system(organization, level)
         _checked_batch(system, fields, 0, offset, check)
         _checked_batch(system, fields, offset, len(stream), check)
-        assert _deep_state(system) == reference, f"split at {offset}"
+        assert canonical_state(system) == reference, f"split at {offset}"
 
 
 @pytest.mark.parametrize("level", LEVELS, ids=["L1", "L2"])
@@ -469,11 +359,11 @@ def test_streams_send_invalidations_and_each_is_acked(organization, level):
 @pytest.mark.parametrize("organization", INCLUSION_GAP)
 def test_long_walk_cases_reach_the_inclusion_gap(organization, level):
     """The uncapped tight cases really walk past their ways and self-evict."""
-    reference = _make_system(organization, level)
-    _run_reference(reference, _stream(organization))
-    histogram = reference.directory_stats().attempt_histogram
+    system = _make_system(organization, level)
+    _run_chunked(system, _stream(organization), 4096, check=False)
+    histogram = system.directory_stats().attempt_histogram
     assert max(histogram) > 2  # both tables have two ways
-    assert any("not tracked" in v for v in reference.check_inclusion())
+    assert any("not tracked" in v for v in system.check_inclusion())
 
 
 @pytest.mark.parametrize(
@@ -489,7 +379,9 @@ def test_tight_cuckoo_forced_invalidations_mid_chunk_match_handlers(organization
     for chunk_size in (64, 512):
         system = _make_system(organization, CacheLevel.L1)
         _run_chunked(system, stream, chunk_size, check)
-        assert _deep_state(system) == _deep_state(reference), f"chunk size {chunk_size}"
+        assert canonical_state(system) == canonical_state(reference), (
+            f"chunk size {chunk_size}"
+        )
 
 
 @pytest.mark.parametrize("level", LEVELS, ids=["L1", "L2"])
@@ -498,18 +390,17 @@ def test_tight_cuckoo_forced_invalidations_mid_chunk_match_handlers(organization
 )
 def test_long_walks_match_under_both_walks(organization, level, monkeypatch):
     """The handlers under the Python reference walk and ``access_batch``
-    (the compiled drain, which calls the compiled walk, where the library
-    loaded) leave identical deep state."""
+    (the compiled drain, which calls the compiled walk) leave identical
+    state."""
     stream = _stream(organization)
     drained = _make_system(organization, level)
     _run_chunked(drained, stream, 512, check=False)
-    monkeypatch.setattr(cuckoo_hash, "_walk", cuckoo_hash._walk_python)
+    monkeypatch.setattr(native.KERNELS, "walk", walk_python)
     reference = _make_system(organization, level)
     _run_reference(reference, stream)
-    assert _deep_state(drained) == _deep_state(reference)
+    assert canonical_state(drained) == canonical_state(reference)
 
 
-@pytest.mark.skipif(system_module.DRAIN != "compiled", reason="compiled drain not loaded")
 def test_hit_run_retires_in_the_drain(counters):
     """A pure-hit chunk retires every access as a drain hit."""
     core, block = 1, 7 * 64
@@ -522,7 +413,7 @@ def test_hit_run_retires_in_the_drain(counters):
     before = counters()
     _run_chunked(system, run, 4096)
     assert counters()["sim.drain.class_hits"] - before["sim.drain.class_hits"] == len(run)
-    assert _deep_state(system) == _deep_state(reference)
+    assert canonical_state(system) == canonical_state(reference)
 
 
 # -- API behaviour of access_batch --------------------------------------------------
@@ -540,7 +431,7 @@ def test_numpy_and_list_chunks_are_identical():
         np.asarray(writes, dtype=np.bool_),
         np.asarray(instrs, dtype=np.bool_),
     )
-    assert _deep_state(as_arrays) == _deep_state(as_lists)
+    assert canonical_state(as_arrays) == canonical_state(as_lists)
 
 
 @pytest.mark.parametrize("organization", ["cuckoo", "sparse"])
@@ -612,12 +503,12 @@ def _shared_block_system(organization="cuckoo"):
 @pytest.mark.parametrize("organization", list(ORGANIZATIONS))
 def test_check_inclusion_is_clean_and_observation_only(organization):
     system = _make_system(organization, CacheLevel.L1)
-    _run_reference(system, _stream(organization))
-    before = _deep_state(system)
+    _run_chunked(system, _stream(organization), 4096, check=False)
+    before = canonical_state(system)
     violations = system.check_inclusion()
     if organization not in INCLUSION_GAP:
         assert violations == []
-    assert _deep_state(system) == before
+    assert canonical_state(system) == before
 
 
 def test_check_inclusion_reports_two_modified_copies():
@@ -661,7 +552,7 @@ def test_tracked_addresses_are_exactly_the_live_entries(organization):
     """The stale-entry hook lists every live entry (stash included), once."""
     system = _make_system(organization, CacheLevel.L1)
     stream = _stream(organization)
-    _run_reference(system, stream)
+    _run_chunked(system, stream, 4096, check=False)
     blocks = {system.block_address(address) for _core, address, _w, _i in stream}
     for slice_id, directory in enumerate(system.directories):
         tracked = directory.tracked_addresses()
@@ -719,5 +610,5 @@ def test_walk_evicting_its_own_key_keeps_inclusion():
     the requester's cache with a block its directory no longer tracks.
     """
     system = _make_system("cuckoo-tight-walk32", CacheLevel.L1)
-    _run_reference(system, _stream("cuckoo-tight-walk32"))
+    _run_chunked(system, _stream("cuckoo-tight-walk32"), 4096, check=False)
     assert system.check_inclusion() == []

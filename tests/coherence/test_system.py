@@ -1,12 +1,15 @@
 """Tests for the tiled-CMP coherence system (protocol-level behaviour)."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.cache.cache import CoherenceState
 from repro.coherence.messages import MessageType
 from repro.coherence.paging import PageMapper
 from repro.coherence.system import MemoryAccess, TiledCMP
-from repro.config import CacheLevel
+from repro.config import CacheLevel, SystemConfig
 from repro.core.cuckoo_directory import CuckooDirectory
 from repro.directories.sparse import SparseDirectory
 
@@ -245,3 +248,40 @@ class TestTraffic:
         )
         system.access(MemoryAccess(core=0, address=0x9000, is_write=True))
         assert system.traffic.total_messages == 0
+
+
+class TestDrainRefusals:
+    """A system the compiled drain cannot run is refused at construction."""
+
+    def test_more_than_64_tracked_caches(self, tiny_l1, tiny_l2):
+        config = SystemConfig(
+            num_cores=64, l1_config=tiny_l1, l2_config=tiny_l2,
+            tracked_level=CacheLevel.L1, page_bytes=256,
+        )
+        assert config.num_tracked_caches == 128
+        with pytest.raises(ValueError, match="at most 64 caches"):
+            make_system(config)
+
+    def test_slices_with_different_way_counts(self, tiny_private_system):
+        def factory(num_caches, slice_id):
+            return CuckooDirectory(
+                num_caches=num_caches, num_sets=64, num_ways=3 if slice_id else 4
+            )
+
+        with pytest.raises(ValueError, match="one way count in every slice"):
+            make_system(tiny_private_system, factory)
+
+    def test_slice_that_is_not_table_backed(self, tiny_private_system):
+        # The object-per-entry Sparse directory of the directory reference tests.
+        spec = importlib.util.spec_from_file_location(
+            "directory_reference_model",
+            Path(__file__).parents[1] / "directories" / "reference_model.py",
+        )
+        reference_model = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(reference_model)
+
+        def factory(num_caches, slice_id):
+            return reference_model.ReferenceSparseDirectory(num_caches, 4, 2)
+
+        with pytest.raises(ValueError, match="not table-backed"):
+            make_system(tiny_private_system, factory)

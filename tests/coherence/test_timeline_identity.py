@@ -5,11 +5,11 @@ Two invariants anchor the timeline design:
 1. **On/off identity** — enabling ``timeline_interval`` may not change a
    single measured statistic: sampling reads non-mutating accessors at
    sub-slice boundaries only.
-2. **Path identity** — running the handlers per access (``run``) and
-   running chunks through ``access_batch`` (``run_chunks``: the fast path
-   for cuckoo slices, the handler loop otherwise) must produce
-   ``==``-equal timelines, byte-identical once persisted: samples are taken
-   at boundaries where both have retired exactly the same accesses.
+2. **Path identity** — running a stream of accesses (``run``, which cuts
+   it into fixed-size chunks) and running the same stream cut at random
+   chunk boundaries (``run_chunks``) must produce ``==``-equal timelines,
+   byte-identical once persisted: samples are taken at boundaries where
+   both have retired exactly the same accesses.
 
 Both are exercised property-style over randomized access streams with
 randomized chunk boundaries, including an under-provisioned configuration
@@ -78,13 +78,14 @@ def _chunks(stream, seed):
 
 
 def _sparse_factory(num_caches, slice_id):
-    # A non-cuckoo organization: its chunks run the handler loop.
+    # A non-cuckoo organization: an LRU table in the drain.
     return SparseDirectory(num_caches=num_caches, num_sets=4, num_ways=2)
 
 
 def _run(path, factory, stream, seed, timeline_interval, warmup=100,
          max_accesses=900):
-    """Simulate ``stream`` per access (``"handlers"``) or chunked (``"batch"``)."""
+    """Simulate ``stream`` as accesses (``"handlers"``: ``run``) or cut at
+    random chunk boundaries (``"batch"``: ``run_chunks``)."""
     system = TiledCMP(_config(), factory)
     simulator = TraceSimulator(
         system,

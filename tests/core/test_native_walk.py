@@ -1,18 +1,20 @@
 """The compiled displacement walk against the Python reference walk.
 
-``repro.core.native`` builds ``_kernels.c`` on first import and the table
-runs its walk where it loads; ``cuckoo_hash._walk_python`` stays the
-reference.  These tests drive both walks on twin tables, check the
-compiled walk's reference counting and bounds checks, and check that the
-loader builds both kernels, or falls back to the Python walk and the
-handler loop (and says why) when it cannot build.  Walks are switched by
-setting ``cuckoo_hash._walk``, as nothing else selects one; the compiled
-drain calls the compiled walk directly (``test_native_drain.py``).
+``repro.core.native`` builds ``_kernels.c`` on first import, and importing
+the simulator fails without it; ``CuckooHashTable.walk`` runs its walk.  The
+reference is ``walk_python`` in ``tests/coherence/reference_protocol.py``.
+These tests drive both walks on twin tables (the reference is patched over
+``native.KERNELS.walk``, as nothing else selects a walk), check the compiled
+walk's reference counting and bounds checks, and check that the loader
+builds the library, or raises with the compiler's message when it cannot.
+The compiled drain calls the compiled walk directly
+(``test_native_drain.py``).
 """
 
+import importlib.util
 import logging
 import os
-import shutil
+import stat
 import sys
 import sysconfig
 from contextlib import contextmanager
@@ -21,38 +23,32 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.coherence import system
-from repro.core import cuckoo_hash, native
+from repro.core import native
 from repro.core.cuckoo_hash import CuckooHashTable
 from repro.hashing.skewing import SkewingHashFamily
 from repro.hashing.strong import StrongHashFamily
 
-COMPILED = cuckoo_hash._walk
-PYTHON = cuckoo_hash._walk_python
-WALKS = [pytest.param(PYTHON, id="python")]
-if cuckoo_hash.WALK == "compiled":
-    WALKS.append(pytest.param(COMPILED, id="compiled"))
+# Loaded by path: the oracle lives beside the coherence suites.
+_SPEC = importlib.util.spec_from_file_location(
+    "reference_protocol",
+    Path(__file__).parents[1] / "coherence" / "reference_protocol.py",
+)
+reference_protocol = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(reference_protocol)
 
-
-def _can_build():
-    """Why the compiled kernels cannot build here, or ``None`` if they can."""
-    compiler = native.build_command(Path("out"))[0]
-    if shutil.which(compiler) is None:
-        return f"no C compiler ({compiler})"
-    include = Path(sysconfig.get_paths()["include"])
-    if not (include / "Python.h").exists():
-        return f"no Python.h in {include}"
-    return None
+COMPILED = native.KERNELS.walk
+PYTHON = reference_protocol.walk_python
+_state = reference_protocol.table_state
 
 
 @contextmanager
 def _using(walk):
-    saved = cuckoo_hash._walk
-    cuckoo_hash._walk = walk
+    saved = native.KERNELS.walk
+    native.KERNELS.walk = walk
     try:
         yield
     finally:
-        cuckoo_hash._walk = saved
+        native.KERNELS.walk = saved
 
 
 def _table(ways, sets, max_attempts, strong):
@@ -64,26 +60,12 @@ def _table(ways, sets, max_attempts, strong):
     return CuckooHashTable(ways, sets, hash_family=family, max_attempts=max_attempts)
 
 
-def _state(table):
-    return (
-        table._keys,
-        table._locator,
-        len(table),
-        table._start_way,
-        table._indices_cache,
-    )
-
-
 def test_compiled_walk_loads_where_it_can_build():
-    """A host with a C compiler and ``Python.h`` must run the compiled walk
-    and the compiled drain."""
-    missing = _can_build()
-    if missing is not None:
-        pytest.skip(missing)
-    assert cuckoo_hash.WALK == "compiled"
-    assert cuckoo_hash._walk is not PYTHON
-    assert system.DRAIN == "compiled"
-    assert system._drain is native.KERNELS.drain
+    """Importing the simulator built (or found) the library: the walk and
+    the drain every table and system runs are its functions."""
+    assert native.KERNELS.__file__ in native.STATUS
+    assert Path(native.KERNELS.__file__).name.startswith("_kernels-")
+    assert callable(native.KERNELS.walk) and callable(native.KERNELS.drain)
 
 
 # Insert (optionally through a drain-style tuple row) or remove one key.
@@ -95,7 +77,6 @@ _OPS = st.lists(
 )
 
 
-@pytest.mark.skipif(cuckoo_hash.WALK != "compiled", reason="compiled walk not loaded")
 @settings(max_examples=120, deadline=None)
 @given(
     ways=st.integers(2, 8),
@@ -128,7 +109,7 @@ def test_compiled_walk_matches_python_walk(ways, sets, max_attempts, strong, ops
             assert all(a is b for a, b in zip(way_c, way_p))
 
 
-@pytest.mark.parametrize("walk", WALKS)
+@pytest.mark.parametrize("walk", [COMPILED], ids=["compiled"])
 def test_walk_keeps_reference_counts(walk):
     """Every key and value a walk moves or evicts is released once the
     table and its indices cache are cleared."""
@@ -152,7 +133,7 @@ def test_walk_keeps_reference_counts(walk):
 
 
 @pytest.mark.parametrize("bad_index", [4, 1 << 70, -5])
-@pytest.mark.parametrize("walk", WALKS)
+@pytest.mark.parametrize("walk", [COMPILED], ids=["compiled"])
 def test_corrupted_index_raises_index_error(walk, bad_index):
     table = _table(2, 4, 32, strong=True)
     with _using(walk):
@@ -164,13 +145,10 @@ def test_corrupted_index_raises_index_error(walk, bad_index):
 
 
 def test_loader_builds_into_a_fresh_cache(tmp_path, monkeypatch, caplog):
-    missing = _can_build()
-    if missing is not None:
-        pytest.skip(missing)
     monkeypatch.setenv("HOME", str(tmp_path))
     with caplog.at_level(logging.INFO, logger="repro.core.native"):
         kernels, status = native.load()
-    assert kernels is not None and callable(kernels.drain)
+    assert callable(kernels.drain)
     walk = kernels.walk
     cache = tmp_path / ".cache" / "repro-cuckoo"
     built = os.listdir(cache)
@@ -188,22 +166,33 @@ def test_loader_builds_into_a_fresh_cache(tmp_path, monkeypatch, caplog):
     assert _state(twins[0]) == _state(twins[1])
 
 
-def test_loader_falls_back_without_a_compiler(tmp_path, monkeypatch, caplog):
-    """A missing compiler leaves the Python walk and the handler loop in
-    use and says why."""
-    monkeypatch.setenv("HOME", str(tmp_path))
+def _with_compiler(monkeypatch, compiler):
+    """Point the interpreter's compile-and-link line at ``compiler``."""
     real = sysconfig.get_config_var
-    missing = str(tmp_path / "no-such-cc")
 
     def config(name):
         if name in ("LDSHARED", "CC"):
-            return f"{missing} -shared"
+            return f"{compiler} -shared"
         return real(name)
 
     monkeypatch.setattr(sysconfig, "get_config_var", config)
-    with caplog.at_level(logging.INFO, logger="repro.core.native"):
-        assert native.load()[0] is None
-    assert "using the Python walk and the handler loop" in caplog.text
-    assert missing in caplog.text
+
+
+def test_loader_raises_with_the_compilers_message(tmp_path, monkeypatch):
+    """A host that cannot build the library fails with ImportError: a
+    missing compiler is named, and a failed compile carries the compiler's
+    last line of output.  Nothing is left in the library cache."""
+    monkeypatch.setenv("HOME", str(tmp_path))
+    missing = str(tmp_path / "no-such-cc")
+    _with_compiler(monkeypatch, missing)
+    with pytest.raises(ImportError, match="cannot build the compiled kernels") as raised:
+        native.load()
+    assert missing in str(raised.value)
+    failing = tmp_path / "failing-cc"
+    failing.write_text("#!/bin/sh\necho compiling\necho 'fatal error: no such header' >&2\nexit 3\n")
+    failing.chmod(failing.stat().st_mode | stat.S_IXUSR)
+    _with_compiler(monkeypatch, failing)
+    with pytest.raises(ImportError, match="exited with 3: fatal error: no such header"):
+        native.load()
     cache = tmp_path / ".cache" / "repro-cuckoo"
     assert not cache.exists() or os.listdir(cache) == []

@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro import obs
+from repro.config import CacheLevel
 from repro.core.cuckoo_directory import CuckooDirectory
 from repro.core.stashed_cuckoo import StashedCuckooDirectory
+from repro.experiments import common
 from repro.hashing.strong import StrongHashFamily
+from repro.workloads.suite import get_workload
 
 
 def make_directory(num_caches=4, sets=4, ways=2, stash=4, max_attempts=4, seed=1):
@@ -170,3 +174,57 @@ class TestSharerPoolRecycling:
             for block in range(100):
                 directory.remove_sharer(block, 1)
         assert len(directory._sharer_pool) <= 100
+
+
+#: The stash ablation's directory statistics (``benchmarks/
+#: bench_ablation_stash.py``: Oracle, Shared-L2, scale 32, 12,000 measured
+#: accesses, 4 ways), by (provisioning, stash entries): lookups, hits,
+#: insertions, attempts, additions, removals, entry removals,
+#: invalidate-all, forced, forced messages, bits read, bits written.
+ABLATION = {
+    (1.0, 0): (9840, 3883, 5957, 7905, 3883, 9704, 5945, 357, 0, 0, 1545099, 993816),
+    (1.0, 8): (9840, 3883, 5957, 7905, 3883, 9704, 5945, 357, 0, 0, 1545099, 993816),
+    (0.5, 8): (
+        9963, 3784, 6179, 154842, 3784, 8882, 5537, 347, 647, 992, 1489560, 11565825,
+    ),
+    (0.5, 0): (
+        10290, 3431, 6859, 131225, 3431, 6141, 3905, 298, 2963, 4084, 1594983, 9370401,
+    ),
+}
+
+
+def test_stash_ablation_is_pinned():
+    """The four ablation systems reproduce every counter exactly, with every
+    access through the compiled drain."""
+    system = common.scaled_system(CacheLevel.L1, scale=32)
+    workload = get_workload("Oracle")
+    obs.enable()
+    obs.reset()
+    try:
+        for (provisioning, stash), expected in ABLATION.items():
+            sets = common.cuckoo_factory(system, ways=4, provisioning=provisioning)(
+                1, 0
+            ).num_sets
+
+            def factory(num_caches, slice_id, sets=sets, stash=stash):
+                return StashedCuckooDirectory(
+                    num_caches=num_caches, num_sets=sets, num_ways=4,
+                    stash_entries=stash,
+                )
+
+            run = common.run_workload(workload, system, factory, measure_accesses=12_000)
+            stats = run.result.directory_stats
+            assert (
+                stats.lookups, stats.lookup_hits, stats.insertions,
+                stats.insertion_attempts, stats.sharer_additions,
+                stats.sharer_removals, stats.entry_removals,
+                stats.invalidate_all_operations, stats.forced_invalidations,
+                stats.forced_invalidation_messages, stats.bits_read,
+                stats.bits_written,
+            ) == expected, (provisioning, stash)
+        counters = obs.REGISTRY
+        accesses = counters.counter("sim.batch.accesses").value
+        assert counters.counter("sim.drain.vector_resolved").value == accesses > 0
+    finally:
+        obs.disable()
+        obs.reset()

@@ -7,8 +7,8 @@ the behavioural oracle for the table-backed organizations
 (:class:`repro.directories.table.TableDirectory` with the LRU insert
 policy).  ``test_table_directory_reference.py`` drives both through the
 same random operation sequences and requires identical results and
-statistics.  ``lookup_add`` and ``acquire_exclusive`` are the generic
-compositions of :class:`~repro.directories.base.Directory`.
+statistics.  ``acquire_exclusive`` is the generic composition of
+:class:`~repro.directories.base.Directory`.
 """
 
 from typing import List, Optional

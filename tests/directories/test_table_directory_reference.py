@@ -73,6 +73,11 @@ _operations = st.lists(
 )
 
 
+def lookup_add(directory, address, cache_id):
+    """A read miss's directory work: the lookup, then the sharer addition."""
+    return directory.lookup(address), directory.add_sharer(address, cache_id)
+
+
 @pytest.mark.parametrize("organization", list(ORGANIZATIONS))
 @given(operations=_operations)
 @settings(max_examples=30, deadline=None)
@@ -84,6 +89,9 @@ def test_table_directory_matches_object_reference(organization, operations):
         if name == "lookup":
             result = directory.lookup(address)
             expected = reference.lookup(address)
+        elif name == "lookup_add":
+            result = lookup_add(directory, address, cache_id)
+            expected = lookup_add(reference, address, cache_id)
         else:
             result = getattr(directory, name)(address, cache_id)
             expected = getattr(reference, name)(address, cache_id)

@@ -3,16 +3,14 @@
 Every paper point runs as a :class:`~repro.engine.spec.RunSpec` through
 ``execute_spec``.  Each organization in ``spec.ORGANIZATIONS`` (cuckoo
 under each hash family too), and the other geometries the paper's sweeps
-build (3- and 8-way Cuckoo, 8-way Sparse), at both tracked levels, must
-run every access of warm-up and measurement through the compiled drain
-where the library loaded: the handler loop is off every path the engine
-builds.
+build (3- and 8-way Cuckoo, 8-way Sparse), at both tracked levels, runs
+every access of warm-up and measurement through the compiled drain, the
+simulator's one definition of the protocol.
 """
 
 import pytest
 
 from repro import obs
-from repro.coherence import system as system_module
 from repro.engine.execute import execute_spec
 from repro.engine.spec import HASH_FAMILIES, ORGANIZATIONS, RunSpec
 
@@ -28,9 +26,6 @@ SPEC_ORGANIZATIONS = [
 ]
 
 
-@pytest.mark.skipif(
-    system_module.DRAIN != "compiled", reason="compiled drain not loaded"
-)
 @pytest.mark.parametrize("level", ["L1", "L2"])
 @pytest.mark.parametrize(
     "organization,hash_family,ways,provisioning", SPEC_ORGANIZATIONS
@@ -55,9 +50,7 @@ def test_every_spec_organization_runs_on_the_compiled_drain(
         counters = obs.REGISTRY
         accesses = counters.counter("sim.batch.accesses").value
         drained = counters.counter("sim.drain.vector_resolved").value
-        handled = counters.counter("sim.drain.scalar_fallback").value
     finally:
         obs.disable()
         obs.reset()
-    assert handled == 0
     assert drained == accesses > 2000

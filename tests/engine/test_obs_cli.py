@@ -6,8 +6,7 @@ import json
 import pytest
 
 from repro import obs
-from repro.coherence import system
-from repro.core import cuckoo_hash, native
+from repro.core import native
 from repro.engine.cli import main
 from repro.engine.results import RunResult
 from repro.engine.spec import RunSpec
@@ -28,11 +27,6 @@ def clean_obs_state():
 @pytest.fixture
 def store_path(tmp_path):
     return str(tmp_path / "results.jsonl")
-
-
-#: The span the drain of a cuckoo point runs under: the compiled drain's
-#: where the library loaded, else the handler loop's.
-DRAIN_SPAN = "drain_vector" if system.DRAIN == "compiled" else "drain_scalar"
 
 
 def _sweep_argv(store_path, *extra):
@@ -60,17 +54,14 @@ class TestMetricsOut:
         assert counters["sim.run.measured_accesses"] == 1500
         assert counters["sim.batch.chunks"] >= 1
         assert counters["store.puts"] == 1
-        # A cuckoo point: every chunk takes the compiled drain
-        # ("drain_vector") where the library loaded.
+        # Every chunk runs through the compiled drain ("drain_vector").
         phases = document["phases"]
-        assert DRAIN_SPAN in phases
+        assert "drain_vector" in phases
         assert "translate" in phases
         assert "batch_kernel" not in phases
         sweep = document["meta"]["sweep"]
         assert sweep["total"] == 1 and sweep["done"] == 1
-        assert document["meta"]["native"] == {
-            "walk": cuckoo_hash.WALK, "drain": system.DRAIN, "library": native.STATUS,
-        }
+        assert document["meta"]["native"] == native.STATUS
         assert "metrics written to" in capsys.readouterr().err
 
     def test_pooled_sweep_counts_each_put_once_in_the_parent(
@@ -89,7 +80,7 @@ class TestMetricsOut:
         # Worker metrics and spans are absorbed; the puts happen in the parent.
         assert counters["sim.run.measured_accesses"] == 4 * 1500
         assert counters["store.puts"] == 4
-        assert DRAIN_SPAN in document["phases"]
+        assert "drain_vector" in document["phases"]
         sweep = document["meta"]["sweep"]
         assert sweep["simulated"] == 4
         rows = sweep["workers"]
@@ -112,7 +103,7 @@ class TestProgressOutput:
         # capsys streams are not TTYs, so the renderer emits plain lines.
         assert "1/1" in err
         assert "Phase breakdown" in err
-        assert DRAIN_SPAN in err
+        assert "drain_vector" in err
 
     def test_quiet_suppresses_progress(self, capsys, store_path):
         assert main(_sweep_argv(store_path, "--quiet")) == 0
@@ -137,16 +128,12 @@ class TestLoggingFlags:
 
     def test_log_level_info_names_the_walk_and_drain(self, capsys, store_path):
         """The loader logs before the CLI configures logging, so the CLI
-        repeats which kernels run once logging is up."""
+        repeats the loader's line once logging is up."""
         argv = _sweep_argv(store_path, "--quiet", "--log-level", "info")
         assert main(argv) == 0
         err = capsys.readouterr().err
-        line = f"walk: {cuckoo_hash.WALK}, drain: {system.DRAIN} ({native.STATUS})"
-        assert line in err
-        if system.DRAIN == "compiled":
-            assert "compiled walk and drain loaded from" in line
-        else:
-            assert "unavailable" in line
+        assert native.STATUS in err
+        assert "compiled walk and drain loaded from" in native.STATUS
 
 
 class TestWorkerAndCostFields:
