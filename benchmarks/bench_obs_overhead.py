@@ -8,11 +8,14 @@ the per-access loop.  This benchmark holds that promise to the fire.
 
 It times the Figure 10 reference point (Oracle, Shared-L2 chosen design,
 scale 16, 40 000 measured accesses) through :func:`execute_spec` three
-times per repeat — telemetry disabled, telemetry enabled, and counter
+ways per repeat — telemetry disabled, telemetry enabled, and counter
 timelines enabled — *interleaved* so machine-load drift cancels out of
-the ratios, and takes the best of N for each side.  The gated claim is
-the telemetry ratio on the timeline-off path (the default), not the
-absolute seconds:
+the ratios, and takes the best of N for each side.  One point takes a few
+hundredths of a second, far below the host's scheduling noise, so each
+sample is a fixed number of back-to-back runs of the point, chosen at
+warm-up so that a sample spans at least ``SAMPLE_SECONDS``, and reports
+their mean.  The gated claim is the telemetry ratio on the timeline-off
+path (the default), not the absolute seconds:
 
     overhead_ratio = enabled_seconds / disabled_seconds <= 1.02
 
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -67,28 +71,34 @@ FIG10_REFERENCE = RunSpec(
 #: The same point with counter-timeline sampling on (informational leg).
 FIG10_TIMELINE = replace(FIG10_REFERENCE, timeline_interval=1_000)
 
+#: The shortest a sample may span: it runs the point back to back this long.
+SAMPLE_SECONDS = 1.0
 
-def _time_point(spec: RunSpec = FIG10_REFERENCE) -> float:
+
+def _time_point(spec: RunSpec = FIG10_REFERENCE, runs: int = 1) -> float:
+    """Mean seconds of ``runs`` back-to-back runs of ``spec``."""
     start = time.perf_counter()
-    execute_spec(spec)
-    return time.perf_counter() - start
+    for _ in range(runs):
+        execute_spec(spec)
+    return (time.perf_counter() - start) / runs
 
 
 def run_benchmark(repeats: int) -> Dict[str, object]:
     """Interleaved best-of-``repeats`` timing of disabled vs enabled."""
     obs.disable()
     obs.reset()
-    _time_point()  # warm up: imports, sigma tables, allocator
+    _time_point()  # warm up: imports, hash descriptors, allocator
+    runs = max(1, math.ceil(SAMPLE_SECONDS / _time_point()))
 
     disabled: List[float] = []
     enabled: List[float] = []
     timeline: List[float] = []
     for _ in range(repeats):
         obs.disable()
-        disabled.append(_time_point())
-        timeline.append(_time_point(FIG10_TIMELINE))
+        disabled.append(_time_point(runs=runs))
+        timeline.append(_time_point(FIG10_TIMELINE, runs))
         obs.enable()
-        enabled.append(_time_point())
+        enabled.append(_time_point(runs=runs))
 
     phase_self_seconds = {
         name: stats["self_seconds"] for name, stats in obs.TRACER.totals().items()
@@ -100,6 +110,7 @@ def run_benchmark(repeats: int) -> Dict[str, object]:
     best_enabled = min(enabled)
     best_timeline = min(timeline)
     return {
+        "runs_per_sample": runs,
         "disabled_seconds": best_disabled,
         "enabled_seconds": best_enabled,
         "overhead_ratio": best_enabled / best_disabled,
@@ -137,6 +148,7 @@ def main(argv=None) -> int:
         file=sys.stderr,
     )
     measured = run_benchmark(repeats)
+    print(f"runs per sample: {measured['runs_per_sample']}")
 
     record = {
         "reference_point": FIG10_REFERENCE.to_dict(),

@@ -8,20 +8,18 @@ Addresses handled here are **block addresses** (byte address divided by
 the block size); the coherence layer performs the division once so every
 structure in the library agrees on the address granularity.
 
-Storage layout (array-native)
------------------------------
-Frame state lives in flat parallel arrays indexed by ``set * ways + way``:
-``_tags`` (block address or ``_EMPTY``), ``_states`` (small-int MESI
-codes), ``_dirty`` flags and ``_stamps`` (LRU recency: a per-cache clock
-stamps a frame on every touch and fill, and a full set evicts its
-minimum-stamp frame; LRU is the paper's cache policy).  A reverse map
-``_location`` (block address -> flat frame index) finds hits in one dict
-probe, and a per-set occupancy count lets the fill path skip the
-free-frame scan once a set is full (the steady state of every simulation).
-There is no per-frame wrapper object: the hot path reads and writes plain
-list slots.  The compiled drain (``repro/core/_kernels.c``) reads and writes
-these lists, ``_location`` and ``_clock`` directly; keep the layout and the
-drain in sync.
+Storage layout (typed buffers)
+------------------------------
+Frame state lives in flat typed buffers indexed by ``set * ways + way``:
+``_tags`` (int64 block address, or ``_EMPTY``), ``_stamps`` (int64 LRU
+recency: a per-cache clock stamps a frame on every touch and fill, and a
+full set evicts its minimum-stamp frame; LRU is the paper's cache policy),
+``_states`` (uint8 MESI codes) and ``_dirty`` (uint8 flags).  A block is
+found by scanning its set's ways, as the hardware's tag compare does.  One
+int64 ``_counts`` row holds the statistics :class:`CacheStats` reads and
+the clock.  The compiled drain (``repro/core/_kernels.c``) reads and writes
+these same buffers, taken once per system (:meth:`SetAssociativeCache.
+drain_state`), so they are only ever changed in place.
 
 The MESI states are encoded as integers on the hot path (``STATE_*``
 module constants); the :class:`CoherenceState` enum remains the public
@@ -32,7 +30,7 @@ methods used by the coherence controller speak integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
 from enum import Enum
 from typing import Dict, Iterator, List, Optional
 
@@ -151,19 +149,23 @@ class AccessResult:
         )
 
 
-@dataclass
+#: The columns of a cache's counts row: the :class:`CacheStats` counters,
+#: then the LRU clock (``K_*`` in ``_kernels.c``).
+_COUNTERS = ("hits", "misses", "evictions", "dirty_evictions", "invalidations_received")
+_CLOCK = len(_COUNTERS)
+
+
 class CacheStats:
-    """Hit/miss/eviction counters for one cache.
+    """Hit/miss/eviction counters for one cache: a view of its counts row.
 
     ``accesses`` is derived (every access is exactly one hit or one miss),
     so the per-access paths maintain one counter fewer.
     """
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    dirty_evictions: int = 0
-    invalidations_received: int = 0
+    __slots__ = ("_row",)
+
+    def __init__(self) -> None:
+        self._row = array("q", bytes(8 * (_CLOCK + 1)))
 
     @property
     def accesses(self) -> int:
@@ -176,6 +178,28 @@ class CacheStats:
     @property
     def miss_rate(self) -> float:
         return self.misses / self.accesses if self.accesses else 0.0
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CacheStats):
+            return NotImplemented
+        return self._row[:_CLOCK] == other._row[:_CLOCK]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"CacheStats({', '.join(f'{n}={getattr(self, n)}' for n in _COUNTERS)})"
+
+
+def _counter(column: int) -> property:
+    def get(stats) -> int:
+        return stats._row[column]
+
+    def set_(stats, value: int) -> None:
+        stats._row[column] = value
+
+    return property(get, set_)
+
+
+for _column, _name in enumerate(_COUNTERS):
+    setattr(CacheStats, _name, _counter(_column))
 
 
 class SetAssociativeCache:
@@ -199,12 +223,10 @@ class SetAssociativeCache:
         "_num_sets",
         "_num_ways",
         "_tags",
+        "_stamps",
         "_states",
         "_dirty",
-        "_stamps",
-        "_clock",
-        "_set_counts",
-        "_location",
+        "_counts",
         "_stats",
         "victim_dirty",
         "_victim_state_code",
@@ -215,20 +237,13 @@ class SetAssociativeCache:
         self._name = name
         self._num_sets = config.num_sets
         self._num_ways = config.associativity
-        num_frames = self._num_sets * self._num_ways
-        # Flat parallel frame arrays, indexed by set * ways + way.
-        self._tags: List[int] = [_EMPTY] * num_frames
-        self._states: List[int] = [STATE_INVALID] * num_frames
-        self._dirty: List[bool] = [False] * num_frames
-        # Reverse map: block address -> flat frame index.
-        self._location: Dict[int, int] = {}
-        # Occupied frames per set: lets the fill path skip the free-frame
-        # scan once a set is full (the steady state of a warmed simulation).
-        self._set_counts: List[int] = [0] * self._num_sets
+        frames = self._num_sets * self._num_ways
+        self._tags = array("q", [_EMPTY]) * frames
+        self._stamps = array("q", bytes(8 * frames))
+        self._states = array("B", bytes(frames))
+        self._dirty = array("B", bytes(frames))
         self._stats = CacheStats()
-        # LRU recency per frame: bump the clock, stamp the frame.
-        self._stamps: List[int] = [0] * num_frames
-        self._clock = 0
+        self._counts = self._stats._row
         # Victim side-channel for fill_code (valid after it returns >= 0).
         self.victim_dirty = False
         self._victim_state_code = STATE_INVALID
@@ -259,54 +274,64 @@ class SetAssociativeCache:
         return self._stats
 
     def reset_stats(self) -> None:
-        """Clear hit/miss/eviction counters (end of warm-up)."""
-        self._stats = CacheStats()
+        """Clear hit/miss/eviction counters (end of warm-up), in place."""
+        self._counts[:_CLOCK] = array("q", bytes(8 * _CLOCK))
+
+    def drain_state(self) -> tuple:
+        """The buffers the compiled drain runs this cache over."""
+        return (
+            self._tags, self._stamps, self._states, self._dirty, self._counts,
+            self._num_ways,
+        )
 
     def set_index(self, address: int) -> int:
         """Set index of a block address (modulo indexing)."""
         return address % self._num_sets
 
     # -- queries ------------------------------------------------------------
+    def _frame(self, address: int) -> int:
+        """The frame holding ``address``, found by scanning its set, or -1."""
+        if address < 0:
+            return -1
+        base = address % self._num_sets * self._num_ways
+        ways = self._tags[base : base + self._num_ways]
+        return base + ways.index(address) if address in ways else -1
+
     def probe(self, address: int) -> Optional[CacheBlock]:
         """Return a :class:`CacheBlock` snapshot for ``address`` or ``None``.
 
         No side effects; the snapshot is a copy of the frame's fields, not
         live storage (see :class:`CacheBlock`).
         """
-        index = self._location.get(address)
-        if index is None:
+        index = self._frame(address)
+        if index < 0:
             return None
         return CacheBlock(
             address=address,
             state=CODE_TO_STATE[self._states[index]],
-            dirty=self._dirty[index],
+            dirty=bool(self._dirty[index]),
         )
 
     def contains(self, address: int) -> bool:
-        return address in self._location
+        return self._frame(address) >= 0
 
     def state_of(self, address: int) -> CoherenceState:
-        index = self._location.get(address)
-        if index is None:
-            return CoherenceState.INVALID
-        return CODE_TO_STATE[self._states[index]]
+        return CODE_TO_STATE[self.state_code_of(address)]
 
     def state_code_of(self, address: int) -> int:
         """Integer MESI code of ``address`` (``STATE_INVALID`` if absent)."""
-        index = self._location.get(address)
-        if index is None:
-            return STATE_INVALID
-        return self._states[index]
+        index = self._frame(address)
+        return STATE_INVALID if index < 0 else self._states[index]
 
     def resident_addresses(self) -> Iterator[int]:
         """All block addresses currently resident (iteration order unspecified)."""
-        return iter(self._location.keys())
+        return (tag for tag in self._tags if tag != _EMPTY)
 
     def occupancy(self) -> float:
-        return len(self._location) / self.num_frames if self.num_frames else 0.0
+        return len(self) / self.num_frames if self.num_frames else 0.0
 
     def __len__(self) -> int:
-        return len(self._location)
+        return len(self._tags) - self._tags.count(_EMPTY)
 
     # -- mutations ------------------------------------------------------------
     def touch(self, address: int, write: bool = False) -> bool:
@@ -319,16 +344,21 @@ class SetAssociativeCache:
 
     def touch_code(self, address: int, write: bool = False) -> int:
         """Like :meth:`touch` but returns the block's state code, -1 on miss."""
-        index = self._location.get(address)
-        if index is None:
-            self._stats.misses += 1
+        index = self._frame(address)
+        stats = self._stats
+        if index < 0:
+            stats.misses += 1
             return -1
-        self._stats.hits += 1
+        stats.hits += 1
         if write:
-            self._dirty[index] = True
-        self._clock += 1
-        self._stamps[index] = self._clock
+            self._dirty[index] = 1
+        self._stamp(index)
         return self._states[index]
+
+    def _stamp(self, index: int) -> None:
+        counts = self._counts
+        counts[_CLOCK] += 1
+        self._stamps[index] = counts[_CLOCK]
 
     def fill(
         self,
@@ -342,7 +372,7 @@ class SetAssociativeCache:
         without an eviction (hit-path fill), which keeps the model robust
         against redundant controller fills.
         """
-        hit = address in self._location
+        hit = self.contains(address)
         victim = self.fill_code(address, STATE_TO_CODE[state], dirty)
         if victim < 0:
             return AccessResult(hit=hit)
@@ -362,15 +392,13 @@ class SetAssociativeCache:
         (vacant frame, or ``address`` was already resident).  When a victim
         is returned, ``self.victim_dirty`` holds its dirtiness.
         """
-        location = self._location
-        index = location.get(address)
-        if index is not None:
+        index = self._frame(address)
+        if index >= 0:
             # Redundant controller fill: refresh state and recency in place.
             self._states[index] = state_code
             if dirty:
-                self._dirty[index] = True
-            self._clock += 1
-            self._stamps[index] = self._clock
+                self._dirty[index] = 1
+            self._stamp(index)
             return -1
         return self.fill_miss_code(address, state_code, dirty)
 
@@ -379,64 +407,41 @@ class SetAssociativeCache:
     ) -> int:
         """:meth:`fill_code` for a block the caller knows is absent.
 
-        The coherence controller only fills after a probe missed (and
-        nothing on the miss path can install the block), so the hot path
-        skips the residency re-check.
+        The set's first vacant frame takes the block, else its least
+        recently stamped frame, whose block is evicted and returned.
         """
-        location = self._location
-        num_ways = self._num_ways
-        set_index = address % self._num_sets
-        base = set_index * num_ways
+        if address < 0:
+            raise ValueError("block addresses must be non-negative")
+        base = address % self._num_sets * self._num_ways
         tags = self._tags
-
-        if self._set_counts[set_index] < num_ways:
-            # A vacant frame exists: take the first one in way order.
-            index = tags.index(_EMPTY, base, base + num_ways)
-            tags[index] = address
-            self._states[index] = state_code
-            self._dirty[index] = dirty
-            location[address] = index
-            self._set_counts[set_index] += 1
-            self._clock += 1
-            self._stamps[index] = self._clock
-            return -1
-
-        # Full set: evict the LRU victim and recycle its frame.
-        stamps = self._stamps
-        if num_ways == 2:
-            # Two-way sets (the tracked L1s): a single comparison, with
-            # the same way-order tie-break as index(min(row)).
-            index = base if stamps[base] <= stamps[base + 1] else base + 1
+        ways = tags[base : base + self._num_ways]
+        victim = _EMPTY
+        if _EMPTY in ways:
+            index = base + ways.index(_EMPTY)
         else:
-            row = stamps[base : base + num_ways]
-            index = base + row.index(min(row))
-        victim_address = tags[index]
-        victim_dirty = self._dirty[index]
-        stats = self._stats
-        stats.evictions += 1
-        if victim_dirty:
-            stats.dirty_evictions += 1
-        self.victim_dirty = victim_dirty
-        self._victim_state_code = self._states[index]
-        del location[victim_address]
+            stamps = self._stamps[base : base + self._num_ways]
+            index = base + stamps.index(min(stamps))
+            victim = tags[index]
+            stats = self._stats
+            stats.evictions += 1
+            self.victim_dirty = bool(self._dirty[index])
+            stats.dirty_evictions += self.victim_dirty
+            self._victim_state_code = self._states[index]
         tags[index] = address
         self._states[index] = state_code
-        self._dirty[index] = dirty
-        location[address] = index
-        self._clock += 1
-        stamps[index] = self._clock
-        return victim_address
+        self._dirty[index] = 1 if dirty else 0
+        self._stamp(index)
+        return victim
 
     def invalidate(self, address: int) -> bool:
         """Remove ``address`` (remote write or forced directory eviction)."""
-        index = self._location.pop(address, None)
-        if index is None:
+        index = self._frame(address)
+        if index < 0:
             return False
-        self._stamps[index] = 0
         self._tags[index] = _EMPTY
+        self._stamps[index] = 0
         self._states[index] = STATE_INVALID
-        self._dirty[index] = False
-        self._set_counts[index // self._num_ways] -= 1
+        self._dirty[index] = 0
         self._stats.invalidations_received += 1
         return True
 
@@ -450,27 +455,24 @@ class SetAssociativeCache:
 
     def set_state_code(self, address: int, state_code: int) -> None:
         """Integer-code twin of :meth:`set_state` for valid states."""
-        index = self._location.get(address)
-        if index is None:
+        index = self._frame(address)
+        if index < 0:
             raise KeyError(f"block {address:#x} not resident in {self._name}")
         self._states[index] = state_code
         if state_code == STATE_MODIFIED:
-            self._dirty[index] = True
+            self._dirty[index] = 1
 
     def flush(self) -> List[int]:
         """Empty the cache, returning the addresses that were resident."""
-        addresses = list(self._location.keys())
-        for index in self._location.values():
-            self._tags[index] = _EMPTY
-            self._states[index] = STATE_INVALID
-            self._dirty[index] = False
-        self._location.clear()
-        # In place: the compiled drain holds this list (TiledCMP._prepare_drain).
-        self._set_counts[:] = [0] * self._num_sets
+        addresses = list(self.resident_addresses())
+        frames = len(self._tags)
+        self._tags[:] = array("q", [_EMPTY]) * frames
+        self._states[:] = array("B", bytes(frames))
+        self._dirty[:] = array("B", bytes(frames))
         return addresses
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SetAssociativeCache({self._name!r}, sets={self._num_sets}, "
-            f"ways={self._num_ways}, resident={len(self._location)})"
+            f"ways={self._num_ways}, resident={len(self)})"
         )

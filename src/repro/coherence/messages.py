@@ -9,7 +9,7 @@ caused by forced invalidations and by inexact sharer encodings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
 from enum import Enum
 from typing import Dict
 
@@ -43,44 +43,69 @@ def message_bytes(message_type: MessageType) -> int:
     return _CONTROL_BYTES
 
 
-#: Precomputed wire size per message type, covering every member;
-#: :meth:`TrafficStats.record` and ``TiledCMP._drain_compiled`` index it
-#: unconditionally.
+#: Precomputed wire size per message type, covering every member.
 MESSAGE_BYTES_BY_TYPE: Dict[MessageType, int] = {
     t: message_bytes(t) for t in MessageType
 }
 
 
-@dataclass
-class TrafficStats:
-    """Counts of protocol messages and the hops they traversed."""
+#: The columns of a traffic row: one count per message type, then the hops
+#: (``N_*`` in ``_kernels.c``, which counts into the row in place).
+_TYPES = tuple(MessageType)
+_HOPS = len(_TYPES)
 
-    messages: Dict[MessageType, int] = field(
-        default_factory=lambda: {t: 0 for t in MessageType}
-    )
-    hops: int = 0
-    bytes_transferred: int = 0
+
+class TrafficStats:
+    """Counts of protocol messages and the hops they traversed.
+
+    The counts live in one int64 row; bytes follow from them.
+    """
+
+    __slots__ = ("_row",)
+
+    def __init__(self) -> None:
+        self._row = array("q", bytes(8 * (_HOPS + 1)))
+
+    @property
+    def messages(self) -> Dict[MessageType, int]:
+        """Messages per type (a copy of the row's counts)."""
+        return dict(zip(_TYPES, self._row))
+
+    @property
+    def hops(self) -> int:
+        return self._row[_HOPS]
+
+    @property
+    def bytes_transferred(self) -> int:
+        return sum(
+            count * MESSAGE_BYTES_BY_TYPE[message]
+            for message, count in zip(_TYPES, self._row)
+        )
 
     def record(self, message_type: MessageType, hops: int = 0, count: int = 1) -> None:
         if count < 0:
             raise ValueError("count must be non-negative")
-        messages = self.messages
-        messages[message_type] = messages.get(message_type, 0) + count
-        self.hops += hops * count
-        self.bytes_transferred += MESSAGE_BYTES_BY_TYPE[message_type] * count
+        self._row[_TYPES.index(message_type)] += count
+        self._row[_HOPS] += hops * count
+
+    def clear(self) -> None:
+        """Zero every count in place."""
+        self._row[:] = array("q", bytes(8 * len(self._row)))
 
     @property
     def total_messages(self) -> int:
-        return sum(self.messages.values())
+        return sum(self._row[:_HOPS])
 
     @property
     def invalidation_messages(self) -> int:
-        return self.messages.get(MessageType.INVALIDATE, 0)
+        return self.messages[MessageType.INVALIDATE]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TrafficStats):
+            return NotImplemented
+        return self._row == other._row
 
     def merge(self, other: "TrafficStats") -> "TrafficStats":
         merged = TrafficStats()
-        for key in set(self.messages) | set(other.messages):
-            merged.messages[key] = self.messages.get(key, 0) + other.messages.get(key, 0)
-        merged.hops = self.hops + other.hops
-        merged.bytes_transferred = self.bytes_transferred + other.bytes_transferred
+        merged._row[:] = array("q", map(int.__add__, self._row, other._row))
         return merged

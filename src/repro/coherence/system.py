@@ -31,12 +31,16 @@ per-access address math (page translation, block/home/local derivation,
 tracked-cache selection) numpy-precomputed and the core-range check hoisted
 to one chunk-level validation, then hands the whole slice to the drain, which
 runs every access in trace order; :meth:`TiledCMP.access` is a one-access
-batch.  The drain runs every directory slice the simulator builds: a Cuckoo,
-Sparse or Skewed table (:class:`~repro.directories.table.TableDirectory`),
-the Cuckoo table with an overflow stash included.  A system it cannot run is
-refused at construction, with :class:`ValueError`: more than 64 tracked
-caches (a sharer mask is 64 bits), slices whose tables differ in way count,
-or a slice that is not table-backed.  The handler loop the drain is tested
+batch.  The drain owns no state: every cache, shared-L2 bank, directory
+table and stash keeps its state, statistics included, in typed buffers that
+the Python API and the drain share, and the drain takes them once, at
+construction (:meth:`TiledCMP._prepare_drain`), hashing every key itself.
+It runs every directory slice the simulator builds: a Cuckoo, Sparse or
+Skewed table (:class:`~repro.directories.table.TableDirectory`), the Cuckoo
+table with an overflow stash included.  A system it cannot run is refused
+at construction, with :class:`ValueError`: more than 64 tracked caches (a
+sharer mask is 64 bits), slices whose tables differ in way count, or a
+slice that is not table-backed.  The handler loop the drain is tested
 against lives in ``tests/coherence/reference_protocol.py``.
 
 The protocol operates on integer MESI codes (:data:`repro.cache.cache.
@@ -46,6 +50,7 @@ only at the public cache API boundary.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
@@ -55,12 +60,10 @@ import numpy as np
 from repro.cache.cache import STATE_EXCLUSIVE, SetAssociativeCache
 from repro.config import CacheLevel, SystemConfig
 from repro.coherence.interconnect import MeshInterconnect
-from repro.coherence.messages import MESSAGE_BYTES_BY_TYPE, MessageType, TrafficStats
+from repro.coherence.messages import TrafficStats
 from repro.coherence.paging import PageMapper
 from repro.core import native
-from repro.core.cuckoo_hash import _INDICES_CACHE_LIMIT
 from repro.directories.base import Directory, DirectoryStats
-from repro.directories.sharers import FullBitVector
 from repro.directories.table import TableDirectory
 from repro.obs.metrics import counter as _obs_counter
 from repro.obs.tracing import TRACER as _TRACER
@@ -87,7 +90,7 @@ _DRAIN_VECTOR = _obs_counter(
     "sim.drain.vector_resolved",
     help="accesses resolved by the compiled drain",
 )
-# The drain's per-class counters, in the order of its totals' last columns.
+# The drain's per-class counters, in the order it returns them.
 _DRAIN_CLASSES = tuple(
     _obs_counter(f"sim.drain.class_{name}", help=text)
     for name, text in (
@@ -100,36 +103,6 @@ _DRAIN_CLASSES = tuple(
          "walk (cuckoo) or an LRU eviction (sparse, skewed)"),
     )
 )
-
-# The message types the drain counts, in the order of its totals.
-_DRAIN_MESSAGES = (
-    MessageType.GET_SHARED, MessageType.GET_MODIFIED, MessageType.DATA,
-    MessageType.INVALIDATE, MessageType.INV_ACK, MessageType.PUT_MODIFIED,
-    MessageType.PUT_SHARED, MessageType.FWD_GET,
-)
-
-#: The first attempt-histogram column of a table's counts row (T_HISTOGRAM
-#: in ``_kernels.c``); the columns before it are the table's counters.
-_TABLE_HISTOGRAM = 13
-
-
-def _frame_lists(cache: SetAssociativeCache) -> tuple:
-    """A cache's flat state as the compiled drain reads it."""
-    return (
-        cache._location, cache._tags, cache._states, cache._dirty,
-        cache._stamps, cache._set_counts,
-    )
-
-
-def _add_cache_counts(cache: SetAssociativeCache, counts: List[int]) -> None:
-    """Add one cache's (or bank's) drain counts and take its new clock."""
-    hits, misses, evictions, dirty_evictions, invalidations, cache._clock = counts
-    stats = cache._stats
-    stats.hits += hits
-    stats.misses += misses
-    stats.evictions += evictions
-    stats.dirty_evictions += dirty_evictions
-    stats.invalidations_received += invalidations
 
 
 @dataclass(frozen=True)
@@ -212,57 +185,42 @@ class TiledCMP:
         self._prepare_drain()
 
     def _prepare_drain(self) -> None:
-        """Take the compiled drain's arguments once, or refuse the system.
+        """Take the compiled drain's machine once, or refuse the system.
 
-        The drain runs over the caches' flat lists and each slice's
-        ``drain_handles()``, which keep their identity for the life of the
-        system, so they are gathered here with the all-pairs hop table
-        (cores² entries) and the hash family every slice shares (``None``
-        when they differ, and each home hashes its own addresses): O(caches
-        + slices), with no hashing.  A slice the drain cannot run raises
+        The machine (``machine`` in ``_kernels.c``) holds every cache's,
+        bank's and slice's typed buffers (their ``drain_state()``), the
+        traffic row and the all-pairs hop table (cores² entries) for the
+        life of the system: O(caches + slices), with no hashing and no
+        per-slot work.  A slice the drain cannot run raises
         :class:`ValueError` (module docstring; ``__init__`` has already
         refused more than 64 tracked caches).
         """
-        tracked, directories, banks = self._tracked, self._directories, self._l2_banks
+        directories, banks = self._directories, self._l2_banks
         for slice_id, directory in enumerate(directories):
             if not isinstance(directory, TableDirectory):
                 raise ValueError(
                     f"directory slice {slice_id} ({type(directory).__name__}) is not "
                     "table-backed; the compiled drain runs only table directories"
                 )
-        tables = [directory.table for directory in directories]
-        ways = sorted({table.num_ways for table in tables})
+        ways = sorted({directory.num_ways for directory in directories})
         if len(ways) > 1:
             raise ValueError(
                 f"the compiled drain needs one way count in every slice; these "
                 f"slices' tables have {ways} ways"
             )
-        families = [table.hash_family for table in tables]
-        key = families[0].batch_key()
-        shared = key is not None and all(f.batch_key() == key for f in families)
-        self._family = families[0] if shared else None
-        self._tables = tables
         mesh = MeshInterconnect(self._num_cores)
         cores = range(self._num_cores)
         self._hops = np.array(
             [[mesh.hops(source, destination) for destination in cores] for source in cores],
             dtype=np.int64,
         )
-        # A table row ends in its attempt histogram; the totals row has 15.
-        self._counts_width = max(
-            15, _TABLE_HISTOGRAM + 1 + max(table.max_attempts for table in tables)
-        )
-        geometry = tracked[0]
-        self._drain_args = (
-            tuple(_frame_lists(cache) for cache in tracked),
-            tuple(directory.drain_handles() for directory in directories),
-            None if banks is None else tuple(_frame_lists(bank) for bank in banks),
-            (
-                geometry.num_sets, geometry.num_ways,
-                banks[0].num_sets if banks else 1, banks[0].num_ways if banks else 1,
-                1 if self._l1_tracked else 0, self._track_traffic,
-                FullBitVector, len(tracked), _INDICES_CACHE_LIMIT,
-            ),
+        self._machine = native.KERNELS.machine(
+            tuple(cache.drain_state() for cache in self._tracked),
+            None if banks is None else tuple(bank.drain_state() for bank in banks),
+            tuple(directory.drain_state() for directory in directories),
+            self._hops,
+            self._traffic._row if self._track_traffic else None,
+            1 if self._l1_tracked else 0,
         )
 
     # -- geometry / accessors ------------------------------------------------
@@ -404,7 +362,9 @@ class TiledCMP:
         return counts
 
     def reset_stats(self) -> None:
-        """Clear directory, cache and traffic statistics (end of warm-up)."""
+        """Clear directory, cache and traffic statistics (end of warm-up).
+
+        In place: the drain keeps counting into the same rows."""
         for directory in self._directories:
             directory.reset_stats()
         for cache in self._tracked:
@@ -412,7 +372,7 @@ class TiledCMP:
         if self._l2_banks is not None:
             for bank in self._l2_banks:
                 bank.reset_stats()
-        self._traffic = TrafficStats()
+        self._traffic.clear()
 
     # -- the access path ---------------------------------------------------------
     def access(self, access: MemoryAccess) -> None:
@@ -466,13 +426,13 @@ class TiledCMP:
             else:
                 cache_id_array = seg_cores.astype(np.int64)
             write_array = np.asarray(writes)[start:stop].astype(bool)
-        self._accesses += count
         _BATCH_CHUNKS.inc()
         _BATCH_ACCESSES.add(count)
         with _TRACER.span("drain_vector"):
             self._drain_compiled(
                 block_array, locals_array, homes_array, cache_id_array, write_array
             )
+        self._accesses += count
         _BATCH_DRAINED.add(count)
         _DRAIN_VECTOR.add(count)
         return count
@@ -485,99 +445,19 @@ class TiledCMP:
         caches: np.ndarray,
         writes: np.ndarray,
     ) -> None:
-        """Run a chunk through the compiled drain, then add up its counts.
+        """Run a chunk through the compiled drain.
 
         The drain (``core/_kernels.c``) executes every access in trace
-        order over the arguments :meth:`_prepare_drain` took.  Its
-        ``trace`` rows are the five access fields, then one row per way of
-        candidate indices, hashed here in one vectorized call (``HashFamily.
-        batch_indices_array``; one per home when the slices hash
-        differently).  ``counts`` has a row per tracked cache, per slice,
-        per shared-L2 bank and one of totals, in the column order of
-        ``_kernels.c``: the clocks and start ways go in, and the chunk's
-        statistics come out, added to the statistics objects here.  A
-        table row's stash hits, parks and re-inserts fold into its bits
-        read and written and its stash insertions.
+        order over the machine :meth:`_prepare_drain` took, counting every
+        statistic into the caches', slices' and traffic rows in place; the
+        trace is the five access fields, and the drain hashes each key
+        itself.  It returns the chunk's accesses per class, for telemetry.
         """
-        tracked, directories, banks = self._tracked, self._directories, self._l2_banks
-        tables = self._tables
-        num_caches, num_homes = len(tracked), len(tables)
-        trace = np.empty((5 + tables[0].num_ways, blocks.size), dtype=np.int64)
-        trace[:5] = blocks, locals_, homes, caches, writes
-        if self._family is not None:
-            trace[5:] = self._family.batch_indices_array(locals_)
-        else:
-            for home, table in enumerate(tables):
-                members = np.flatnonzero(homes == home)
-                trace[5:, members] = table.hash_family.batch_indices_array(
-                    locals_[members]
-                )
-        counts = np.zeros(
-            (num_caches + 2 * num_homes + 1, self._counts_width), dtype=np.int64
+        trace = np.empty((5, blocks.size), dtype=np.int64)
+        trace[0], trace[1], trace[2], trace[3], trace[4] = (
+            blocks, locals_, homes, caches, writes,
         )
-        table_rows = counts[num_caches : num_caches + num_homes]
-        bank_rows = counts[num_caches + num_homes : -1]
-        counts[:num_caches, 5] = [cache._clock for cache in tracked]
-        table_rows[:, 8] = [table._start_way for table in tables]
-        table_rows[:, 9] = [table._clock for table in tables]
-        if banks is not None:
-            bank_rows[:, 5] = [bank._clock for bank in banks]
-        native.KERNELS.drain(*self._drain_args, trace, self._hops, counts)
-        for cache, row in zip(tracked, counts[:num_caches, :6].tolist()):
-            _add_cache_counts(cache, row)
-        for bank, row in zip(banks or (), bank_rows[:, :6].tolist()):
-            _add_cache_counts(bank, row)
-        histograms = table_rows[:, _TABLE_HISTOGRAM:]
-        for home, attempts in zip(*np.nonzero(histograms)):
-            directories[home].stats.attempt_histogram[int(attempts)] += int(
-                histograms[home, attempts]
-            )
-        for directory, table, row, inserted, attempted in zip(
-            directories, tables, table_rows[:, :_TABLE_HISTOGRAM].tolist(),
-            histograms.sum(axis=1).tolist(),
-            (histograms @ np.arange(histograms.shape[1])).tolist(),
-        ):
-            (
-                lookups, hits, removals, entry_removals, invalidate_all, forced,
-                forced_messages, size, table._start_way, table._clock,
-                stash_hits, parks, reinserts,
-            ) = row
-            table._size += size
-            payload_bits = directory._payload_bits
-            entry_bits = directory._entry_bits
-            stats = directory.stats
-            stats.lookups += lookups
-            stats.lookup_hits += hits
-            stats.lookup_misses += lookups - hits
-            stats.sharer_additions += hits
-            stats.sharer_removals += removals
-            stats.entry_removals += entry_removals
-            stats.invalidate_all_operations += invalidate_all
-            stats.forced_invalidations += forced
-            stats.forced_invalidation_messages += forced_messages
-            stats.insertions += inserted
-            stats.insertion_attempts += attempted
-            # A stash hit reads the whole entry and no table tags.
-            stats.bits_read += (
-                (lookups - stash_hits) * directory._lookup_tag_bits
-                + (hits - stash_hits) * payload_bits
-                + stash_hits * entry_bits
-            )
-            stats.bits_written += (
-                (hits + removals) * payload_bits
-                + (attempted + parks + reinserts) * entry_bits
-            )
-            if parks:
-                directory._stash_insertions += parks
-        totals = counts[-1].tolist()
-        if self._track_traffic:
-            traffic = self._traffic
-            for message, count in zip(_DRAIN_MESSAGES, totals):
-                if count:
-                    traffic.messages[message] += count
-                    traffic.bytes_transferred += count * MESSAGE_BYTES_BY_TYPE[message]
-            traffic.hops += totals[8]
-        for counter, count in zip(_DRAIN_CLASSES, totals[9:15]):
+        for counter, count in zip(_DRAIN_CLASSES, native.KERNELS.drain(self._machine, trace)):
             counter.add(count)
 
     # -- consistency checking (used by the tests) ---------------------------------
@@ -602,18 +482,16 @@ class TiledCMP:
         * **a true count** — :meth:`Directory.entry_count` equals the
           number of entries listed.
 
-        The check is observation-only: its directory lookups count into
-        scratch statistics that are discarded.
+        The check is observation-only: the statistics its directory
+        lookups count are put back afterwards.
         """
         violations: List[str] = []
         holders: dict = {}
         for cache_id, cache in enumerate(self._tracked):
             for block in cache.resident_addresses():
                 holders.setdefault(block, {})[cache_id] = cache.state_code_of(block)
-        saved_stats = [directory.stats for directory in self._directories]
+        saved_rows = [array("q", directory.stats._row) for directory in self._directories]
         try:
-            for directory in self._directories:
-                directory.reset_stats()
             for block, states in holders.items():
                 directory = self._directories[self.home_slice(block)]
                 reported = directory.lookup(self.slice_local_address(block)).sharers
@@ -660,6 +538,6 @@ class TiledCMP:
                             f"but resident in no cache"
                         )
         finally:
-            for directory, stats in zip(self._directories, saved_stats):
-                directory._stats = stats
+            for directory, row in zip(self._directories, saved_rows):
+                directory.stats._row[:] = row
         return violations

@@ -3,1053 +3,975 @@
  * drain() runs a chunk of accesses through the MESI protocol in trace order,
  * over every directory slice the simulator builds (a Cuckoo, Sparse or
  * Skewed table, and the Cuckoo table with an overflow stash); walk() is the
- * displacement walk of CuckooHashTable.walk, which the drain calls as a
- * plain C function.  They are the simulator's only definitions of both: the
+ * displacement walk of CuckooHashTable.walk, which the drain runs as a plain
+ * C function.  They are the simulator's only definitions of both: the
  * handler loop and the Python walk they are tested against live in
- * tests/coherence/reference_protocol.py.  Both run over the simulator's own
- * lists and dicts (caches' flat frame lists and residency dicts; tables' way
- * lists, locators, LRU stamps and indices caches; sharer pools, stashes and
- * sharer sets' _mask), so nothing changes layout.  repro.core.native builds
- * this file on first import.
+ * tests/coherence/reference_protocol.py.  repro.core.native builds this file
+ * on first import.
  *
- * Every argument is type-checked and every index bounds-checked, so corrupt
- * state raises TypeError or IndexError instead of writing outside a list
- * (the walk indexes a way as list indexing does, negatives from the end;
- * the drain rejects negatives).  Only C-API calls of Python 3.9 are used.
+ * Both run over typed buffers the Python objects own and read through the
+ * buffer protocol, so Python and C share one state and no Python object is
+ * touched per access:
+ *
+ *   a cache    int64 tags (-1 vacant) and LRU stamps, uint8 MESI states and
+ *              dirty bits, one per frame [set * ways + way], and an int64
+ *              counts row (K_*);
+ *   a table    int64 keys (-1 vacant), uint64 sharer masks and, under LRU,
+ *              int64 stamps, one per slot [way * sets + index], an int64
+ *              meta row (M_*) and its hash descriptor (H_*);
+ *   a slice    its table, its DirectoryStats row (S_*, then the attempt
+ *              histogram), its stash (int64 keys, uint64 masks, oldest
+ *              first and packed, -1 after the last) and its parks counter;
+ *   a system   its caches, shared-L2 banks and slices, the mesh hop table
+ *              and the traffic row (N_*).
+ *
+ * machine() takes a system's buffers once and returns a capsule holding
+ * them; drain() then needs only the capsule and the chunk's five-row trace.
+ * Every buffer's item type and length is checked when it is taken
+ * (TypeError, ValueError), and every trace value and table meta value before
+ * a chunk runs (IndexError, with nothing written).  Only C-API calls of
+ * Python 3.9 are used.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <string.h>
 
-/* The vacant-slot sentinel of the way key lists and the cache tag lists. */
-#define EMPTY_KEY -1L
+typedef long long i64;
+typedef unsigned long long u64;
 
-static int
-is_empty(PyObject *key)
-{
-    if (PyLong_CheckExact(key)) {
-        int overflow;
-        long value = PyLong_AsLongAndOverflow(key, &overflow);
-        return !overflow && value == EMPTY_KEY;
-    }
-    PyObject *empty = PyLong_FromLong(EMPTY_KEY);
-    if (empty == NULL) {
-        return -1;
-    }
-    int result = PyObject_RichCompareBool(key, empty, Py_EQ);
-    Py_DECREF(empty);
-    return result;
-}
-
-/* The list ways[way], checked.  Borrowed. */
-static PyObject *
-row(PyObject *ways, Py_ssize_t way)
-{
-    if (way < 0 || way >= PyList_GET_SIZE(ways)) {
-        PyErr_SetString(PyExc_IndexError, "way index out of range");
-        return NULL;
-    }
-    PyObject *list = PyList_GET_ITEM(ways, way);
-    if (!PyList_Check(list)) {
-        PyErr_SetString(PyExc_TypeError, "each way must be a list");
-        return NULL;
-    }
-    return list;
-}
-
-/* ---- the walk ------------------------------------------------------------ */
-
-/* The candidate index of key in way: its cached row's entry, else the way's
- * hash function.  Returns a new reference. */
-static PyObject *
-candidate_index(PyObject *cache, PyObject *way_fns, PyObject *key, Py_ssize_t way)
-{
-    PyObject *row = PyDict_GetItemWithError(cache, key);
-    if (row == NULL) {
-        if (PyErr_Occurred()) {
-            return NULL;
-        }
-        return PyObject_CallOneArg(PyTuple_GET_ITEM(way_fns, way), key);
-    }
-    /* Rows seeded by the drain are tuples, rows from the indices function
-     * lists; anything else takes the generic sequence protocol. */
-    if (PyTuple_CheckExact(row) && way < PyTuple_GET_SIZE(row)) {
-        PyObject *index = PyTuple_GET_ITEM(row, way);
-        Py_INCREF(index);
-        return index;
-    }
-    if (PyList_CheckExact(row) && way < PyList_GET_SIZE(row)) {
-        PyObject *index = PyList_GET_ITEM(row, way);
-        Py_INCREF(index);
-        return index;
-    }
-    return PySequence_GetItem(row, way);
-}
-
-/* The walk of walk() below.  *way is the start way on entry and the stop
- * way on return; *evicted_key and *evicted_value are new references to the
- * entry a cut-off walk threw out, or NULL. */
-static int
-walk_impl(PyObject *keys, PyObject *values, PyObject *locator, PyObject *cache,
-          PyObject *way_fns, PyObject *key, PyObject *value, Py_ssize_t *way_io,
-          Py_ssize_t max_attempts, Py_ssize_t *attempts_out,
-          PyObject **evicted_key, PyObject **evicted_value)
-{
-    Py_ssize_t num_ways = PyTuple_GET_SIZE(way_fns);
-    Py_ssize_t way = *way_io;
-    Py_ssize_t attempts = 0;
-    /* The entry in flight: owned references throughout. */
-    Py_INCREF(key);
-    Py_INCREF(value);
-    *evicted_key = *evicted_value = NULL;
-    while (attempts < max_attempts) {
-        attempts++;
-        PyObject *index_obj = candidate_index(cache, way_fns, key, way);
-        if (index_obj == NULL) {
-            goto fail;
-        }
-        Py_ssize_t index = PyNumber_AsSsize_t(index_obj, PyExc_IndexError);
-        PyObject *way_keys = NULL;
-        PyObject *way_values = NULL;
-        if (!(index == -1 && PyErr_Occurred())) {
-            way_keys = row(keys, way);
-            way_values = way_keys ? row(values, way) : NULL;
-        }
-        if (way_values != NULL) {
-            Py_ssize_t size = PyList_GET_SIZE(way_keys);
-            if (index < 0) {
-                index += size;
-            }
-            if (index < 0 || index >= size || index >= PyList_GET_SIZE(way_values)) {
-                PyErr_SetString(PyExc_IndexError, "list index out of range");
-                way_values = NULL;
-            }
-        }
-        if (way_values == NULL) {
-            Py_DECREF(index_obj);
-            goto fail;
-        }
-        PyObject *slot = PyTuple_New(2);
-        PyObject *way_obj = PyLong_FromSsize_t(way);
-        if (slot == NULL || way_obj == NULL) {
-            Py_XDECREF(slot);
-            Py_XDECREF(way_obj);
-            Py_DECREF(index_obj);
-            goto fail;
-        }
-        PyTuple_SET_ITEM(slot, 0, way_obj);
-        PyTuple_SET_ITEM(slot, 1, index_obj);
-        /* Swap the entry in flight with the slot's: the lists take our
-         * references and hand us the victim's. */
-        PyObject *victim_key = PyList_GET_ITEM(way_keys, index);
-        PyObject *victim_value = PyList_GET_ITEM(way_values, index);
-        PyList_SET_ITEM(way_keys, index, key);
-        PyList_SET_ITEM(way_values, index, value);
-        int failed = PyDict_SetItem(locator, key, slot) < 0;
-        Py_DECREF(slot);
-        key = victim_key;
-        value = victim_value;
-        if (failed) {
-            goto fail;
-        }
-        int empty = is_empty(key);
-        if (empty < 0) {
-            goto fail;
-        }
-        if (empty) {
-            Py_DECREF(key);
-            Py_DECREF(value);
-            goto done;
-        }
-        way++;
-        if (way == num_ways) {
-            way = 0;
-        }
-    }
-    /* Cut off: the last displaced entry leaves the table. */
-    if (PyDict_DelItem(locator, key) < 0) {
-        goto fail;
-    }
-    *evicted_key = key;
-    *evicted_value = value;
-done:
-    *attempts_out = attempts;
-    *way_io = way;
-    return 0;
-fail:
-    Py_DECREF(key);
-    Py_DECREF(value);
-    return -1;
-}
-
-PyDoc_STRVAR(walk_doc,
-"walk(keys, values, locator, indices_cache, way_fns, key, value, way,\n"
-"     max_attempts) -> (attempts, way, evicted_key, evicted_value)\n"
-"\n"
-"The displacement walk of CuckooHashTable: writes key over its candidate in\n"
-"way, then re-places each displaced entry in the next way round-robin, one\n"
-"attempt per placement, until an entry lands in a vacant slot or\n"
-"max_attempts placements are made.  Returns where the walk stopped and, for\n"
-"a cut-off walk, the entry it threw out (else None, None).");
-
-static PyObject *
-walk(PyObject *module, PyObject *args)
-{
-    PyObject *keys, *values, *locator, *cache, *way_fns, *key, *value, *evicted, *victim;
-    Py_ssize_t way, max_attempts, attempts;
-    (void)module;
-    if (!PyArg_ParseTuple(args, "O!O!O!O!O!OOnn:walk", &PyList_Type, &keys, &PyList_Type,
-                          &values, &PyDict_Type, &locator, &PyDict_Type, &cache,
-                          &PyTuple_Type, &way_fns, &key, &value, &way, &max_attempts))
-        return NULL;
-    if (way < 0 || way >= PyTuple_GET_SIZE(way_fns)) {
-        PyErr_SetString(PyExc_IndexError, "start way out of range");
-        return NULL;
-    }
-    if (walk_impl(keys, values, locator, cache, way_fns, key, value, &way, max_attempts,
-                  &attempts, &evicted, &victim) < 0)
-        return NULL;
-    if (evicted == NULL)
-        return Py_BuildValue("(nnOO)", attempts, way, Py_None, Py_None);
-    return Py_BuildValue("(nnNN)", attempts, way, evicted, victim);
-}
-
-/* ---- the drain ----------------------------------------------------------- */
+/* The vacant-slot sentinel of the key and tag buffers. */
+#define EMPTY -1LL
+#define MAX_WAYS 64
 
 #define TRY(call) do { if ((call) < 0) return -1; } while (0)
 
 /* The MESI codes of repro.cache.cache (STATE_*). */
 enum { INVALID, SHARED, EXCLUSIVE, MODIFIED };
+/* A cache's counts row (repro.cache.cache). */
+enum { K_HITS, K_MISSES, K_EVICTIONS, K_DIRTY_EVICTIONS, K_INVALIDATIONS, K_CLOCK, K_COLUMNS };
+/* A table's meta row (repro.core.cuckoo_hash). */
+enum { M_SIZE, M_START_WAY, M_CLOCK, M_COLUMNS };
+/* A DirectoryStats row (repro.directories.base), then the histogram. */
+enum { S_LOOKUPS, S_LOOKUP_HITS, S_LOOKUP_MISSES, S_INSERTIONS, S_ATTEMPTS, S_ADDITIONS,
+       S_REMOVALS, S_ENTRY_REMOVALS, S_INVALIDATE_ALL, S_FORCED, S_FORCED_MESSAGES,
+       S_BITS_READ, S_BITS_WRITTEN, S_HISTOGRAM };
+/* The traffic row: one count per MessageType, in its order, then hops. */
+enum { N_GET_S, N_GET_M, N_PUT_S, N_PUT_M, N_INV, N_ACK, N_DATA, N_FWD, N_HOPS, N_COLUMNS };
+/* The per-class counts drain() returns. */
+enum { C_HITS, C_UPGRADES, C_READ_DIRHIT, C_READ_INSERT, C_WRITE_MISS, C_WALKS, C_COLUMNS };
+/* A hash descriptor (HashFamily.descriptor): kind, ways, sets, index bits,
+ * offset bits, then one seed per way. */
+enum { H_KIND, H_WAYS, H_SETS, H_BITS, H_OFFSET, H_SEEDS };
+enum { HASH_MODULO, HASH_SKEWING, HASH_STRONG };
 
-/* Columns of the counts rows TiledCMP._drain_compiled reads: per cache
- * (and bank), per table, and the chunk's totals. */
-enum { K_HITS, K_MISSES, K_EVICTIONS, K_DIRTY_EVICTIONS, K_INVALIDATIONS, K_CLOCK };
-enum { T_LOOKUPS, T_LOOKUP_HITS, T_REMOVALS, T_ENTRY_REMOVALS, T_INVALIDATE_ALL,
-       T_FORCED, T_FORCED_MESSAGES, T_SIZE, T_START_WAY, T_CLOCK, T_STASH_HITS,
-       T_PARKS, T_REINSERTS, T_HISTOGRAM };
-enum { N_GET_S, N_GET_M, N_DATA, N_INV, N_ACK, N_PUT_M, N_PUT_S, N_FWD, N_HOPS,
-       N_HITS, N_UPGRADES, N_READ_DIRHIT, N_READ_INSERT, N_WRITE_MISS, N_WALKS,
-       N_COLUMNS };
+/* ---- typed buffers ------------------------------------------------------- */
 
-typedef struct {  /* a tracked cache or a shared-L2 bank */
-    PyObject *location, *tags, *states, *dirty, *stamps, *counts;
-    long long *out;
-    Py_ssize_t sets, ways;
-} Cache;
-
-typedef struct {  /* a directory slice: its table, sharer pool and any stash */
-    PyObject *locator, *keys, *values, *lru, *indices, *way_fns, *pool;
-    PyObject *stash;  /* NULL for a plain table */
-    Py_ssize_t ways, max_attempts, stash_capacity;
-    long long *out;
-} Table;
-
-typedef struct {
-    Cache *caches, *banks;  /* banks is NULL without a shared L2 */
-    Table *tables;
-    Py_ssize_t num_caches, num_tables, cores, core_shift, indices_limit, n;
-    int track;
-    PyObject *sharer_cls, *width;
-    const long long *trace, *hops;  /* [row][access], [from][to] */
-    long long *totals;
-} Drain;
-
-static PyObject *mask_name;  /* "_mask", the sharer sets' bit mask */
-
-/* list[index], bounds-checked.  Borrowed. */
-static PyObject *
-item(PyObject *list, Py_ssize_t index)
+/* obj's buffer into *view, checked: C-contiguous and writable, of int64
+ * ('q'), uint64 ('Q') or uint8 ('B') items, and of length items (any when
+ * length < 0). */
+static void *
+typed(PyObject *obj, char type, Py_ssize_t length, Py_buffer *view)
 {
-    if (index >= 0 && index < PyList_GET_SIZE(list))
-        return PyList_GET_ITEM(list, index);
-    PyErr_SetString(PyExc_IndexError, "list index out of range");
-    return NULL;
-}
-
-/* list[index] = value, bounds-checked; steals value (NULL after a failed
- * allocation). */
-static int
-store(PyObject *list, Py_ssize_t index, PyObject *value)
-{
-    if (value == NULL || item(list, index) == NULL) {
-        Py_XDECREF(value);
-        return -1;
-    }
-    PyObject *old = PyList_GET_ITEM(list, index);
-    PyList_SET_ITEM(list, index, value);
-    Py_DECREF(old);
-    return 0;
-}
-
-static int
-store_ll(PyObject *list, Py_ssize_t index, long long value)
-{
-    return store(list, index, PyLong_FromLongLong(value));
-}
-
-static int
-load(PyObject *list, Py_ssize_t index, long long *value)
-{
-    PyObject *obj = item(list, index);
-    *value = obj ? PyLong_AsLongLong(obj) : -1;
-    return *value == -1 && PyErr_Occurred() ? -1 : 0;
-}
-
-/* Access i's candidate index in way: the trace rows after the five fields. */
-static Py_ssize_t
-candidate(Drain *d, Py_ssize_t way, Py_ssize_t i)
-{
-    return (Py_ssize_t)d->trace[(5 + way) * d->n + i];
-}
-
-static void
-send(Drain *d, int type, Py_ssize_t from, Py_ssize_t to)
-{
-    if (d->track) {
-        d->totals[type]++;
-        d->totals[N_HOPS] += d->hops[from * d->cores + to];
-    }
-}
-
-static int
-get_mask(Drain *d, PyObject *sharers, unsigned long long *mask)
-{
-    if (!PyObject_TypeCheck(sharers, (PyTypeObject *)d->sharer_cls)) {
-        PyErr_SetString(PyExc_TypeError, "a directory entry's value must be a sharer set");
-        return -1;
-    }
-    PyObject *value = PyObject_GetAttr(sharers, mask_name);
-    *mask = value ? PyLong_AsUnsignedLongLong(value) : (unsigned long long)-1;
-    Py_XDECREF(value);
-    return *mask == (unsigned long long)-1 && PyErr_Occurred() ? -1 : 0;
-}
-
-static int
-set_mask(PyObject *sharers, unsigned long long mask)
-{
-    PyObject *value = PyLong_FromUnsignedLongLong(mask);
-    int failed = value ? PyObject_SetAttr(sharers, mask_name, value) : -1;
-    Py_XDECREF(value);
-    return failed;
-}
-
-/* -- a cache's flat lists: SetAssociativeCache -- */
-
-/* The frame holding block, or -1; -2 on error. */
-static Py_ssize_t
-frame_of(Cache *k, PyObject *block)
-{
-    PyObject *frame = PyDict_GetItemWithError(k->location, block);
-    if (frame == NULL)
-        return PyErr_Occurred() ? -2 : -1;
-    Py_ssize_t index = PyLong_AsSsize_t(frame);
-    if (index >= 0)
-        return index;
-    if (!PyErr_Occurred())
-        PyErr_SetString(PyExc_IndexError, "frame index out of range");
-    return -2;
-}
-
-/* invalidate(). */
-static int
-invalidate(Cache *k, PyObject *block)
-{
-    Py_ssize_t frame = frame_of(k, block);
-    long long count;
-    if (frame < 0)
-        return frame == -1 ? 0 : -1;
-    if (PyDict_DelItem(k->location, block) < 0 || store_ll(k->tags, frame, EMPTY_KEY) < 0
-            || store_ll(k->states, frame, INVALID) < 0
-            || store(k->dirty, frame, PyBool_FromLong(0)) < 0
-            || store_ll(k->stamps, frame, 0) < 0
-            || load(k->counts, frame / k->ways, &count) < 0
-            || store_ll(k->counts, frame / k->ways, count - 1) < 0)
-        return -1;
-    k->out[K_INVALIDATIONS]++;
-    return 0;
-}
-
-/* The frame a fill of block b takes (fill_miss_code): the set's first
- * vacant frame, counted in, else its least recently stamped one, whose
- * block leaves the residency map as an eviction.  Returns 1 when that
- * frame held a victim, 0 when it was vacant, -1 on error. */
-static int
-pick_frame(Cache *k, long long b, Py_ssize_t *frame)
-{
-    Py_ssize_t set = (Py_ssize_t)(b % k->sets), base = set * k->ways, way;
-    long long count, stamp, oldest = 0, dirty;
-    PyObject *tag;
-    TRY(load(k->counts, set, &count));
-    for (way = 0; count < k->ways && way < k->ways; way++) {
-        int empty = (tag = item(k->tags, base + way)) ? is_empty(tag) : -1;
-        TRY(empty);
-        if (empty) {
-            *frame = base + way;
-            return store_ll(k->counts, set, count + 1);
-        }
-    }
-    if (count < k->ways) {
-        PyErr_SetString(PyExc_ValueError, "no vacant frame in a set counted as not full");
-        return -1;
-    }
-    for (*frame = -1, way = 0; way < k->ways; way++) {
-        TRY(load(k->stamps, base + way, &stamp));
-        if (*frame < 0 || stamp < oldest) {
-            *frame = base + way;
-            oldest = stamp;
-        }
-    }
-    if ((tag = item(k->tags, *frame)) == NULL || load(k->dirty, *frame, &dirty) < 0
-            || PyDict_DelItem(k->location, tag) < 0)
-        return -1;
-    k->out[K_EVICTIONS]++;
-    k->out[K_DIRTY_EVICTIONS] += dirty != 0;
-    return 1;
-}
-
-/* Write block into frame and map it there. */
-static int
-install(Cache *k, Py_ssize_t frame, PyObject *block, int state, int dirty, long long stamp)
-{
-    PyObject *index;
-    Py_INCREF(block);
-    if (store(k->tags, frame, block) < 0 || store_ll(k->states, frame, state) < 0
-            || store(k->dirty, frame, PyBool_FromLong(dirty)) < 0
-            || store_ll(k->stamps, frame, stamp) < 0
-            || (index = PyLong_FromSsize_t(frame)) == NULL)
-        return -1;
-    int failed = PyDict_SetItem(k->location, block, index);
-    Py_DECREF(index);
-    return failed;
-}
-
-/* The shared-L2 bank at home h sees block b: touch_code, then
- * fill_miss_code on a miss. */
-static int
-bank_access(Drain *d, Py_ssize_t h, PyObject *block, long long b, int write)
-{
-    Cache *k = &d->banks[h];
-    long long stamp = ++k->out[K_CLOCK];
-    Py_ssize_t frame = frame_of(k, block);
-    if (frame >= 0) {
-        k->out[K_HITS]++;
-        TRY(store_ll(k->stamps, frame, stamp));
-        return write ? store(k->dirty, frame, PyBool_FromLong(1)) : 0;
-    }
-    k->out[K_MISSES]++;
-    if (frame == -2 || pick_frame(k, b, &frame) < 0)
-        return -1;
-    return install(k, frame, block, SHARED, 0, stamp);
-}
-
-/* -- a directory table's lists: TableDirectory over CuckooHashTable -- */
-
-/* The slot of key: 1 when present, 0 when absent, -1 on error. */
-static int
-locate(Table *t, PyObject *key, Py_ssize_t *way, Py_ssize_t *index)
-{
-    PyObject *slot = PyDict_GetItemWithError(t->locator, key);
-    if (slot == NULL)
-        return PyErr_Occurred() ? -1 : 0;
-    if (!PyTuple_Check(slot) || PyTuple_GET_SIZE(slot) != 2) {
-        PyErr_SetString(PyExc_TypeError, "a locator slot must be a (way, index) tuple");
-        return -1;
-    }
-    if ((*way = PyLong_AsSsize_t(PyTuple_GET_ITEM(slot, 0))) == -1 && PyErr_Occurred())
-        return -1;
-    *index = PyLong_AsSsize_t(PyTuple_GET_ITEM(slot, 1));
-    return *index == -1 && PyErr_Occurred() ? -1 : 1;
-}
-
-/* The sharer set at (way, index), after an LRU table stamps the slot (a
- * sharer is about to change).  Borrowed. */
-static PyObject *
-touch(Table *t, Py_ssize_t way, Py_ssize_t index)
-{
-    PyObject *values = row(t->values, way), *stamps;
-    if (values == NULL || (t->lru != Py_None
-                           && ((stamps = row(t->lru, way)) == NULL
-                               || store_ll(stamps, index, ++t->out[T_CLOCK]) < 0)))
-        return NULL;
-    return item(values, index);
-}
-
-/* Write key and value (stolen) into (way, index) and locate key there. */
-static int
-place(Table *t, Py_ssize_t way, Py_ssize_t index, PyObject *key, PyObject *value)
-{
-    PyObject *keys = row(t->keys, way), *values = keys ? row(t->values, way) : NULL;
-    PyObject *slot;
-    Py_INCREF(key);
-    if (values == NULL || store(keys, index, key) < 0) {
-        Py_DECREF(value);
-        if (values == NULL)
-            Py_DECREF(key);
-        return -1;
-    }
-    if (store(values, index, value) < 0 || (slot = Py_BuildValue("(nn)", way, index)) == NULL)
-        return -1;
-    int failed = PyDict_SetItem(t->locator, key, slot);
-    Py_DECREF(slot);
-    return failed;
-}
-
-/* A cuckoo table's indices cache takes key's candidate row, as a tuple,
- * while it is below its bound (a row already there is equal). */
-static int
-seed(Drain *d, Table *t, PyObject *key, Py_ssize_t i)
-{
-    int present = PyDict_Contains(t->indices, key);
-    if (present != 0 || PyDict_Size(t->indices) >= d->indices_limit)
-        return present < 0 ? -1 : 0;
-    PyObject *indices = PyTuple_New(t->ways);
-    for (Py_ssize_t way = 0; indices && way < t->ways; way++) {
-        PyObject *index = PyLong_FromSsize_t(candidate(d, way, i));
-        if (index == NULL)
-            Py_CLEAR(indices);
-        else
-            PyTuple_SET_ITEM(indices, way, index);
-    }
-    int failed = indices ? PyDict_SetItem(t->indices, key, indices) : -1;
-    Py_XDECREF(indices);
-    return failed;
-}
-
-/* Home h invalidates block in every cache of mask: an INVALIDATE and an
- * INV_ACK each. */
-static int
-invalidate_sharers(Drain *d, Py_ssize_t h, unsigned long long mask, PyObject *block)
-{
-    for (; mask; mask &= mask - 1) {
-        Py_ssize_t s = __builtin_ctzll(mask);
-        if (s >= d->num_caches) {
-            PyErr_SetString(PyExc_IndexError, "sharer out of range");
-            return -1;
-        }
-        send(d, N_INV, h, s >> d->core_shift);
-        send(d, N_ACK, s >> d->core_shift, h);
-        TRY(invalidate(&d->caches[s], block));
-    }
-    return 0;
-}
-
-/* Home h lost the entry of key (borrowed, with its sharers): a forced
- * invalidation of every sharer. */
-static int
-force_out(Drain *d, Py_ssize_t h, PyObject *key, PyObject *sharers)
-{
-    Table *t = &d->tables[h];
-    long long local = PyLong_AsLongLong(key);
-    unsigned long long mask;
-    PyObject *block;
-    if ((local == -1 && PyErr_Occurred()) || get_mask(d, sharers, &mask) < 0
-            || (block = PyLong_FromLongLong(local * d->num_tables + h)) == NULL)
-        return -1;
-    t->out[T_FORCED]++;
-    t->out[T_FORCED_MESSAGES] += __builtin_popcountll(mask);
-    int failed = invalidate_sharers(d, h, mask, block);
-    Py_DECREF(block);
-    return failed;
-}
-
-/* -- the stash: StashedCuckooDirectory, a dict in age order -- */
-
-/* The sharer set key holds in t's stash (borrowed): 1 when it is parked
- * there, 0 when it is not or t has no stash, -1 on error. */
-static int
-stashed(Table *t, PyObject *key, PyObject **sharers)
-{
-    if (t->stash == NULL || PyDict_GET_SIZE(t->stash) == 0)
-        return 0;
-    if ((*sharers = PyDict_GetItemWithError(t->stash, key)) == NULL)
-        return PyErr_Occurred() ? -1 : 0;
-    return 1;
-}
-
-/* The entry a cut-off walk or an LRU eviction threw out of home h's table
- * (borrowed): parked in the stash when there is one with any capacity,
- * after forcing out its oldest entry if it is full, else forced out. */
-static int
-park(Drain *d, Py_ssize_t h, PyObject *key, PyObject *sharers)
-{
-    Table *t = &d->tables[h];
-    PyObject *oldest, *oldest_sharers;
-    Py_ssize_t position = 0;
-    if (t->stash == NULL || t->stash_capacity == 0)
-        return force_out(d, h, key, sharers);
-    if (PyDict_GET_SIZE(t->stash) >= t->stash_capacity
-            && PyDict_Next(t->stash, &position, &oldest, &oldest_sharers)) {
-        Py_INCREF(oldest);
-        Py_INCREF(oldest_sharers);
-        int failed = PyDict_DelItem(t->stash, oldest) < 0
-            || force_out(d, h, oldest, oldest_sharers) < 0;
-        Py_DECREF(oldest);
-        Py_DECREF(oldest_sharers);
-        if (failed)
-            return -1;
-    }
-    t->out[T_PARKS]++;
-    return PyDict_SetItem(t->stash, key, sharers);
-}
-
-/* The first vacant candidate slot of key from the start way: 1 with the
- * slot, 0 when every candidate is full, -1 on error. */
-static int
-first_vacant(Table *t, PyObject *key, Py_ssize_t *way, Py_ssize_t *index)
-{
-    PyObject *index_obj, *keys, *slot;
-    int empty;
-    for (Py_ssize_t offset = 0; offset < t->ways; offset++) {
-        *way = ((Py_ssize_t)t->out[T_START_WAY] + offset) % t->ways;
-        if ((index_obj = candidate_index(t->indices, t->way_fns, key, *way)) == NULL)
-            return -1;
-        *index = PyNumber_AsSsize_t(index_obj, PyExc_IndexError);
-        Py_DECREF(index_obj);
-        if ((*index == -1 && PyErr_Occurred()) || (keys = row(t->keys, *way)) == NULL
-                || (slot = item(keys, *index)) == NULL || (empty = is_empty(slot)) < 0)
-            return -1;
-        if (empty)
-            return 1;
-    }
-    return 0;
-}
-
-/* Every stash entry with a vacant candidate goes back into the table,
- * oldest first, each into its first vacant candidate from the start way,
- * which moves there. */
-static int
-reinsert(Table *t)
-{
-    PyObject *keys, *key, *sharers;
-    Py_ssize_t n, way, index;
-    int failed = 0, vacant;
-    if (PyDict_GET_SIZE(t->stash) == 0)
-        return 0;
-    if ((keys = PyDict_Keys(t->stash)) == NULL)
-        return -1;
-    for (n = 0; !failed && n < PyList_GET_SIZE(keys); n++) {
-        key = PyList_GET_ITEM(keys, n);
-        vacant = first_vacant(t, key, &way, &index);
-        if (vacant > 0 && (sharers = PyDict_GetItemWithError(t->stash, key)) != NULL) {
-            Py_INCREF(sharers);
-            failed = place(t, way, index, key, sharers) < 0
-                || PyDict_DelItem(t->stash, key) < 0;
-            t->out[T_START_WAY] = way;
-            t->out[T_SIZE]++;
-            t->out[T_REINSERTS]++;
-        }
-        else
-            failed = vacant < 0 || PyErr_Occurred() != NULL;
-    }
-    Py_DECREF(keys);
-    return failed ? -1 : 0;
-}
-
-/* Every candidate of key is full: the displacement walk (cuckoo) or the
- * eviction of the least recently stamped candidate (LRU), then the entry
- * that left is parked or forced out.  Steals sharers. */
-static int
-insert_full(Drain *d, Py_ssize_t h, PyObject *key, PyObject *sharers, Py_ssize_t i)
-{
-    Table *t = &d->tables[h];
-    PyObject *victim = NULL, *victims = NULL, *keys;
-    Py_ssize_t attempts = 1, way = (Py_ssize_t)t->out[T_START_WAY], best = 0;
-    long long stamp, oldest = 0;
-    int failed = -1;
-    d->totals[N_WALKS]++;
-    if (t->lru == Py_None) {
-        if (seed(d, t, key, i) < 0
-                || walk_impl(t->keys, t->values, t->locator, t->indices, t->way_fns, key,
-                             sharers, &way, t->max_attempts, &attempts, &victim,
-                             &victims) < 0)
-            goto done;
-        t->out[T_START_WAY] = way;
-        t->out[T_SIZE] += victim == NULL;
-    }
-    else {
-        for (way = 0; way < t->ways; way++) {
-            PyObject *stamps = row(t->lru, way);
-            if (stamps == NULL || load(stamps, candidate(d, way, i), &stamp) < 0)
-                goto done;
-            if (way == 0 || stamp < oldest) {
-                best = way;
-                oldest = stamp;
-            }
-        }
-        keys = row(t->keys, best);
-        victim = keys ? item(keys, candidate(d, best, i)) : NULL;
-        Py_XINCREF(victim);
-        if (victim == NULL || (victims = touch(t, best, candidate(d, best, i))) == NULL)
-            goto done;
-        Py_INCREF(victims);
-        Py_INCREF(sharers);
-        if (PyDict_DelItem(t->locator, victim) < 0
-                || place(t, best, candidate(d, best, i), key, sharers) < 0)
-            goto done;
-    }
-    t->out[T_HISTOGRAM + attempts]++;
-    failed = victim != NULL && park(d, h, victim, victims) < 0 ? -1 : 0;
-done:
-    Py_DECREF(sharers);
-    Py_XDECREF(victim);
-    Py_XDECREF(victims);
-    return failed;
-}
-
-/* A new entry: a pooled (or new) sharer set holding
- * mask takes key's first vacant candidate from the start way (a cuckoo
- * table moves its start way there, an LRU table stamps the slot), else
- * insert_full. */
-static int
-insert_new(Drain *d, Py_ssize_t h, PyObject *key, unsigned long long mask, Py_ssize_t i)
-{
-    Table *t = &d->tables[h];
-    Py_ssize_t pooled = PyList_GET_SIZE(t->pool), start = (Py_ssize_t)t->out[T_START_WAY];
-    PyObject *sharers = pooled ? PyList_GET_ITEM(t->pool, pooled - 1) : NULL;
-    Py_XINCREF(sharers);
-    if (pooled && PyList_SetSlice(t->pool, pooled - 1, pooled, NULL) < 0)
-        Py_CLEAR(sharers);
-    else if (!pooled)
-        sharers = PyObject_CallOneArg(d->sharer_cls, d->width);
-    if (sharers == NULL || set_mask(sharers, mask) < 0) {
-        Py_XDECREF(sharers);
-        return -1;
-    }
-    for (Py_ssize_t offset = 0; offset < t->ways; offset++) {
-        Py_ssize_t way = (start + offset) % t->ways, index = candidate(d, way, i);
-        PyObject *keys = row(t->keys, way), *slot = keys ? item(keys, index) : NULL;
-        int empty = slot ? is_empty(slot) : -1;
-        if (empty < 0) {
-            Py_DECREF(sharers);
-            return -1;
-        }
-        if (!empty)
-            continue;
-        TRY(place(t, way, index, key, sharers));
-        if (t->lru == Py_None) {
-            t->out[T_START_WAY] = way;
-            TRY(seed(d, t, key, i));
-        }
-        else if (touch(t, way, index) == NULL)
-            return -1;
-        t->out[T_HISTOGRAM + 1]++;
-        t->out[T_SIZE]++;
-        return 0;
-    }
-    return insert_full(d, h, key, sharers, i);
-}
-
-/* The home's side of cache c's miss or upgrade (the caller counts the
- * lookup).  The stash, if any, is consulted before the table.  A read adds c
- * and downgrades an M/E owner; a write makes c the only sharer and
- * invalidates the rest; an absent entry is inserted either way.  Returns
- * the state c's copy takes, or -1 on error. */
-static int
-directory(Drain *d, Py_ssize_t h, PyObject *key, PyObject *block, Py_ssize_t c,
-          Py_ssize_t i, int write)
-{
-    Table *t = &d->tables[h];
-    unsigned long long bit = 1ULL << c, mask, others;
-    Py_ssize_t way, index, frame, owner;
-    long long state;
-    PyObject *sharers;
-    int parked = stashed(t, key, &sharers), found = parked;
-    if (!parked)
-        found = locate(t, key, &way, &index);
-    if (found < 0)
-        return -1;
-    if (!write)
-        d->totals[found ? N_READ_DIRHIT : N_READ_INSERT]++;
-    if (!found)
-        return insert_new(d, h, key, bit, i) < 0 ? -1 : write ? MODIFIED : EXCLUSIVE;
-    t->out[T_LOOKUP_HITS]++;
-    t->out[T_STASH_HITS] += parked;
-    if ((!parked && (sharers = touch(t, way, index)) == NULL)
-            || get_mask(d, sharers, &mask) < 0)
-        return -1;
-    others = mask & ~bit;
-    TRY(set_mask(sharers, write && others ? bit : mask | bit));
-    if (write) {
-        t->out[T_INVALIDATE_ALL] += others != 0;
-        t->out[T_REMOVALS] += __builtin_popcountll(others);
-        /* Each removal from a table entry runs the stash's re-insert scan;
-         * none frees a slot, so one scan does the work of all. */
-        if (others && !parked && t->stash && reinsert(t) < 0)
-            return -1;
-        return invalidate_sharers(d, h, others, block) < 0 ? -1 : MODIFIED;
-    }
-    /* An M/E owner holds the block alone: only a sole prior sharer can need
-     * the downgrade. */
-    if (!others || others & (others - 1))
-        return SHARED;
-    if ((owner = __builtin_ctzll(others)) >= d->num_caches) {
-        PyErr_SetString(PyExc_IndexError, "sharer out of range");
-        return -1;
-    }
-    Cache *k = &d->caches[owner];
-    if ((frame = frame_of(k, block)) == -2 || (frame >= 0 && load(k->states, frame, &state) < 0))
-        return -1;
-    if (frame >= 0 && state >= EXCLUSIVE) {
-        send(d, N_FWD, h, owner >> d->core_shift);
-        if (state == MODIFIED)
-            send(d, N_PUT_M, owner >> d->core_shift, h);
-        TRY(store_ll(k->states, frame, SHARED));
-    }
-    return SHARED;
-}
-
-/* Cache c's victim in frame has left (pick_frame): its PUT goes home, where
- * c leaves the entry's sharers.  An entry whose last sharer leaves is freed
- * and its sharer set pooled.  A removal the table serves, found or not,
- * then runs the stash's re-insert scan; one from the stash does not. */
-static int
-evict(Drain *d, Py_ssize_t c, Py_ssize_t frame)
-{
-    long long victim, dirty;
-    unsigned long long mask = 1;
-    Py_ssize_t way, index;
-    PyObject *key, *sharers = NULL, *keys, *values = NULL;
-    TRY(load(d->caches[c].tags, frame, &victim));
-    TRY(load(d->caches[c].dirty, frame, &dirty));
-    if (victim < 0) {
-        PyErr_SetString(PyExc_IndexError, "negative block address");
-        return -1;
-    }
-    Table *t = &d->tables[victim % d->num_tables];
-    send(d, dirty ? N_PUT_M : N_PUT_S, c >> d->core_shift, victim % d->num_tables);
-    if ((key = PyLong_FromLongLong(victim / d->num_tables)) == NULL)
-        return -1;
-    int parked = stashed(t, key, &sharers), found = parked;
-    if (!parked && (found = locate(t, key, &way, &index)) > 0)
-        sharers = (values = row(t->values, way)) ? item(values, index) : NULL;
-    int failed = found < 0 || (found && (sharers == NULL || get_mask(d, sharers, &mask) < 0
-                                         || set_mask(sharers, mask &= ~(1ULL << c)) < 0));
-    t->out[T_REMOVALS] += found > 0;
-    if (found > 0 && !failed && !mask) {
-        failed = PyList_Append(t->pool, sharers) < 0 || (parked
-            ? PyDict_DelItem(t->stash, key) < 0
-            : (keys = row(t->keys, way)) == NULL || PyDict_DelItem(t->locator, key) < 0
-              || store_ll(keys, index, EMPTY_KEY) < 0
-              || store(values, index, (Py_INCREF(Py_None), Py_None)) < 0);
-        t->out[T_ENTRY_REMOVALS]++;
-        t->out[T_SIZE] -= !parked;
-    }
-    if (!parked && !failed && t->stash)
-        failed = reinsert(t) < 0;
-    Py_DECREF(key);
-    return failed ? -1 : 0;
-}
-
-/* Access i.  The trace rows are block, slice-local address, home, tracked
- * cache and write flag, then the candidate rows. */
-static int
-run_access(Drain *d, Py_ssize_t i)
-{
-    const long long *trace = d->trace;
-    Py_ssize_t n = d->n, frame;
-    long long b = trace[i], h = trace[2 * n + i], c = trace[3 * n + i], current = 0;
-    int write = trace[4 * n + i] != 0, failed = -1, full, state;
-    if (b < 0 || h < 0 || h >= d->num_tables || c < 0 || c >= d->num_caches) {
-        PyErr_SetString(PyExc_IndexError, "access out of range");
-        return -1;
-    }
-    Cache *k = &d->caches[c];
-    Table *t = &d->tables[h];
-    Py_ssize_t core = c >> d->core_shift;
-    long long stamp = ++k->out[K_CLOCK];
-    PyObject *block = PyLong_FromLongLong(b), *key = NULL;
-    if (block == NULL || (frame = frame_of(k, block)) == -2)
-        goto done;
-    if (frame >= 0) {
-        /* A hit stamps the frame; a write dirties it, and an S copy turns M
-         * through its home (a GET_M, but no DATA back). */
-        k->out[K_HITS]++;
-        if (store_ll(k->stamps, frame, stamp) < 0 || (write
-                && (store(k->dirty, frame, PyBool_FromLong(1)) < 0
-                    || load(k->states, frame, &current) < 0)))
-            goto done;
-        failed = 0;
-        if (write && current == SHARED) {
-            d->totals[N_UPGRADES]++;
-            t->out[T_LOOKUPS]++;
-            send(d, N_GET_M, core, h);
-            if ((key = PyLong_FromLongLong(trace[n + i])) == NULL
-                    || directory(d, h, key, block, c, i, 1) < 0)
-                failed = -1;
-        }
-        else
-            d->totals[N_HITS]++;
-        if (write && !failed)
-            failed = store_ll(k->states, frame, MODIFIED);
-        goto done;
-    }
-    /* A miss: the request, the bank, the directory, the data, the fill. */
-    k->out[K_MISSES]++;
-    t->out[T_LOOKUPS]++;
-    send(d, write ? N_GET_M : N_GET_S, core, h);
-    send(d, N_DATA, h, core);
-    if ((d->banks && bank_access(d, h, block, b, write) < 0)
-            || (key = PyLong_FromLongLong(trace[n + i])) == NULL)
-        goto done;
-    d->totals[N_WRITE_MISS] += write;
-    state = directory(d, h, key, block, c, i, write);
-    if (state >= 0 && (full = pick_frame(k, b, &frame)) >= 0
-            && !(full && evict(d, c, frame) < 0))
-        failed = install(k, frame, block, state, write, stamp);
-done:
-    Py_XDECREF(block);
-    Py_XDECREF(key);
-    return failed;
-}
-
-/* -- arguments -- */
-
-/* obj's buffer as a 2-D C-contiguous int64 array. */
-static long long *
-int64s(PyObject *obj, Py_buffer *view)
-{
+    view->obj = NULL;
     if (PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | PyBUF_WRITABLE) < 0)
         return NULL;
     const char *format = view->format ? view->format : "B";
     char code = format[strlen(format) - 1];
-    if (view->itemsize == 8 && view->ndim == 2 && (code == 'q' || code == 'l')
-            && format[0] != '>' && format[0] != '!' && view->shape[0] && view->shape[1])
-        return view->buf;
+    int ok = format[0] != '>' && format[0] != '!' && (type == 'B'
+        ? view->itemsize == 1 && code == 'B'
+        : view->itemsize == 8 && (code == type || code == type - 'q' + 'l'));
+    static i64 no_items[1];  /* an empty buffer's address, never read */
+    if (ok && (length < 0 || view->len / view->itemsize == length))
+        return view->buf ? view->buf : no_items;
+    if (ok)
+        PyErr_Format(PyExc_ValueError, "a buffer of %zd items where %zd are expected",
+                     view->len / view->itemsize, length);
+    else
+        PyErr_Format(PyExc_TypeError, "expected a contiguous buffer of %s", type == 'q'
+                     ? "int64" : type == 'Q' ? "uint64" : "uint8");
     PyBuffer_Release(view);
-    PyErr_SetString(PyExc_TypeError, "expected a 2-D C-contiguous int64 array");
     return NULL;
 }
 
-/* A cache's (location, tags, states, dirty, stamps, set_counts), borrowed. */
-static int
-parse_cache(PyObject *state, Py_ssize_t sets, Py_ssize_t ways, long long *out, Cache *k)
+static Py_ssize_t
+items(const Py_buffer *view)
 {
-    *k = (Cache){.out = out, .sets = sets, .ways = ways};
-    if (PyTuple_Check(state) && PyArg_ParseTuple(
-            state, "O!O!O!O!O!O!", &PyDict_Type, &k->location, &PyList_Type, &k->tags,
-            &PyList_Type, &k->states, &PyList_Type, &k->dirty, &PyList_Type, &k->stamps,
-            &PyList_Type, &k->counts))
-        return 0;
-    if (!PyErr_Occurred())
-        PyErr_SetString(PyExc_TypeError, "a cache's state must be a tuple");
-    return -1;
+    return view->len / view->itemsize;
 }
 
-/* A table's (locator, keys, values, LRU stamps or None, indices cache or
- * None, way functions, max attempts, sharer pool), then a stashed cuckoo
- * table's stash and capacity, borrowed. */
-static int
-parse_table(PyObject *state, Py_ssize_t ways, Py_ssize_t columns, long long *out,
-            Table *t)
+/* ---- hashing ------------------------------------------------------------- */
+
+typedef struct {
+    int kind, bits, offset;
+    u64 sets;
+    const u64 *seeds;
+} Hash;
+
+static u64
+shr(u64 value, int shift)
 {
-    *t = (Table){.out = out};
-    if (!PyTuple_Check(state) || !PyArg_ParseTuple(
-            state, "O!O!O!OOO!nO!|O!n", &PyDict_Type, &t->locator, &PyList_Type, &t->keys,
-            &PyList_Type, &t->values, &t->lru, &t->indices, &PyTuple_Type, &t->way_fns,
-            &t->max_attempts, &PyList_Type, &t->pool, &PyDict_Type, &t->stash,
-            &t->stash_capacity)
-            || !(t->lru == Py_None || PyList_Check(t->lru))
-            || !(PyDict_Check(t->indices) || (t->indices == Py_None && t->lru != Py_None))
-            || (t->stash && t->lru != Py_None)) {
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_TypeError, "a table's state is (dict, list, list, list or "
-                            "None, dict or None, tuple, int, list), and a stashed cuckoo "
-                            "table's (dict, int) after it");
+    return shift < 64 ? value >> shift : 0;
+}
+
+/* times applications of the skewing permutation sigma (skew_sigma). */
+static u64
+sigma(u64 value, int bits, int times)
+{
+    u64 mask = shr(~0ULL, 64 - bits), msb;
+    for (; times > 0; times--) {
+        msb = (value >> (bits - 1)) & 1;
+        value = ((value << 1) | msb) & mask;
+        if (bits >= 2)
+            value ^= msb << 1;
+    }
+    return value;
+}
+
+/* The candidate index of key in way, in [0, sets). */
+static Py_ssize_t
+hash_index(const Hash *h, Py_ssize_t way, i64 key)
+{
+    u64 value = (u64)key;
+    if (h->kind == HASH_SKEWING) {
+        if (h->bits == 0)
+            return 0;
+        u64 mask = h->sets - 1, block = shr(value, h->offset);
+        return (Py_ssize_t)(sigma(block & mask, h->bits, (int)way)
+                            ^ sigma(shr(block, h->bits) & mask, h->bits, (int)way / 2)
+                            ^ (shr(block, 2 * h->bits) & mask));
+    }
+    if (h->kind == HASH_STRONG) {  /* mix64(key ^ seed), SplitMix64's finaliser */
+        value ^= h->seeds[way];
+        value ^= value >> 30;
+        value *= 0xBF58476D1CE4E5B9ULL;
+        value ^= value >> 27;
+        value *= 0x94D049BB133111EBULL;
+        value ^= value >> 31;
+    }
+    return (Py_ssize_t)(value % h->sets);
+}
+
+/* A descriptor, checked; *ways and *sets are its geometry. */
+static int
+parse_hash(const Py_buffer *view, Hash *h, Py_ssize_t *ways, Py_ssize_t *sets)
+{
+    const u64 *d = view->buf;
+    if (items(view) < H_SEEDS || d[H_WAYS] < 1 || d[H_WAYS] > MAX_WAYS
+            || items(view) != H_SEEDS + (Py_ssize_t)d[H_WAYS] || d[H_SETS] < 1
+            || d[H_SETS] > (u64)PY_SSIZE_T_MAX / MAX_WAYS || d[H_KIND] > HASH_STRONG
+            || (d[H_KIND] == HASH_SKEWING
+                && (d[H_BITS] > 62 || d[H_SETS] != 1ULL << d[H_BITS] || d[H_OFFSET] > 63))) {
+        PyErr_SetString(PyExc_ValueError, "not a hash descriptor");
         return -1;
     }
-    t->ways = PyTuple_GET_SIZE(t->way_fns);
-    if (t->ways != ways || t->max_attempts < 1 || t->max_attempts >= columns - T_HISTOGRAM
-            || out[T_START_WAY] < 0 || out[T_START_WAY] >= ways || t->stash_capacity < 0) {
-        PyErr_SetString(PyExc_ValueError,
-                        "table ways, attempts, start way or stash capacity out of range");
-        return -1;
-    }
+    *h = (Hash){.kind = (int)d[H_KIND], .bits = (int)d[H_BITS], .offset = (int)d[H_OFFSET],
+                .sets = d[H_SETS], .seeds = d + H_SEEDS};
+    *ways = (Py_ssize_t)d[H_WAYS];
+    *sets = (Py_ssize_t)d[H_SETS];
     return 0;
 }
 
-PyDoc_STRVAR(drain_doc,
-"drain(caches, tables, banks, config, trace, hops, counts)\n"
+PyDoc_STRVAR(indices_doc,
+"indices(descriptor, keys, out)\n"
 "\n"
-"Run a chunk of accesses through the protocol in trace order, adding its\n"
-"statistics to counts; see TiledCMP._drain_compiled in\n"
-"repro.coherence.system for the arguments.");
+"Write every key's candidate index in every way into out, a (ways, n) int64\n"
+"buffer, with the drain's hashing (HashFamily.descriptor).");
 
 static PyObject *
-drain(PyObject *module, PyObject *args)
+indices(PyObject *module, PyObject *args)
 {
-    Drain d = {0};
-    Py_buffer views[3] = {{0}};  /* trace, hops, counts */
-    PyObject *caches, *tables, *banks, *arrays[3], *result = NULL;
-    Py_ssize_t sets, ways, bank_sets, bank_ways, columns, i;
-    long long *out = NULL;
+    PyObject *objs[3], *result = NULL;
+    Py_buffer views[3] = {{0}};
+    Py_ssize_t ways, sets, n, way, i;
+    Hash h;
     (void)module;
-    if (!PyArg_ParseTuple(args, "O!O!O(nnnnnpOOn)OOO:drain", &PyTuple_Type, &caches,
-                          &PyTuple_Type, &tables, &banks, &sets, &ways, &bank_sets,
-                          &bank_ways, &d.core_shift, &d.track, &d.sharer_cls, &d.width,
-                          &d.indices_limit, &arrays[0], &arrays[1], &arrays[2]))
+    if (!PyArg_ParseTuple(args, "OOO:indices", &objs[0], &objs[1], &objs[2])
+            || typed(objs[0], 'Q', -1, &views[0]) == NULL)
         return NULL;
-    if (!PyType_Check(d.sharer_cls)) {
-        PyErr_SetString(PyExc_TypeError, "the sharer set class must be a type");
-        return NULL;
-    }
-    d.num_caches = PyTuple_GET_SIZE(caches);
-    d.num_tables = PyTuple_GET_SIZE(tables);
-    for (i = 0; i < 3; i++)
-        if ((out = int64s(arrays[i], &views[i])) == NULL)
-            goto done;
-    d.trace = views[0].buf;
-    d.hops = views[1].buf;
-    d.n = views[0].shape[1];
-    d.cores = views[1].shape[0];
-    columns = views[2].shape[1];
-    d.totals = out + (d.num_caches + 2 * d.num_tables) * columns;
-    if (d.num_caches < 1 || d.num_caches > 64 || d.num_tables < 1 || d.core_shift < 0
-            || d.core_shift > 1 || sets < 1 || ways < 1 || bank_sets < 1 || bank_ways < 1
-            || views[0].shape[0] < 6 || views[1].shape[1] != d.cores
-            || d.num_tables > d.cores || (d.num_caches - 1) >> d.core_shift >= d.cores
-            || columns < N_COLUMNS || views[2].shape[0] != d.num_caches + 2 * d.num_tables + 1
-            || (banks != Py_None && (!PyTuple_Check(banks)
-                                     || PyTuple_GET_SIZE(banks) != d.num_tables))) {
-        PyErr_SetString(PyExc_ValueError, "drain() geometry out of range");
+    if (parse_hash(&views[0], &h, &ways, &sets) < 0
+            || typed(objs[1], 'q', -1, &views[1]) == NULL)
         goto done;
-    }
-    d.caches = PyMem_Calloc(d.num_caches, sizeof(Cache));
-    d.tables = PyMem_Calloc(d.num_tables, sizeof(Table));
-    d.banks = banks == Py_None ? NULL : PyMem_Calloc(d.num_tables, sizeof(Cache));
-    if (!d.caches || !d.tables || (banks != Py_None && !d.banks)) {
-        PyErr_NoMemory();
+    n = items(&views[1]);
+    if (typed(objs[2], 'q', ways * n, &views[2]) == NULL)
         goto done;
-    }
-    for (i = 0; i < d.num_caches; i++)
-        if (parse_cache(PyTuple_GET_ITEM(caches, i), sets, ways, out + i * columns,
-                        &d.caches[i]) < 0)
+    const i64 *keys = views[1].buf;
+    i64 *out = views[2].buf;
+    for (i = 0; i < n; i++)
+        if (keys[i] < 0) {
+            PyErr_SetString(PyExc_IndexError, "a negative key");
             goto done;
-    for (i = 0; i < d.num_tables; i++)
-        if (parse_table(PyTuple_GET_ITEM(tables, i), views[0].shape[0] - 5, columns,
-                        out + (d.num_caches + i) * columns, &d.tables[i]) < 0
-                || (d.banks && parse_cache(PyTuple_GET_ITEM(banks, i), bank_sets, bank_ways,
-                                           out + (d.num_caches + d.num_tables + i) * columns,
-                                           &d.banks[i]) < 0))
-            goto done;
-    for (i = 0; i < d.n; i++)
-        if (run_access(&d, i) < 0)
-            goto done;
+        }
+    for (way = 0; way < ways; way++)
+        for (i = 0; i < n; i++)
+            out[way * n + i] = hash_index(&h, way, keys[i]);
     result = Py_None;
     Py_INCREF(result);
 done:
-    PyMem_Free(d.caches);
-    PyMem_Free(d.tables);
-    PyMem_Free(d.banks);
     for (i = 0; i < 3; i++)
         if (views[i].obj != NULL)
             PyBuffer_Release(&views[i]);
     return result;
 }
 
+/* ---- the machine ----------------------------------------------------------- */
+
+typedef struct {  /* a tracked cache or a shared-L2 bank */
+    i64 *tags, *stamps, *counts;
+    unsigned char *states, *dirty;
+    Py_ssize_t sets, ways;
+} Cache;
+
+typedef struct {  /* a directory slice: its table, statistics and stash */
+    i64 *keys, *stamps, *meta, *stats, *stash_keys, *parks;  /* stamps NULL: cuckoo */
+    u64 *masks, *stash_masks;
+    Hash hash;
+    Py_ssize_t ways, sets, max_attempts, stash_capacity;
+    i64 tag_bits, payload_bits, entry_bits;  /* a lookup's tags, a sharer update, an entry */
+} Table;
+
+typedef struct {
+    Cache *caches, *banks;  /* banks is NULL without a shared L2 */
+    Table *tables;
+    Py_ssize_t num_caches, num_tables, cores, core_shift, num_views;
+    const i64 *hops;  /* [from][to] */
+    i64 *traffic;     /* NULL when traffic is not tracked */
+    const i64 *trace; /* the chunk's [row][access] */
+    Py_ssize_t n;
+    i64 classes[C_COLUMNS];
+    Py_buffer *views;
+} Machine;
+
+static const char machine_name[] = "repro.core.native.machine";
+
+static void
+free_machine(Machine *m)
+{
+    for (Py_ssize_t i = 0; i < m->num_views; i++)
+        PyBuffer_Release(&m->views[i]);
+    PyMem_Free(m->views);
+    PyMem_Free(m->caches);
+    PyMem_Free(m->banks);
+    PyMem_Free(m->tables);
+    PyMem_Free(m);
+}
+
+static void
+machine_destructor(PyObject *capsule)
+{
+    Machine *m = PyCapsule_GetPointer(capsule, machine_name);
+    if (m != NULL)
+        free_machine(m);
+}
+
+/* obj's buffer, held by the machine until it is freed. */
+static void *
+hold(Machine *m, PyObject *obj, char type, Py_ssize_t length)
+{
+    void *buf = typed(obj, type, length, &m->views[m->num_views]);
+    if (buf != NULL)
+        m->num_views++;
+    return buf;
+}
+
+/* A cache's (tags, stamps, states, dirty, counts, ways). */
+static int
+parse_cache(Machine *m, PyObject *spec, Cache *k)
+{
+    PyObject *o[5];
+    if (!PyTuple_Check(spec) || !PyArg_ParseTuple(spec, "OOOOOn", &o[0], &o[1], &o[2], &o[3],
+                                                  &o[4], &k->ways)) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError, "a cache's state must be a tuple");
+        return -1;
+    }
+    if ((k->tags = hold(m, o[0], 'q', -1)) == NULL)
+        return -1;
+    Py_ssize_t frames = items(&m->views[m->num_views - 1]);
+    if (k->ways < 1 || frames < 1 || frames % k->ways) {
+        PyErr_SetString(PyExc_ValueError, "a cache's frames do not fill its sets");
+        return -1;
+    }
+    k->sets = frames / k->ways;
+    return (k->stamps = hold(m, o[1], 'q', frames)) && (k->states = hold(m, o[2], 'B', frames))
+        && (k->dirty = hold(m, o[3], 'B', frames)) && (k->counts = hold(m, o[4], 'q', K_COLUMNS))
+        ? 0 : -1;
+}
+
+/* A table's (keys, masks, stamps or None, meta, descriptor, max attempts). */
+static int
+parse_table(Machine *m, PyObject *spec, Table *t)
+{
+    PyObject *o[5];
+    if (!PyTuple_Check(spec) || !PyArg_ParseTuple(spec, "OOOOOn", &o[0], &o[1], &o[2], &o[3],
+                                                  &o[4], &t->max_attempts)) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError, "a table's state must be a tuple");
+        return -1;
+    }
+    if (hold(m, o[4], 'Q', -1) == NULL
+            || parse_hash(&m->views[m->num_views - 1], &t->hash, &t->ways, &t->sets) < 0)
+        return -1;
+    Py_ssize_t slots = t->ways * t->sets;
+    if (t->max_attempts < 1) {
+        PyErr_SetString(PyExc_ValueError, "max_attempts must be positive");
+        return -1;
+    }
+    return (t->keys = hold(m, o[0], 'q', slots)) && (t->masks = hold(m, o[1], 'Q', slots))
+        && (o[2] == Py_None || (t->stamps = hold(m, o[2], 'q', slots)))
+        && (t->meta = hold(m, o[3], 'q', M_COLUMNS)) ? 0 : -1;
+}
+
+/* A slice's (table state, stats row, stash keys, stash masks, parks, and the
+ * bits of a lookup's tags, a sharer update and an entry). */
+static int
+parse_slice(Machine *m, PyObject *spec, Table *t)
+{
+    PyObject *o[5];
+    if (!PyTuple_Check(spec) || !PyArg_ParseTuple(spec, "OOOOOLLL", &o[0], &o[1], &o[2], &o[3],
+                                                  &o[4], &t->tag_bits, &t->payload_bits,
+                                                  &t->entry_bits)) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError, "a directory slice's state must be a tuple");
+        return -1;
+    }
+    if (parse_table(m, o[0], t) < 0
+            || (t->stats = hold(m, o[1], 'q', S_HISTOGRAM + t->max_attempts + 1)) == NULL
+            || (t->stash_keys = hold(m, o[2], 'q', -1)) == NULL)
+        return -1;
+    t->stash_capacity = items(&m->views[m->num_views - 1]);
+    if (t->stash_capacity && t->stamps) {
+        PyErr_SetString(PyExc_ValueError, "an LRU table has no stash");
+        return -1;
+    }
+    return (t->stash_masks = hold(m, o[3], 'Q', t->stash_capacity))
+        && (t->parks = hold(m, o[4], 'q', 1)) ? 0 : -1;
+}
+
+PyDoc_STRVAR(machine_doc,
+"machine(caches, banks, slices, hops, traffic, core_shift) -> capsule\n"
+"\n"
+"Take a system's typed buffers for drain(): a state tuple per tracked cache,\n"
+"per shared-L2 bank (banks None without one) and per directory slice, the\n"
+"cores x cores int64 hop table, the traffic row (None: not counted) and the\n"
+"shift from a tracked cache to its core.  The capsule holds every buffer\n"
+"until it is freed; see TiledCMP._prepare_drain.");
+
+static PyObject *
+machine(PyObject *module, PyObject *args)
+{
+    PyObject *caches, *banks, *slices, *hops, *traffic;
+    Py_ssize_t core_shift, i, views;
+    (void)module;
+    if (!PyArg_ParseTuple(args, "O!OO!OOn:machine", &PyTuple_Type, &caches, &banks,
+                          &PyTuple_Type, &slices, &hops, &traffic, &core_shift))
+        return NULL;
+    if (banks != Py_None && !PyTuple_Check(banks)) {
+        PyErr_SetString(PyExc_TypeError, "banks must be a tuple or None");
+        return NULL;
+    }
+    Machine *m = PyMem_Calloc(1, sizeof(Machine));
+    if (m == NULL)
+        return PyErr_NoMemory();
+    m->num_caches = PyTuple_GET_SIZE(caches);
+    m->num_tables = PyTuple_GET_SIZE(slices);
+    m->core_shift = core_shift;
+    views = 5 * m->num_caches + 9 * m->num_tables + 2
+        + (banks == Py_None ? 0 : 5 * PyTuple_GET_SIZE(banks));
+    m->views = PyMem_Calloc(views, sizeof(Py_buffer));
+    m->caches = PyMem_Calloc(m->num_caches + 1, sizeof(Cache));
+    m->tables = PyMem_Calloc(m->num_tables + 1, sizeof(Table));
+    m->banks = banks == Py_None ? NULL : PyMem_Calloc(m->num_tables + 1, sizeof(Cache));
+    if (!m->views || !m->caches || !m->tables || (banks != Py_None && !m->banks)) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    if ((m->hops = hold(m, hops, 'q', -1)) == NULL)
+        goto fail;
+    m->cores = m->views[0].ndim == 2 ? m->views[0].shape[0] : 0;
+    if (m->num_caches < 1 || m->num_caches > 64 || m->num_tables < 1 || core_shift < 0
+            || core_shift > 1 || m->cores < 1 || m->views[0].shape[1] != m->cores
+            || m->num_tables > m->cores || (m->num_caches - 1) >> core_shift >= m->cores
+            || (banks != Py_None && PyTuple_GET_SIZE(banks) != m->num_tables)) {
+        PyErr_SetString(PyExc_ValueError, "machine() geometry out of range");
+        goto fail;
+    }
+    if (traffic != Py_None && (m->traffic = hold(m, traffic, 'q', N_COLUMNS)) == NULL)
+        goto fail;
+    for (i = 0; i < m->num_caches; i++)
+        if (parse_cache(m, PyTuple_GET_ITEM(caches, i), &m->caches[i]) < 0)
+            goto fail;
+    for (i = 0; i < m->num_tables; i++)
+        if (parse_slice(m, PyTuple_GET_ITEM(slices, i), &m->tables[i]) < 0
+                || (m->banks && parse_cache(m, PyTuple_GET_ITEM(banks, i), &m->banks[i]) < 0))
+            goto fail;
+    PyObject *capsule = PyCapsule_New(m, machine_name, machine_destructor);
+    if (capsule != NULL)
+        return capsule;
+fail:
+    free_machine(m);
+    return NULL;
+}
+
+/* ---- the walk -------------------------------------------------------------- */
+
+/* The displacement walk from the start way, with (*key, *mask) in flight:
+ * one attempt per placement, until an entry lands in a vacant slot or
+ * max_attempts placements are made.  The start way moves to where the walk
+ * stopped.  Returns 1 when the walk was cut off, with the entry it threw out
+ * in (*key, *mask); 0 when the table grew by one. */
+static int
+walk_impl(Table *t, i64 *key, u64 *mask, Py_ssize_t *attempts)
+{
+    Py_ssize_t way = (Py_ssize_t)t->meta[M_START_WAY];
+    for (*attempts = 1;; ++*attempts) {
+        Py_ssize_t slot = way * t->sets + hash_index(&t->hash, way, *key);
+        i64 victim = t->keys[slot];
+        u64 victim_mask = t->masks[slot];
+        t->keys[slot] = *key;
+        t->masks[slot] = *mask;
+        *key = victim;
+        *mask = victim_mask;
+        if (victim == EMPTY) {
+            t->meta[M_START_WAY] = way;
+            t->meta[M_SIZE]++;
+            return 0;
+        }
+        if (++way == t->ways)
+            way = 0;
+        if (*attempts == t->max_attempts) {
+            t->meta[M_START_WAY] = way;
+            return 1;
+        }
+    }
+}
+
+/* The start way in range, checked before a walk or a chunk. */
+static int
+check_start_way(const Table *t)
+{
+    if (t->meta[M_START_WAY] >= 0 && t->meta[M_START_WAY] < t->ways)
+        return 0;
+    PyErr_SetString(PyExc_IndexError, "a table's start way is out of range");
+    return -1;
+}
+
+PyDoc_STRVAR(walk_doc,
+"walk(table_state, key, mask) -> (attempts, evicted_key, evicted_mask)\n"
+"\n"
+"The displacement walk of CuckooHashTable over its typed state: writes key\n"
+"over its candidate in the start way, then re-places each displaced entry\n"
+"in the next way round-robin, one attempt per placement, until an entry\n"
+"lands in a vacant slot or max_attempts placements are made.  The start way\n"
+"moves to where the walk stopped.  A cut-off walk returns the entry it threw\n"
+"out, else None, None.");
+
+static PyObject *
+walk(PyObject *module, PyObject *args)
+{
+    PyObject *spec, *key_obj, *result = NULL;
+    unsigned long long mask;
+    int overflow;
+    Machine m = {0};
+    Py_buffer views[5];
+    Table t = {0};
+    Py_ssize_t attempts;
+    (void)module;
+    if (!PyArg_ParseTuple(args, "OOK:walk", &spec, &key_obj, &mask))
+        return NULL;
+    i64 key = PyLong_AsLongLongAndOverflow(key_obj, &overflow);
+    if (key == -1 && PyErr_Occurred())
+        return NULL;
+    if (overflow || key < 0) {
+        PyErr_SetString(PyExc_IndexError, "a key must be a non-negative int64");
+        return NULL;
+    }
+    m.views = views;
+    if (parse_table(&m, spec, &t) == 0 && check_start_way(&t) == 0) {
+        if (walk_impl(&t, &key, &mask, &attempts))
+            result = Py_BuildValue("(nLK)", attempts, key, mask);
+        else
+            result = Py_BuildValue("(nOO)", attempts, Py_None, Py_None);
+    }
+    for (Py_ssize_t i = 0; i < m.num_views; i++)
+        PyBuffer_Release(&views[i]);
+    return result;
+}
+
+/* ---- the drain ------------------------------------------------------------- */
+
+static void
+send(Machine *m, int type, Py_ssize_t from, Py_ssize_t to)
+{
+    if (m->traffic) {
+        m->traffic[type]++;
+        m->traffic[N_HOPS] += m->hops[from * m->cores + to];
+    }
+}
+
+/* -- a cache: SetAssociativeCache -- */
+
+/* The frame holding block b, found by scanning its set's ways, or -1. */
+static Py_ssize_t
+frame_of(const Cache *k, i64 b)
+{
+    if (b < 0)  /* the block of a corrupt table key */
+        return -1;
+    Py_ssize_t base = (Py_ssize_t)(b % k->sets) * k->ways;
+    for (Py_ssize_t way = 0; way < k->ways; way++)
+        if (k->tags[base + way] == b)
+            return base + way;
+    return -1;
+}
+
+/* invalidate(). */
+static void
+invalidate(Cache *k, i64 b)
+{
+    Py_ssize_t frame = frame_of(k, b);
+    if (frame < 0)
+        return;
+    k->tags[frame] = EMPTY;
+    k->stamps[frame] = 0;
+    k->states[frame] = INVALID;
+    k->dirty[frame] = 0;
+    k->counts[K_INVALIDATIONS]++;
+}
+
+/* The frame a fill of block b takes (fill_miss_code): the set's first
+ * vacant frame, else its least recently stamped one, whose block is evicted.
+ * Returns 1 when that frame holds a victim, else 0. */
+static int
+pick_frame(Cache *k, i64 b, Py_ssize_t *frame)
+{
+    Py_ssize_t base = (Py_ssize_t)(b % k->sets) * k->ways, way;
+    for (way = 0; way < k->ways; way++)
+        if (k->tags[base + way] == EMPTY) {
+            *frame = base + way;
+            return 0;
+        }
+    for (*frame = base, way = 1; way < k->ways; way++)
+        if (k->stamps[base + way] < k->stamps[*frame])
+            *frame = base + way;
+    k->counts[K_EVICTIONS]++;
+    k->counts[K_DIRTY_EVICTIONS] += k->dirty[*frame] != 0;
+    return 1;
+}
+
+static void
+install(Cache *k, Py_ssize_t frame, i64 b, int state, int dirty, i64 stamp)
+{
+    k->tags[frame] = b;
+    k->stamps[frame] = stamp;
+    k->states[frame] = (unsigned char)state;
+    k->dirty[frame] = (unsigned char)dirty;
+}
+
+/* The shared-L2 bank at home h sees block b: touch_code, then
+ * fill_miss_code on a miss. */
+static void
+bank_access(Machine *m, Py_ssize_t h, i64 b, int write)
+{
+    Cache *k = &m->banks[h];
+    i64 stamp = ++k->counts[K_CLOCK];
+    Py_ssize_t frame = frame_of(k, b);
+    if (frame >= 0) {
+        k->counts[K_HITS]++;
+        k->stamps[frame] = stamp;
+        if (write)
+            k->dirty[frame] = 1;
+        return;
+    }
+    k->counts[K_MISSES]++;
+    pick_frame(k, b, &frame);
+    install(k, frame, b, SHARED, 0, stamp);
+}
+
+/* -- a directory slice: TableDirectory over CuckooHashTable -- */
+
+static void
+candidates(const Table *t, i64 key, Py_ssize_t *index)
+{
+    for (Py_ssize_t way = 0; way < t->ways; way++)
+        index[way] = hash_index(&t->hash, way, key);
+}
+
+/* The slot of key, found by scanning its candidates, or -1. */
+static Py_ssize_t
+slot_of(const Table *t, i64 key, const Py_ssize_t *index)
+{
+    for (Py_ssize_t way = 0; way < t->ways; way++)
+        if (t->keys[way * t->sets + index[way]] == key)
+            return way * t->sets + index[way];
+    return -1;
+}
+
+/* key's first vacant candidate slot from the start way, or -1. */
+static Py_ssize_t
+first_vacant(const Table *t, const Py_ssize_t *index, Py_ssize_t *way)
+{
+    for (Py_ssize_t offset = 0; offset < t->ways; offset++) {
+        *way = ((Py_ssize_t)t->meta[M_START_WAY] + offset) % t->ways;
+        if (t->keys[*way * t->sets + index[*way]] == EMPTY)
+            return *way * t->sets + index[*way];
+    }
+    return -1;
+}
+
+/* The position of key in the stash, or -1. */
+static Py_ssize_t
+stashed(const Table *t, i64 key)
+{
+    for (Py_ssize_t i = 0; i < t->stash_capacity && t->stash_keys[i] != EMPTY; i++)
+        if (t->stash_keys[i] == key)
+            return i;
+    return -1;
+}
+
+/* Take entry i out of the stash; the younger ones move up. */
+static void
+unstash(Table *t, Py_ssize_t i)
+{
+    Py_ssize_t after = t->stash_capacity - i - 1;
+    memmove(t->stash_keys + i, t->stash_keys + i + 1, after * sizeof(i64));
+    memmove(t->stash_masks + i, t->stash_masks + i + 1, after * sizeof(u64));
+    t->stash_keys[t->stash_capacity - 1] = EMPTY;
+    t->stash_masks[t->stash_capacity - 1] = 0;
+}
+
+/* Home h invalidates block b in every cache of mask: an INVALIDATE and an
+ * INV_ACK each. */
+static int
+invalidate_sharers(Machine *m, Py_ssize_t h, u64 mask, i64 b)
+{
+    for (; mask; mask &= mask - 1) {
+        Py_ssize_t s = __builtin_ctzll(mask);
+        if (s >= m->num_caches) {
+            PyErr_SetString(PyExc_IndexError, "sharer out of range");
+            return -1;
+        }
+        send(m, N_INV, h, s >> m->core_shift);
+        send(m, N_ACK, s >> m->core_shift, h);
+        invalidate(&m->caches[s], b);
+    }
+    return 0;
+}
+
+/* Home h lost the entry (key, mask): a forced invalidation of every sharer. */
+static int
+force_out(Machine *m, Py_ssize_t h, i64 key, u64 mask)
+{
+    Table *t = &m->tables[h];
+    t->stats[S_FORCED]++;
+    t->stats[S_FORCED_MESSAGES] += __builtin_popcountll(mask);
+    return invalidate_sharers(m, h, mask, key * m->num_tables + h);
+}
+
+/* The entry a cut-off walk or an LRU eviction threw out of home h's table:
+ * parked in the stash when it has any capacity, after forcing out its oldest
+ * entry if it is full, else forced out. */
+static int
+park(Machine *m, Py_ssize_t h, i64 key, u64 mask)
+{
+    Table *t = &m->tables[h];
+    Py_ssize_t last = t->stash_capacity - 1;
+    if (t->stash_capacity == 0)
+        return force_out(m, h, key, mask);
+    if (t->stash_keys[last] != EMPTY) {
+        i64 oldest = t->stash_keys[0];
+        u64 oldest_mask = t->stash_masks[0];
+        unstash(t, 0);
+        TRY(force_out(m, h, oldest, oldest_mask));
+    }
+    while (last > 0 && t->stash_keys[last - 1] == EMPTY)
+        last--;
+    t->stash_keys[last] = key;
+    t->stash_masks[last] = mask;
+    t->parks[0]++;
+    t->stats[S_BITS_WRITTEN] += t->entry_bits;
+    return 0;
+}
+
+/* Every stash entry with a vacant candidate goes back into the table,
+ * oldest first, each into its first vacant candidate from the start way,
+ * which moves there. */
+static void
+reinsert(Table *t)
+{
+    Py_ssize_t index[MAX_WAYS], i = 0, way, slot;
+    while (i < t->stash_capacity && t->stash_keys[i] != EMPTY) {
+        candidates(t, t->stash_keys[i], index);
+        if ((slot = first_vacant(t, index, &way)) < 0) {
+            i++;
+            continue;
+        }
+        t->keys[slot] = t->stash_keys[i];
+        t->masks[slot] = t->stash_masks[i];
+        unstash(t, i);
+        t->meta[M_START_WAY] = way;
+        t->meta[M_SIZE]++;
+        t->stats[S_BITS_WRITTEN] += t->entry_bits;
+    }
+}
+
+/* A new entry (key, mask) takes its first vacant candidate from the start
+ * way (a cuckoo table moves its start way there, an LRU table stamps the
+ * slot).  Every candidate full: the displacement walk (cuckoo) or the
+ * eviction of the least recently stamped candidate (LRU), and the entry
+ * that left is parked or forced out. */
+static int
+insert_new(Machine *m, Py_ssize_t h, i64 key, u64 mask, const Py_ssize_t *index)
+{
+    Table *t = &m->tables[h];
+    Py_ssize_t way, attempts = 1, slot = first_vacant(t, index, &way);
+    int evicted = 0;
+    if (slot >= 0) {
+        t->keys[slot] = key;
+        t->masks[slot] = mask;
+        t->meta[M_SIZE]++;
+        if (t->stamps)
+            t->stamps[slot] = ++t->meta[M_CLOCK];
+        else
+            t->meta[M_START_WAY] = way;
+    }
+    else {
+        m->classes[C_WALKS]++;
+        if (t->stamps == NULL)
+            evicted = walk_impl(t, &key, &mask, &attempts);
+        else {
+            for (slot = index[0], way = 1; way < t->ways; way++)
+                if (t->stamps[way * t->sets + index[way]] < t->stamps[slot])
+                    slot = way * t->sets + index[way];
+            i64 victim = t->keys[slot];
+            u64 victim_mask = t->masks[slot];
+            t->keys[slot] = key;
+            t->masks[slot] = mask;
+            t->stamps[slot] = ++t->meta[M_CLOCK];
+            key = victim;
+            mask = victim_mask;
+            evicted = 1;
+        }
+    }
+    t->stats[S_INSERTIONS]++;
+    t->stats[S_ATTEMPTS] += attempts;
+    t->stats[S_HISTOGRAM + attempts]++;
+    t->stats[S_BITS_WRITTEN] += attempts * t->entry_bits;
+    return evicted ? park(m, h, key, mask) : 0;
+}
+
+/* The home's side of cache c's miss or upgrade of block b, slice-local key.
+ * The stash, if any, is consulted before the table.  A read adds c and
+ * downgrades an M/E owner; a write makes c the only sharer and invalidates
+ * the rest; an absent entry is inserted either way.  Returns the state c's
+ * copy takes, or -1 on error. */
+static int
+directory(Machine *m, Py_ssize_t h, i64 key, i64 b, Py_ssize_t c, int write)
+{
+    Table *t = &m->tables[h];
+    Py_ssize_t index[MAX_WAYS], slot = -1, parked = stashed(t, key);
+    u64 bit = 1ULL << c, *entry, others;
+    if (parked < 0) {
+        candidates(t, key, index);
+        slot = slot_of(t, key, index);
+    }
+    int found = parked >= 0 || slot >= 0;
+    t->stats[S_LOOKUPS]++;
+    if (!write)
+        m->classes[found ? C_READ_DIRHIT : C_READ_INSERT]++;
+    if (!found) {
+        t->stats[S_LOOKUP_MISSES]++;
+        t->stats[S_BITS_READ] += t->tag_bits;
+        return insert_new(m, h, key, bit, index) < 0 ? -1 : write ? MODIFIED : EXCLUSIVE;
+    }
+    /* A stash hit reads the whole entry and no table tags. */
+    t->stats[S_LOOKUP_HITS]++;
+    t->stats[S_ADDITIONS]++;
+    t->stats[S_BITS_READ] += parked >= 0 ? t->entry_bits : t->tag_bits + t->payload_bits;
+    t->stats[S_BITS_WRITTEN] += t->payload_bits;
+    if (parked >= 0)
+        entry = &t->stash_masks[parked];
+    else {
+        entry = &t->masks[slot];
+        if (t->stamps)
+            t->stamps[slot] = ++t->meta[M_CLOCK];
+    }
+    others = *entry & ~bit;
+    *entry = write && others ? bit : *entry | bit;
+    if (write) {
+        int removed = __builtin_popcountll(others);
+        t->stats[S_INVALIDATE_ALL] += others != 0;
+        t->stats[S_REMOVALS] += removed;
+        t->stats[S_BITS_WRITTEN] += removed * t->payload_bits;
+        /* Each removal from a table entry runs the stash's re-insert scan;
+         * none frees a slot, so one scan does the work of all. */
+        if (others && parked < 0)
+            reinsert(t);
+        return invalidate_sharers(m, h, others, b) < 0 ? -1 : MODIFIED;
+    }
+    /* An M/E owner holds the block alone: only a sole prior sharer can need
+     * the downgrade. */
+    if (!others || others & (others - 1))
+        return SHARED;
+    Py_ssize_t owner = __builtin_ctzll(others), frame;
+    if (owner >= m->num_caches) {
+        PyErr_SetString(PyExc_IndexError, "sharer out of range");
+        return -1;
+    }
+    Cache *k = &m->caches[owner];
+    if ((frame = frame_of(k, b)) >= 0 && k->states[frame] >= EXCLUSIVE) {
+        send(m, N_FWD, h, owner >> m->core_shift);
+        if (k->states[frame] == MODIFIED)
+            send(m, N_PUT_M, owner >> m->core_shift, h);
+        k->states[frame] = SHARED;
+    }
+    return SHARED;
+}
+
+/* Cache c's victim in frame is leaving (pick_frame): its PUT goes home,
+ * where c leaves the entry's sharers.  An entry whose last sharer leaves is
+ * freed.  A removal the table serves, found or not, then runs the stash's
+ * re-insert scan; one from the stash does not. */
+static int
+evict(Machine *m, Py_ssize_t c, Py_ssize_t frame)
+{
+    i64 victim = m->caches[c].tags[frame], key = victim / m->num_tables;
+    Py_ssize_t h = (Py_ssize_t)(victim % m->num_tables), index[MAX_WAYS], slot = -1;
+    if (victim < 0) {
+        PyErr_SetString(PyExc_IndexError, "a negative block address in a cache");
+        return -1;
+    }
+    Table *t = &m->tables[h];
+    send(m, m->caches[c].dirty[frame] ? N_PUT_M : N_PUT_S, c >> m->core_shift, h);
+    Py_ssize_t parked = stashed(t, key);
+    if (parked < 0) {
+        candidates(t, key, index);
+        slot = slot_of(t, key, index);
+    }
+    if (parked >= 0 || slot >= 0) {
+        u64 *entry = parked >= 0 ? &t->stash_masks[parked] : &t->masks[slot];
+        *entry &= ~(1ULL << c);
+        t->stats[S_REMOVALS]++;
+        t->stats[S_BITS_WRITTEN] += t->payload_bits;
+        if (!*entry) {
+            t->stats[S_ENTRY_REMOVALS]++;
+            if (parked >= 0)
+                unstash(t, parked);
+            else {
+                t->keys[slot] = EMPTY;
+                t->meta[M_SIZE]--;
+            }
+        }
+    }
+    if (parked < 0)
+        reinsert(t);
+    return 0;
+}
+
+/* Access i.  The trace rows are block, slice-local address, home, tracked
+ * cache and write flag. */
+static int
+run_access(Machine *m, Py_ssize_t i)
+{
+    const i64 *trace = m->trace;
+    Py_ssize_t n = m->n, frame;
+    i64 b = trace[i], key = trace[n + i];
+    Py_ssize_t h = (Py_ssize_t)trace[2 * n + i], c = (Py_ssize_t)trace[3 * n + i];
+    int write = trace[4 * n + i] != 0, state;
+    Cache *k = &m->caches[c];
+    Py_ssize_t core = c >> m->core_shift;
+    i64 stamp = ++k->counts[K_CLOCK];
+    if ((frame = frame_of(k, b)) >= 0) {
+        /* A hit stamps the frame; a write dirties it, and an S copy turns M
+         * through its home (a GET_M, but no DATA back). */
+        k->counts[K_HITS]++;
+        k->stamps[frame] = stamp;
+        if (write)
+            k->dirty[frame] = 1;
+        if (write && k->states[frame] == SHARED) {
+            m->classes[C_UPGRADES]++;
+            send(m, N_GET_M, core, h);
+            TRY(directory(m, h, key, b, c, 1));
+        }
+        else
+            m->classes[C_HITS]++;
+        if (write)
+            k->states[frame] = MODIFIED;
+        return 0;
+    }
+    /* A miss: the request, the bank, the directory, the data, the fill. */
+    k->counts[K_MISSES]++;
+    send(m, write ? N_GET_M : N_GET_S, core, h);
+    send(m, N_DATA, h, core);
+    if (m->banks)
+        bank_access(m, h, b, write);
+    m->classes[C_WRITE_MISS] += write;
+    TRY(state = directory(m, h, key, b, c, write));
+    if (pick_frame(k, b, &frame))
+        TRY(evict(m, c, frame));
+    install(k, frame, b, state, write, stamp);
+    return 0;
+}
+
+PyDoc_STRVAR(drain_doc,
+"drain(machine, trace) -> (hits, upgrades, read_dirhit, read_insert,\n"
+"                          write_miss, walks)\n"
+"\n"
+"Run a chunk of accesses through the protocol in trace order over the\n"
+"machine's buffers, counting every statistic into them; trace is a (5, n)\n"
+"int64 array of blocks, slice-local addresses, homes, tracked caches and\n"
+"write flags.  Returns the chunk's accesses per class; see\n"
+"TiledCMP._drain_compiled in repro.coherence.system.");
+
+static PyObject *
+drain(PyObject *module, PyObject *args)
+{
+    PyObject *capsule, *trace_obj, *result = NULL;
+    Py_buffer view;
+    Py_ssize_t i;
+    (void)module;
+    if (!PyArg_ParseTuple(args, "OO:drain", &capsule, &trace_obj))
+        return NULL;
+    if (!PyCapsule_IsValid(capsule, machine_name)) {
+        PyErr_SetString(PyExc_TypeError, "drain() runs a machine() capsule");
+        return NULL;
+    }
+    Machine *m = PyCapsule_GetPointer(capsule, machine_name);
+    if ((m->trace = typed(trace_obj, 'q', -1, &view)) == NULL)
+        return NULL;
+    m->n = items(&view) / 5;
+    if (view.ndim != 2 || view.shape[0] != 5) {
+        PyErr_SetString(PyExc_ValueError, "a trace has five rows");
+        goto done;
+    }
+    for (i = 0; i < m->num_tables; i++)
+        if (check_start_way(&m->tables[i]) < 0)
+            goto done;
+    for (i = 0; i < m->n; i++) {
+        const i64 *trace = m->trace + i;
+        if (trace[0] < 0 || trace[m->n] < 0 || trace[2 * m->n] < 0
+                || trace[2 * m->n] >= m->num_tables || trace[3 * m->n] < 0
+                || trace[3 * m->n] >= m->num_caches) {
+            PyErr_Format(PyExc_IndexError, "access %zd of the trace is out of range", i);
+            goto done;
+        }
+    }
+    memset(m->classes, 0, sizeof m->classes);
+    for (i = 0; i < m->n; i++)
+        if (run_access(m, i) < 0)
+            goto done;
+    result = Py_BuildValue("(LLLLLL)", m->classes[C_HITS], m->classes[C_UPGRADES],
+                           m->classes[C_READ_DIRHIT], m->classes[C_READ_INSERT],
+                           m->classes[C_WRITE_MISS], m->classes[C_WALKS]);
+done:
+    PyBuffer_Release(&view);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"walk", walk, METH_VARARGS, walk_doc},
+    {"machine", machine, METH_VARARGS, machine_doc},
     {"drain", drain, METH_VARARGS, drain_doc},
+    {"indices", indices, METH_VARARGS, indices_doc},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1062,7 +984,5 @@ static struct PyModuleDef module_def = {
 PyMODINIT_FUNC
 PyInit__kernels(void)
 {
-    if (mask_name == NULL && (mask_name = PyUnicode_InternFromString("_mask")) == NULL)
-        return NULL;
     return PyModule_Create(&module_def);
 }

@@ -23,25 +23,21 @@ and how little it matters at the paper's chosen 1x/1.5x design points.
 
 The operations below are the stash's public API.  A :class:`~repro.
 coherence.system.TiledCMP` runs the same semantics in the compiled drain,
-over the table's handles plus the stash and its capacity
-(:meth:`StashedCuckooDirectory.drain_handles`).  The stash is a plain
-dict, whose insertion order is age order, so the drain reads and writes it
-through the dict API.
+over the same typed buffers (:meth:`~repro.directories.table.
+TableDirectory.drain_state`): the stash is an age-ordered pair of arrays,
+int64 keys (oldest first, packed, -1 after the last) and uint64 sharer
+masks, and a counter of the entries it has absorbed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from array import array
+from typing import List, Optional, Tuple
 
 from repro.core.cuckoo_directory import CuckooDirectory
 from repro.core.cuckoo_hash import InsertOutcome
-from repro.directories.base import (
-    SHARERS_UPDATED,
-    Invalidation,
-    LookupResult,
-    UpdateResult,
-)
-from repro.directories.sharers import FullBitVector
+from repro.directories.base import SHARERS_UPDATED, LookupResult, UpdateResult
+from repro.directories.sharers import sharers_of
 from repro.hashing.base import HashFamily
 
 __all__ = ["StashedCuckooDirectory"]
@@ -73,79 +69,67 @@ class StashedCuckooDirectory(CuckooDirectory):
             hash_family=hash_family,
             max_insertion_attempts=max_insertion_attempts,
         )
-        self._stash_entries = stash_entries
-        # address -> sharer set, in insertion order (oldest first).  The
-        # compiled drain holds this dict, so it is never replaced.
-        self._stash: Dict[int, FullBitVector] = {}
-        self._stash_insertions = 0
+        self._stash_keys = array("q", [-1]) * stash_entries
+        self._stash_masks = array("Q", bytes(8 * stash_entries))
 
     # -- geometry -----------------------------------------------------------
     @property
     def stash_size(self) -> int:
         """Configured stash capacity."""
-        return self._stash_entries
+        return len(self._stash_keys)
 
     @property
     def stash_occupancy(self) -> int:
         """Entries currently parked in the stash."""
-        return len(self._stash)
+        return self.stash_size - self._stash_keys.count(-1)
 
     @property
     def stash_insertions(self) -> int:
         """How many overflow victims the stash has absorbed."""
-        return self._stash_insertions
+        return self._parks[0]
 
     @property
     def capacity(self) -> int:
-        return super().capacity + self._stash_entries
+        return super().capacity + self.stash_size
 
     def entry_count(self) -> int:
-        return super().entry_count() + len(self._stash)
+        return super().entry_count() + self.stash_occupancy
 
     def tracked_addresses(self) -> List[int]:
-        return super().tracked_addresses() + list(self._stash)
+        return super().tracked_addresses() + [key for key, _ in self.stash_items()]
+
+    def stash_items(self) -> List[Tuple[int, int]]:
+        """The parked ``(address, sharer mask)`` pairs, oldest first."""
+        return list(zip(self._stash_keys, self._stash_masks))[: self.stash_occupancy]
 
     # -- operations -------------------------------------------------------------
     # The stash participates through the lookup/add_sharer/remove_sharer
     # overrides, which the inherited acquire_exclusive composition calls.
 
-    def drain_handles(self) -> tuple:
-        """The table's handles for the compiled drain, then the stash and
-        its capacity: the drain consults the stash before the table."""
-        return super().drain_handles() + (self._stash, self._stash_entries)
-
     def lookup(self, address: int) -> LookupResult:
-        stashed = self._stash.get(address)
-        if stashed is None:
+        position = self._stashed(address)
+        if position < 0:
             return super().lookup(address)
         self._stats.lookups += 1
         self._stats.lookup_hits += 1
         self._stats.bits_read += self.entry_bits
-        return LookupResult(found=True, sharers=stashed.sharers())
+        return LookupResult(found=True, sharers=sharers_of(self._stash_masks[position]))
 
     def add_sharer(self, address: int, cache_id: int) -> UpdateResult:
         self._check_cache(cache_id)
-        stashed = self._stash.get(address)
-        if stashed is not None:
-            stashed.add(cache_id)
+        position = self._stashed(address)
+        if position >= 0:
+            self._stash_masks[position] |= 1 << cache_id
             self._stats.sharer_additions += 1
             self._stats.bits_written += self._payload_bits
             return SHARERS_UPDATED
 
-        existing = self._table.get(address)
-        if existing is not None:
+        if address in self._table:
             return super().add_sharer(address, cache_id)
 
         # New entry: insert into the main table; a cut-off walk parks the
-        # displaced victim in the stash instead of invalidating it.  Reuse
-        # a pooled sharer set (the superclass's remove_sharer pools every
-        # emptied one; without this pop the pool would only ever grow).
-        if self._sharer_pool:
-            sharers = self._sharer_pool.pop()
-        else:
-            sharers = FullBitVector(self._num_caches)
-        sharers.add(cache_id)
-        result = self._table.insert(address, sharers)
+        # displaced victim in the stash instead of invalidating it.
+        result = self._table.insert(address, 1 << cache_id)
         self._stats.insertions += 1
         self._stats.record_attempts(result.attempts)
         self._stats.bits_written += max(1, result.attempts) * self.entry_bits
@@ -163,48 +147,54 @@ class StashedCuckooDirectory(CuckooDirectory):
 
     def remove_sharer(self, address: int, cache_id: int) -> None:
         self._check_cache(cache_id)
-        stashed = self._stash.get(address)
-        if stashed is not None:
-            stashed.remove(cache_id)
+        position = self._stashed(address)
+        if position >= 0:
+            self._stash_masks[position] &= ~(1 << cache_id)
             self._stats.sharer_removals += 1
             self._stats.bits_written += self._payload_bits
-            if stashed.is_empty():
-                del self._stash[address]
+            if not self._stash_masks[position]:
+                self._unstash(position)
                 self._stats.entry_removals += 1
-                self._sharer_pool.append(stashed)
             return
         super().remove_sharer(address, cache_id)
         # Space may have opened up in the table: try to drain the stash.
         self._drain_stash()
 
     # -- internals ------------------------------------------------------------
-    def _park_in_stash(self, address: int, sharers: FullBitVector):
+    def _stashed(self, address: int) -> int:
+        """The stash position of ``address``, or -1."""
+        keys = self._stash_keys
+        return keys.index(address) if address >= 0 and address in keys else -1
+
+    def _unstash(self, position: int) -> Tuple[int, int]:
+        """Take the entry at ``position`` out; the younger ones move up."""
+        keys, masks = self._stash_keys, self._stash_masks
+        entry = keys[position], masks[position]
+        for younger in range(position + 1, len(keys)):
+            keys[younger - 1], masks[younger - 1] = keys[younger], masks[younger]
+        keys[-1], masks[-1] = -1, 0
+        return entry
+
+    def _park_in_stash(self, address: int, sharers: int):
         """Store an overflow victim; invalidate the oldest entry if full."""
+        if self.stash_size == 0:
+            return self._evicted(address, sharers)
         invalidations = ()
-        if self._stash_entries == 0:
-            invalidation = Invalidation(address=address, caches=sharers.sharers())
-            self._record_forced_invalidation(invalidation)
-            return (invalidation,)
-        if len(self._stash) >= self._stash_entries:
-            oldest_address = next(iter(self._stash))
-            oldest_sharers = self._stash.pop(oldest_address)
-            invalidation = Invalidation(
-                address=oldest_address, caches=oldest_sharers.sharers()
-            )
-            self._record_forced_invalidation(invalidation)
-            invalidations = (invalidation,)
-        self._stash[address] = sharers
-        self._stash_insertions += 1
+        if self.stash_occupancy == self.stash_size:
+            invalidations = self._evicted(*self._unstash(0))
+        position = self.stash_occupancy
+        self._stash_keys[position] = address
+        self._stash_masks[position] = sharers
+        self._parks[0] += 1
         self._stats.bits_written += self.entry_bits
         return invalidations
 
     def _drain_stash(self) -> None:
         """Re-insert stash entries whose candidate slots have space."""
-        for address in list(self._stash):
+        for address, _ in self.stash_items():
             if not self._table.has_vacant_candidate(address):
                 continue
-            sharers = self._stash.pop(address)
-            result = self._table.insert(address, sharers)
+            result = self._table.insert(*self._unstash(self._stashed(address)))
             self._stats.bits_written += self.entry_bits
             # With a vacant candidate the insert cannot evict, but guard the
             # invariant anyway so a future change cannot silently drop data.

@@ -17,8 +17,9 @@ table: their constructors choose only the table's index functions and its
 insert policy (LRU eviction for the baselines, the displacement walk for
 Cuckoo), and all three run on the simulator's compiled drain.
 
-Every entry stores a full bit vector
-(:class:`~repro.directories.sharers.FullBitVector`).  Duplicate-Tag,
+Every entry stores a full bit vector, as a uint64 presence mask in the
+table (:class:`~repro.directories.sharers.FullBitVector` is the same
+encoding as an object).  Duplicate-Tag,
 Tagless, In-Cache and the coarse and hierarchical sharer encodings appear
 only in the paper's analytical Figures 4 and 13, and only as the models of
 :mod:`repro.energy.model`.

@@ -26,8 +26,11 @@ weight per-operation access energies.
 from __future__ import annotations
 
 import abc
+from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import add
 from typing import Dict, FrozenSet, List, Tuple
 
 __all__ = [
@@ -97,26 +100,40 @@ LOOKUP_MISS = LookupResult(found=False)
 SHARERS_UPDATED = UpdateResult(inserted_new_entry=False, attempts=0)
 
 
-@dataclass
-class DirectoryStats:
-    """Event counters shared by every directory organization."""
+#: The counters of a statistics row, in column order (``S_*`` in
+#: ``_kernels.c``); the attempt histogram follows them.
+_COUNTERS = (
+    "lookups", "lookup_hits", "lookup_misses", "insertions", "insertion_attempts",
+    "sharer_additions", "sharer_removals", "entry_removals",
+    "invalidate_all_operations", "forced_invalidations",
+    "forced_invalidation_messages", "bits_read", "bits_written",
+)
+_HISTOGRAM = len(_COUNTERS)
 
-    lookups: int = 0
-    lookup_hits: int = 0
-    lookup_misses: int = 0
-    insertions: int = 0
-    insertion_attempts: int = 0
-    sharer_additions: int = 0
-    sharer_removals: int = 0
-    entry_removals: int = 0
-    invalidate_all_operations: int = 0
-    forced_invalidations: int = 0
-    forced_invalidation_messages: int = 0
-    bits_read: int = 0
-    bits_written: int = 0
-    attempt_histogram: Counter = field(default_factory=Counter)
-    occupancy_samples: int = 0
-    occupancy_sum: float = 0.0
+
+class DirectoryStats:
+    """Event counters shared by every directory organization.
+
+    The counters live in one int64 row: the fields of ``_COUNTERS``, then the
+    attempt histogram (column ``_HISTOGRAM + n`` counts the insertions that
+    took ``n`` attempts; ``histogram_bins`` sizes it, and it grows when an
+    insertion needs more).  A table directory's compiled drain counts into
+    its row in place.  Occupancy samples are taken in Python and kept
+    beside the row.
+    """
+
+    __slots__ = ("_row", "occupancy_samples", "occupancy_sum")
+
+    def __init__(self, histogram_bins: int = 2) -> None:
+        self._row = array("q", bytes(8 * (_HISTOGRAM + histogram_bins)))
+        self.occupancy_samples = 0
+        self.occupancy_sum = 0.0
+
+    @property
+    def attempt_histogram(self) -> Counter:
+        """Insertions per attempt count (a copy of the row's histogram)."""
+        bins = self._row[_HISTOGRAM:]
+        return Counter({attempts: count for attempts, count in enumerate(bins) if count})
 
     # -- derived metrics -----------------------------------------------------
     @property
@@ -152,41 +169,62 @@ class DirectoryStats:
 
     def record_attempts(self, attempts: int) -> None:
         self.insertion_attempts += attempts
-        self.attempt_histogram[attempts] += 1
+        row = self._row
+        if _HISTOGRAM + attempts >= len(row):
+            row.extend(array("q", bytes(8 * (_HISTOGRAM + attempts + 1 - len(row)))))
+        row[_HISTOGRAM + attempts] += 1
 
     def attempt_distribution(self) -> Dict[int, float]:
         """Normalised insertion-attempt histogram (Figure 11)."""
-        total = sum(self.attempt_histogram.values())
+        histogram = self.attempt_histogram
+        total = sum(histogram.values())
         if total == 0:
             return {}
-        return {k: v / total for k, v in sorted(self.attempt_histogram.items())}
+        return {k: v / total for k, v in sorted(histogram.items())}
+
+    def clear(self) -> None:
+        """Zero every counter in place (the drain keeps counting into the row)."""
+        self._row[:] = array("q", bytes(8 * len(self._row)))
+        self.occupancy_samples = 0
+        self.occupancy_sum = 0.0
 
     def merge(self, other: "DirectoryStats") -> "DirectoryStats":
         """Aggregate counters from another slice (used to combine slices)."""
-        merged = DirectoryStats(
-            lookups=self.lookups + other.lookups,
-            lookup_hits=self.lookup_hits + other.lookup_hits,
-            lookup_misses=self.lookup_misses + other.lookup_misses,
-            insertions=self.insertions + other.insertions,
-            insertion_attempts=self.insertion_attempts + other.insertion_attempts,
-            sharer_additions=self.sharer_additions + other.sharer_additions,
-            sharer_removals=self.sharer_removals + other.sharer_removals,
-            entry_removals=self.entry_removals + other.entry_removals,
-            invalidate_all_operations=(
-                self.invalidate_all_operations + other.invalidate_all_operations
-            ),
-            forced_invalidations=self.forced_invalidations + other.forced_invalidations,
-            forced_invalidation_messages=(
-                self.forced_invalidation_messages + other.forced_invalidation_messages
-            ),
-            bits_read=self.bits_read + other.bits_read,
-            bits_written=self.bits_written + other.bits_written,
-            occupancy_samples=self.occupancy_samples + other.occupancy_samples,
-            occupancy_sum=self.occupancy_sum + other.occupancy_sum,
-        )
-        merged.attempt_histogram = Counter(self.attempt_histogram)
-        merged.attempt_histogram.update(other.attempt_histogram)
+        rows = sorted((self._row, other._row), key=len)
+        merged = DirectoryStats(len(rows[1]) - _HISTOGRAM)
+        merged._row[:] = array("q", map(add, rows[1], chain(rows[0], repeat(0))))
+        merged.occupancy_samples = self.occupancy_samples + other.occupancy_samples
+        merged.occupancy_sum = self.occupancy_sum + other.occupancy_sum
         return merged
+
+    def _key(self) -> tuple:
+        return (
+            tuple(self._row[:_HISTOGRAM]), self.attempt_histogram,
+            self.occupancy_samples, self.occupancy_sum,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DirectoryStats):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        fields = ", ".join(f"{name}={getattr(self, name)}" for name in _COUNTERS)
+        return f"DirectoryStats({fields}, attempt_histogram={self.attempt_histogram})"
+
+
+def _counter(column: int) -> property:
+    def get(stats) -> int:
+        return stats._row[column]
+
+    def set_(stats, value: int) -> None:
+        stats._row[column] = value
+
+    return property(get, set_)
+
+
+for _column, _name in enumerate(_COUNTERS):
+    setattr(DirectoryStats, _name, _counter(_column))
 
 
 class Directory(abc.ABC):
@@ -303,7 +341,7 @@ class Directory(abc.ABC):
 
     def reset_stats(self) -> None:
         """Clear statistics (used at the warm-up/measurement boundary)."""
-        self._stats = DirectoryStats()
+        self._stats.clear()
 
     # -- helpers shared by concrete organizations ------------------------------
     def _record_forced_invalidation(self, invalidation: Invalidation) -> None:

@@ -13,15 +13,16 @@ vector the hardware stores.  Membership tests are a shift and an AND,
 add/remove are single OR/AND-NOT operations, and the simulator's
 per-access mutations allocate nothing.  The ``sharers()`` frozenset view
 is materialised only when a caller actually needs to fan invalidations
-out.  The compiled drain (``repro/core/_kernels.c``) builds sets as
-``FullBitVector(num_caches)`` and reads and writes ``_mask`` directly.
+out.  A directory table stores the same presence mask as a plain uint64
+per entry (:mod:`repro.core.cuckoo_hash`); :func:`sharers_of` is its
+frozenset view.
 """
 
 from __future__ import annotations
 
 from typing import FrozenSet, Iterator, List
 
-__all__ = ["FullBitVector"]
+__all__ = ["FullBitVector", "sharers_of"]
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -37,6 +38,13 @@ try:  # int.bit_count is Python >= 3.10; CI also runs 3.9.
 except AttributeError:  # pragma: no cover - exercised on older interpreters
     def _popcount(mask: int) -> int:
         return bin(mask).count("1")
+
+
+def sharers_of(mask: int) -> FrozenSet[int]:
+    """The caches a presence mask names."""
+    if not mask & (mask - 1):  # zero or one sharer (the common cases)
+        return frozenset((mask.bit_length() - 1,)) if mask else frozenset()
+    return frozenset(_iter_bits(mask))
 
 
 class FullBitVector:
@@ -77,15 +85,7 @@ class FullBitVector:
 
     def sharers(self) -> FrozenSet[int]:
         """The caches that hold the block (and must receive an invalidation)."""
-        mask = self._mask
-        if not mask & (mask - 1):  # zero or one sharer (the common cases)
-            return frozenset((mask.bit_length() - 1,)) if mask else frozenset()
-        members = []
-        while mask:
-            low = mask & -mask
-            members.append(low.bit_length() - 1)
-            mask ^= low
-        return frozenset(members)
+        return sharers_of(self._mask)
 
     def is_empty(self) -> bool:
         return not self._mask

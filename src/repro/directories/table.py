@@ -14,7 +14,9 @@ constructors choose:
 
 :class:`TableDirectory` is the one implementation of the directory
 operations over that table, and the one source of the compiled drain's
-handles (:meth:`TableDirectory.drain_handles`).
+state for a slice (:meth:`TableDirectory.drain_state`): the table's typed
+buffers, the statistics row, and the stash's buffers (empty here; the
+stashed variant sizes them).
 
 Statistics follow the paper's accounting rules (Section 5.2):
 
@@ -30,6 +32,7 @@ Statistics follow the paper's accounting rules (Section 5.2):
 
 from __future__ import annotations
 
+from array import array
 from typing import TYPE_CHECKING, List
 
 from repro.directories.base import (
@@ -40,7 +43,8 @@ from repro.directories.base import (
     LookupResult,
     UpdateResult,
 )
-from repro.directories.sharers import FullBitVector
+from repro.directories.base import DirectoryStats
+from repro.directories.sharers import FullBitVector, sharers_of
 
 if TYPE_CHECKING:  # repro.core imports this module
     from repro.core.cuckoo_hash import CuckooHashTable
@@ -61,23 +65,25 @@ class TableDirectory(Directory):
         Number of tracked private caches (sharer-set width).
     table:
         The tag store, built by the organization's constructor with its
-        hash family and insert policy.  Each entry's value is a
-        :class:`~repro.directories.sharers.FullBitVector`.
+        hash family and insert policy.  Each entry's value is its sharers'
+        presence mask (bit *i* set: cache *i* holds the block).
     """
 
     def __init__(self, num_caches: int, table: "CuckooHashTable") -> None:
         super().__init__(num_caches)
         self._table = table
+        self._stats = DirectoryStats(table.max_attempts + 1)
         # Entry width (valid bit, tag, sharer vector) and the per-operation
         # bit costs, computed once so the accounting does not re-derive them.
         self._entry_bits = 1 + TAG_BITS + FullBitVector.storage_bits(num_caches)
         self._lookup_tag_bits = table.num_ways * TAG_BITS
         self._payload_bits = self._entry_bits - TAG_BITS
-        # Sharer sets freed when an entry's last sharer leaves are recycled
-        # for the next insertion: entry turnover is the dominant allocation
-        # of a warmed simulation, and a set is only pooled once it is empty,
-        # so a recycled object is indistinguishable from a fresh one.
-        self._sharer_pool: list = []
+        # The overflow stash (StashedCuckooDirectory sizes it): keys oldest
+        # first and packed, -1 after the last, their masks, and how many
+        # entries it has absorbed.
+        self._stash_keys = array("q")
+        self._stash_masks = array("Q")
+        self._parks = array("q", [0])
 
     # -- geometry -----------------------------------------------------------
     @property
@@ -121,13 +127,14 @@ class TableDirectory(Directory):
             return LOOKUP_MISS
         stats.lookup_hits += 1
         stats.bits_read += self._payload_bits
-        return LookupResult(found=True, sharers=sharers.sharers())
+        return LookupResult(found=True, sharers=sharers_of(sharers))
 
     def add_sharer(self, address: int, cache_id: int) -> UpdateResult:
         self._check_cache(cache_id)
-        existing = self._table.touch(address)
+        existing = self._table.touch_slot(address)
         if existing is not None:
-            existing.add(cache_id)
+            way, index, sharers = existing
+            self._table.set_value(way, index, sharers | 1 << cache_id)
             stats = self._stats
             stats.sharer_additions += 1
             stats.bits_written += self._payload_bits
@@ -136,61 +143,50 @@ class TableDirectory(Directory):
 
     def _insert_new_entry(self, address: int, cache_id: int) -> UpdateResult:
         """Allocate a fresh entry for ``address`` with ``cache_id`` as sharer."""
-        if self._sharer_pool:
-            sharers = self._sharer_pool.pop()
-        else:
-            sharers = FullBitVector(self._num_caches)
-        sharers.add(cache_id)
-        result = self._table.insert_absent(address, sharers)
+        result = self._table.insert_absent(address, 1 << cache_id)
         stats = self._stats
         attempts = result.attempts
         stats.insertions += 1
-        stats.insertion_attempts += attempts
-        stats.attempt_histogram[attempts] += 1
+        stats.record_attempts(attempts)
         # Every placement rewrites one entry (attempts >= 1 for every
         # insert_absent outcome).
         stats.bits_written += attempts * self._entry_bits
-
-        invalidations = ()
-        if result.evicted:
-            evicted_sharers: FullBitVector = result.evicted_value
-            invalidation = Invalidation(
-                address=result.evicted_key, caches=evicted_sharers.sharers()
-            )
-            self._record_forced_invalidation(invalidation)
-            invalidations = (invalidation,)
+        if not result.evicted:
+            return UpdateResult(inserted_new_entry=True, attempts=attempts)
         return UpdateResult(
-            inserted_new_entry=True, attempts=attempts, invalidations=invalidations
+            inserted_new_entry=True,
+            attempts=attempts,
+            invalidations=self._evicted(result.evicted_key, result.evicted_value),
         )
 
-    def drain_handles(self) -> tuple:
-        """This slice's state as the compiled drain reads it.
+    def _evicted(self, address: int, sharers: int) -> tuple:
+        """A live entry that left the directory: a forced invalidation."""
+        invalidation = Invalidation(address=address, caches=sharers_of(sharers))
+        self._record_forced_invalidation(invalidation)
+        return (invalidation,)
 
-        The drain (``TiledCMP._drain_compiled``) runs this directory's
-        operations over the table's locator, way lists, LRU stamps
-        (``None`` under the cuckoo policy), indices cache (``None`` under
-        LRU), way functions and walk bound, and the sharer pool.  The
-        stashed variant appends its stash and capacity.
-        """
-        table = self._table
+    def drain_state(self) -> tuple:
+        """This slice's state as the compiled drain reads it: the table's
+        (:meth:`~repro.core.cuckoo_hash.CuckooHashTable.drain_state`), the
+        statistics row, the stash's keys, masks and parks counter, and the
+        bits of a lookup's tags, a sharer update and an entry."""
         return (
-            table._locator, table._keys, table._values, table._stamps,
-            table._indices_cache, table._way_fns, table._max_attempts,
-            self._sharer_pool,
+            self._table.drain_state(), self._stats._row, self._stash_keys,
+            self._stash_masks, self._parks, self._lookup_tag_bits,
+            self._payload_bits, self._entry_bits,
         )
 
     def remove_sharer(self, address: int, cache_id: int) -> None:
-        if not 0 <= cache_id < self._num_caches:
-            self._check_cache(cache_id)
+        self._check_cache(cache_id)
         slot = self._table.get_slot(address)
         if slot is None:
             return
         way, index, sharers = slot
-        sharers.remove(cache_id)
+        sharers &= ~(1 << cache_id)
+        self._table.set_value(way, index, sharers)
         stats = self._stats
         stats.sharer_removals += 1
         stats.bits_written += self._payload_bits
-        if sharers.is_empty():
+        if not sharers:
             self._table.clear_slot(way, index)
             stats.entry_removals += 1
-            self._sharer_pool.append(sharers)

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Callable, List, Sequence, Tuple
+from array import array
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -109,9 +110,10 @@ class HashFamily(abc.ABC):
     def batch_indices_array(self, addresses) -> np.ndarray:
         """Candidate indices as a ``(num_ways, n)`` int64 array.
 
-        The compiled drain reads one such array per chunk.  This generic
-        version calls the way functions per address; the skewing, strong
-        and modulo families override it with numpy arithmetic.
+        Figure 7 hashes its keys this way, and the tests hold the compiled
+        kernels' hashing (:meth:`descriptor`) to it.  This generic version
+        calls the way functions per address; the skewing, strong and modulo
+        families override it with numpy arithmetic.
         """
         values = np.asarray(addresses, dtype=np.int64).tolist()
         return np.array(
@@ -119,15 +121,23 @@ class HashFamily(abc.ABC):
             dtype=np.int64,
         ).reshape(self._num_ways, len(values))
 
-    def batch_key(self) -> object:
-        """Value-identity key: equal keys guarantee identical index functions.
+    def descriptor(self) -> Optional[array]:
+        """The compiled kernels' description of these index functions.
 
-        Directory slices are constructed with one family instance each; the
-        batched drain hashes every drained address in a single call when all
-        slices' families report the same key.  ``None`` (the default) means
-        "unknown — never share".
+        A ``uint64`` array of kind (0 modulo, 1 skewing, 2 strong), ways,
+        sets, index bits and offset bits, then one seed per way, from which
+        ``core/_kernels.c`` hashes every key itself.  ``None`` (the default)
+        means the family has no compiled twin, and a
+        :class:`~repro.core.cuckoo_hash.CuckooHashTable` refuses it.
         """
         return None
+
+    def _descriptor(self, kind: int, offset_bits: int = 0, seeds=()) -> array:
+        return array(
+            "Q",
+            [kind, self._num_ways, self._num_sets, self._index_bits, offset_bits,
+             *(seeds or [0] * self._num_ways)],
+        )
 
     def _check_way(self, way: int) -> None:
         if not 0 <= way < self._num_ways:

@@ -31,6 +31,6 @@ class ModuloHashFamily(HashFamily):
         sets = np.asarray(addresses, dtype=np.int64) % self._num_sets
         return np.tile(sets, (self._num_ways, 1))
 
-    def batch_key(self) -> object:
-        """Modulo indices are fully determined by the geometry."""
-        return ("modulo", self._num_ways, self._num_sets)
+    def descriptor(self):
+        """Kind 0."""
+        return self._descriptor(0)

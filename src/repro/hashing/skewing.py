@@ -21,9 +21,9 @@ Because ``sigma`` permutes only ``n``-bit values and ``n`` is small, every
 power of sigma a way needs is precomputed once as a lookup table of
 ``num_sets`` entries; the per-address work then collapses to three masked
 shifts, two table loads and two XORs, with no Python-level loop.  This is
-the hot function of the whole simulator (every cuckoo lookup calls it once
-per way), so the tables — and the way-specialised closures built from them
-by :meth:`SkewingHashFamily.way_function` — matter.
+the Python side's hot function (the directory API and Figure 7 call it for
+every key); the compiled kernels apply sigma themselves, from the family's
+:meth:`~repro.hashing.base.HashFamily.descriptor`.
 """
 
 from __future__ import annotations
@@ -209,6 +209,6 @@ class SkewingHashFamily(HashFamily):
             out[way] ^= field3
         return out
 
-    def batch_key(self) -> object:
-        """Skewing indices are fully determined by the geometry."""
-        return ("skew", self._num_ways, self._num_sets, self._offset_bits)
+    def descriptor(self):
+        """Kind 1: the compiled kernels apply sigma themselves."""
+        return self._descriptor(1, self._offset_bits)

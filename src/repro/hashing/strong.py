@@ -13,10 +13,11 @@ of magnitude faster in Python than hashlib digests.  A SHA-256 based family
 is also provided for tests that want a reference.
 
 The scalar mixer is inlined into the per-way closures returned by
-:meth:`StrongHashFamily.way_function` (the cuckoo walk's hot path), and
+:meth:`StrongHashFamily.way_function`, and
 :meth:`StrongHashFamily.batch_indices_array` runs the same finaliser over
 numpy ``uint64`` arrays — bit-identical to the scalar path because ``uint64``
-arithmetic wraps exactly like the explicit 64-bit masking.
+arithmetic wraps exactly like the explicit 64-bit masking.  The compiled
+kernels run it in C from the seeds in the family's descriptor.
 """
 
 from __future__ import annotations
@@ -124,9 +125,9 @@ class StrongHashFamily(HashFamily):
                 out[way] = mixed % sets
         return out
 
-    def batch_key(self) -> object:
-        """Strong indices are determined by the geometry plus the seeds."""
-        return ("strong", self._num_ways, self._num_sets, tuple(self._seeds))
+    def descriptor(self):
+        """Kind 2, with the per-way seeds."""
+        return self._descriptor(2, seeds=self._seeds)
 
 
 class Sha256HashFamily(HashFamily):

@@ -13,9 +13,10 @@ there.  This module is the oracle the differential suites
   and counts their traffic.  The directories' own operations, the stash's
   included, define what the directory does; the walk a full insert runs is
   :meth:`~repro.core.cuckoo_hash.CuckooHashTable.walk`.
-* :func:`walk_python` is the displacement walk as a Python loop, with the
-  compiled walk's signature.  A test that wants the handlers to walk in
-  Python monkeypatches it over ``repro.core.native.KERNELS.walk``.
+* :func:`walk_python` is the displacement walk as a Python loop, with
+  :meth:`~repro.core.cuckoo_hash.CuckooHashTable.walk`'s signature.  A test
+  that wants the handlers to walk in Python monkeypatches it over that
+  method.
 * :func:`canonical_state` is the state two runs of one system must agree
   on, and :func:`table_state` its part for one table.
 """
@@ -25,48 +26,39 @@ from repro.coherence.interconnect import MeshInterconnect
 from repro.coherence.messages import MessageType
 from repro.config import CacheLevel
 
-#: Vacant-slot sentinel of the tables' key lists.
+#: Vacant-slot sentinel of the tables' key buffers.
 EMPTY = -1
 
 
-def walk_python(keys, values, locator, indices_cache, way_fns, key, value, way,
-                max_attempts):
+def walk_python(table, key, value):
     """The displacement walk: the reference for the compiled one.
 
-    Writes ``key`` over its candidate in ``way``, then re-places each
-    displaced entry in the next way round-robin, one attempt per
-    placement, until an entry lands in a vacant slot or ``max_attempts``
-    placements are made.  Each placement updates the placed key's locator
-    slot; a displaced entry's stale slot is overwritten when the walk
-    re-places it, or deleted when the cut-off walk discards it.
+    Writes ``key`` over its candidate in the start way, then re-places each
+    displaced entry in the next way round-robin, one attempt per placement,
+    until an entry lands in a vacant slot or ``max_attempts`` placements
+    are made.  Each key's candidate comes from the table's hash family, in
+    Python.  The start way moves to where the walk stopped, and the table
+    grows by one unless the walk was cut off.
 
-    Returns ``(attempts, way, evicted_key, evicted_value)``: ``way`` is
-    where the walk stopped (the next insertion starts there), and the
-    evicted pair is ``None, None`` unless the walk was cut off and threw
-    its last displaced entry out of the table.
+    Returns ``(attempts, evicted_key, evicted_value)``: the evicted pair is
+    ``None, None`` unless the walk was cut off and threw its last displaced
+    entry out of the table.
     """
-    num_ways = len(way_fns)
+    keys, values, meta = table._keys, table._masks, table._meta
+    family, sets, way = table.hash_family, table.num_sets, meta[1]
     attempts = 0
-    while attempts < max_attempts:
+    while attempts < table.max_attempts:
         attempts += 1
-        cached = indices_cache.get(key)
-        index = cached[way] if cached is not None else way_fns[way](key)
-        way_keys = keys[way]
-        victim_key = way_keys[index]
-        way_values = values[way]
-        victim_value = way_values[index]
-        way_keys[index] = key
-        way_values[index] = value
-        locator[key] = (way, index)
-        if victim_key == EMPTY:
-            return attempts, way, None, None
-        key = victim_key
-        value = victim_value
-        way += 1
-        if way == num_ways:
-            way = 0
-    del locator[key]
-    return attempts, way, key, value
+        slot = way * sets + family.index(way, key)
+        key, keys[slot] = keys[slot], key
+        value, values[slot] = values[slot], value
+        if key == EMPTY:
+            meta[0] += 1
+            meta[1] = way
+            return attempts, None, None
+        way = (way + 1) % table.num_ways
+    meta[1] = way
+    return attempts, key, value
 
 
 class Handlers:
@@ -194,37 +186,28 @@ class Handlers:
         self.system.traffic.record(message, hops=self._hops[source][target])
 
 
-def _value(value):
-    """A slot's value as compared: a sharer set's mask, else the value."""
-    mask = getattr(value, "member_mask", None)
-    return value if mask is None else mask()
-
-
 def table_state(table):
-    """One table: each slot's key and value (a sharer set as its mask), the
-    LRU stamps, start way, clock and size, and the locator."""
+    """One table: its keys, values and LRU stamps, slot by slot, and its
+    size, start way and clock."""
     return (
-        [
-            [(key, _value(value)) for key, value in zip(way_keys, way_values)]
-            for way_keys, way_values in zip(table._keys, table._values)
-        ],
-        None if table._stamps is None else [list(way) for way in table._stamps],
-        table._start_way,
-        table._clock,
-        len(table),
-        dict(table._locator),
+        list(table._keys),
+        list(table._masks),
+        None if table._stamps is None else list(table._stamps),
+        list(table._meta),
     )
+
+
+def _directory_stats(stats):
+    return list(stats._row), stats.occupancy_samples, stats.occupancy_sum
 
 
 def canonical_state(system):
     """The state two runs of one system must agree on.
 
     Every statistic (directories, caches, banks, traffic, accesses); each
-    cache's and bank's frames (tag, state, dirty, stamp), set counts,
-    residency and clock; each directory table (:func:`table_state`); and
-    each stash's entries (key and mask), oldest first.  It leaves out the
-    tables' indices caches, which cache a pure function, and the sharer
-    pools, which hold freed objects.
+    cache's and bank's frames (tag, state, dirty, stamp) and clock; each
+    directory table (:func:`table_state`); and each stash's entries (key and
+    mask), oldest first.
     """
     caches = list(system.tracked_caches) + list(system.l2_banks or ())
     traffic = system.traffic
@@ -233,23 +216,17 @@ def canonical_state(system):
         "traffic": (dict(traffic.messages), traffic.hops, traffic.bytes_transferred),
         "caches": [
             (
-                vars(cache.stats),
+                list(cache._counts),
                 list(zip(cache._tags, cache._states, cache._dirty, cache._stamps)),
-                list(cache._set_counts),
-                dict(cache._location),
-                cache._clock,
             )
             for cache in caches
         ],
         "directories": [
             (
-                vars(directory.stats),
+                _directory_stats(directory.stats),
                 table_state(directory.table),
-                [
-                    (key, sharers.member_mask())
-                    for key, sharers in getattr(directory, "_stash", {}).items()
-                ],
-                getattr(directory, "stash_insertions", 0),
+                list(zip(directory._stash_keys, directory._stash_masks)),
+                directory._parks[0],
             )
             for directory in system.directories
         ],

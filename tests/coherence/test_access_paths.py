@@ -36,10 +36,9 @@ from repro.coherence.messages import MessageType
 from repro.coherence.paging import PageMapper
 from repro.coherence.system import MemoryAccess, TiledCMP
 from repro.config import CacheConfig, CacheLevel, SystemConfig
-from repro.core import native
 from repro.core.cuckoo_directory import CuckooDirectory
+from repro.core.cuckoo_hash import CuckooHashTable
 from repro.core.stashed_cuckoo import StashedCuckooDirectory
-from repro.directories.sharers import FullBitVector
 from repro.directories.skewed import SkewedDirectory
 from repro.directories.sparse import SparseDirectory
 from repro.hashing.strong import StrongHashFamily
@@ -395,7 +394,7 @@ def test_long_walks_match_under_both_walks(organization, level, monkeypatch):
     stream = _stream(organization)
     drained = _make_system(organization, level)
     _run_chunked(drained, stream, 512, check=False)
-    monkeypatch.setattr(native.KERNELS, "walk", walk_python)
+    monkeypatch.setattr(CuckooHashTable, "walk", walk_python)
     reference = _make_system(organization, level)
     _run_reference(reference, stream)
     assert canonical_state(drained) == canonical_state(reference)
@@ -575,11 +574,10 @@ def test_check_inclusion_reports_entry_in_stash_and_table(stash_sharers):
     system, block, first, _second = _shared_block_system("stashed")
     home = system.directories[system.home_slice(block)]
     local = system.slice_local_address(block)
-    copy = FullBitVector(len(system.tracked_caches))
-    copy._mask = home.table.get(local)._mask
+    mask = home.table.get(local)
     if stash_sharers == "fewer":
-        copy.remove(first)
-    home._stash[local] = copy
+        mask &= ~(1 << first)
+    home._stash_keys[0], home._stash_masks[0] = local, mask
     violations = system.check_inclusion()
     held_twice = [v for v in violations if "held in 2 entries" in v]
     assert len(held_twice) == 1 and f"{block:#x}" in held_twice[0]
@@ -591,7 +589,7 @@ def test_check_inclusion_reports_entry_in_stash_and_table(stash_sharers):
 def test_check_inclusion_reports_miscounted_entries(organization):
     system, block, _first, _second = _shared_block_system(organization)
     home = system.directories[system.home_slice(block)]
-    home.table._size += 1
+    home.table._meta[0] += 1  # its size
     violations = system.check_inclusion()
     assert len(violations) == 1
     assert "counts 2 entries but lists 1" in violations[0]

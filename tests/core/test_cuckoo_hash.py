@@ -1,10 +1,14 @@
 """Tests for the d-ary cuckoo hash table."""
 
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import native
+from repro.core.cuckoo_directory import CuckooDirectory
 from repro.core.cuckoo_hash import CuckooHashTable, InsertOutcome
-from repro.hashing.strong import StrongHashFamily
+from repro.hashing.strong import Sha256HashFamily, StrongHashFamily
 
 
 def make_table(ways=4, sets=64, max_attempts=32, seed=0):
@@ -31,20 +35,20 @@ class TestBasics:
 
     def test_insert_and_find(self):
         table = make_table()
-        result = table.insert(0xABC, "value")
+        result = table.insert(0xABC, 0b101)
         assert result.outcome is InsertOutcome.INSERTED
         assert result.attempts == 1
         assert 0xABC in table
-        assert table.get(0xABC) == "value"
+        assert table.get(0xABC) == 0b101
         assert len(table) == 1
 
     def test_insert_existing_key_updates_value(self):
         table = make_table()
-        table.insert(7, "a")
-        result = table.insert(7, "b")
+        table.insert(7, 1)
+        result = table.insert(7, 2)
         assert result.outcome is InsertOutcome.UPDATED
         assert result.attempts == 0
-        assert table.get(7) == "b"
+        assert table.get(7) == 2
         assert len(table) == 1
 
     def test_remove(self):
@@ -237,53 +241,51 @@ def test_property_matches_reference_dict_when_capacity_sufficient(operations):
     assert len(table) == len(reference)
 
 
-class TestIndicesCacheBoundary:
-    """The key -> candidate-indices cache evicts FIFO at its bound."""
+class TestTypedState:
+    """The table's typed buffers, as the compiled walk reads them."""
 
-    def test_fifo_eviction_at_the_limit(self, monkeypatch):
-        import repro.core.cuckoo_hash as module
+    def test_candidates_come_from_the_family(self):
+        table = make_table(ways=3, sets=100)
+        for key in (0, 7, 1 << 40):
+            indices = table.hash_family.indices(key)
+            assert table.candidate_slots(key) == list(enumerate(indices))
+            table.insert(key, key + 1, candidate_indices=indices)
+            assert table.find(key, indices) == table.find(key)
+            assert table.get(key) == key + 1
 
-        monkeypatch.setattr(module, "_INDICES_CACHE_LIMIT", 4)
+    @pytest.mark.parametrize(
+        "column,buffer,error",
+        [(0, array("i", [0] * 256), TypeError), (1, array("q", [0] * 256), TypeError),
+         (0, array("q", [-1] * 255), ValueError), (3, array("q", [0] * 2), ValueError)],
+        ids=["int32-keys", "signed-masks", "short-keys", "short-meta"],
+    )
+    def test_walk_rejects_a_buffer_of_the_wrong_type_or_length(self, column, buffer, error):
         table = make_table()
-        for key in range(4):
-            table._indices_of(key)
-        assert list(table._indices_cache) == [0, 1, 2, 3]
+        state = list(table.drain_state())
+        state[column] = buffer
+        with pytest.raises(error):
+            native.KERNELS.walk(tuple(state), 5, 1)
 
-        # One past the bound: exactly the oldest entry (key 0) leaves.
-        table._indices_of(4)
-        assert list(table._indices_cache) == [1, 2, 3, 4]
+    @pytest.mark.parametrize("key", [-5, 1 << 63], ids=["negative", "too-large"])
+    def test_walk_rejects_an_out_of_range_key_with_nothing_written(self, key):
+        table = make_table(ways=2, sets=2)
+        for present in range(4):
+            table.insert(present, present + 1)
+        before = (list(table._keys), list(table._masks), list(table._meta))
+        with pytest.raises(IndexError):
+            table.walk(key, 1)
+        table._meta[1] = 2  # a start way past the last way
+        with pytest.raises(IndexError):
+            table.walk(9, 1)
+        table._meta[1] = before[2][1]
+        assert (list(table._keys), list(table._masks), list(table._meta)) == before
 
-        # A cache hit must not reorder or evict anything (FIFO, not LRU).
-        table._indices_of(2)
-        assert list(table._indices_cache) == [1, 2, 3, 4]
 
-        # The next miss still evicts insertion-order-oldest, not
-        # least-recently-used.
-        table._indices_of(5)
-        assert list(table._indices_cache) == [2, 3, 4, 5]
+class TestRefusals:
+    """A table the compiled kernels cannot hash is refused at construction."""
 
-    def test_cached_and_recomputed_indices_agree(self, monkeypatch):
-        import repro.core.cuckoo_hash as module
-
-        monkeypatch.setattr(module, "_INDICES_CACHE_LIMIT", 2)
-        table = make_table()
-        fresh = [table._indices_fn(key) for key in range(6)]
-        for key in range(6):  # every lookup past key 1 evicts one entry
-            assert table._indices_of(key) == fresh[key]
-        for key in range(6):  # re-probe: half cached, half recomputed
-            assert table._indices_of(key) == fresh[key]
-        assert len(table._indices_cache) == 2
-
-    def test_table_operations_survive_a_tiny_cache(self, monkeypatch):
-        import repro.core.cuckoo_hash as module
-
-        monkeypatch.setattr(module, "_INDICES_CACHE_LIMIT", 1)
-        table = make_table()
-        for key in range(100):
-            assert table.insert(key, key * 3).success
-        for key in range(100):
-            assert table.get(key) == key * 3
-        for key in range(0, 100, 2):
-            assert table.remove(key)
-        assert len(table) == 50
-        assert table.get(51) == 153
+    def test_family_without_a_descriptor(self):
+        with pytest.raises(ValueError, match="Sha256HashFamily"):
+            CuckooHashTable(4, 16, hash_family=Sha256HashFamily(4, 16))
+        with pytest.raises(ValueError, match="Sha256HashFamily"):
+            CuckooDirectory(4, num_sets=16, hash_family=Sha256HashFamily(4, 16))

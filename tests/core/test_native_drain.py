@@ -5,11 +5,11 @@
 These tests hold it to the handler loop of ``tests/coherence/
 reference_protocol.py`` on random geometries, the stashed cuckoo included,
 comparing canonical state (``reference_protocol.canonical_state``), and
-check the drain's reference counting and bounds checks.
+check the typed-state checks of the machine and the drain.
 """
 
 import importlib.util
-import sys
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -112,136 +112,136 @@ def test_compiled_drain_matches_handlers(
         assert canonical_state(drained) == canonical_state(reference), f"chunk ending {stop}"
 
 
-def _refcounts(system):
-    """Reference counts of the non-interned keys and every sharer set the
-    caches, tables and stashes hold, slot by slot."""
-    counts = []
-    for cache in system.tracked_caches:
-        counts.append([sys.getrefcount(tag) for tag in cache._tags if tag > 256])
-    for slice_ in system.directories:
-        table = slice_.table
-        for way_keys, way_values in zip(table._keys, table._values):
-            counts.append([sys.getrefcount(key) for key in way_keys if key > 256])
-            counts.append([sys.getrefcount(v) for v in way_values if v is not None])
-        counts.append([sys.getrefcount(pooled) for pooled in slice_._sharer_pool])
-        for key, sharers in getattr(slice_, "_stash", {}).items():
-            counts.append([sys.getrefcount(key), sys.getrefcount(sharers)])
-    return counts
-
-
-@pytest.mark.parametrize("organization", ["cuckoo", "sparse", "stashed"])
-def test_drain_keeps_reference_counts(organization, monkeypatch):
-    """Repeated drains leave every held key and sharer set with the
-    references the handlers leave, and hold none of the state they borrow.
-    The stashed row's stream parks, overflows and re-inserts."""
-    stream = _stream(5, 3000, blocks=400)
-    stream = (stream[0], [a + (1 << 16) for a in stream[1]], *stream[2:])
-    drained = _system(organization, 2, 4, max_attempts=5, stash=2)
-    reference = _system(organization, 2, 4, max_attempts=5, stash=2)
-    drained.access_batch(*stream, 0, 500)
-    slice_ = drained.directories[0]
-    cache = drained.tracked_caches[0]
-    borrowed = [
-        drained._hops, cache._tags, cache._location, slice_.table._keys,
-        slice_.table._locator, slice_.table._way_fns, slice_._sharer_pool,
+def _machine_args(system):
+    """The arguments ``TiledCMP._prepare_drain`` gives ``machine()``."""
+    return [
+        tuple(cache.drain_state() for cache in system.tracked_caches),
+        tuple(bank.drain_state() for bank in system.l2_banks),
+        tuple(directory.drain_state() for directory in system.directories),
+        system._hops, system.traffic._row, 1,
     ]
-    if organization == "stashed":
-        borrowed.append(slice_._stash)
-    before = [sys.getrefcount(obj) for obj in borrowed]
-    for start in range(500, 3000, 500):
-        drained.access_batch(*stream, start, start + 500)
-    reinserted = []
-    if organization == "stashed":
-        scan = StashedCuckooDirectory._drain_stash
-
-        def counted_scan(directory):
-            parked = len(directory._stash)
-            scan(directory)
-            reinserted.append(parked - len(directory._stash))
-
-        monkeypatch.setattr(StashedCuckooDirectory, "_drain_stash", counted_scan)
-    _run_reference(reference, stream)
-    assert canonical_state(drained) == canonical_state(reference)
-    assert _refcounts(drained) == _refcounts(reference)
-    assert any(count for count in _refcounts(drained))
-    assert [sys.getrefcount(obj) for obj in borrowed] == before
-    if organization == "stashed":
-        stats = drained.directory_stats()
-        assert sum(d.stash_insertions for d in drained.directories) > 0
-        assert stats.forced_invalidations > 0  # every one an overflow
-        assert sum(reinserted) > 0
 
 
-def test_freed_stash_entries_are_pooled():
-    """A stash entry whose last sharer leaves is freed and its sharer set
-    pooled, as the directory API pools it: after every access the pools
-    hold as many sets as the oracle's."""
+@pytest.mark.parametrize(
+    "part,position,buffer,error",
+    [
+        ("caches", 0, array("i", [-1] * 32), TypeError),  # int32 tags
+        ("caches", 2, array("b", [0] * 32), TypeError),  # int8 states
+        ("caches", 1, array("q", [0] * 31), ValueError),  # short stamps
+        ("caches", 4, array("q", [0] * 7), ValueError),  # long counts
+        ("slices", 1, array("q", [0] * 12), ValueError),  # short stats row
+        ("slices", 3, array("q", [0] * 2), TypeError),  # signed stash masks
+        ("table", 1, np.zeros(8, dtype=np.int64), TypeError),  # signed masks
+        ("table", 0, np.full(7, -1, dtype=np.int64), ValueError),  # short keys
+        ("table", 4, array("Q", [1, 2, 4, 0, 0]), ValueError),  # not a descriptor
+    ],
+)
+def test_machine_refuses_a_buffer_of_the_wrong_type_or_length(part, position, buffer, error):
+    """Every buffer is checked when the machine takes it: a wrong item type
+    raises TypeError, a wrong length ValueError."""
+    system = _system("stashed", 2, 4, stash=2)
+    args = _machine_args(system)
+    index = {"caches": 0, "slices": 2, "table": 2}[part]
+    states = list(args[index])
+    if part == "table":
+        table = list(states[0][0])
+        table[position] = buffer
+        states[0] = (tuple(table), *states[0][1:])
+    else:
+        states[0] = list(states[0])
+        states[0][position] = buffer
+        states[0] = tuple(states[0])
+    args[index] = tuple(states)
+    native.KERNELS.machine(*_machine_args(system))  # the system's own are fine
+    with pytest.raises(error):
+        native.KERNELS.machine(*args)
+
+
+@pytest.mark.parametrize(
+    "row,value",
+    [(0, -1), (1, -2), (2, 4), (2, -1), (3, 64), (3, -1)],
+    ids=["negative-block", "negative-key", "home-past-slices", "negative-home",
+         "cache-past-caches", "negative-cache"],
+)
+def test_out_of_range_trace_values_raise_with_nothing_written(row, value):
+    """The whole trace is checked before its first access runs: one value
+    out of range raises IndexError and leaves every buffer as it was."""
+    system = _system("stashed", 2, 4, stash=2)
+    stream = _stream(3, 200, blocks=20)
+    system.access_batch(*stream, 0, 100)
+    before = canonical_state(system)
+    blocks = np.arange(10, dtype=np.int64) * 4
+    trace = np.stack([blocks, blocks // 4, blocks % 4, blocks % 8, blocks % 2])
+    trace[row, 7] = value
+    with pytest.raises(IndexError, match="access 7"):
+        native.KERNELS.drain(system._machine, trace)
+    assert canonical_state(system) == before
+
+
+def test_out_of_range_table_state_raises_with_nothing_written():
+    """A start way past the table's ways, or a sharer mask naming a cache the
+    system does not have, raises IndexError instead of indexing past a
+    buffer: the start way before any access runs."""
+    system = _system("cuckoo", 2, 4)
+    stream = _stream(3, 400, blocks=20)
+    system.access_batch(*stream, 0, 100)
+    home = system.directories[0].table
+    home._meta[1] = 2
+    before = canonical_state(system)
+    with pytest.raises(IndexError, match="start way"):
+        system.access_batch(*stream, 100, 400)
+    assert canonical_state(system) == before
+    home._meta[1] = 0
+    keys = list(home._keys)
+    home._masks[next(s for s, key in enumerate(keys) if key >= 0)] = 1 << 40
+    with pytest.raises(IndexError, match="sharer out of range"):
+        system.access_batch(*stream, 100, 400)
+
+
+def test_freed_stash_entries_leave_the_stash_in_age_order():
+    """A stash entry whose last sharer leaves is freed, the younger entries
+    moving up, as the directory API frees it: after every access the stash
+    holds the oracle's entries in the oracle's order."""
     stream = _stream(5, 1500, blocks=400)
     drained = _system("stashed", 2, 4, max_attempts=5, stash=2)
     reference = _system("stashed", 2, 4, max_attempts=5, stash=2)
     handlers = reference_protocol.Handlers(reference)
-    pooled = 0
+    freed = 0
     for position, access in enumerate(zip(*stream)):
-        parked = [{id(sets) for sets in d._stash.values()} for d in drained.directories]
+        parked = [set(d.stash_items()) for d in drained.directories]
         drained.access_batch(*stream, position, position + 1)
         handlers.access(*access)
-        assert [len(d._sharer_pool) for d in drained.directories] == [
-            len(d._sharer_pool) for d in reference.directories
+        assert [d.stash_items() for d in drained.directories] == [
+            d.stash_items() for d in reference.directories
         ], f"access {position}"
-        pooled += sum(
-            any(id(sets) in ids for sets in d._sharer_pool)
-            for d, ids in zip(drained.directories, parked)
+        freed += sum(
+            len(before - set(d.stash_items()))
+            for d, before in zip(drained.directories, parked)
         )
-    assert pooled > 0
+    assert freed > 0
     assert canonical_state(drained) == canonical_state(reference)
-
-
-@pytest.mark.parametrize(
-    "corrupt,error",
-    [("locator", IndexError), ("negative", IndexError), ("frame", IndexError),
-     ("stash", TypeError)],
-    ids=["locator", "negative", "frame", "stash"],
-)
-def test_corrupted_index_raises_index_error(corrupt, error):
-    """Corrupt state raises, never crashes: an out-of-range index raises
-    IndexError, and a stash value that is not a sharer set TypeError."""
-    system = _system("stashed" if corrupt == "stash" else "cuckoo", 2, 4, stash=2)
-    stream = _stream(3, 200, blocks=20)
-    system.access_batch(*stream, 0, 100)
-    block = system.block_address(stream[1][100])
-    home = system.directories[system.home_slice(block)]
-    cache = system.tracked_caches[system.tracked_cache_id(stream[0][100], stream[3][100])]
-    local = system.slice_local_address(block)
-    if corrupt == "frame":
-        cache._location[block] = 10**6
-    else:
-        if corrupt == "stash":
-            home._stash[local] = object()
-        else:
-            home.table._locator[local] = (0, 10**6 if corrupt == "locator" else -1)
-        cache._location.pop(block, None)  # a miss reaches the directory
-        if block in cache._tags:
-            cache._tags[cache._tags.index(block)] = -1
-    with pytest.raises(error):
-        system.access_batch(*stream, 100, 101)
 
 
 def test_drain_rejects_bad_arguments():
     system = _system("cuckoo", 2, 4)
+    trace = np.zeros((5, 3), dtype=np.int64)
     with pytest.raises(TypeError):
-        native.KERNELS.drain((), (), None, (), None, None, None)
+        native.KERNELS.drain(None, trace)
+    with pytest.raises(ValueError):
+        native.KERNELS.drain(system._machine, np.zeros((4, 3), dtype=np.int64))
     with pytest.raises(TypeError):
-        native.KERNELS.drain(
-            (), (), None, (1, 1, 1, 1, 0, True, object, 1, 1),
-            np.zeros((6, 3), dtype=np.int32), np.zeros((4, 4), dtype=np.int64),
-            np.zeros((1, 15), dtype=np.int64),
-        )
+        native.KERNELS.drain(system._machine, trace.astype(np.int32))
+    with pytest.raises(TypeError):
+        native.KERNELS.machine((), None, (), None, None, 0)
+    with pytest.raises(ValueError):
+        native.KERNELS.machine(*(_machine_args(system)[:3]), np.zeros((4, 3), np.int64),
+                               None, 1)
     assert system.accesses_processed == 0
 
 
 @pytest.mark.parametrize("level", [CacheLevel.L1, CacheLevel.L2], ids=["L1", "L2"])
 def test_flushed_cache_drains_on(level):
-    """The drain holds each cache's lists from construction on, so a flush
+    """The drain holds each cache's buffers from construction on, so a flush
     between chunks must reset them in place: the drain then counts the
     flushed sets as empty, as the handlers do."""
     stream = _stream(21, 1200, blocks=90)

@@ -4,27 +4,28 @@
 the simulator fails without it; ``CuckooHashTable.walk`` runs its walk.  The
 reference is ``walk_python`` in ``tests/coherence/reference_protocol.py``.
 These tests drive both walks on twin tables (the reference is patched over
-``native.KERNELS.walk``, as nothing else selects a walk), check the compiled
-walk's reference counting and bounds checks, and check that the loader
+``CuckooHashTable.walk``, as nothing else selects a walk), check the
+compiled hashing against the families' own, and check that the loader
 builds the library, or raises with the compiler's message when it cannot.
-The compiled drain calls the compiled walk directly
-(``test_native_drain.py``).
+The walk's typed-state checks are in ``test_cuckoo_hash.py``, and the
+compiled drain runs the compiled walk directly (``test_native_drain.py``).
 """
 
 import importlib.util
 import logging
 import os
 import stat
-import sys
 import sysconfig
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import native
 from repro.core.cuckoo_hash import CuckooHashTable
+from repro.hashing.modulo import ModuloHashFamily
 from repro.hashing.skewing import SkewingHashFamily
 from repro.hashing.strong import StrongHashFamily
 
@@ -36,19 +37,18 @@ _SPEC = importlib.util.spec_from_file_location(
 reference_protocol = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(reference_protocol)
 
-COMPILED = native.KERNELS.walk
+COMPILED = CuckooHashTable.walk
 PYTHON = reference_protocol.walk_python
 _state = reference_protocol.table_state
 
 
 @contextmanager
 def _using(walk):
-    saved = native.KERNELS.walk
-    native.KERNELS.walk = walk
+    CuckooHashTable.walk = walk
     try:
         yield
     finally:
-        native.KERNELS.walk = saved
+        CuckooHashTable.walk = COMPILED
 
 
 def _table(ways, sets, max_attempts, strong):
@@ -68,7 +68,7 @@ def test_compiled_walk_loads_where_it_can_build():
     assert callable(native.KERNELS.walk) and callable(native.KERNELS.drain)
 
 
-# Insert (optionally through a drain-style tuple row) or remove one key.
+# Insert (optionally with the key's precomputed row) or remove one key.
 _OPS = st.lists(
     st.tuples(st.sampled_from(["insert", "insert_row", "remove"]),
               st.integers(0, 160)),
@@ -88,8 +88,8 @@ _OPS = st.lists(
 def test_compiled_walk_matches_python_walk(ways, sets, max_attempts, strong, ops):
     compiled = _table(ways, sets, max_attempts, strong)
     python = _table(ways, sets, max_attempts, strong)
-    for op, key in ops:
-        value = object()
+    for position, (op, key) in enumerate(ops):
+        value = (key << 8 | position) | 1 << 63
         results = []
         for table, walk in ((compiled, COMPILED), (python, PYTHON)):
             with _using(walk):
@@ -97,51 +97,42 @@ def test_compiled_walk_matches_python_walk(ways, sets, max_attempts, strong, ops
                     results.append(table.remove(key))
                 elif op == "insert_row" and key not in table:
                     row = tuple(table.hash_family.indices(key))
-                    table._indices_cache[key] = row
                     results.append(table.insert_absent(key, value, row))
                 else:
                     results.append(table.insert(key, value))
         assert results[0] == results[1]
-        if op != "remove":
-            assert results[0].evicted_value is results[1].evicted_value
         assert _state(compiled) == _state(python)
-        for way_c, way_p in zip(compiled._values, python._values):
-            assert all(a is b for a, b in zip(way_c, way_p))
 
 
-@pytest.mark.parametrize("walk", [COMPILED], ids=["compiled"])
-def test_walk_keeps_reference_counts(walk):
-    """Every key and value a walk moves or evicts is released once the
-    table and its indices cache are cleared."""
-    sentinel = object()
-    keys = [(1 << 70) + key for key in range(40)]  # not interned
-    before = [sys.getrefcount(sentinel)] + [sys.getrefcount(key) for key in keys]
-    table = _table(2, 2, 5, strong=True)
-    evicted = []
-    with _using(walk):
-        for position, key in enumerate(keys):
-            result = table.insert(key, sentinel)
-            evicted.append((result.evicted_key, result.evicted_value))
-            if position % 7 == 3:
-                table.remove(keys[position - 2])
-    assert any(value is sentinel for _key, value in evicted)
-    del evicted, result, key
-    table.clear()
-    table._indices_cache.clear()
-    after = [sys.getrefcount(sentinel)] + [sys.getrefcount(key) for key in keys]
-    assert after == before
+# The families the drain hashes, with the geometries the satellite cases
+# name: skewing over power-of-two set counts (one set included) and offset
+# bits 0-3, strong with per-slice seeds over any set count, modulo over any
+# set count and one way.
+_FAMILIES = st.one_of(
+    st.builds(
+        SkewingHashFamily, st.integers(1, 8),
+        st.sampled_from([1, 2, 4, 64, 512, 8192, 1 << 20]), st.integers(0, 3),
+    ),
+    st.builds(
+        StrongHashFamily, st.integers(1, 8), st.integers(1, 10_000),
+        st.integers(0, 2**32),
+    ),
+    st.builds(ModuloHashFamily, st.integers(1, 16), st.integers(1, 10_000)),
+)
 
 
-@pytest.mark.parametrize("bad_index", [4, 1 << 70, -5])
-@pytest.mark.parametrize("walk", [COMPILED], ids=["compiled"])
-def test_corrupted_index_raises_index_error(walk, bad_index):
-    table = _table(2, 4, 32, strong=True)
-    with _using(walk):
-        for key in range(8):
-            table.insert(key, None)
-        table._indices_cache[1000] = [bad_index, bad_index]
-        with pytest.raises(IndexError):
-            table.walk(1000, None)
+@settings(max_examples=150, deadline=None)
+@given(
+    family=_FAMILIES,
+    keys=st.lists(st.integers(0, 2**63 - 1) | st.integers(0, 1 << 20), max_size=40),
+)
+def test_compiled_hashing_matches_the_families(family, keys):
+    """The drain's C hashing, from the family's descriptor, equals
+    ``batch_indices_array``, the families' vectorized index functions."""
+    keys = np.asarray(keys, dtype=np.int64)
+    out = np.empty((family.num_ways, keys.size), dtype=np.int64)
+    native.KERNELS.indices(family.descriptor(), keys, out)
+    assert np.array_equal(out, family.batch_indices_array(keys))
 
 
 def test_loader_builds_into_a_fresh_cache(tmp_path, monkeypatch, caplog):
@@ -158,7 +149,11 @@ def test_loader_builds_into_a_fresh_cache(tmp_path, monkeypatch, caplog):
     assert status in caplog.text
     # The rebuilt walk is the compiled walk: it agrees with the reference.
     twins = [_table(2, 2, 9, strong=False) for _ in range(2)]
-    for table, table_walk in zip(twins, (walk, PYTHON)):
+
+    def rebuilt(table, key, value):
+        return walk(table.drain_state(), key, value)
+
+    for table, table_walk in zip(twins, (rebuilt, PYTHON)):
         with _using(table_walk):
             results = [table.insert(key, key) for key in range(12)]
         table.outcomes = [(r.outcome, r.attempts, r.evicted_key) for r in results]

@@ -76,7 +76,7 @@ class TestStashBehaviour:
     def test_stash_entries_are_found_and_updatable(self):
         directory = make_directory(stash=8)
         overflow_the_table(directory, 12)
-        stashed_blocks = [b for b in range(12) if b in directory._stash]
+        stashed_blocks = [b for b in range(12) if b in dict(directory.stash_items())]
         assert stashed_blocks
         block = stashed_blocks[0]
         directory.add_sharer(block, 3)
@@ -107,7 +107,7 @@ class TestStashBehaviour:
     def test_removing_last_sharer_from_stash_frees_entry(self):
         directory = make_directory(stash=8)
         overflow_the_table(directory, 12)
-        stashed_blocks = [b for b in range(12) if b in directory._stash]
+        stashed_blocks = [b for b in range(12) if b in dict(directory.stash_items())]
         block = stashed_blocks[0]
         directory.remove_sharer(block, 0)
         assert not directory.lookup(block).found
@@ -118,13 +118,13 @@ class TestStashBehaviour:
         assert directory.stash_occupancy > 0
         before = directory.stash_occupancy
         # Free table entries by removing blocks that live in the table.
-        table_blocks = [b for b in range(14) if b not in directory._stash]
+        table_blocks = [b for b in range(14) if b not in dict(directory.stash_items())]
         for block in table_blocks:
             directory.remove_sharer(block, 0)
         assert directory.stash_occupancy < before
         # Nothing was lost: the remaining tracked blocks are still found.
         for block in range(14):
-            if block in directory._stash or directory._table.get(block) is not None:
+            if block in dict(directory.stash_items()) or directory._table.get(block) is not None:
                 assert directory.contains(block)
 
     def test_statistics_still_consistent(self):
@@ -140,7 +140,7 @@ class TestStashBehaviour:
     def test_acquire_exclusive_works_for_stashed_blocks(self):
         directory = make_directory(stash=8)
         overflow_the_table(directory, 12)
-        stashed_blocks = [b for b in range(12) if b in directory._stash]
+        stashed_blocks = [b for b in range(12) if b in dict(directory.stash_items())]
         block = stashed_blocks[0]
         directory.add_sharer(block, 2)
         result = directory.acquire_exclusive(block, 2)
@@ -148,32 +148,29 @@ class TestStashBehaviour:
         assert directory.lookup(block).sharers == frozenset({2})
 
 
-class TestSharerPoolRecycling:
-    def test_pool_does_not_grow_across_add_remove_cycles(self):
-        """The stash variant must consume the sharer-set pool its inherited
-        remove_sharer fills, or a long run leaks one dead set per removed
-        entry (regression test for exactly that)."""
-        directory = make_directory(sets=64, ways=4)
-        for _ in range(5):
-            for block in range(100):
-                directory.add_sharer(block, 1)
-            for block in range(100):
-                directory.remove_sharer(block, 1)
-        assert directory.entry_count() == 0
-        # Steady state: every insertion pops what the removals pushed.
-        assert len(directory._sharer_pool) <= 100
+class TestTypedStash:
+    """The stash is a fixed pair of typed arrays, oldest entry first."""
 
-    def test_cuckoo_pool_bounded_by_entry_churn(self):
-        directory = CuckooDirectory(
-            num_caches=4, num_sets=64, num_ways=4,
-            hash_family=StrongHashFamily(4, 64, seed=1),
-        )
+    def test_add_remove_cycles_leave_the_buffers_as_built(self):
+        directory = make_directory(sets=4, ways=2)
         for _ in range(5):
-            for block in range(100):
+            for block in range(40):
                 directory.add_sharer(block, 1)
-            for block in range(100):
+            for block in range(40):
                 directory.remove_sharer(block, 1)
-        assert len(directory._sharer_pool) <= 100
+        assert directory.entry_count() == 0 and directory.stash_items() == []
+        assert list(directory._stash_keys) == [-1] * directory.stash_size
+        assert len(directory.table._keys) == directory.table.capacity
+
+    def test_parked_entries_keep_age_order(self):
+        directory = make_directory(sets=1, ways=2, stash=3)
+        for block in range(5):
+            directory.add_sharer(block, 1)
+        parked = [key for key, _ in directory.stash_items()]
+        assert len(parked) == 3
+        directory.remove_sharer(parked[1], 1)  # the younger ones move up
+        assert [key for key, _ in directory.stash_items()] == [parked[0], parked[2]]
+        assert list(directory._stash_keys)[2] == -1
 
 
 #: The stash ablation's directory statistics (``benchmarks/
