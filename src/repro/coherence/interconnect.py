@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
+import numpy as np
+
 __all__ = ["MeshInterconnect"]
 
 
@@ -45,13 +47,17 @@ class MeshInterconnect:
         dr, dc = self.coordinates(destination)
         return abs(sr - dr) + abs(sc - dc)
 
+    def hop_table(self) -> np.ndarray:
+        """:meth:`hops` between every pair of tiles, as an int64 array."""
+        rows, columns = np.divmod(np.arange(self._num_tiles, dtype=np.int64), self._columns)
+        return (
+            np.abs(rows[:, None] - rows[None, :])
+            + np.abs(columns[:, None] - columns[None, :])
+        )
+
     def average_distance(self) -> float:
         """Mean hop count over all ordered tile pairs (diagnostic)."""
-        total = 0
-        for src in range(self._num_tiles):
-            for dst in range(self._num_tiles):
-                total += self.hops(src, dst)
-        return total / (self._num_tiles * self._num_tiles)
+        return float(self.hop_table().mean())
 
     def _check(self, tile: int) -> None:
         if not 0 <= tile < self._num_tiles:

@@ -20,15 +20,43 @@ The mapping is deterministic for a given seed, and identical access
 streams therefore see identical physical layouts regardless of which
 directory organization is being evaluated — exactly the controlled
 comparison the paper performs.
+
+Storage and the compiled kernel
+-------------------------------
+The page table is typed state the compiled ``translate`` kernel
+(``core/_kernels.c``) reads and writes: an open-addressing table of int64
+virtual pages (``-1`` vacant) and their int64 physical pages, a power of
+two slots kept at most half full, beside a one-item row counting the pages
+mapped.  A new page takes the next entry of the *allocation sequence*: the
+physical pages the allocator hands out, in order.  The allocator draws a
+page uniformly from the pool and redraws while the page is taken, so its
+sequence is the draws with every repeat dropped.  The sequence is drawn
+ahead, at least 4,096 pages at a time, on the first miss and whenever it
+runs out: numpy's ``integers(0, n, size=k)`` returns exactly the ``k``
+draws that ``k`` scalar calls would, so the pages come out as they would
+one at a time.
+The kernel translates a whole trace slice straight into the drain's
+five-row trace, stopping early only for the sequence to be refilled or
+the table doubled.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
-
 import numpy as np
 
+from repro.core import native
+
 __all__ = ["PageMapper"]
+
+#: Page-table slots at first (64 KB of keys and pages).
+_INITIAL_SLOTS = 1 << 12
+
+#: Pages drawn ahead at least, per refill of the allocation sequence.
+_DRAWS = 1 << 12
+
+#: ``translate_trace`` geometry that yields physical byte addresses in the
+#: block row: no offset bits, one slice, one core.
+_PHYSICAL = (0, 1, 1, 0)
 
 
 class PageMapper:
@@ -61,21 +89,14 @@ class PageMapper:
         self._page_bytes = page_bytes
         self._physical_pages = physical_pages
         self._rng = np.random.default_rng(seed)
-        self._page_table: Dict[int, int] = {}
-        self._allocated: Set[int] = set()
-        # Dense gather cache of ``_page_table`` (index = virtual page,
-        # -1 = not cached), grown on demand by translate_batch: once a
-        # run's footprint is touched, whole-chunk translation collapses
-        # to a single fancy-index gather instead of a unique/dict walk.
-        self._phys_cache: Optional[np.ndarray] = None
-        # Power-of-two page sizes (every configuration in this library)
-        # translate with a shift and a mask instead of a divmod.
-        if page_bytes & (page_bytes - 1) == 0:
-            self._page_shift: Optional[int] = page_bytes.bit_length() - 1
-            self._offset_mask = page_bytes - 1
-        else:
-            self._page_shift = None
-            self._offset_mask = 0
+        self._keys = np.full(_INITIAL_SLOTS, -1, dtype=np.int64)
+        self._pages = np.zeros(_INITIAL_SLOTS, dtype=np.int64)
+        self._mapped = np.zeros(1, dtype=np.int64)
+        self._sequence = np.empty(0, dtype=np.int64)
+        self._state = self._kernel_state()
+
+    def _kernel_state(self) -> tuple:
+        return self._keys, self._pages, self._mapped, self._sequence, self._page_bytes
 
     @property
     def page_bytes(self) -> int:
@@ -84,153 +105,83 @@ class PageMapper:
     @property
     def pages_mapped(self) -> int:
         """Number of virtual pages touched so far."""
-        return len(self._page_table)
+        return int(self._mapped[0])
 
     def translate(self, virtual_address: int) -> int:
         """Translate a virtual byte address to its physical byte address."""
-        if virtual_address < 0:
-            raise ValueError("virtual_address must be non-negative")
-        shift = self._page_shift
-        if shift is not None:
-            virtual_page = virtual_address >> shift
-            physical_page = self._page_table.get(virtual_page)
-            if physical_page is None:
-                physical_page = self._allocate()
-                self._page_table[virtual_page] = physical_page
-            return (physical_page << shift) | (virtual_address & self._offset_mask)
-        virtual_page, offset = divmod(virtual_address, self._page_bytes)
-        physical_page = self._page_table.get(virtual_page)
-        if physical_page is None:
-            physical_page = self._allocate()
-            self._page_table[virtual_page] = physical_page
-        return physical_page * self._page_bytes + offset
+        return int(self.translate_batch(np.array([virtual_address], dtype=np.int64))[0])
 
     def translate_batch(self, virtual_addresses: np.ndarray) -> np.ndarray:
-        """Translate a whole array of virtual byte addresses at once.
+        """Translate a one-dimensional array of virtual byte addresses at once.
 
         Equivalent to mapping :meth:`translate` over the array — including
         the first-touch allocation order: unseen pages are allocated in
         order of first occurrence within the array, so interleaving batch
         and scalar translation over the same access stream produces the
-        same page table and draws the RNG identically.
+        same page table.
         """
-        addresses = np.asarray(virtual_addresses, dtype=np.int64)
-        if addresses.size == 0:
-            return addresses.copy()
-        if int(addresses.min()) < 0:
-            raise ValueError("virtual_address must be non-negative")
-        shift = self._page_shift
-        if shift is not None:
-            virtual_pages = addresses >> shift
-            offsets = addresses & self._offset_mask
-        else:
-            virtual_pages = addresses // self._page_bytes
-            offsets = addresses % self._page_bytes
-        physical_pages = self._gather_pages(virtual_pages)
-        if shift is not None:
-            return (physical_pages << shift) | offsets
-        return physical_pages * self._page_bytes + offsets
+        addresses = np.ascontiguousarray(virtual_addresses, dtype=np.int64)
+        cores, flags = np.zeros(addresses.size, np.int64), np.zeros(addresses.size, np.bool_)
+        return self.translate_trace(cores, addresses, flags, flags, _PHYSICAL)[0]
 
-    #: Dense-cache ceiling: footprints touching virtual pages beyond this
-    #: index keep the dict-walk path instead of materialising a huge array.
-    _PHYS_CACHE_MAX_PAGES = 1 << 22
+    def translate_trace(self, cores, addresses, writes, instrs, geometry) -> np.ndarray:
+        """Translate a trace slice into the compiled drain's five-row trace.
 
-    def _gather_pages(self, virtual_pages: np.ndarray) -> np.ndarray:
-        """Physical page for every virtual page, first-touch allocating.
-
-        Steady state (all pages mapped and cached) is one fancy-index
-        gather; misses fall back to the historical unique/dict walk —
-        allocating unseen pages in order of first occurrence within the
-        chunk, exactly like mapping :meth:`translate` over the stream.
+        ``cores`` and ``addresses`` are contiguous int64 arrays, ``writes``
+        and ``instrs`` contiguous one-byte flags, all of one length;
+        ``geometry`` is ``(block offset bits, slices, cores, core shift)``.
+        Returns the int64 ``(5, n)`` trace of physical blocks, slice-local
+        addresses, homes (``block % slices``), tracked caches (``core <<
+        shift``, plus one for a data access when the shift is one) and
+        write flags.  A core out of range raises :class:`IndexError` and a
+        negative address :class:`ValueError`, before any page is mapped; an
+        exhausted pool raises :class:`RuntimeError` at the page that finds
+        it so, with the pages before it mapped.
         """
-        cache = self._phys_cache
-        max_page = int(virtual_pages.max())
-        if max_page >= self._PHYS_CACHE_MAX_PAGES:
-            return self._gather_pages_uncached(virtual_pages)
-        if cache is None or max_page >= cache.size:
-            size = max(1024, 2 * (max_page + 1))
-            grown = np.full(size, -1, dtype=np.int64)
-            if cache is not None:
-                grown[: cache.size] = cache
-            elif self._page_table:
-                # Adopt mappings made through the scalar translate path.
-                for page, phys in self._page_table.items():
-                    if page < size:
-                        grown[page] = phys
-            self._phys_cache = cache = grown
-        physical_pages = cache[virtual_pages]
-        miss_mask = physical_pages < 0
-        if miss_mask.any():
-            miss_pages = virtual_pages[miss_mask]
-            unique_pages, first_seen = np.unique(miss_pages, return_index=True)
-            table = self._page_table
-            missing = []
-            for page, position in zip(unique_pages.tolist(), first_seen.tolist()):
-                phys = table.get(page)
-                if phys is None:
-                    missing.append((position, page))
-                else:  # mapped by scalar translate, not yet cached
-                    cache[page] = phys
-            if missing:
-                # First-touch order: allocate in stream order, not sorted
-                # order (selection under the miss mask preserves it).
-                missing.sort()
-                for _, page in missing:
-                    phys = self._allocate()
-                    table[page] = phys
-                    cache[page] = phys
-            physical_pages = cache[virtual_pages]
-        return physical_pages
+        fields = (cores, addresses, writes, instrs)
+        trace = np.empty((5, len(cores)), dtype=np.int64)
+        translate = native.KERNELS.translate
+        position = 0
+        while (position := translate(self._state, fields, trace, geometry, position)) < len(cores):
+            if self._mapped[0] == self._sequence.size:
+                self._refill()
+            else:
+                self._grow()
+        return trace
 
-    def _gather_pages_uncached(self, virtual_pages: np.ndarray) -> np.ndarray:
-        """The historical unique/dict-walk gather (sparse huge footprints)."""
-        unique_pages, first_seen, inverse = np.unique(
-            virtual_pages, return_index=True, return_inverse=True
-        )
-        table = self._page_table
-        unique_list = unique_pages.tolist()
-        missing = [
-            (position, page)
-            for page, position in zip(unique_list, first_seen.tolist())
-            if page not in table
-        ]
-        if missing:
-            # First-touch order: allocate in stream order, not sorted order.
-            missing.sort()
-            for _, page in missing:
-                table[page] = self._allocate()
-        return np.fromiter(
-            (table[page] for page in unique_list),
-            dtype=np.int64,
-            count=len(unique_list),
-        )[inverse]
+    def _refill(self) -> None:
+        """Draw the allocation sequence further ahead (module docstring).
 
-    def translate_blocks(
-        self,
-        virtual_addresses: np.ndarray,
-        offset_bits: int,
-        num_slices: int,
-    ) -> "Tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """Fused whole-chunk address resolution for the coherence system.
-
-        Translates a chunk of virtual byte addresses and derives the three
-        arrays every batched access needs: the physical block address, the
-        slice-local address (block with the interleaving bits stripped) and
-        the home slice.  Equivalent to :meth:`translate_batch` followed by
-        a shift and a divmod; fused here so the batch front-end performs
-        one call per chunk and the interleaving rule stays written in one
-        place alongside the translation it depends on.
-        """
-        physical = self.translate_batch(virtual_addresses)
-        blocks = physical >> offset_bits
-        locals_, homes = np.divmod(blocks, num_slices)
-        return blocks, locals_, homes
-
-    def _allocate(self) -> int:
-        if len(self._allocated) >= self._physical_pages:
+        The sequence's pages are distinct, so the first occurrences of the
+        pages among it and the new draws are the sequence, then the new
+        pages in draw order."""
+        if self._sequence.size >= self._physical_pages:
             raise RuntimeError("physical page pool exhausted")
-        while True:
-            candidate = int(self._rng.integers(0, self._physical_pages))
-            if candidate not in self._allocated:
-                self._allocated.add(candidate)
-                return candidate
+        while self._mapped[0] == self._sequence.size:
+            draws = self._rng.integers(
+                0, self._physical_pages, size=max(_DRAWS, self._sequence.size)
+            )
+            pages = np.concatenate((self._sequence, draws))
+            _, first = np.unique(pages, return_index=True)
+            self._sequence = pages[np.sort(first)]
+        self._state = self._kernel_state()
+
+    def _grow(self) -> None:
+        """Double the page table.
+
+        The mappings are re-placed by the kernel itself: their virtual pages,
+        translated at one byte per page into the empty doubled table, take
+        their own physical pages as the allocation sequence.
+        """
+        live = self._keys >= 0
+        pages, frames = self._keys[live], self._pages[live]
+        self._keys = np.full(2 * self._keys.size, -1, dtype=np.int64)
+        self._pages = np.zeros(self._keys.size, dtype=np.int64)
+        self._mapped[0] = 0
+        cores, flags = np.zeros(pages.size, np.int64), np.zeros(pages.size, np.bool_)
+        native.KERNELS.translate(
+            (self._keys, self._pages, self._mapped, frames, 1),
+            (cores, pages, flags, flags),
+            np.empty((5, pages.size), dtype=np.int64), _PHYSICAL, 0,
+        )
+        self._state = self._kernel_state()

@@ -26,15 +26,16 @@ Execution
 ---------
 The simulator defines the protocol once: the compiled drain (``drain`` in
 ``repro/core/_kernels.c``, built by :mod:`repro.core.native`).
-:meth:`TiledCMP.access_batch` runs a slice of a trace chunk with all
-per-access address math (page translation, block/home/local derivation,
-tracked-cache selection) numpy-precomputed and the core-range check hoisted
-to one chunk-level validation, then hands the whole slice to the drain, which
-runs every access in trace order; :meth:`TiledCMP.access` is a one-access
-batch.  The drain owns no state: every cache, shared-L2 bank, directory
-table and stash keeps its state, statistics included, in typed buffers that
-the Python API and the drain share, and the drain takes them once, at
-construction (:meth:`TiledCMP._prepare_drain`), hashing every key itself.
+:meth:`TiledCMP.access_batch` runs a slice of a trace chunk in two compiled
+calls: the page mapper's ``translate`` kernel checks every core and address
+of the slice, then maps the raw fields through the page table into the
+drain's trace (block, slice-local address, home, tracked cache, write flag),
+and the drain runs every access in trace order; :meth:`TiledCMP.access` is
+a one-access batch.  The drain owns no state: every cache, shared-L2 bank,
+directory table and stash keeps its state, statistics included, in typed
+buffers that the Python API and the drain share, and the drain takes them
+once, at construction (:meth:`TiledCMP._prepare_drain`), hashing every key
+itself.
 It runs every directory slice the simulator builds: a Cuckoo, Sparse or
 Skewed table (:class:`~repro.directories.table.TableDirectory`), the Cuckoo
 table with an overflow stash included.  A system it cannot run is refused
@@ -103,6 +104,16 @@ _DRAIN_CLASSES = tuple(
          "walk (cuckoo) or an LRU eviction (sparse, skewed)"),
     )
 )
+
+
+def _hit_rate(caches: Sequence[SetAssociativeCache]) -> float:
+    """Hits over accesses of ``caches``, summed from their counts rows."""
+    hits = misses = 0
+    for cache in caches:
+        row = cache.stats._row  # hits, misses, ... (repro.cache.cache)
+        hits += row[0]
+        misses += row[1]
+    return hits / (hits + misses) if hits + misses else 0.0
 
 
 @dataclass(frozen=True)
@@ -182,6 +193,11 @@ class TiledCMP:
         self._l1_tracked = config.tracked_level is CacheLevel.L1
         self._num_cores = num_cores
         self._num_slices = len(self._directories)
+        # PageMapper.translate_trace's geometry: a tracked L1 is the core's
+        # instruction cache (2 * core) or its data cache (2 * core + 1).
+        self._geometry = (
+            self._offset_bits, self._num_slices, num_cores, int(self._l1_tracked)
+        )
         self._prepare_drain()
 
     def _prepare_drain(self) -> None:
@@ -208,19 +224,14 @@ class TiledCMP:
                 f"the compiled drain needs one way count in every slice; these "
                 f"slices' tables have {ways} ways"
             )
-        mesh = MeshInterconnect(self._num_cores)
-        cores = range(self._num_cores)
-        self._hops = np.array(
-            [[mesh.hops(source, destination) for destination in cores] for source in cores],
-            dtype=np.int64,
-        )
+        self._hops = MeshInterconnect(self._num_cores).hop_table()
         self._machine = native.KERNELS.machine(
             tuple(cache.drain_state() for cache in self._tracked),
             None if banks is None else tuple(bank.drain_state() for bank in banks),
             tuple(directory.drain_state() for directory in directories),
             self._hops,
             self._traffic._row if self._track_traffic else None,
-            1 if self._l1_tracked else 0,
+            int(self._l1_tracked),
         )
 
     # -- geometry / accessors ------------------------------------------------
@@ -259,12 +270,12 @@ class TiledCMP:
     def home_slice(self, block: int) -> int:
         """Home tile of a block (static address interleaving).
 
-        NOTE: the compiled drain (``repro/core/_kernels.c``) and
-        ``PageMapper.translate_blocks`` (behind ``access_batch``) compute
-        this rule (and :meth:`slice_local_address`; the drain also
-        :meth:`global_address`, for forced-invalidation victims) directly
-        against the slice count; change the interleaving everywhere
-        together.
+        NOTE: the compiled kernels (``repro/core/_kernels.c``) compute
+        this rule against the slice count themselves: ``translate`` (behind
+        ``access_batch``) derives every access's home and
+        :meth:`slice_local_address`, and the drain :meth:`global_address`
+        for forced-invalidation victims and evicted blocks; change the
+        interleaving everywhere together.
         """
         return block % self._num_slices
 
@@ -299,11 +310,8 @@ class TiledCMP:
 
     # -- statistics ------------------------------------------------------------
     def directory_stats(self) -> DirectoryStats:
-        """Statistics merged across all directory slices."""
-        merged = DirectoryStats()
-        for directory in self._directories:
-            merged = merged.merge(directory.stats)
-        return merged
+        """Statistics summed across all directory slices."""
+        return DirectoryStats.total(directory.stats for directory in self._directories)
 
     def sample_occupancy(self) -> float:
         """Sample every slice's occupancy; returns the mean of this sample."""
@@ -319,17 +327,6 @@ class TiledCMP:
         """Scalar channel values for one timeline sample."""
         stats = self.directory_stats()
         traffic = self._traffic
-        hits = 0
-        accesses = 0
-        for cache in self._tracked:
-            hits += cache.stats.hits
-            accesses += cache.stats.accesses
-        l2_hits = 0
-        l2_accesses = 0
-        if self._l2_banks is not None:
-            for bank in self._l2_banks:
-                l2_hits += bank.stats.hits
-                l2_accesses += bank.stats.accesses
         return {
             "forced_invalidations": stats.forced_invalidations,
             "insertions": stats.insertions,
@@ -337,8 +334,8 @@ class TiledCMP:
             "stash_occupancy": sum(
                 directory.stash_occupancy for directory in self._directories
             ),
-            "tracked_hit_rate": hits / accesses if accesses else 0.0,
-            "shared_l2_hit_rate": l2_hits / l2_accesses if l2_accesses else 0.0,
+            "tracked_hit_rate": _hit_rate(self._tracked),
+            "shared_l2_hit_rate": _hit_rate(self._l2_banks or ()),
             "total_messages": traffic.total_messages,
             "traffic_bytes": traffic.bytes_transferred,
             "traffic_hops": traffic.hops,
@@ -356,9 +353,8 @@ class TiledCMP:
         "5+" bucket for the default five bins).
         """
         counts = [0] * bins
-        for directory in self._directories:
-            for attempts, count in directory.stats.attempt_histogram.items():
-                counts[min(max(int(attempts), 1), bins) - 1] += count
+        for attempts, count in enumerate(self.directory_stats().histogram):
+            counts[min(max(attempts, 1), bins) - 1] += count
         return counts
 
     def reset_stats(self) -> None:
@@ -394,71 +390,39 @@ class TiledCMP:
         """Execute the ``[start, stop)`` slice of a trace chunk; returns its size.
 
         The chunk fields may be numpy arrays (trace replays, vectorised
-        generators) or plain sequences.  Address math runs vectorised over
-        the whole slice — page translation, block/home/local derivation and
-        tracked-cache selection — and the ``0 <= core < num_cores`` check
-        runs once per slice, so a malformed trace fails before any of it
-        executes.  Then the compiled drain runs the slice in one call, in
-        trace order (:meth:`_drain_compiled`).
+        generators) or plain sequences.  The page mapper's compiled
+        ``translate`` kernel maps the slice's raw fields into the drain's
+        five-row trace (:meth:`PageMapper.translate_trace`), after checking
+        every core (:class:`IndexError`) and address (:class:`ValueError`),
+        so a malformed slice fails before any of it executes.  Then the
+        compiled drain runs the slice in one call, in trace order, over the
+        machine :meth:`_prepare_drain` took, counting every statistic in
+        place; it returns the slice's accesses per class, for telemetry.
         """
-        cores = np.asarray(cores)
         if stop is None:
             stop = len(cores)
         count = stop - start
         if count <= 0:
             return 0
-        seg_cores = cores[start:stop]
-        if int(seg_cores.min()) < 0 or int(seg_cores.max()) >= self._num_cores:
-            raise IndexError(
-                f"core out of range [0, {self._num_cores}) in trace chunk"
-            )
         with _TRACER.span("translate"):
-            block_array, locals_array, homes_array = self._page_mapper.translate_blocks(
-                np.asarray(addresses)[start:stop],
-                self._offset_bits,
-                self._num_slices,
+            trace = self._page_mapper.translate_trace(
+                np.ascontiguousarray(np.asarray(cores)[start:stop], dtype=np.int64),
+                np.ascontiguousarray(np.asarray(addresses)[start:stop], dtype=np.int64),
+                np.ascontiguousarray(np.asarray(writes)[start:stop], dtype=np.bool_),
+                np.ascontiguousarray(np.asarray(instrs)[start:stop], dtype=np.bool_),
+                self._geometry,
             )
-            if self._l1_tracked:
-                instr_segment = np.asarray(instrs)[start:stop]
-                cache_id_array = (
-                    seg_cores * 2 + np.where(instr_segment, 0, 1)
-                ).astype(np.int64)
-            else:
-                cache_id_array = seg_cores.astype(np.int64)
-            write_array = np.asarray(writes)[start:stop].astype(bool)
         _BATCH_CHUNKS.inc()
         _BATCH_ACCESSES.add(count)
         with _TRACER.span("drain_vector"):
-            self._drain_compiled(
-                block_array, locals_array, homes_array, cache_id_array, write_array
-            )
+            for counter, classified in zip(
+                _DRAIN_CLASSES, native.KERNELS.drain(self._machine, trace)
+            ):
+                counter.add(classified)
         self._accesses += count
         _BATCH_DRAINED.add(count)
         _DRAIN_VECTOR.add(count)
         return count
-
-    def _drain_compiled(
-        self,
-        blocks: np.ndarray,
-        locals_: np.ndarray,
-        homes: np.ndarray,
-        caches: np.ndarray,
-        writes: np.ndarray,
-    ) -> None:
-        """Run a chunk through the compiled drain.
-
-        The drain (``core/_kernels.c``) executes every access in trace
-        order over the machine :meth:`_prepare_drain` took, counting every
-        statistic into the caches', slices' and traffic rows in place; the
-        trace is the five access fields, and the drain hashes each key
-        itself.  It returns the chunk's accesses per class, for telemetry.
-        """
-        trace = np.empty((5, blocks.size), dtype=np.int64)
-        trace[0], trace[1], trace[2], trace[3], trace[4] = (
-            blocks, locals_, homes, caches, writes,
-        )
-        for counter, count in zip(_DRAIN_CLASSES, native.KERNELS.drain(self._machine, trace)):
-            counter.add(count)
 
     # -- consistency checking (used by the tests) ---------------------------------
     def check_inclusion(self) -> List[str]:

@@ -1,4 +1,5 @@
-/* The compiled kernels: the cuckoo displacement walk and the protocol drain.
+/* The compiled kernels: the cuckoo displacement walk, the protocol drain and
+ * the trace front end that feeds it.
  *
  * drain() runs a chunk of accesses through the MESI protocol in trace order,
  * over every directory slice the simulator builds (a Cuckoo, Sparse or
@@ -6,8 +7,10 @@
  * displacement walk of CuckooHashTable.walk, which the drain runs as a plain
  * C function.  They are the simulator's only definitions of both: the
  * handler loop and the Python walk they are tested against live in
- * tests/coherence/reference_protocol.py.  repro.core.native builds this file
- * on first import.
+ * tests/coherence/reference_protocol.py.  zipf() draws the synthetic
+ * workloads' Zipf ranks (ZipfSampler) and translate() maps a trace slice
+ * through the first-touch page table (PageMapper) into the drain's trace.
+ * repro.core.native builds this file on first import.
  *
  * Both run over typed buffers the Python objects own and read through the
  * buffer protocol, so Python and C share one state and no Python object is
@@ -67,20 +70,22 @@ enum { HASH_MODULO, HASH_SKEWING, HASH_STRONG };
 
 /* ---- typed buffers ------------------------------------------------------- */
 
-/* obj's buffer into *view, checked: C-contiguous and writable, of int64
- * ('q'), uint64 ('Q') or uint8 ('B') items, and of length items (any when
- * length < 0). */
+/* obj's buffer into *view, checked: C-contiguous (and writable unless
+ * flags is READ), of int64 ('q'), uint64 ('Q'), float64 ('d') or one-byte
+ * ('B': uint8 or bool) items, and of length items (any when length < 0). */
+#define READ 0
+#define WRITE PyBUF_WRITABLE
 static void *
-typed(PyObject *obj, char type, Py_ssize_t length, Py_buffer *view)
+typed(PyObject *obj, char type, Py_ssize_t length, Py_buffer *view, int flags)
 {
     view->obj = NULL;
-    if (PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | PyBUF_WRITABLE) < 0)
+    if (PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | flags) < 0)
         return NULL;
     const char *format = view->format ? view->format : "B";
     char code = format[strlen(format) - 1];
     int ok = format[0] != '>' && format[0] != '!' && (type == 'B'
-        ? view->itemsize == 1 && code == 'B'
-        : view->itemsize == 8 && (code == type || code == type - 'q' + 'l'));
+        ? view->itemsize == 1 && (code == 'B' || code == '?')
+        : view->itemsize == 8 && (code == type || (type != 'd' && code == type - 'q' + 'l')));
     static i64 no_items[1];  /* an empty buffer's address, never read */
     if (ok && (length < 0 || view->len / view->itemsize == length))
         return view->buf ? view->buf : no_items;
@@ -89,7 +94,7 @@ typed(PyObject *obj, char type, Py_ssize_t length, Py_buffer *view)
                      view->len / view->itemsize, length);
     else
         PyErr_Format(PyExc_TypeError, "expected a contiguous buffer of %s", type == 'q'
-                     ? "int64" : type == 'Q' ? "uint64" : "uint8");
+                     ? "int64" : type == 'Q' ? "uint64" : type == 'd' ? "float64" : "uint8");
     PyBuffer_Release(view);
     return NULL;
 }
@@ -187,13 +192,13 @@ indices(PyObject *module, PyObject *args)
     Hash h;
     (void)module;
     if (!PyArg_ParseTuple(args, "OOO:indices", &objs[0], &objs[1], &objs[2])
-            || typed(objs[0], 'Q', -1, &views[0]) == NULL)
+            || typed(objs[0], 'Q', -1, &views[0], WRITE) == NULL)
         return NULL;
     if (parse_hash(&views[0], &h, &ways, &sets) < 0
-            || typed(objs[1], 'q', -1, &views[1]) == NULL)
+            || typed(objs[1], 'q', -1, &views[1], WRITE) == NULL)
         goto done;
     n = items(&views[1]);
-    if (typed(objs[2], 'q', ways * n, &views[2]) == NULL)
+    if (typed(objs[2], 'q', ways * n, &views[2], WRITE) == NULL)
         goto done;
     const i64 *keys = views[1].buf;
     i64 *out = views[2].buf;
@@ -268,7 +273,7 @@ machine_destructor(PyObject *capsule)
 static void *
 hold(Machine *m, PyObject *obj, char type, Py_ssize_t length)
 {
-    void *buf = typed(obj, type, length, &m->views[m->num_views]);
+    void *buf = typed(obj, type, length, &m->views[m->num_views], WRITE);
     if (buf != NULL)
         m->num_views++;
     return buf;
@@ -920,7 +925,7 @@ PyDoc_STRVAR(drain_doc,
 "machine's buffers, counting every statistic into them; trace is a (5, n)\n"
 "int64 array of blocks, slice-local addresses, homes, tracked caches and\n"
 "write flags.  Returns the chunk's accesses per class; see\n"
-"TiledCMP._drain_compiled in repro.coherence.system.");
+"TiledCMP.access_batch in repro.coherence.system.");
 
 static PyObject *
 drain(PyObject *module, PyObject *args)
@@ -936,7 +941,7 @@ drain(PyObject *module, PyObject *args)
         return NULL;
     }
     Machine *m = PyCapsule_GetPointer(capsule, machine_name);
-    if ((m->trace = typed(trace_obj, 'q', -1, &view)) == NULL)
+    if ((m->trace = typed(trace_obj, 'q', -1, &view, WRITE)) == NULL)
         return NULL;
     m->n = items(&view) / 5;
     if (view.ndim != 2 || view.shape[0] != 5) {
@@ -967,17 +972,183 @@ done:
     return result;
 }
 
+/* ---- trace production and translation -------------------------------------- */
+
+PyDoc_STRVAR(zipf_doc,
+"zipf(cdf, guide, uniforms, out)\n"
+"\n"
+"Write searchsorted(cdf, u, side='left') into out for every uniform u in\n"
+"[0, 1), cdf ending at 1, through a guide table of M + 1 int64 entries (M a\n"
+"power of two), guide[j] = searchsorted(cdf, j / M): u's answer lies in\n"
+"cdf[guide[j] .. guide[j + 1]] for j = floor(u * M); see ZipfSampler in\n"
+"repro.workloads.base.");
+
+static PyObject *
+zipf(PyObject *module, PyObject *args)
+{
+    PyObject *objs[4], *result = NULL;
+    Py_buffer views[4] = {{0}};
+    Py_ssize_t population, buckets, n, i;
+    const double *cdf, *uniforms;
+    const i64 *guide;
+    i64 *out;
+    (void)module;
+    if (!PyArg_ParseTuple(args, "OOOO:zipf", &objs[0], &objs[1], &objs[2], &objs[3]))
+        return NULL;
+    if (!(cdf = typed(objs[0], 'd', -1, &views[0], READ))
+            || !(guide = typed(objs[1], 'q', -1, &views[1], READ))
+            || !(uniforms = typed(objs[2], 'd', -1, &views[2], READ))
+            || !(out = typed(objs[3], 'q', items(&views[2]), &views[3], WRITE)))
+        goto done;
+    population = items(&views[0]);
+    buckets = items(&views[1]) - 1;
+    n = items(&views[2]);
+    if (buckets < 1 || buckets & (buckets - 1)) {
+        PyErr_SetString(PyExc_ValueError, "a guide table has a power of two plus one entries");
+        goto done;
+    }
+    for (i = 0; i < n; i++) {
+        double u = uniforms[i];
+        if (!(u >= 0.0 && u < 1.0)) {
+            PyErr_SetString(PyExc_ValueError, "a uniform outside [0, 1)");
+            goto done;
+        }
+        Py_ssize_t j = (Py_ssize_t)(u * buckets), k = guide[j], last = guide[j + 1];
+        if (k < 0 || k > last || last >= population) {
+            PyErr_SetString(PyExc_ValueError, "not a guide table of this cdf");
+            goto done;
+        }
+        if (last - k > 2) {  /* a long bucket, in a heavy tail */
+            while (k < last && cdf[k] < u)
+                k++;
+        }
+        else {  /* two steps with no branch to mispredict (cdf[last] is read) */
+            k += (k < last) & (cdf[k] < u);
+            k += (k < last) & (cdf[k] < u);
+        }
+        out[i] = k;
+    }
+    result = Py_None;
+    Py_INCREF(result);
+done:
+    for (i = 0; i < 4; i++)
+        if (views[i].obj != NULL)
+            PyBuffer_Release(&views[i]);
+    return result;
+}
+
+/* The page table's slot of virtual page v: the one holding it, else the
+ * vacant one where it belongs (linear probing from a Fibonacci hash). */
+static Py_ssize_t
+page_slot(const i64 *keys, Py_ssize_t capacity, int bits, i64 v)
+{
+    Py_ssize_t slot = (Py_ssize_t)(((u64)v * 0x9E3779B97F4A7C15ULL) >> (64 - bits));
+    while (keys[slot] != EMPTY && keys[slot] != v)
+        slot = (slot + 1) & (capacity - 1);
+    return slot;
+}
+
+PyDoc_STRVAR(translate_doc,
+"translate(mapper, fields, trace, geometry, start) -> stop\n"
+"\n"
+"First-touch translation of a trace slice straight into the drain's\n"
+"five-row trace (a (5, n) int64 buffer).  mapper is (keys, pages, mapped,\n"
+"sequence, page_bytes): a page table of int64 virtual pages (-1 vacant) and\n"
+"their physical pages, a power of two slots at most half full, a one-item\n"
+"row counting the pages mapped, and the allocation sequence, whose next\n"
+"unused entry each new page takes.  fields is (cores, addresses, writes,\n"
+"instrs), translated from access start on; geometry is (offset bits, slices,\n"
+"cores, core shift).  Every core and address is checked before a page is mapped\n"
+"(IndexError, ValueError).  Returns where it stopped: n, or the first access\n"
+"that needs a page when the table is half full or the sequence used up, for\n"
+"the caller to grow or refill and call again; see PageMapper.translate_trace.");
+
+static PyObject *
+translate(PyObject *module, PyObject *args)
+{
+    PyObject *o[9], *result = NULL;
+    Py_buffer views[9] = {{0}};
+    Py_ssize_t page_bytes, offset_bits, slices, cores, core_shift, start, capacity, n, i;
+    i64 *keys, *pages, *mapped, *trace;
+    const i64 *sequence, *core, *address;
+    const unsigned char *write, *instr;
+    int bad_core = 0, bad_address = 0;
+    (void)module;
+    if (!PyArg_ParseTuple(args, "(OOOOn)(OOOO)O(nnnn)n:translate", &o[0], &o[1], &o[2], &o[3],
+                          &page_bytes, &o[4], &o[5], &o[6], &o[7], &o[8], &offset_bits,
+                          &slices, &cores, &core_shift, &start))
+        return NULL;
+    if (!(keys = typed(o[0], 'q', -1, &views[0], WRITE))
+            || !(pages = typed(o[1], 'q', capacity = items(&views[0]), &views[1], WRITE))
+            || !(mapped = typed(o[2], 'q', 1, &views[2], WRITE))
+            || !(sequence = typed(o[3], 'q', -1, &views[3], READ))
+            || !(core = typed(o[4], 'q', -1, &views[4], READ))
+            || !(address = typed(o[5], 'q', n = items(&views[4]), &views[5], READ))
+            || !(write = typed(o[6], 'B', n, &views[6], READ))
+            || !(instr = typed(o[7], 'B', n, &views[7], READ))
+            || !(trace = typed(o[8], 'q', 5 * n, &views[8], WRITE)))
+        goto done;
+    if (capacity < 2 || capacity & (capacity - 1) || mapped[0] < 0 || 2 * mapped[0] > capacity
+            || mapped[0] > items(&views[3]) || page_bytes < 1 || offset_bits < 0
+            || offset_bits > 63 || slices < 1 || cores < 1 || core_shift < 0 || core_shift > 1
+            || start < 0 || start > n) {
+        PyErr_SetString(PyExc_ValueError, "translate() state or geometry out of range");
+        goto done;
+    }
+    int bits = __builtin_ctzll((u64)capacity);
+    for (i = start; i < n; i++) {
+        bad_core |= core[i] < 0 || core[i] >= cores;
+        bad_address |= address[i] < 0;
+    }
+    if (bad_core || bad_address) {
+        if (bad_core)
+            PyErr_Format(PyExc_IndexError, "core out of range [0, %zd) in trace chunk", cores);
+        else
+            PyErr_SetString(PyExc_ValueError, "virtual_address must be non-negative");
+        goto done;
+    }
+    /* Power-of-two divisors (every configuration here) divide by shifting. */
+    int page_shift = page_bytes & (page_bytes - 1) ? -1 : __builtin_ctzll(page_bytes);
+    int slice_shift = slices & (slices - 1) ? -1 : __builtin_ctzll(slices);
+    for (i = start; i < n; i++) {
+        i64 page = page_shift < 0 ? address[i] / page_bytes : address[i] >> page_shift;
+        Py_ssize_t slot = page_slot(keys, capacity, bits, page);
+        if (keys[slot] == EMPTY) {
+            if (2 * (mapped[0] + 1) > capacity || mapped[0] == items(&views[3]))
+                break;
+            keys[slot] = page;
+            pages[slot] = sequence[mapped[0]++];
+        }
+        i64 b = (i64)(((u64)pages[slot] - (u64)page) * (u64)page_bytes + (u64)address[i])
+            >> offset_bits;
+        i64 local = slice_shift < 0 ? b / slices : b >> slice_shift;
+        trace[i] = b;
+        trace[n + i] = local;
+        trace[2 * n + i] = b - local * slices;
+        trace[3 * n + i] = (core[i] << core_shift) + (core_shift && !instr[i]);
+        trace[4 * n + i] = write[i] != 0;
+    }
+    result = PyLong_FromSsize_t(i);
+done:
+    for (i = 0; i < 9; i++)
+        if (views[i].obj != NULL)
+            PyBuffer_Release(&views[i]);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"walk", walk, METH_VARARGS, walk_doc},
     {"machine", machine, METH_VARARGS, machine_doc},
     {"drain", drain, METH_VARARGS, drain_doc},
     {"indices", indices, METH_VARARGS, indices_doc},
+    {"zipf", zipf, METH_VARARGS, zipf_doc},
+    {"translate", translate, METH_VARARGS, translate_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module_def = {
     PyModuleDef_HEAD_INIT, "_kernels",
-    "The compiled walk and drain (see repro.core.native).",
+    "The compiled kernels (see repro.core.native).",
     -1, methods, NULL, NULL, NULL, NULL,
 };
 

@@ -33,9 +33,10 @@ The slots are flat typed buffers indexed by ``way * num_sets + index``:
 and, under LRU, ``_stamps`` (int64), beside an int64 ``_meta`` row of size,
 start way and clock.  A key is found by scanning its candidate slots, as
 the hardware probes its d ways in parallel.  The candidates come from the
-hash family: in Python from its fused indexer, and in the compiled kernels
-(``core/_kernels.c``) from its :meth:`~repro.hashing.base.HashFamily.
-descriptor`, so a family with no descriptor is refused.  The compiled
+hash family's :meth:`~repro.hashing.base.HashFamily.descriptor`, hashed by
+the compiled kernels (``core/_kernels.c``): the drain and the walk hash in
+C, and the Python API through ``indices`` on one-key buffers, so a family
+with no descriptor is refused.  The compiled
 kernels read and write these same buffers (:meth:`CuckooHashTable.
 drain_state`), so they are only ever changed in place.
 
@@ -160,7 +161,11 @@ class CuckooHashTable:
                 f"{type(self._hashes).__name__} has no descriptor for the compiled "
                 "kernels, which hash every table's keys"
             )
-        self._indices = self._hashes.indices_function()
+        # One key's candidates, hashed by the compiled kernels into
+        # preallocated buffers (``_indices``).
+        self._descriptor = descriptor
+        self._key = array("q", [0])
+        self._candidates = array("q", bytes(8 * num_ways))
         slots = num_ways * num_sets
         self._keys = array("q", [_EMPTY]) * slots
         self._masks = array("Q", bytes(8 * slots))
@@ -410,6 +415,13 @@ class CuckooHashTable:
         return self._first_vacant(self._indices(key)) is not None
 
     # -- internals ------------------------------------------------------------
+    def _indices(self, key: int) -> array:
+        """``key``'s candidate index in every way, hashed by the compiled
+        ``indices`` kernel into a buffer the next call overwrites."""
+        self._key[0] = key
+        native.KERNELS.indices(self._descriptor, self._key, self._candidates)
+        return self._candidates
+
     def _first_vacant(self, indices: Sequence[int]) -> Optional[Tuple[int, int]]:
         """The first vacant candidate ``(way, slot)`` from the start way."""
         ways, sets, keys = self._num_ways, self._num_sets, self._keys

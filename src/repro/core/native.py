@@ -3,8 +3,10 @@
 The simulator's protocol and displacement walk are defined once, as one
 small CPython extension written against the C API: the protocol drain
 that runs a trace chunk in order, and the cuckoo table's displacement walk
-(:meth:`repro.core.cuckoo_hash.CuckooHashTable.walk`).  They are required,
-and there is no build step and no switch:
+(:meth:`repro.core.cuckoo_hash.CuckooHashTable.walk`), beside the kernels
+that produce and translate its trace (:class:`repro.workloads.base.
+ZipfSampler`, :class:`repro.coherence.paging.PageMapper`).  They are
+required, and there is no build step and no switch:
 
 * :func:`load` compiles the source with the interpreter's own
   compile-and-link line and include directory (:mod:`sysconfig`) the first
@@ -175,6 +177,7 @@ def load() -> Tuple[ModuleType, str]:
         raise ImportError(f"cannot build the compiled kernels: {error}") from error
 
 
-#: The kernels every caller shares (``walk`` and ``drain``), and the line
-#: :func:`load` logged about them.
+#: The kernels every caller shares (``walk``, ``machine``, ``drain``,
+#: ``indices``, ``zipf`` and ``translate``), and the line :func:`load` logged
+#: about them.
 KERNELS, STATUS = load()

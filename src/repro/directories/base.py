@@ -29,9 +29,8 @@ import abc
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import add
-from typing import Dict, FrozenSet, List, Tuple
+from itertools import zip_longest
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 __all__ = [
     "DirectoryStats",
@@ -132,8 +131,9 @@ class DirectoryStats:
     @property
     def attempt_histogram(self) -> Counter:
         """Insertions per attempt count (a copy of the row's histogram)."""
-        bins = self._row[_HISTOGRAM:]
-        return Counter({attempts: count for attempts, count in enumerate(bins) if count})
+        return Counter(
+            {attempts: count for attempts, count in enumerate(self.histogram) if count}
+        )
 
     # -- derived metrics -----------------------------------------------------
     @property
@@ -188,14 +188,21 @@ class DirectoryStats:
         self.occupancy_samples = 0
         self.occupancy_sum = 0.0
 
-    def merge(self, other: "DirectoryStats") -> "DirectoryStats":
-        """Aggregate counters from another slice (used to combine slices)."""
-        rows = sorted((self._row, other._row), key=len)
-        merged = DirectoryStats(len(rows[1]) - _HISTOGRAM)
-        merged._row[:] = array("q", map(add, rows[1], chain(rows[0], repeat(0))))
-        merged.occupancy_samples = self.occupancy_samples + other.occupancy_samples
-        merged.occupancy_sum = self.occupancy_sum + other.occupancy_sum
-        return merged
+    @property
+    def histogram(self) -> array:
+        """Insertions per attempt count, indexed by attempts (the row's tail)."""
+        return self._row[_HISTOGRAM:]
+
+    @classmethod
+    def total(cls, stats: Iterable["DirectoryStats"]) -> "DirectoryStats":
+        """Counters added up across slices, row column by column."""
+        stats = list(stats)
+        total = cls()
+        rows = [total._row] + [entry._row for entry in stats]
+        total._row = array("q", map(sum, zip_longest(*rows, fillvalue=0)))
+        total.occupancy_samples = sum(entry.occupancy_samples for entry in stats)
+        total.occupancy_sum = sum(entry.occupancy_sum for entry in stats)
+        return total
 
     def _key(self) -> tuple:
         return (

@@ -95,8 +95,7 @@ def cuckoo_factory(
 ) -> Callable[[int, int], Directory]:
     """Directory factory building Cuckoo slices sized by provisioning factor.
 
-    Every slice of a system shares one skewing hash family, so its index
-    tables and fused indexer are built once.
+    Every slice of a system shares one skewing hash family.
     """
     sets = _sets_for_provisioning(system, ways, provisioning)
     hashes = SkewingHashFamily(ways, sets)

@@ -66,10 +66,10 @@ class HashFamily(abc.ABC):
     def way_function(self, way: int) -> Callable[[int], int]:
         """A single-argument callable computing ``index(way, address)``.
 
-        Hot paths (the cuckoo displacement walk, skewed lookups) bind one
-        callable per way once and then pay no per-call way dispatch or
-        attribute lookups.  The returned callable is a *trusted* fast path:
-        it assumes non-negative addresses and skips argument validation.
+        A caller hashing many keys binds one callable per way once and then
+        pays no per-call way dispatch.  The returned callable is a *trusted*
+        fast path: it assumes non-negative addresses and skips argument
+        validation.
         Subclasses override this with closures that inline their mixing
         arithmetic.
         """
@@ -80,19 +80,6 @@ class HashFamily(abc.ABC):
     def way_functions(self) -> List[Callable[[int], int]]:
         """One :meth:`way_function` per way, in way order."""
         return [self.way_function(way) for way in range(self._num_ways)]
-
-    def indices_function(self) -> Callable[[int], List[int]]:
-        """A single-argument callable computing all per-way indices at once.
-
-        The cuckoo table calls this once per key instead of one way
-        function per way; families whose ways share sub-expressions (the
-        skewing family's address bit-fields) override it with a fused
-        implementation that factors the shared work out.  Like
-        :meth:`way_function`, the result is a trusted fast path that skips
-        argument validation.
-        """
-        functions = self.way_functions()
-        return lambda address: [fn(address) for fn in functions]
 
     def indices(self, address: int) -> List[int]:
         """Return the candidate set index of ``address`` for every way."""

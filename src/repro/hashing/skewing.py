@@ -18,12 +18,13 @@ The construction implemented here follows the published family:
   same inter-way decorrelation property).
 
 Because ``sigma`` permutes only ``n``-bit values and ``n`` is small, every
-power of sigma a way needs is precomputed once as a lookup table of
-``num_sets`` entries; the per-address work then collapses to three masked
-shifts, two table loads and two XORs, with no Python-level loop.  This is
-the Python side's hot function (the directory API and Figure 7 call it for
-every key); the compiled kernels apply sigma themselves, from the family's
-:meth:`~repro.hashing.base.HashFamily.descriptor`.
+power of sigma a way needs is precomputed as a lookup table of ``num_sets``
+entries, the first time Python indexes through the family; the per-address
+work then collapses to three masked shifts, two table loads and two XORs,
+with no Python-level loop.  The compiled kernels, which hash every key of
+the simulator (the drain, the walk and the directory API alike), apply
+sigma themselves, from the family's :meth:`~repro.hashing.base.HashFamily.
+descriptor`, so a simulation never builds the tables.
 """
 
 from __future__ import annotations
@@ -80,24 +81,23 @@ class SkewingHashFamily(HashFamily):
         if offset_bits < 0:
             raise ValueError("offset_bits must be non-negative")
         self._offset_bits = offset_bits
-        self._sigma_tables = self._build_sigma_tables()
-        # Numpy copies of the sigma tables, built lazily on the first
-        # batch_indices_array call.
+        # The sigma tables, built on first use on the Python side (the
+        # compiled kernels apply sigma from the descriptor), and their numpy
+        # copies, built on the first batch_indices_array call.
+        self._tables = None
         self._sigma_arrays = None
-        # The fused indexer, generated once per family: every directory
-        # slice of a system shares one family and asks for it.
-        self._indices_fn = None
 
-    def _build_sigma_tables(self) -> List[List[int]]:
+    @property
+    def _sigma_tables(self) -> List[List[int]]:
         """``tables[p][v] == sigma^p(v)`` for every power any way uses."""
-        bits = self.index_bits
-        if bits == 0 or self._num_sets > _MAX_TABLE_SETS:
-            return []
-        tables = [list(range(self._num_sets))]
-        for _ in range(1, self._num_ways):
-            previous = tables[-1]
-            tables.append([skew_sigma(value, bits) for value in previous])
-        return tables
+        if self._tables is None:
+            bits, tables = self.index_bits, []
+            if bits and self._num_sets <= _MAX_TABLE_SETS:
+                tables = [list(range(self._num_sets))]
+                for _ in range(1, self._num_ways):
+                    tables.append([skew_sigma(value, bits) for value in tables[-1]])
+            self._tables = tables
+        return self._tables
 
     @property
     def offset_bits(self) -> int:
@@ -154,40 +154,6 @@ class SkewingHashFamily(HashFamily):
             )
 
         return way_index
-
-    def indices_function(self) -> Callable[[int], List[int]]:
-        """Fused all-ways indexer: extract the three bit-fields once, then
-        gather from each way's sigma tables (generated straight-line code,
-        built on the first call and shared by every later caller)."""
-        if self._indices_fn is not None:
-            return self._indices_fn
-        bits = self.index_bits
-        if bits == 0:
-            ways = self._num_ways
-            return lambda address: [0] * ways
-        if not self._sigma_tables:
-            return super().indices_function()
-        mask = (1 << bits) - 1
-        namespace = {
-            f"_t1_{way}": self._sigma_tables[way] for way in range(self._num_ways)
-        }
-        namespace.update(
-            {f"_t2_{way}": self._sigma_tables[way // 2] for way in range(self._num_ways)}
-        )
-        terms = ", ".join(
-            f"_t1_{way}[f1] ^ _t2_{way}[f2] ^ f3" for way in range(self._num_ways)
-        )
-        source = (
-            "def _all_indices(address):\n"
-            f"    block = address >> {self._offset_bits}\n"
-            f"    f1 = block & {mask}\n"
-            f"    f2 = (block >> {bits}) & {mask}\n"
-            f"    f3 = (block >> {2 * bits}) & {mask}\n"
-            f"    return [{terms}]\n"
-        )
-        exec(source, namespace)  # noqa: S102 - constants and tables only
-        self._indices_fn = namespace["_all_indices"]
-        return self._indices_fn
 
     def batch_indices_array(self, addresses) -> np.ndarray:
         """Vectorized candidate indices: three shifts, two table gathers."""

@@ -23,7 +23,7 @@ kernels run it in C from the seeds in the family's descriptor.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, List
+from typing import Callable
 
 import numpy as np
 
@@ -86,25 +86,6 @@ class StrongHashFamily(HashFamily):
             return value % _sets
 
         return way_index
-
-    def indices_function(self) -> Callable[[int], List[int]]:
-        """Fused all-ways indexer: one call running the straight-line mixer
-        for every way (generated code, constants inlined)."""
-        lines = ["def _all_indices(address):"]
-        for way, seed in enumerate(self._seeds):
-            lines.append(f"    v{way} = (address ^ {seed}) & {_MASK64}")
-            lines.append(f"    v{way} ^= v{way} >> 30")
-            lines.append(f"    v{way} = (v{way} * {_MIX_MULT_1}) & {_MASK64}")
-            lines.append(f"    v{way} ^= v{way} >> 27")
-            lines.append(f"    v{way} = (v{way} * {_MIX_MULT_2}) & {_MASK64}")
-            lines.append(f"    v{way} ^= v{way} >> 31")
-        terms = ", ".join(
-            f"v{way} % {self._num_sets}" for way in range(self._num_ways)
-        )
-        lines.append(f"    return [{terms}]")
-        namespace: dict = {}
-        exec("\n".join(lines), namespace)  # noqa: S102 - constants only
-        return namespace["_all_indices"]
 
     def batch_indices_array(self, addresses) -> np.ndarray:
         """Vectorized SplitMix64 over ``uint64`` arrays, one pass per way."""

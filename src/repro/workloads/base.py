@@ -11,6 +11,7 @@ import numpy as np
 from repro.coherence.simulator import chunk_accesses
 from repro.coherence.system import MemoryAccess
 from repro.config import SystemConfig
+from repro.core import native
 
 __all__ = ["WorkloadCategory", "Workload", "ZipfSampler", "AddressSpaceLayout"]
 
@@ -29,9 +30,16 @@ class WorkloadCategory(str, Enum):
 class ZipfSampler:
     """Bounded Zipf(α) sampler over ``[0, population)``.
 
-    ``alpha == 0`` degenerates to a uniform distribution.  Sampling is
-    vectorised (inverse-CDF via ``searchsorted``) so generators can draw
-    large batches cheaply.
+    ``alpha == 0`` degenerates to a uniform distribution.  Otherwise a
+    sample inverts the CDF at a uniform ``u``: the first rank whose CDF is
+    at least ``u``, exactly ``np.searchsorted(cdf, u, side="left")``.  The
+    compiled ``zipf`` kernel (``core/_kernels.c``) finds it through a
+    Chen–Asau guide table of ``M + 1`` entries, ``guide[j] =
+    searchsorted(cdf, j / M)`` for ``M`` the smallest power of two at least
+    twice the population: ``u``'s answer lies in ``cdf[guide[j] ..
+    guide[j + 1]]`` for ``j = floor(u * M)``, a scan of about half an entry.
+    That is exact, because scaling by a power of two is exact in float64
+    (so ``j / M <= u < (j + 1) / M``) and the search is monotone in ``u``.
     """
 
     def __init__(self, population: int, alpha: float, rng: np.random.Generator) -> None:
@@ -49,6 +57,10 @@ class ZipfSampler:
             weights = ranks ** (-alpha)
             self._cdf = np.cumsum(weights)
             self._cdf /= self._cdf[-1]
+            buckets = 1 << (2 * population - 1).bit_length()
+            self._guide = np.searchsorted(
+                self._cdf, np.arange(buckets + 1) / buckets
+            ).astype(np.int64)
 
     @property
     def population(self) -> int:
@@ -66,8 +78,9 @@ class ZipfSampler:
             return np.empty(0, dtype=np.int64)
         if self._cdf is None:
             return self._rng.integers(0, self._population, size=count, dtype=np.int64)
-        uniforms = self._rng.random(count)
-        return np.searchsorted(self._cdf, uniforms, side="left").astype(np.int64)
+        out = np.empty(count, dtype=np.int64)
+        native.KERNELS.zipf(self._cdf, self._guide, self._rng.random(count), out)
+        return out
 
 
 class AddressSpaceLayout:

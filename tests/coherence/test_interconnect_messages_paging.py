@@ -1,5 +1,6 @@
 """Tests for the mesh model, message accounting and page mapping."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,6 +31,14 @@ class TestMeshInterconnect:
         for a in range(16):
             for b in range(16):
                 assert mesh.hops(a, b) == mesh.hops(b, a)
+
+    @pytest.mark.parametrize("tiles", range(1, 65))
+    def test_hop_table_is_every_pair_of_hops(self, tiles):
+        mesh = MeshInterconnect(tiles)
+        expected = [[mesh.hops(a, b) for b in range(tiles)] for a in range(tiles)]
+        table = mesh.hop_table()
+        assert table.dtype == np.int64 and table.flags.c_contiguous
+        assert table.tolist() == expected
 
     def test_average_distance_positive(self):
         mesh = MeshInterconnect(4)

@@ -1,9 +1,9 @@
 """Equivalence tests for the batched / fused hashing fast paths.
 
 ``index(way, address)`` is the reference; ``way_function``,
-``indices_function``, ``batch_indices`` and ``batch_indices_array`` are
-performance variants that must agree with it everywhere (the cuckoo table,
-the compiled drain and Figure 7 rely on that interchangeability).
+``batch_indices`` and ``batch_indices_array`` are performance variants that
+must agree with it everywhere (Figure 7 and the tests of the compiled
+hashing rely on that interchangeability).
 """
 
 import numpy as np
@@ -37,13 +37,11 @@ FAMILIES = [
 def test_all_fast_paths_match_reference_index(name, make, addresses):
     family = make()
     way_fns = family.way_functions()
-    indices_fn = family.indices_function()
     batched = family.batch_indices(addresses)
     assert len(batched) == len(addresses)
     for position, address in enumerate(addresses):
         reference = [family.index(way, address) for way in range(family.num_ways)]
         assert [fn(address) for fn in way_fns] == reference
-        assert indices_fn(address) == reference
         assert list(batched[position]) == reference
 
 
