@@ -7,8 +7,8 @@ point (Oracle, Shared-L2 chosen design, scale 16, 40 000 measured
 accesses plus warm-up):
 
 * ``generate_seconds`` — drain the live ``Workload.trace_chunks`` stream
-  for the run's full access budget (RNG draws, Zipf inverse-CDF lookups,
-  numpy selection);
+  for the run's full access budget (RNG draws, then the compiled
+  ``synthetic`` kernel's selection and Zipf inverse-CDF lookups);
 * ``replay_seconds`` — drain the same accesses from a recorded trace
   (memory-mapped array slicing);
 * ``record_seconds`` — the one-off cost of making the recording;

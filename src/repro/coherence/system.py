@@ -188,6 +188,9 @@ class TiledCMP:
             directory_factory(num_tracked, slice_id)
             for slice_id in range(config.num_directory_slices)
         ]
+        # A slice's capacity is fixed, so occupancy samples read only its
+        # live-entry count (_occupancies).
+        self._capacities = [directory.capacity for directory in self._directories]
         self._traffic = TrafficStats()
         self._accesses = 0
         self._l1_tracked = config.tracked_level is CacheLevel.L1
@@ -274,7 +277,9 @@ class TiledCMP:
         this rule against the slice count themselves: ``translate`` (behind
         ``access_batch``) derives every access's home and
         :meth:`slice_local_address`, and the drain :meth:`global_address`
-        for forced-invalidation victims and evicted blocks; change the
+        for forced-invalidation victims and the home of an evicted block,
+        by shift and mask (its machine refuses a slice count that is not a
+        power of two, as :class:`SystemConfig` does); change the
         interleaving everywhere together.
         """
         return block % self._num_slices
@@ -313,9 +318,22 @@ class TiledCMP:
         """Statistics summed across all directory slices."""
         return DirectoryStats.total(directory.stats for directory in self._directories)
 
+    def _occupancies(self) -> List[float]:
+        """Every slice's :meth:`Directory.occupancy`, in slice order."""
+        return [
+            directory.entry_count() / capacity
+            for directory, capacity in zip(self._directories, self._capacities)
+        ]
+
     def sample_occupancy(self) -> float:
-        """Sample every slice's occupancy; returns the mean of this sample."""
-        values = [directory.sample_occupancy() for directory in self._directories]
+        """Sample every slice's occupancy; returns the mean of this sample.
+
+        Each slice records its value as :meth:`Directory.sample_occupancy`
+        does, and the mean is the same left-to-right sum over the slices.
+        """
+        values = self._occupancies()
+        for directory, value in zip(self._directories, values):
+            directory.stats.record_occupancy(value)
         return sum(values) / len(values)
 
     # -- timeline hooks (repro.obs.timeline) ----------------------------------
@@ -343,7 +361,7 @@ class TiledCMP:
 
     def bank_occupancies(self) -> "list":
         """Per-slice occupancy fractions, in slice order (non-mutating)."""
-        return [directory.occupancy() for directory in self._directories]
+        return self._occupancies()
 
     def attempt_chain_bins(self, bins: int) -> "list":
         """Insertion-attempt histogram folded into chain-length bins.
@@ -398,9 +416,15 @@ class TiledCMP:
         compiled drain runs the slice in one call, in trace order, over the
         machine :meth:`_prepare_drain` took, counting every statistic in
         place; it returns the slice's accesses per class, for telemetry.
+        A slice reaching outside the chunk raises :class:`ValueError` before
+        anything is translated.
         """
         if stop is None:
             stop = len(cores)
+        if start < 0 or stop > len(cores):
+            raise ValueError(
+                f"slice [{start}, {stop}) reaches outside a chunk of {len(cores)} accesses"
+            )
         count = stop - start
         if count <= 0:
             return 0

@@ -7,10 +7,11 @@
  * displacement walk of CuckooHashTable.walk, which the drain runs as a plain
  * C function.  They are the simulator's only definitions of both: the
  * handler loop and the Python walk they are tested against live in
- * tests/coherence/reference_protocol.py.  zipf() draws the synthetic
- * workloads' Zipf ranks (ZipfSampler) and translate() maps a trace slice
- * through the first-touch page table (PageMapper) into the drain's trace.
- * repro.core.native builds this file on first import.
+ * tests/coherence/reference_protocol.py.  synthetic() builds a synthetic
+ * workload's chunk from its RNG draws (SyntheticWorkload), resolving each
+ * access's Zipf rank as zipf() does (ZipfSampler), and translate() maps a
+ * trace slice through the first-touch page table (PageMapper) into the
+ * drain's trace.  repro.core.native builds this file on first import.
  *
  * Both run over typed buffers the Python objects own and read through the
  * buffer protocol, so Python and C share one state and no Python object is
@@ -103,6 +104,15 @@ static Py_ssize_t
 items(const Py_buffer *view)
 {
     return view->len / view->itemsize;
+}
+
+/* Release every view taken (typed() leaves a failed one's obj NULL). */
+static void
+release(Py_buffer *views, int count)
+{
+    for (int i = 0; i < count; i++)
+        if (views[i].obj != NULL)
+            PyBuffer_Release(&views[i]);
 }
 
 /* ---- hashing ------------------------------------------------------------- */
@@ -213,9 +223,7 @@ indices(PyObject *module, PyObject *args)
     result = Py_None;
     Py_INCREF(result);
 done:
-    for (i = 0; i < 3; i++)
-        if (views[i].obj != NULL)
-            PyBuffer_Release(&views[i]);
+    release(views, 3);
     return result;
 }
 
@@ -225,6 +233,7 @@ typedef struct {  /* a tracked cache or a shared-L2 bank */
     i64 *tags, *stamps, *counts;
     unsigned char *states, *dirty;
     Py_ssize_t sets, ways;
+    int masked;  /* sets is a power of two: a block's set is b & (sets - 1) */
 } Cache;
 
 typedef struct {  /* a directory slice: its table, statistics and stash */
@@ -238,7 +247,7 @@ typedef struct {  /* a directory slice: its table, statistics and stash */
 typedef struct {
     Cache *caches, *banks;  /* banks is NULL without a shared L2 */
     Table *tables;
-    Py_ssize_t num_caches, num_tables, cores, core_shift, num_views;
+    Py_ssize_t num_caches, num_tables, cores, core_shift, slice_shift, num_views;
     const i64 *hops;  /* [from][to] */
     i64 *traffic;     /* NULL when traffic is not tracked */
     const i64 *trace; /* the chunk's [row][access] */
@@ -298,6 +307,7 @@ parse_cache(Machine *m, PyObject *spec, Cache *k)
         return -1;
     }
     k->sets = frames / k->ways;
+    k->masked = (k->sets & (k->sets - 1)) == 0;
     return (k->stamps = hold(m, o[1], 'q', frames)) && (k->states = hold(m, o[2], 'B', frames))
         && (k->dirty = hold(m, o[3], 'B', frames)) && (k->counts = hold(m, o[4], 'q', K_COLUMNS))
         ? 0 : -1;
@@ -357,10 +367,10 @@ PyDoc_STRVAR(machine_doc,
 "machine(caches, banks, slices, hops, traffic, core_shift) -> capsule\n"
 "\n"
 "Take a system's typed buffers for drain(): a state tuple per tracked cache,\n"
-"per shared-L2 bank (banks None without one) and per directory slice, the\n"
-"cores x cores int64 hop table, the traffic row (None: not counted) and the\n"
-"shift from a tracked cache to its core.  The capsule holds every buffer\n"
-"until it is freed; see TiledCMP._prepare_drain.");
+"per shared-L2 bank (banks None without one) and per directory slice (a\n"
+"power of two of them), the cores x cores int64 hop table, the traffic row\n"
+"(None: not counted) and the shift from a tracked cache to its core.  The\n"
+"capsule holds every buffer until it is freed; see TiledCMP._prepare_drain.");
 
 static PyObject *
 machine(PyObject *module, PyObject *args)
@@ -396,11 +406,13 @@ machine(PyObject *module, PyObject *args)
     m->cores = m->views[0].ndim == 2 ? m->views[0].shape[0] : 0;
     if (m->num_caches < 1 || m->num_caches > 64 || m->num_tables < 1 || core_shift < 0
             || core_shift > 1 || m->cores < 1 || m->views[0].shape[1] != m->cores
-            || m->num_tables > m->cores || (m->num_caches - 1) >> core_shift >= m->cores
+            || m->num_tables > m->cores || m->num_tables & (m->num_tables - 1)
+            || (m->num_caches - 1) >> core_shift >= m->cores
             || (banks != Py_None && PyTuple_GET_SIZE(banks) != m->num_tables)) {
         PyErr_SetString(PyExc_ValueError, "machine() geometry out of range");
         goto fail;
     }
+    m->slice_shift = __builtin_ctzll((u64)m->num_tables);
     if (traffic != Py_None && (m->traffic = hold(m, traffic, 'q', N_COLUMNS)) == NULL)
         goto fail;
     for (i = 0; i < m->num_caches; i++)
@@ -516,13 +528,22 @@ send(Machine *m, int type, Py_ssize_t from, Py_ssize_t to)
 
 /* -- a cache: SetAssociativeCache -- */
 
+/* The first frame of block b's set (b >= 0): a mask for a power-of-two set
+ * count (every configuration the experiments build), else a division. */
+static Py_ssize_t
+set_base(const Cache *k, i64 b)
+{
+    u64 set = k->masked ? (u64)b & (u64)(k->sets - 1) : (u64)b % (u64)k->sets;
+    return (Py_ssize_t)set * k->ways;
+}
+
 /* The frame holding block b, found by scanning its set's ways, or -1. */
 static Py_ssize_t
 frame_of(const Cache *k, i64 b)
 {
     if (b < 0)  /* the block of a corrupt table key */
         return -1;
-    Py_ssize_t base = (Py_ssize_t)(b % k->sets) * k->ways;
+    Py_ssize_t base = set_base(k, b);
     for (Py_ssize_t way = 0; way < k->ways; way++)
         if (k->tags[base + way] == b)
             return base + way;
@@ -544,20 +565,22 @@ invalidate(Cache *k, i64 b)
 }
 
 /* The frame a fill of block b takes (fill_miss_code): the set's first
- * vacant frame, else its least recently stamped one, whose block is evicted.
- * Returns 1 when that frame holds a victim, else 0. */
+ * vacant frame, else its least recently stamped one (the lowest way among
+ * equal stamps), whose block is evicted; one scan finds either.  Returns 1
+ * when that frame holds a victim, else 0. */
 static int
 pick_frame(Cache *k, i64 b, Py_ssize_t *frame)
 {
-    Py_ssize_t base = (Py_ssize_t)(b % k->sets) * k->ways, way;
-    for (way = 0; way < k->ways; way++)
+    Py_ssize_t base = set_base(k, b), lru = base;
+    for (Py_ssize_t way = 0; way < k->ways; way++) {
         if (k->tags[base + way] == EMPTY) {
             *frame = base + way;
             return 0;
         }
-    for (*frame = base, way = 1; way < k->ways; way++)
-        if (k->stamps[base + way] < k->stamps[*frame])
-            *frame = base + way;
+        if (k->stamps[base + way] < k->stamps[lru])
+            lru = base + way;
+    }
+    *frame = lru;
     k->counts[K_EVICTIONS]++;
     k->counts[K_DIRTY_EVICTIONS] += k->dirty[*frame] != 0;
     return 1;
@@ -615,10 +638,12 @@ slot_of(const Table *t, i64 key, const Py_ssize_t *index)
 static Py_ssize_t
 first_vacant(const Table *t, const Py_ssize_t *index, Py_ssize_t *way)
 {
+    *way = (Py_ssize_t)t->meta[M_START_WAY];
     for (Py_ssize_t offset = 0; offset < t->ways; offset++) {
-        *way = ((Py_ssize_t)t->meta[M_START_WAY] + offset) % t->ways;
         if (t->keys[*way * t->sets + index[*way]] == EMPTY)
             return *way * t->sets + index[*way];
+        if (++*way == t->ways)
+            *way = 0;
     }
     return -1;
 }
@@ -835,16 +860,18 @@ directory(Machine *m, Py_ssize_t h, i64 key, i64 b, Py_ssize_t c, int write)
 /* Cache c's victim in frame is leaving (pick_frame): its PUT goes home,
  * where c leaves the entry's sharers.  An entry whose last sharer leaves is
  * freed.  A removal the table serves, found or not, then runs the stash's
- * re-insert scan; one from the stash does not. */
+ * re-insert scan; one from the stash does not.  The slice count is a power
+ * of two (machine()), so the home split is a shift and a mask. */
 static int
 evict(Machine *m, Py_ssize_t c, Py_ssize_t frame)
 {
-    i64 victim = m->caches[c].tags[frame], key = victim / m->num_tables;
-    Py_ssize_t h = (Py_ssize_t)(victim % m->num_tables), index[MAX_WAYS], slot = -1;
+    i64 victim = m->caches[c].tags[frame];
     if (victim < 0) {
         PyErr_SetString(PyExc_IndexError, "a negative block address in a cache");
         return -1;
     }
+    i64 key = victim >> m->slice_shift;
+    Py_ssize_t h = (Py_ssize_t)(victim & (m->num_tables - 1)), index[MAX_WAYS], slot = -1;
     Table *t = &m->tables[h];
     send(m, m->caches[c].dirty[frame] ? N_PUT_M : N_PUT_S, c >> m->core_shift, h);
     Py_ssize_t parked = stashed(t, key);
@@ -974,6 +1001,56 @@ done:
 
 /* ---- trace production and translation -------------------------------------- */
 
+typedef struct {  /* a ZipfSampler's CDF and guide table */
+    const double *cdf;
+    const i64 *guide;
+    Py_ssize_t population, buckets;
+} Zipf;
+
+/* A sampler's (cdf, guide) into views[0..1], checked: the guide table has a
+ * power of two plus one entries. */
+static int
+parse_zipf(PyObject *cdf, PyObject *guide, Py_buffer *views, Zipf *z)
+{
+    if (!(z->cdf = typed(cdf, 'd', -1, &views[0], READ))
+            || !(z->guide = typed(guide, 'q', -1, &views[1], READ)))
+        return -1;
+    z->population = items(&views[0]);
+    z->buckets = items(&views[1]) - 1;
+    if (z->buckets < 1 || z->buckets & (z->buckets - 1)) {
+        PyErr_SetString(PyExc_ValueError, "a guide table has a power of two plus one entries");
+        return -1;
+    }
+    return 0;
+}
+
+/* searchsorted(cdf, u, side='left') into *rank, for u in [0, 1): u's answer
+ * lies in cdf[guide[j] .. guide[j + 1]] for j = floor(u * M), whose two
+ * entries are checked before the scan reads the cdf (ValueError). */
+static inline int
+zipf_rank(const Zipf *z, double u, i64 *rank)
+{
+    if (!(u >= 0.0 && u < 1.0)) {
+        PyErr_SetString(PyExc_ValueError, "a uniform outside [0, 1)");
+        return -1;
+    }
+    Py_ssize_t j = (Py_ssize_t)(u * z->buckets), k = z->guide[j], last = z->guide[j + 1];
+    if (k < 0 || k > last || last >= z->population) {
+        PyErr_SetString(PyExc_ValueError, "not a guide table of this cdf");
+        return -1;
+    }
+    if (last - k > 2) {  /* a long bucket, in a heavy tail */
+        while (k < last && z->cdf[k] < u)
+            k++;
+    }
+    else {  /* two steps with no branch to mispredict (cdf[last] is read) */
+        k += (k < last) & (z->cdf[k] < u);
+        k += (k < last) & (z->cdf[k] < u);
+    }
+    *rank = k;
+    return 0;
+}
+
 PyDoc_STRVAR(zipf_doc,
 "zipf(cdf, guide, uniforms, out)\n"
 "\n"
@@ -988,52 +1065,128 @@ zipf(PyObject *module, PyObject *args)
 {
     PyObject *objs[4], *result = NULL;
     Py_buffer views[4] = {{0}};
-    Py_ssize_t population, buckets, n, i;
-    const double *cdf, *uniforms;
-    const i64 *guide;
+    const double *uniforms;
     i64 *out;
+    Zipf z;
     (void)module;
     if (!PyArg_ParseTuple(args, "OOOO:zipf", &objs[0], &objs[1], &objs[2], &objs[3]))
         return NULL;
-    if (!(cdf = typed(objs[0], 'd', -1, &views[0], READ))
-            || !(guide = typed(objs[1], 'q', -1, &views[1], READ))
+    if (parse_zipf(objs[0], objs[1], views, &z) < 0
             || !(uniforms = typed(objs[2], 'd', -1, &views[2], READ))
             || !(out = typed(objs[3], 'q', items(&views[2]), &views[3], WRITE)))
         goto done;
-    population = items(&views[0]);
-    buckets = items(&views[1]) - 1;
-    n = items(&views[2]);
-    if (buckets < 1 || buckets & (buckets - 1)) {
-        PyErr_SetString(PyExc_ValueError, "a guide table has a power of two plus one entries");
-        goto done;
-    }
-    for (i = 0; i < n; i++) {
-        double u = uniforms[i];
-        if (!(u >= 0.0 && u < 1.0)) {
-            PyErr_SetString(PyExc_ValueError, "a uniform outside [0, 1)");
+    for (Py_ssize_t i = 0; i < items(&views[2]); i++)
+        if (zipf_rank(&z, uniforms[i], &out[i]) < 0)
             goto done;
-        }
-        Py_ssize_t j = (Py_ssize_t)(u * buckets), k = guide[j], last = guide[j + 1];
-        if (k < 0 || k > last || last >= population) {
-            PyErr_SetString(PyExc_ValueError, "not a guide table of this cdf");
-            goto done;
-        }
-        if (last - k > 2) {  /* a long bucket, in a heavy tail */
-            while (k < last && cdf[k] < u)
-                k++;
-        }
-        else {  /* two steps with no branch to mispredict (cdf[last] is read) */
-            k += (k < last) & (cdf[k] < u);
-            k += (k < last) & (cdf[k] < u);
-        }
-        out[i] = k;
-    }
     result = Py_None;
     Py_INCREF(result);
 done:
-    for (i = 0; i < 4; i++)
-        if (views[i].obj != NULL)
-            PyBuffer_Release(&views[i]);
+    release(views, 4);
+    return result;
+}
+
+PyDoc_STRVAR(synthetic_doc,
+"synthetic(workload, cores, draws, targets, ranks, out)\n"
+"\n"
+"One chunk of SyntheticWorkload.trace_chunks from its RNG draws, in one\n"
+"pass.  workload is (fractions, instr_base, shared_base, block_bytes,\n"
+"private_bases, samplers): the instruction, shared-data, shared-write,\n"
+"private-write and migration fractions, the region bases (private_bases one\n"
+"int64 per core) and either the instruction, shared and private samplers'\n"
+"(cdf, guide) pairs or None for uniform ranks.  cores and targets are n\n"
+"int64 cores and migration targets; draws the (4, n) float64 kind, shared,\n"
+"write and migration uniforms; ranks the (3, n) float64 Zipf uniforms of the\n"
+"three regions (int64 ranks when samplers is None), of which an access\n"
+"resolves only its own region's, as zipf() does.  out is the chunk's (int64\n"
+"addresses, bool writes, bool instrs), written only when every access has\n"
+"its rank (ValueError) and an owner in range (IndexError).");
+
+static PyObject *
+synthetic(PyObject *module, PyObject *args)
+{
+    PyObject *o[8], *samplers, *s[6], *result = NULL;
+    Py_buffer views[14] = {{0}};
+    double fraction[5];
+    i64 instr_base, shared_base, block_bytes;
+    const i64 *private_bases, *cores, *targets;
+    const double *draws;
+    const void *ranks;
+    i64 *addresses, *staged = NULL;
+    unsigned char *writes, *instrs;
+    Py_ssize_t num_cores, n, i;
+    Zipf z[3];
+    (void)module;
+    if (!PyArg_ParseTuple(args, "((ddddd)LLLOO)OOOO(OOO):synthetic", &fraction[0],
+                          &fraction[1], &fraction[2], &fraction[3], &fraction[4], &instr_base,
+                          &shared_base, &block_bytes, &o[0], &samplers, &o[1], &o[2], &o[3],
+                          &o[4], &o[5], &o[6], &o[7]))
+        return NULL;
+    int skewed = samplers != Py_None;
+    if (skewed && (!PyTuple_Check(samplers)
+                 || !PyArg_ParseTuple(samplers, "(OO)(OO)(OO)", &s[0], &s[1], &s[2], &s[3],
+                                      &s[4], &s[5]))) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError, "samplers must be a tuple or None");
+        return NULL;
+    }
+    if (!(private_bases = typed(o[0], 'q', -1, &views[0], READ)))
+        goto done;
+    for (i = 0; skewed && i < 3; i++)
+        if (parse_zipf(s[2 * i], s[2 * i + 1], &views[1 + 2 * i], &z[i]) < 0)
+            goto done;
+    if (!(cores = typed(o[1], 'q', -1, &views[7], READ))
+            || !(draws = typed(o[2], 'd', 4 * (n = items(&views[7])), &views[8], READ))
+            || !(targets = typed(o[3], 'q', n, &views[9], READ))
+            || !(ranks = typed(o[4], skewed ? 'd' : 'q', 3 * n, &views[10], READ))
+            || !(addresses = typed(o[5], 'q', n, &views[11], WRITE))
+            || !(writes = typed(o[6], 'B', n, &views[12], WRITE))
+            || !(instrs = typed(o[7], 'B', n, &views[13], WRITE)))
+        goto done;
+    if ((num_cores = items(&views[0])) < 1) {
+        PyErr_SetString(PyExc_ValueError, "a workload has a private base per core");
+        goto done;
+    }
+    /* The chunk is staged and copied out once every access has succeeded. */
+    if ((staged = PyMem_Malloc(n * (sizeof(i64) + 2) + 1)) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    unsigned char *staged_writes = (unsigned char *)(staged + n), *staged_instrs = staged_writes + n;
+    /* Each region's base (the private one is the owner's) and write fraction. */
+    i64 base[3] = {instr_base, shared_base, 0};
+    double write_fraction[3] = {0.0, fraction[2], fraction[3]};
+    int bad_owner = 0;
+    for (i = 0; i < n; i++) {
+        /* An instruction fetch (region 0), else shared (1) or private (2)
+         * data, chosen by arithmetic: a branch on a uniform is a coin flip. */
+        int instr = draws[i] < fraction[0], shared = draws[n + i] < fraction[1];
+        int region = (2 - shared) & (instr - 1);
+        /* The owner of a private access, another core's on a migration; every
+         * access's is checked, and an out-of-range one reads no base. */
+        i64 owner = draws[3 * n + i] < fraction[4] ? targets[i] : cores[i], rank;
+        int out_of_range = (u64)owner >= (u64)num_cores;
+        bad_owner |= out_of_range;
+        base[2] = private_bases[out_of_range ? 0 : owner];
+        if (!skewed)
+            rank = ((const i64 *)ranks)[region * n + i];
+        else if (zipf_rank(&z[region], ((const double *)ranks)[region * n + i], &rank) < 0)
+            goto done;
+        staged[i] = (i64)((u64)base[region] + (u64)rank * (u64)block_bytes);
+        staged_writes[i] = !instr & (draws[2 * n + i] < write_fraction[region]);
+        staged_instrs[i] = (unsigned char)instr;
+    }
+    if (bad_owner) {
+        PyErr_Format(PyExc_IndexError, "an owner out of range [0, %zd)", num_cores);
+        goto done;
+    }
+    memcpy(addresses, staged, n * sizeof(i64));
+    memcpy(writes, staged_writes, n);
+    memcpy(instrs, staged_instrs, n);
+    result = Py_None;
+    Py_INCREF(result);
+done:
+    PyMem_Free(staged);
+    release(views, 14);
     return result;
 }
 
@@ -1130,9 +1283,7 @@ translate(PyObject *module, PyObject *args)
     }
     result = PyLong_FromSsize_t(i);
 done:
-    for (i = 0; i < 9; i++)
-        if (views[i].obj != NULL)
-            PyBuffer_Release(&views[i]);
+    release(views, 9);
     return result;
 }
 
@@ -1142,6 +1293,7 @@ static PyMethodDef methods[] = {
     {"drain", drain, METH_VARARGS, drain_doc},
     {"indices", indices, METH_VARARGS, indices_doc},
     {"zipf", zipf, METH_VARARGS, zipf_doc},
+    {"synthetic", synthetic, METH_VARARGS, synthetic_doc},
     {"translate", translate, METH_VARARGS, translate_doc},
     {NULL, NULL, 0, NULL},
 };

@@ -4,8 +4,9 @@ The simulator's protocol and displacement walk are defined once, as one
 small CPython extension written against the C API: the protocol drain
 that runs a trace chunk in order, and the cuckoo table's displacement walk
 (:meth:`repro.core.cuckoo_hash.CuckooHashTable.walk`), beside the kernels
-that produce and translate its trace (:class:`repro.workloads.base.
-ZipfSampler`, :class:`repro.coherence.paging.PageMapper`).  They are
+that produce and translate its trace (:class:`repro.workloads.synthetic.
+SyntheticWorkload`, :class:`repro.workloads.base.ZipfSampler`,
+:class:`repro.coherence.paging.PageMapper`).  They are
 required, and there is no build step and no switch:
 
 * :func:`load` compiles the source with the interpreter's own

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -40,6 +40,8 @@ class ZipfSampler:
     guide[j + 1]]`` for ``j = floor(u * M)``, a scan of about half an entry.
     That is exact, because scaling by a power of two is exact in float64
     (so ``j / M <= u < (j + 1) / M``) and the search is monotone in ``u``.
+    The ``synthetic`` kernel resolves a chunk's ranks through the same
+    tables (:attr:`tables`), one rank per access.
     """
 
     def __init__(self, population: int, alpha: float, rng: np.random.Generator) -> None:
@@ -69,6 +71,12 @@ class ZipfSampler:
     @property
     def alpha(self) -> float:
         return self._alpha
+
+    @property
+    def tables(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """The CDF and its guide table, as the compiled kernels read them;
+        None when ``alpha == 0``."""
+        return None if self._cdf is None else (self._cdf, self._guide)
 
     def sample(self, count: int) -> np.ndarray:
         """Draw ``count`` indices in ``[0, population)``."""

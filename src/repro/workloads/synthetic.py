@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.coherence.system import MemoryAccess
 from repro.config import SystemConfig
+from repro.core import native
 from repro.workloads.base import (
     AddressSpaceLayout,
     Workload,
@@ -158,15 +159,18 @@ class SyntheticWorkload(Workload):
     def trace_chunks(
         self, system: SystemConfig, seed: int = 0, chunk_size: int = _BATCH
     ) -> Iterator[tuple]:
-        """Pregenerate whole access chunks with vectorized numpy selection.
+        """Build whole access chunks with the compiled ``synthetic`` kernel.
 
-        The RNG draw order is exactly that of the original per-access
-        generator (one batch of each draw kind per chunk), so the flattened
-        stream is bit-identical to what :meth:`trace` has always produced;
-        only the per-access Python branching and object construction are
-        gone.  ``chunk_size`` is fixed at the generator's historical batch
-        size to keep the draw boundaries — and therefore the stream —
-        stable.
+        Each chunk draws, in this order: the cores, the kind, shared, write
+        and migration uniforms (one ``(4, n)`` ``random`` call, the stream
+        of four ``random(n)`` calls), the migration targets, and the three
+        regions' Zipf uniforms (one ``(3, n)`` call; three ``integers``
+        calls when ``zipf_alpha == 0``).  The kernel then selects each access's region,
+        owner and write flag and resolves only its own region's rank through
+        the samplers' guide tables, so the flattened stream is bit-identical
+        to what :meth:`trace` has always produced.  ``chunk_size`` is fixed
+        at the generator's historical batch size to keep the draw boundaries
+        -- and therefore the stream -- stable.
         """
         del chunk_size  # draw-order stability requires the historical batch
         # Derive the stream seed from the workload name with a *stable* hash
@@ -174,43 +178,41 @@ class SyntheticWorkload(Workload):
         # traces irreproducible across runs).
         rng = np.random.default_rng(seed ^ zlib.crc32(self.name.encode()))
         regions = self._resolve_regions(system)
-        instr_sampler = ZipfSampler(regions.instr_blocks, self.zipf_alpha, rng)
-        shared_sampler = ZipfSampler(regions.shared_blocks, self.zipf_alpha, rng)
-        private_sampler = ZipfSampler(regions.private_blocks, self.zipf_alpha, rng)
+        samplers = [
+            ZipfSampler(blocks, self.zipf_alpha, rng)
+            for blocks in (regions.instr_blocks, regions.shared_blocks, regions.private_blocks)
+        ]
         num_cores = system.num_cores
-        block_bytes = regions.block_bytes
-        private_bases = np.asarray(regions.private_bases, dtype=np.int64)
-
+        uniform = self.zipf_alpha == 0.0
+        workload = (
+            (
+                self.instr_fraction, self.shared_data_fraction, self.shared_write_fraction,
+                self.private_write_fraction, self.migration_fraction,
+            ),
+            regions.instr_base,
+            regions.shared_base,
+            regions.block_bytes,
+            np.asarray(regions.private_bases, dtype=np.int64),
+            None if uniform else tuple(sampler.tables for sampler in samplers),
+        )
+        synthetic = native.KERNELS.synthetic
+        # The uniforms never leave the generator, so every chunk draws into
+        # the same two buffers (``out=`` fills them as a fresh array would).
+        draws = np.empty((4, _BATCH))
+        ranks = np.empty((3, _BATCH))
         while True:
             cores = rng.integers(0, num_cores, size=_BATCH)
-            kind_draw = rng.random(_BATCH)
-            shared_draw = rng.random(_BATCH)
-            write_draw = rng.random(_BATCH)
-            migrate_draw = rng.random(_BATCH)
-            migrate_target = rng.integers(0, num_cores, size=_BATCH)
-            instr_offsets = instr_sampler.sample(_BATCH)
-            shared_offsets = shared_sampler.sample(_BATCH)
-            private_offsets = private_sampler.sample(_BATCH)
-
-            is_instr = kind_draw < self.instr_fraction
-            is_shared = ~is_instr & (shared_draw < self.shared_data_fraction)
-            is_private = ~is_instr & ~is_shared
-            owners = np.where(
-                migrate_draw < self.migration_fraction, migrate_target, cores
-            )
-            addresses = np.where(
-                is_instr,
-                regions.instr_base + instr_offsets * block_bytes,
-                np.where(
-                    is_shared,
-                    regions.shared_base + shared_offsets * block_bytes,
-                    private_bases[owners] + private_offsets * block_bytes,
-                ),
-            )
-            writes = (is_shared & (write_draw < self.shared_write_fraction)) | (
-                is_private & (write_draw < self.private_write_fraction)
-            )
-            yield (cores, addresses, writes, is_instr)
+            rng.random(out=draws)
+            targets = rng.integers(0, num_cores, size=_BATCH)
+            if uniform:
+                ranks = np.stack([sampler.sample(_BATCH) for sampler in samplers])
+            else:
+                rng.random(out=ranks)
+            addresses = np.empty(_BATCH, dtype=np.int64)
+            writes = np.empty(_BATCH, dtype=np.bool_)
+            instrs = np.empty(_BATCH, dtype=np.bool_)
+            synthetic(workload, cores, draws, targets, ranks, (addresses, writes, instrs))
+            yield (cores, addresses, writes, instrs)
 
     def trace(self, system: SystemConfig, seed: int = 0) -> Iterator[MemoryAccess]:
         return self._trace_via_chunks(system, seed)

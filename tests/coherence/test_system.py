@@ -8,10 +8,14 @@ import pytest
 from repro.cache.cache import CoherenceState
 from repro.coherence.messages import MessageType
 from repro.coherence.paging import PageMapper
+from repro.coherence.simulator import TraceSimulator
 from repro.coherence.system import MemoryAccess, TiledCMP
 from repro.config import CacheLevel, SystemConfig
 from repro.core.cuckoo_directory import CuckooDirectory
+from repro.core.stashed_cuckoo import StashedCuckooDirectory
 from repro.directories.sparse import SparseDirectory
+from repro.experiments.common import scaled_system
+from repro.workloads.synthetic import UniformRandomWorkload
 
 
 def cuckoo_factory(num_caches, slice_id):
@@ -225,6 +229,60 @@ class TestEvictionsAndInclusion:
             system.access(MemoryAccess(core=0, address=i * 64, is_write=False))
         value = system.sample_occupancy()
         assert 0.0 < value <= 1.0
+
+
+class _PerSliceSampling(TiledCMP):
+    """Occupancy sampled through every slice's own sample_occupancy()."""
+
+    def sample_occupancy(self):
+        values = [directory.sample_occupancy() for directory in self.directories]
+        return sum(values) / len(values)
+
+
+def _stashed_factory(num_caches, slice_id):
+    # Far below the tracked frames, so walks are cut off and the stash fills.
+    return StashedCuckooDirectory(
+        num_caches, num_sets=16, num_ways=2, stash_entries=4, max_insertion_attempts=4
+    )
+
+
+class TestOccupancySampling:
+    """TiledCMP.sample_occupancy reads each slice's live-entry count against
+    the capacity it took at construction, and must record and return
+    exactly what every slice's own Directory.sample_occupancy did."""
+
+    def test_samples_equal_the_per_slice_path_with_a_stash(self, tiny_private_system):
+        workload = UniformRandomWorkload(footprint_blocks=2000)
+        runs = []
+        for kind in (TiledCMP, _PerSliceSampling):
+            system = kind(tiny_private_system, _stashed_factory, page_mapper=identity_mapper())
+            simulator = TraceSimulator(
+                system, warmup_accesses=500, occupancy_sample_interval=97
+            )
+            chunks = workload.trace_chunks(tiny_private_system, seed=2)
+            runs.append((system, simulator.run_chunks(chunks, max_accesses=6000)))
+        (system, result), (per_slice, expected) = runs
+        assert any(directory.stash_occupancy for directory in system.directories)
+        assert result.average_occupancy == expected.average_occupancy
+        assert result.per_slice_stats == expected.per_slice_stats
+        assert all(stats.occupancy_samples == 6000 // 97 for stats in result.per_slice_stats)
+        assert system.bank_occupancies() == [
+            directory.occupancy() for directory in per_slice.directories
+        ]
+
+
+class TestAccessBatchBounds:
+    def test_a_slice_outside_the_chunk_is_refused_before_anything_runs(self):
+        system = make_system(scaled_system(CacheLevel.L1, scale=64))
+        fields = ([0, 1], [0x100, 0x200], [False, False], [False, False])
+        for start, stop in ((0, 10), (-1, 2), (1, 3)):
+            with pytest.raises(ValueError, match="outside a chunk of 2"):
+                system.access_batch(*fields, start, stop)
+        assert system.accesses_processed == 0
+        assert system.page_mapper.pages_mapped == 0
+        assert sum(cache.stats.accesses for cache in system.tracked_caches) == 0
+        assert system.access_batch(*fields, 0, 2) == 2
+        assert system.accesses_processed == 2
 
 
 class TestTraffic:

@@ -4,8 +4,10 @@
 ``repro/core/_kernels.c``, the simulator's one definition of the protocol.
 These tests hold it to the handler loop of ``tests/coherence/
 reference_protocol.py`` on random geometries, the stashed cuckoo included,
-comparing canonical state (``reference_protocol.canonical_state``), and
-check the typed-state checks of the machine and the drain.
+and tracked caches and shared-L2 banks whose set counts are powers of two
+(a masked set index) or not (a division), comparing canonical state
+(``reference_protocol.canonical_state``), and check the typed-state checks
+of the machine and the drain and the frame a fill takes.
 """
 
 import importlib.util
@@ -36,11 +38,14 @@ _SPEC.loader.exec_module(reference_protocol)
 canonical_state = reference_protocol.canonical_state
 
 
-def _system(organization, ways, sets, max_attempts=32, level=CacheLevel.L1, stash=0):
+def _system(
+    organization, ways, sets, max_attempts=32, level=CacheLevel.L1, stash=0,
+    l1_sets=4, l2_sets=8,
+):
     config = SystemConfig(
         num_cores=4,
-        l1_config=CacheConfig(size_bytes=512, associativity=2),
-        l2_config=CacheConfig(size_bytes=2048, associativity=4),
+        l1_config=CacheConfig(size_bytes=64 * 2 * l1_sets, associativity=2),
+        l2_config=CacheConfig(size_bytes=64 * 4 * l2_sets, associativity=4),
         tracked_level=level,
         page_bytes=256,
     )
@@ -92,24 +97,71 @@ def _run_reference(system, stream, start=0, stop=None):
     max_attempts=st.integers(1, 40),
     stash=st.integers(0, 4),
     level=st.sampled_from([CacheLevel.L1, CacheLevel.L2]),
+    l1_sets=st.sampled_from([1, 3, 4, 6, 8]),
+    l2_sets=st.sampled_from([2, 5, 8, 12]),
     seed=st.integers(0, 2**16),
     cuts=st.lists(st.integers(1, 239), max_size=6),
 )
 def test_compiled_drain_matches_handlers(
-    organization, ways, sets, max_attempts, stash, level, seed, cuts
+    organization, ways, sets, max_attempts, stash, level, l1_sets, l2_sets, seed, cuts
 ):
     if organization in ("cuckoo", "cuckoo-strong", "stashed"):
         # 16-way tables are LRU ones (sparse, skewed) only.
         ways = min(max(ways, 2), 8)
     stream = _stream(seed, 240, blocks=6 * ways * sets + 8)
-    drained = _system(organization, ways, sets, max_attempts, level, stash)
-    reference = _system(organization, ways, sets, max_attempts, level, stash)
+    geometry = (organization, ways, sets, max_attempts, level, stash, l1_sets, l2_sets)
+    drained = _system(*geometry)
+    reference = _system(*geometry)
     position = 0
     for stop in sorted(set(cuts)) + [240]:
         drained.access_batch(*stream, position, stop)
         _run_reference(reference, stream, position, stop)
         position = stop
         assert canonical_state(drained) == canonical_state(reference), f"chunk ending {stop}"
+
+
+@pytest.mark.parametrize("l2_sets", [8, 6], ids=["masked-index", "divided-index"])
+@pytest.mark.parametrize(
+    "tags,stamps,way",
+    [
+        ((0, -1, 1, -1), (5, 0, 3, 0), 1),  # the first vacant frame ...
+        ((-1, 0, 1, 2), (0, 1, 2, 3), 0),
+        ((0, 1, 2, -1), (1, 2, 3, 0), 3),  # ... even past a lower stamp
+        ((0, 1, 2, 3), (5, 2, 2, 7), 1),  # else the lowest stamp, ties to the lowest way
+        ((0, 1, 2, 3), (4, 4, 4, 4), 0),
+        ((0, 1, 2, 3), (9, 8, 7, 3), 3),
+    ],
+)
+def test_a_fill_takes_the_first_vacant_frame_else_the_least_recently_used(
+    tags, stamps, way, l2_sets
+):
+    """pick_frame's one scan: a miss fills its set's first vacant frame, and
+    only a full set evicts, taking the frame with the lowest stamp and, among
+    equal stamps, the lowest way."""
+    system = _system("sparse", 4, 4, level=CacheLevel.L2, l2_sets=l2_sets)
+    cache = system.tracked_caches[1]
+    frame_tags, frame_stamps, states, _, counts, ways = cache.drain_state()
+    index = 3
+    base = index * ways
+    blocks = [index + l2_sets * (k + 1) for k in range(4)]  # four blocks of set 3
+    for offset, (tag, stamp) in enumerate(zip(tags, stamps)):
+        frame_tags[base + offset] = -1 if tag < 0 else blocks[tag]
+        frame_stamps[base + offset] = stamp
+        states[base + offset] = 0 if tag < 0 else 1
+    block = index + l2_sets * 9
+    evictions = counts[2]
+    native.KERNELS.drain(system._machine, np.array([[block], [block // 4], [block % 4], [1], [0]]))
+    assert frame_tags[base + way] == block
+    assert counts[2] - evictions == (-1 not in tags)
+
+
+def test_machine_refuses_a_slice_count_that_is_not_a_power_of_two():
+    """The drain splits a block's home from its slice-local address by shift
+    and mask, so machine() takes only a power-of-two slice count."""
+    caches, banks, slices, *rest = _machine_args(_system("cuckoo", 2, 4))
+    native.KERNELS.machine(caches, banks[:2], slices[:2], *rest)
+    with pytest.raises(ValueError, match="geometry"):
+        native.KERNELS.machine(caches, banks[:3], slices[:3], *rest)
 
 
 def _machine_args(system):
